@@ -5,6 +5,10 @@ deduplicating lattices by their canonical Hermite basis.  Every subset of
 monomials spans one of the visited lattices, so the walk provably covers the
 fixed-size subset scan while also finding groups that would need more than
 N-1 terms (none are known to occur; the equality is tested, not assumed).
+The lattice L + g depends only on the coset g + L, so from each lattice the
+walk builds one child per distinct nonzero coset of the generators instead of
+one per generator; the visited lattices, their order and their witnesses are
+the same either way.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -20,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactmath import IntMatrix, hnf_add, hnf_contains, snf
+from .exactmath import IntMatrix, hnf_add, hnf_reduce, snf
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, charge_vector, enumerate_monomials
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
@@ -50,15 +54,10 @@ def _canonical_generator(column: tuple[int, ...], d: int) -> tuple[Fraction, ...
     smallest representative makes reports deterministic and matches hand
     calculations.
     """
-    best = None
-    for k in range(1, d + 1):
-        if gcd(k, d) != 1:
-            continue
-        cand = tuple((Fraction(k * c, d)) % 1 for c in column)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    if d < 1:
+        raise ValueError(f"cyclic order must be positive, got {d}")
+    return min(tuple(Fraction(k * c, d) % 1 for c in column)
+               for k in range(1, d + 1) if gcd(k, d) == 1)
 
 
 def symmetry_group_of_terms(terms, basis: TorusBasis) -> SymmetryGroup:
@@ -129,7 +128,12 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     """All charge lattices spanned by monomial subsets, keyed by HNF basis.
 
     Breadth-first over single-monomial additions, so the recorded witness for
-    each lattice has the minimum number of terms.
+    each lattice has the minimum number of terms.  An edge is tried only for
+    the first generator of each distinct residue ``hnf_reduce(L, g)``: a zero
+    residue means g is already in L, and a repeated one means L + g equals
+    the lattice an earlier generator of the same loop gave, which is already
+    in ``states`` with its first witness.  Skipping such edges therefore
+    leaves the insertion order and every witness as they are.
     """
     basis = torus_basis(n_doublets)
     generators: list[tuple[tuple[int, ...], Monomial]] = []
@@ -142,15 +146,19 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
             generators.append((chg, m))
 
     empty: Rows = ()
+    zero = (0,) * basis.n
     states: dict[Rows, tuple[Monomial, ...]] = {empty: ()}
     frontier: deque[Rows] = deque([empty])
     while frontier:
         lattice = frontier.popleft()
         witness = states[lattice]
+        tried = {zero}
         for chg, mono in generators:
-            if hnf_contains(lattice, chg):
+            residue = hnf_reduce(lattice, chg)
+            if residue in tried:
                 continue
-            grown = hnf_add(lattice, chg)
+            tried.add(residue)
+            grown = hnf_add(lattice, residue)
             if grown not in states:
                 states[grown] = witness + (mono,)
                 frontier.append(grown)
@@ -221,7 +229,9 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
             lattice=e.lattice, n_lattices=counts[sig], variants=extra))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
-    assert max_order <= 2 ** (n_doublets - 1), "order bound violated"
+    if max_order > 2 ** (n_doublets - 1):
+        raise RuntimeError(f"order bound violated: a group of order {max_order} "
+                           f"at N={n_doublets} exceeds 2^(N-1)")
     return ClassificationResult(n_doublets, tuple(entries), max_order)
 
 

@@ -773,15 +773,20 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
                 "continuous_degeneration",
                 f"dropping {', '.join(str(m) for m in candidate.killed)} leaves the "
                 f"diagonal symmetry {surv_group.signature}, strictly larger than {base.signature}")
-        witness_gen = next(g for g in surv_group.finite_generators
-                           if not base.contains_diagonal(g))
+        witness_gen = next((g for g in surv_group.finite_generators
+                            if not base.contains_diagonal(g)), None)
+        if witness_gen is None:
+            raise RuntimeError(f"surviving lattice of {candidate.signature} differs from the "
+                               "base lattice but no generator leaves the base group")
         return CpVerdict(
             "enlarged_unitary",
             f"surviving terms are invariant under the extra diagonal {witness_gen}",
             GenPermMatrix.diagonal(witness_gen))
 
     solution = candidate.system.solve()
-    assert solution is not None
+    if solution is None:
+        raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
+                           "have no solution")
     particular, torsion, free = solution
 
     n = base.n_doublets

@@ -68,9 +68,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (), self.cols and len(self.entries) or 0)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -268,55 +265,69 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _reduce_above(basis: list[list[int]]) -> None:
+def _pivots(basis: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot column of each row of an echelon basis without zero rows."""
+    pivots = []
+    j = 0
+    for row in basis:
+        # pivot columns strictly increase, so each search starts past the last
+        while not row[j]:
+            j += 1
+        pivots.append(j)
+        j += 1
+    return pivots
+
+
+def _reduce_above(basis: list[Sequence[int]], pivots: list[int]) -> None:
     # ascending pivot order: a later reduction never touches an earlier
     # pivot column, so each above-pivot entry ends in [0, pivot)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    for k in range(len(basis)):
-        j = pivots[k]
-        p = basis[k][j]
+    for k, j in enumerate(pivots):
+        row = basis[k]
+        p = row[j]
         for i in range(k):
             q = basis[i][j] // p
             if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
+                basis[i] = [x - q * y for x, y in zip(basis[i], row)]
 
 
-def _insert_vector(basis: list[list[int]], vec: Sequence[int]) -> bool:
-    """Add ``vec`` to an echelon basis in place; True if the lattice grew."""
+def _insert_vector(basis: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) -> bool:
+    """Add ``vec`` to an echelon basis with positive pivots, in place.
+
+    ``pivots`` holds the pivot column of each row and is kept in step with
+    ``basis``.  Every row this adds or rewrites has a positive pivot.
+    Returns True if the lattice grew.
+    """
     v = list(vec)
+    ncols = len(v)
     grew = False
+    lead = 0
     k = 0
     while True:
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            break
-        while k < len(basis):
-            p = next(j for j, x in enumerate(basis[k]) if x)
-            if p >= lead:
-                break
+        while lead < ncols and not v[lead]:
+            lead += 1
+        if lead == ncols:
+            return grew
+        while k < len(pivots) and pivots[k] < lead:
             k += 1
-        if k < len(basis):
-            row = basis[k]
-            p = next(j for j, x in enumerate(row) if x)
-            if p == lead:
-                a, b = row[lead], v[lead]
-                if b % a == 0:
-                    q = b // a
-                    v = [x - q * y for x, y in zip(v, row)]
-                else:
-                    g, s, t = _xgcd(a, b)
-                    new_row = [s * x + t * y for x, y in zip(row, v)]
-                    v = [(a // g) * y - (b // g) * x for x, y in zip(row, v)]
-                    basis[k] = new_row
-                    grew = True
-                continue
-        if any(v):
+        if k == len(pivots) or pivots[k] != lead:
             if v[lead] < 0:
                 v = [-x for x in v]
             basis.insert(k, v)
+            pivots.insert(k, lead)
+            return True
+        row = basis[k]
+        a, b = row[lead], v[lead]
+        if b % a == 0:
+            q = b // a
+            v = [x - q * y for x, y in zip(v, row)]
+        else:
+            g, s, t = _xgcd(a, b)
+            basis[k] = [s * x + t * y for x, y in zip(row, v)]
+            v = [(a // g) * y - (b // g) * x for x, y in zip(row, v)]
             grew = True
-        break
-    return grew
+        # v[lead] is now zero and row k keeps its pivot column
+        lead += 1
+        k += 1
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -336,43 +347,49 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def hnf_rows(rows: Iterable[Sequence[int]]) -> Rows:
     """Canonical HNF basis (as a tuple of row tuples) of the given row span."""
-    basis: list[list[int]] = []
+    basis: list[Sequence[int]] = []
+    pivots: list[int] = []
     for row in rows:
-        _insert_vector(basis, row)
-    for row in basis:
-        lead = next(j for j, x in enumerate(row) if x)
-        if row[lead] < 0:
-            row[:] = [-x for x in row]
-    _reduce_above(basis)
+        _insert_vector(basis, pivots, row)
+    _reduce_above(basis, pivots)
     return tuple(tuple(row) for row in basis)
 
 
 def hnf_add(basis: Rows, vec: Sequence[int]) -> Rows:
     """HNF basis of the lattice spanned by ``basis`` plus one new vector."""
-    work = [list(row) for row in basis]
-    if not _insert_vector(work, vec):
+    # the helpers replace rows and never write into one, so the row tuples
+    # of ``basis`` can be shared
+    work: list[Sequence[int]] = list(basis)
+    pivots = _pivots(basis)
+    if not _insert_vector(work, pivots, vec):
         return basis
-    for row in work:
-        lead = next(j for j, x in enumerate(row) if x)
-        if row[lead] < 0:
-            row[:] = [-x for x in row]
-    _reduce_above(work)
+    _reduce_above(work, pivots)
     return tuple(tuple(row) for row in work)
+
+
+def hnf_reduce(basis: Rows, vec: Sequence[int]) -> tuple[int, ...]:
+    """Canonical representative of the coset ``vec + L``, L spanned by ``basis``.
+
+    Subtracts multiples of the HNF rows in pivot order so that each pivot
+    coordinate lands in ``[0, pivot)``.  Two vectors give the same result
+    exactly when they differ by an element of L, so the result is all zeros
+    exactly when ``vec`` lies in L.
+    """
+    v = list(vec)
+    j = 0
+    for row in basis:
+        while not row[j]:
+            j += 1
+        q = v[j] // row[j]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+        j += 1
+    return tuple(v)
 
 
 def hnf_contains(basis: Rows, vec: Sequence[int]) -> bool:
     """Exact membership test of ``vec`` in the lattice with HNF basis ``basis``."""
-    v = list(vec)
-    for row in basis:
-        lead = next(j for j, x in enumerate(row) if x)
-        if any(v[j] for j in range(lead)):
-            return False
-        if v[lead]:
-            q, r = divmod(v[lead], row[lead])
-            if r:
-                return False
-            v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
+    return not any(hnf_reduce(basis, vec))
 
 
 def hnf(m: IntMatrix) -> IntMatrix:

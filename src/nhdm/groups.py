@@ -86,17 +86,24 @@ class GroupSignature:
 TRIVIAL = GroupSignature()
 
 
+# Largest cyclic order ``canonicalize`` factors; trial division up to it
+# takes milliseconds, while an unbounded order typed by a user would hang.
+MAX_CYCLIC_ORDER = 2 ** 32
+
+
 def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
     """Invariant-factor form of a product of cyclic groups.
 
     Repeatedly merges coprime parts, e.g. Z2 x Z3 becomes Z6 while Z2 x Z4
-    stays as it is.
+    stays as it is.  Each factor must lie in ``1..MAX_CYCLIC_ORDER``.
     """
     primes: dict[int, list[int]] = {}
     for f in factors:
         f = int(f)
         if f < 1:
             raise ValueError("cyclic factors must be positive")
+        if f > MAX_CYCLIC_ORDER:
+            raise ValueError(f"cyclic factor {f} exceeds the supported order {MAX_CYCLIC_ORDER}")
         for p, e in _prime_factorization(f).items():
             primes.setdefault(p, []).append(e)
     width = max((len(v) for v in primes.values()), default=0)
@@ -114,13 +121,18 @@ def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
 def group_from_snf(d: Sequence[int], n: int) -> GroupSignature:
     """Group read off a charge-matrix Smith diagonal with n torus angles.
 
-    Nonzero diagonal entries above one contribute cyclic factors; the rank
-    deficit contributes U(1) factors.
+    A Smith diagonal is already an invariant-factor chain, so no factoring
+    is needed: entries above one are the cyclic factors and the rank deficit
+    contributes U(1) factors.  Raises ValueError if ``d`` is not such a
+    chain (non-negative, each entry dividing the next, zeros last).
     """
+    d = tuple(d)
+    if any(x < 0 for x in d) or any(b % a if a else b for a, b in zip(d, d[1:])):
+        raise ValueError(f"not a Smith diagonal: {d}")
     rank = sum(1 for x in d if x != 0)
     if rank > n:
         raise ValueError("rank exceeds the number of angles")
-    return canonicalize((x for x in d if x > 1), torus_rank=n - rank)
+    return GroupSignature(tuple(x for x in d if x > 1), torus_rank=n - rank)
 
 
 def order(g: GroupSignature) -> int | float:

@@ -1,8 +1,10 @@
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
+from nhdm import classifier
 from nhdm.classifier import (
     classify,
     finite_groups_by_subset_scan,
@@ -11,8 +13,9 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
+from nhdm.exactmath import hnf_add, hnf_contains
 from nhdm.groups import GroupSignature
-from nhdm.monomials import Monomial, enumerate_monomials
+from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
 from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
 
 
@@ -106,6 +109,41 @@ class TestClassify:
             classify(1)
 
 
+def reference_walk(n):
+    """The lattice walk without coset deduplication: every generator that is
+    not already a member is added, in order."""
+    basis = torus_basis(n)
+    generators = []
+    seen = set()
+    for m in enumerate_monomials(n):
+        chg = charge_vector(m, basis)
+        key = min(chg, tuple(-c for c in chg))
+        if key not in seen:
+            seen.add(key)
+            generators.append((chg, m))
+    states = {(): ()}
+    frontier = deque([()])
+    while frontier:
+        lattice = frontier.popleft()
+        witness = states[lattice]
+        for chg, mono in generators:
+            if hnf_contains(lattice, chg):
+                continue
+            grown = hnf_add(lattice, chg)
+            if grown not in states:
+                states[grown] = witness + (mono,)
+                frontier.append(grown)
+    return states
+
+
+class TestLatticeWalk:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_same_order_and_witnesses_as_the_reference_walk(self, n):
+        # classify takes the first lattice per group in insertion order as
+        # its minimal witness, so the order matters, not just the set
+        assert list(classifier._lattice_scan(n).items()) == list(reference_walk(n).items())
+
+
 class TestMonotonicity:
     def test_adding_terms_never_enlarges_the_group(self):
         rng = random.Random(41)
@@ -135,6 +173,14 @@ class TestSubsetScanAgreement:
 
 
 class TestOrderBound:
+    def test_violation_raises(self, monkeypatch):
+        # a fake walk that reports Z5 at N=2, where the bound is 2
+        basis = torus_basis(2)
+        mono = next(m for m in enumerate_monomials(2) if charge_vector(m, basis) == (2,))
+        monkeypatch.setattr(classifier, "_lattice_scan", lambda n: {(): (), ((5,),): (mono,)})
+        with pytest.raises(RuntimeError, match="order bound violated"):
+            classifier._classify_cached.__wrapped__(2)
+
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 4), (4, 8)])
     def test_bound_attained(self, n, expected):
         rep = verify_order_bound(n)

@@ -1,6 +1,9 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,9 +24,18 @@ def payload_of(argv):
     return json.loads(out)
 
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "src" / "nhdm" / "schema"
-     / "report.schema.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+SCHEMA = json.loads((ROOT / "src" / "nhdm" / "schema" / "report.schema.json").read_text())
+
+
+def run_cli(argv, timeout=10):
+    """Run ``python -m nhdm`` in a child process; a hang fails the test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "nhdm", *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env)
 
 
 def validate_schema(report):
@@ -61,6 +73,32 @@ class TestBasics:
     def test_construct_out_of_range(self):
         code, _, err = invoke(["construct", "cyclic", "--p", "9", "--n", "3"])
         assert code == 2
+
+
+class TestHostileInput:
+    def test_snf_of_huge_entry_returns(self):
+        proc = run_cli(["snf", "--matrix", "99999999999999999999999,1;2,3"])
+        assert proc.returncode == 0
+        assert "group (as a charge matrix): Z299999999999999999999995" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--doublets", "3", "--group", "Z" + "9" * 30],
+        ["cp-extend", "--doublets", "3", "--group", "Z2xZ" + "7" * 25],
+    ])
+    def test_huge_cyclic_group_name_exits_2(self, argv):
+        proc = run_cli(argv)
+        assert proc.returncode == 2
+        assert "exceeds the supported order" in proc.stderr
+
+
+class TestGolden:
+    # reports recorded from the walk without coset deduplication; changes to
+    # the walk or to group extraction must keep them byte for byte
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_classify_report_is_byte_identical(self, n):
+        code, out, _ = invoke(["classify", "--doublets", str(n), "--format", "json"])
+        assert code == 0
+        assert out == (GOLDEN / f"classify-{n}.json").read_text()
 
 
 class TestDeterminism:

@@ -2,8 +2,12 @@ import random
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhdm.exactmath import IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_rows, inverse_unimodular, snf
+from nhdm.exactmath import (
+    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_rows, inverse_unimodular, snf,
+)
 
 
 def random_matrix(rng, max_dim=6, lo=-5, hi=5):
@@ -144,6 +148,66 @@ class TestHnf:
         grown = hnf_add(basis, (1, 0))
         assert hnf_contains(grown, (1, 0))
         assert grown == hnf_rows([(1, 0), (0, 3)])
+
+
+@st.composite
+def rows_and_vector(draw, max_rows=5):
+    """Small integer rows A, a vector v and integer coefficients for A."""
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    vec = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(vec, max_size=max_rows))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    return rows, draw(vec), coeffs
+
+
+def combination(rows, coeffs, cols):
+    return [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)]
+
+
+def is_canonical_hnf(basis):
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    if pivots != sorted(set(pivots)):
+        return False
+    for k, (row, j) in enumerate(zip(basis, pivots)):
+        if row[j] <= 0 or any(not 0 <= basis[i][j] < row[j] for i in range(k)):
+            return False
+    return True
+
+
+class TestHnfProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows_and_vector())
+    def test_add_matches_full_recompute(self, case):
+        rows, v, _ = case
+        grown = hnf_add(hnf_rows(rows), v)
+        assert grown == hnf_rows(rows + [v])
+        assert is_canonical_hnf(grown)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows_and_vector())
+    def test_reduce_depends_only_on_the_coset(self, case):
+        rows, v, coeffs = case
+        basis = hnf_rows(rows)
+        w = combination(rows, coeffs, len(v))
+        shifted = [x + y for x, y in zip(v, w)]
+        residue = hnf_reduce(basis, v)
+        assert residue == hnf_reduce(basis, shifted)
+        for row in basis:
+            j = next(j for j, x in enumerate(row) if x)
+            assert 0 <= residue[j] < row[j]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows_and_vector())
+    def test_reduce_is_zero_exactly_on_members(self, case):
+        rows, v, coeffs = case
+        basis = hnf_rows(rows)
+        for vec in (v, combination(rows, coeffs, len(v))):
+            is_zero = not any(hnf_reduce(basis, vec))
+            assert is_zero == hnf_contains(basis, vec)
+            # independent of the reduction: v lies in L exactly when adding
+            # it leaves the canonical basis unchanged
+            assert is_zero == (hnf_rows(rows + [vec]) == basis)
 
 
 def test_inverse_unimodular():

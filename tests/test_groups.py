@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nhdm.groups import (
+    MAX_CYCLIC_ORDER,
     GroupSignature,
     abelian_groups_of_order,
     all_abelian_groups_up_to,
@@ -37,6 +38,11 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize([0])
 
+    def test_rejects_orders_too_large_to_factor(self):
+        assert canonicalize([MAX_CYCLIC_ORDER]) == GroupSignature((MAX_CYCLIC_ORDER,))
+        with pytest.raises(ValueError, match="exceeds the supported order"):
+            canonicalize([2, MAX_CYCLIC_ORDER + 1])
+
 
 class TestGroupFromSnf:
     def test_cyclic_three(self):
@@ -50,6 +56,15 @@ class TestGroupFromSnf:
 
     def test_mixed(self):
         assert group_from_snf((1, 2, 0), 3) == GroupSignature((2,), torus_rank=1)
+
+    def test_huge_factor_read_without_factoring(self):
+        big = 3 * 10 ** 23 - 5
+        assert group_from_snf((1, big), 2) == GroupSignature((big,))
+
+    @pytest.mark.parametrize("d", [(2, 3), (0, 2), (-2,), (2, 0, 4)])
+    def test_rejects_non_chains(self, d):
+        with pytest.raises(ValueError, match="not a Smith diagonal"):
+            group_from_snf(d, 3)
 
 
 class TestOrderAndNames:
