@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .classifier import (
@@ -29,15 +27,6 @@ from .monomials import c_decompose, charge_vector, enumerate_monomials
 from .torus import torus_basis
 
 FORMAT_VERSION = "1"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("NHDM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"NHDM_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
 
 
 def _report(command: str, payload: dict, n_doublets: int | None = None) -> dict:
@@ -181,16 +170,11 @@ def _cmd_cp_extend(args) -> None:
     bases = [b for b in cp_bases(args.doublets) if b.signature == target]
     if not bases:
         raise ValueError(f"group {args.group} is not a realizable torus subgroup here")
-    jobs = [(base, cand) for base in bases for cand in cp_extensions(base)]
-    workers = _worker_count()
-    if workers > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(lambda bc: cp_realizable(bc[1]), jobs))
-    else:
-        verdicts = [cp_realizable(cand) for _, cand in jobs]
+    candidates = [cand for base in bases for cand in cp_extensions(base)]
     cases = []
     lines = [f"antiunitary extensions of {target.name()} for N={args.doublets}"]
-    for (base, cand), verdict in zip(jobs, verdicts):
+    for cand in candidates:
+        verdict = cp_realizable(cand)
         cases.append({
             "extension": cand.signature.name(),
             "sigma": [p + 1 for p in cand.sigma],

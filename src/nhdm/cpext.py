@@ -21,13 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import IntMatrix, hnf_rows, snf
+from .exactmath import IntMatrix, hnf_contains, hnf_rows, snf
 from .groups import GroupSignature, extend_by_antiunitary
-from .monomials import Monomial, charge_vector, enumerate_monomials, phase_shift
-from .torus import PhaseVector, direction_weights, torus_basis
+from .monomials import Monomial, charge_vector, enumerate_monomials, phase_shift, raw_exponents
+from .torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
 
 Perm = tuple[int, ...]  # 0-based images: a -> perm[a]
 
@@ -94,12 +93,6 @@ class GenPermMatrix:
     def conjugate(self) -> "GenPermMatrix":
         return GenPermMatrix(self.perm, tuple(-p for p in self.phases))
 
-    def equal_mod_scalar(self, other: "GenPermMatrix") -> bool:
-        if self.perm != other.perm:
-            return False
-        diff = (self.phases[0] - other.phases[0]) % 1
-        return all((a - b) % 1 == diff for a, b in zip(self.phases[1:], other.phases[1:]))
-
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm], "phases": [str(p) for p in self.phases]}
 
@@ -121,32 +114,10 @@ def conjugate_diagonal(u: GenPermMatrix, pv: PhaseVector) -> PhaseVector:
 
 def commutes_with_diagonal(u: GenPermMatrix, pv: PhaseVector) -> bool:
     """Commutation modulo an overall scalar (the PSU identification)."""
-    conj = conjugate_diagonal(u, pv)
-    diff = (conj.phases[0] - pv.phases[0]) % 1
-    return all((a - b) % 1 == diff for a, b in zip(conj.phases[1:], pv.phases[1:]))
+    return equal_mod_center(conjugate_diagonal(u, pv), pv)
 
 
 # -- the action of transformations on monomials -------------------------------
-
-
-def _sorted_factors(factors) -> tuple:
-    return tuple(sorted(factors))
-
-
-def _conj(factors) -> tuple:
-    return tuple(sorted((b, a) for a, b in factors))
-
-
-def _flat(factors) -> tuple:
-    return tuple(x for pair in factors for x in pair)
-
-
-def _canonical_with_flag(raw_factors) -> tuple[Monomial, bool]:
-    raw = _sorted_factors(raw_factors)
-    conj = _conj(raw)
-    if _flat(raw) <= _flat(conj):
-        return Monomial(raw), False
-    return Monomial(conj), True
 
 
 def act_unitary(u: GenPermMatrix, m: Monomial) -> tuple[Monomial, Fraction, bool]:
@@ -156,92 +127,73 @@ def act_unitary(u: GenPermMatrix, m: Monomial) -> tuple[Monomial, Fraction, bool
     evaluated on transformed fields equals e(shift) times the image; when
     ``conjugated`` is set the image listed is the conjugate of the raw one.
     """
-    raw = [(u.perm[a - 1] + 1, u.perm[b - 1] + 1) for a, b in m.factors]
+    raw = tuple(sorted((u.perm[a - 1] + 1, u.perm[b - 1] + 1) for a, b in m.factors))
     shift = sum((u.phases[b - 1] - u.phases[a - 1] for a, b in m.factors), Fraction(0))
-    mono, flag = _canonical_with_flag(raw)
-    return mono, shift % 1, flag
+    image = Monomial.canonical(raw)
+    return image, shift % 1, image.factors != raw
 
 
 def act_antiunitary(b: GenPermMatrix, m: Monomial) -> tuple[Monomial, Fraction, bool]:
     """Image of a monomial under b J (J acting by complex conjugation)."""
-    raw = [(b.perm[b2 - 1] + 1, b.perm[a - 1] + 1) for a, b2 in m.factors]
-    shift = sum((b.phases[b2 - 1] - b.phases[a - 1] for a, b2 in m.factors), Fraction(0))
-    mono, flag = _canonical_with_flag(raw)
-    return mono, shift % 1, flag
+    image, shift, conjugated = act_unitary(b, Monomial(m.conjugate_factors()))
+    return image, -shift % 1, conjugated
+
+
+def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doublets: int,
+                         psi_positions: dict[Monomial, int]
+                         ) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Invariance of the term m under a generalized permutation mapping it to image.
+
+    The relation reads  entry-phase part + coefficient-phase part == 0
+    (mod 1).  The entry phases of the transformation enter with the net
+    exponents of m; coefficient matching adds psi_m, plus psi_image for a
+    conjugated image or minus psi_image for a direct one.  Returns the entry
+    coefficients and the psi coefficients keyed by position.
+    """
+    psi = {psi_positions[image]: 1 if conjugated else -1}
+    psi[psi_positions[m]] = psi.get(psi_positions[m], 0) + 1
+    return raw_exponents(m, n_doublets), psi
 
 
 # -- exact linear congruence systems ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equation:
-    """Integer-coefficient relation  sum coeffs[x] * x == rhs  (mod 1)."""
-
-    coeffs: tuple[tuple[str, int], ...]
-    rhs: Fraction
-
-    def render(self) -> str:
-        parts = []
-        for name, c in self.coeffs:
-            if c == 1:
-                parts.append(f"+ {name}")
-            elif c == -1:
-                parts.append(f"- {name}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{name}")
-        lhs = " ".join(parts).lstrip("+ ") or "0"
-        return f"{lhs} = {self.rhs} (mod 1)"
-
-
 class PhaseConstraintSystem:
-    """Linear congruences mod 1 over named rational unknowns.
+    """Linear congruences mod 1 over rational unknowns indexed by position.
 
-    Solvability and the solution set are decided exactly by a Smith
-    decomposition of the integer coefficient matrix.
+    ``unknowns`` labels the positions for ``render``.  Solvability and the
+    solution set are decided exactly by a Smith decomposition of the integer
+    coefficient matrix.
     """
 
     def __init__(self, unknowns, equations=()):
         self.unknowns: tuple[str, ...] = tuple(unknowns)
-        self._index = {u: i for i, u in enumerate(self.unknowns)}
-        self.equations: list[Equation] = list(equations)
+        self.equations: list[tuple[tuple[int, ...], Fraction]] = list(equations)
 
     def copy(self) -> "PhaseConstraintSystem":
         return PhaseConstraintSystem(self.unknowns, self.equations)
 
-    def add(self, coeffs: dict[str, int], rhs) -> None:
-        clean = tuple(sorted((n, int(c)) for n, c in coeffs.items() if c))
-        for name, _ in clean:
-            if name not in self._index:
-                raise KeyError(f"unknown unknown {name!r}")
-        self.equations.append(Equation(clean, Fraction(rhs) % 1))
-
-    def _decompose(self):
-        rows = []
-        rhs = []
-        for eq in self.equations:
-            row = [0] * len(self.unknowns)
-            for name, c in eq.coeffs:
-                row[self._index[name]] = c
-            rows.append(row)
-            rhs.append(eq.rhs)
-        return rows, rhs
+    def add(self, row, rhs) -> None:
+        """Append  sum row[j] * unknowns[j] == rhs (mod 1), one coefficient per unknown."""
+        if len(row) != len(self.unknowns):
+            raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
+        self.equations.append((tuple(int(c) for c in row), Fraction(rhs) % 1))
 
     def solve(self):
         """(particular, torsion generators, free directions) or None.
 
-        The particular solution and each generator are dicts over unknowns;
-        free directions span the divisible part of the solution set, torsion
-        generators its finite part (all mod 1).
+        The particular solution and each generator are lists indexed like
+        ``unknowns``; free directions span the divisible part of the solution
+        set, torsion generators its finite part (all mod 1).
         """
-        rows, rhs = self._decompose()
         nu = len(self.unknowns)
-        if not rows:
-            particular = {u: Fraction(0) for u in self.unknowns}
-            free = [{u: Fraction(1 if v == u else 0) for u in self.unknowns}
-                    for v in self.unknowns]
-            return particular, [], free
+        if not self.equations:
+            free = [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)]
+            return [Fraction(0)] * nu, [], free
+        rows = [row for row, _ in self.equations]
+        rhs = [r for _, r in self.equations]
         if nu == 0:
-            return ({}, [], []) if all(r.denominator == 1 for r in rhs) else None
+            return ([], [], []) if all(r.denominator == 1 for r in rhs) else None
         res = snf(IntMatrix.from_rows(rows))
         transformed = [sum(res.u[(i, k)] * rhs[k] for k in range(len(rhs))) % 1
                        for i in range(len(rows))]
@@ -253,24 +205,29 @@ class PhaseConstraintSystem:
         for i in range(min(len(rows), nu)):
             if i < len(res.d) and res.d[i]:
                 y[i] = transformed[i] / res.d[i]
-        particular = {}
-        for j, name in enumerate(self.unknowns):
-            particular[name] = sum(res.v[(j, i)] * y[i] for i in range(nu)) % 1
-        torsion = []
-        for i in range(min(len(res.d), nu)):
-            if res.d[i] > 1:
-                torsion.append({name: Fraction(res.v[(j, i)], res.d[i]) % 1
-                                for j, name in enumerate(self.unknowns)})
-        free = []
-        for i in range(rank, nu):
-            free.append({name: Fraction(res.v[(j, i)]) for j, name in enumerate(self.unknowns)})
+        particular = [sum(res.v[(j, i)] * y[i] for i in range(nu)) % 1 for j in range(nu)]
+        torsion = [[Fraction(res.v[(j, i)], res.d[i]) % 1 for j in range(nu)]
+                   for i in range(min(len(res.d), nu)) if res.d[i] > 1]
+        free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(rank, nu)]
         return particular, torsion, free
 
     def solvable(self) -> bool:
         return self.solve() is not None
 
     def render(self) -> list[str]:
-        return [eq.render() for eq in self.equations]
+        out = []
+        for row, rhs in self.equations:
+            parts = []
+            for name, c in sorted((self.unknowns[j], c) for j, c in enumerate(row) if c):
+                if c == 1:
+                    parts.append(f"+ {name}")
+                elif c == -1:
+                    parts.append(f"- {name}")
+                else:
+                    parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{name}")
+            lhs = " ".join(parts).lstrip("+ ") or "0"
+            out.append(f"{lhs} = {rhs} (mod 1)")
+        return out
 
 
 def _rational_in_span(columns: list[list[Fraction]], target: list[Fraction]) -> bool:
@@ -354,41 +311,23 @@ class AbelianBase:
         return out
 
     def contains_diagonal(self, pv: PhaseVector) -> bool:
-        """Exact membership test against the group's full invariant lattice."""
-        return all(_lattice_pairing(row, pv, self.n_doublets) == 0
-                   for row in _full_invariant_lattice(self))
+        """Exact membership test: pv leaves every invariant monomial invariant."""
+        return all(phase_shift(m, pv) == 0 for m in self.invariant_monomials())
 
 
-def _full_invariant_lattice(base: AbelianBase) -> tuple[tuple[int, ...], ...]:
-    basis = torus_basis(base.n_doublets)
-    return hnf_rows([charge_vector(m, basis) for m in base.invariant_monomials()])
+def _pattern_scan(base: AbelianBase, sign: int) -> list[Perm]:
+    """Permutations sigma with psi_a + sign * psi_{sigma(a)} constant per generator.
 
-
-@lru_cache(maxsize=None)
-def _charge_basis_inverse(n_doublets: int):
-    from .exactmath import inverse_unimodular
-    from .monomials import charge_basis_matrix
-
-    return inverse_unimodular(charge_basis_matrix(n_doublets))
-
-
-def _lattice_pairing(charge_row, pv: PhaseVector, n_doublets: int) -> Fraction:
-    """Phase (mod 1) a charge row assigns to a diagonal element.
-
-    The row is rewritten over the charges of (phi_1^dagger phi_{i+1}), whose
-    pairing with a diagonal element is just that bilinear's phase shift.
+    Finite generators are compared mod 1 in their determinant-one form, and
+    continuous directions need w_a + sign * w_{sigma(a)} == 0 exactly.
     """
-    a_inv = _charge_basis_inverse(n_doublets)
-    coeffs = [sum(charge_row[k] * a_inv[(k, j)] for k in range(len(charge_row)))
-              for j in range(len(charge_row))]
-    total = Fraction(0)
-    for j, c in enumerate(coeffs):
-        total += c * (pv.phases[j + 1] - pv.phases[0])
-    return total % 1
-
-
-def _su_phases(pv: PhaseVector) -> tuple[Fraction, ...]:
-    return pv.su_normalized()
+    n = base.n_doublets
+    finite = [g.su_normalized() for g in base.finite_generators]
+    return [perm for perm in itertools.permutations(range(n))
+            if all(len({(psi[a] + sign * psi[perm[a]]) % 1 for a in range(n)}) == 1
+                   for psi in finite)
+            and all(w[a] + sign * w[perm[a]] == 0 for w in base.doublet_weights
+                    for a in range(n))]
 
 
 def commutant_perms(base: AbelianBase) -> list[Perm]:
@@ -397,38 +336,12 @@ def commutant_perms(base: AbelianBase) -> list[Perm]:
     A matrix b supported on such a pattern makes b J commute with the whole
     group; no other generalized permutation can.
     """
-    n = base.n_doublets
-    out = []
-    finite = [_su_phases(g) for g in base.finite_generators]
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for psi in finite:
-            vals = {(psi[a] + psi[perm[a]]) % 1 for a in range(n)}
-            if len(vals) != 1:
-                ok = False
-                break
-        if ok:
-            for w in base.doublet_weights:
-                if any(w[a] + w[perm[a]] != 0 for a in range(n)):
-                    ok = False
-                    break
-        if ok:
-            out.append(perm)
-    return out
+    return _pattern_scan(base, 1)
 
 
 def centralizer_perms(base: AbelianBase) -> list[Perm]:
     """Permutation patterns of unitary generalized permutations commuting with the group."""
-    n = base.n_doublets
-    out = []
-    finite = [_su_phases(g) for g in base.finite_generators]
-    for perm in itertools.permutations(range(n)):
-        ok = all(len({(psi[a] - psi[perm[a]]) % 1 for a in range(n)}) == 1 for psi in finite)
-        if ok:
-            ok = all(all(w[a] == w[perm[a]] for a in range(n)) for w in base.doublet_weights)
-        if ok:
-            out.append(perm)
-    return out
+    return _pattern_scan(base, -1)
 
 
 def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
@@ -438,7 +351,7 @@ def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
     every finite generator and exactly for every continuous direction.
     """
     n = base.n_doublets
-    finite = [_su_phases(g) for g in base.finite_generators]
+    finite = [g.su_normalized() for g in base.finite_generators]
     shifts = {Fraction(k, n) % 1 for k in range(n)}
 
     def allowed(i: int, j: int) -> bool:
@@ -550,14 +463,6 @@ def backbone_classes(sigma: Perm) -> BackboneClasses:
     return BackboneClasses(singles, tuple(pair_classes))
 
 
-def _psi(m: Monomial) -> str:
-    return f"psi[{m.render()}]"
-
-
-def _xi(a: int) -> str:
-    return f"xi{a}"
-
-
 @dataclass(frozen=True)
 class CpCandidate:
     """One possible abelian extension of a torus subgroup by an antiunitary.
@@ -579,9 +484,8 @@ class CpCandidate:
     backbone: BackboneClasses
 
 
-def _orbits_of_action(sigma: Perm, terms) -> list[tuple[Monomial, ...]]:
-    """Connected components of the antiunitary image map on the term set."""
-    terms = list(terms)
+def _components(terms, links) -> tuple[tuple[Monomial, ...], ...]:
+    """Connected components of ``terms`` under the linked pairs, sorted."""
     parent = {m: m for m in terms}
 
     def find(x):
@@ -590,37 +494,14 @@ def _orbits_of_action(sigma: Perm, terms) -> list[tuple[Monomial, ...]]:
             x = parent[x]
         return x
 
-    b = GenPermMatrix.permutation(sigma)
-    for m in terms:
-        img, _, _ = act_antiunitary(b, m)
-        if img in parent:
-            ra, rb = find(m), find(img)
-            if ra != rb:
-                parent[ra] = rb
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     groups: dict[Monomial, list[Monomial]] = {}
     for m in terms:
         groups.setdefault(find(m), []).append(m)
-    return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
-
-
-def _term_equations(sigma: Perm, m: Monomial) -> tuple[dict[str, int], Monomial]:
-    """Coefficient equation of antiunitary invariance for one term.
-
-    Returns the xi/psi coefficient map of the relation and the image
-    monomial.  The relation reads: sum == 0 (mod 1).
-    """
-    b = GenPermMatrix.permutation(sigma)
-    img, _, flag = act_antiunitary(b, m)
-    coeffs: dict[str, int] = {}
-    for a, b2 in m.factors:
-        coeffs[_xi(b2)] = coeffs.get(_xi(b2), 0) + 1
-        coeffs[_xi(a)] = coeffs.get(_xi(a), 0) - 1
-    # Coefficient matching: conjugated image gives shift + psi_img + psi_m = 0,
-    # direct image gives shift - psi_img + psi_m = 0.
-    sign = 1 if flag else -1
-    coeffs[_psi(img)] = coeffs.get(_psi(img), 0) + sign
-    coeffs[_psi(m)] = coeffs.get(_psi(m), 0) + 1
-    return coeffs, img
+    return tuple(sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0]))
 
 
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
@@ -632,6 +513,7 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     """
     n = base.n_doublets
     invariant = base.invariant_monomials()
+    unknowns, psi_positions = _layout(base, invariant)
     elements = base.finite_elements()
     squares = [2 * pv for _, pv in elements]
     candidates: list[CpCandidate] = []
@@ -641,7 +523,7 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
         if any(sigma[sigma[a]] != a for a in range(n)):
             continue  # the squared generator must stay diagonal
         for expts, f in elements:
-            pin = _pin_system(base, sigma, f, invariant)
+            pin = _pin_system(base, sigma, f, unknowns)
             if not pin.solvable():
                 continue
             class_key = min(_scalar_key(f + s) for s in squares)
@@ -649,7 +531,8 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
             if key in seen:
                 continue
             seen.add(key)
-            candidates.append(_build_candidate(base, sigma, expts, f, invariant))
+            candidates.append(_build_candidate(base, sigma, expts, f, pin, invariant,
+                                               psi_positions))
     return candidates
 
 
@@ -657,71 +540,68 @@ def _scalar_key(pv: PhaseVector) -> tuple:
     return tuple((p - pv.phases[0]) % 1 for p in pv.phases)
 
 
-def _pin_unknowns(base: AbelianBase, invariant) -> list[str]:
-    names = [_xi(a) for a in range(1, base.n_doublets + 1)]
-    names.append("c0")
-    names += [f"t{i + 1}" for i in range(len(base.angle_directions))]
-    names += [_psi(m) for m in invariant]
-    return names
+def _layout(base: AbelianBase, invariant) -> tuple[list[str], dict[Monomial, int]]:
+    """Unknowns of a candidate's phase system and the position of each psi.
+
+    The columns are the entry phases xi_1..xi_N of the antiunitary
+    generator, the overall phase c0, one angle t_i per continuous direction,
+    then one coefficient phase psi per invariant monomial, in order.
+    """
+    names = [f"xi{a}" for a in range(1, base.n_doublets + 1)]
+    names += ["c0"] + [f"t{i}" for i in range(1, len(base.angle_directions) + 1)]
+    psi_positions = {m: len(names) + i for i, m in enumerate(invariant)}
+    names += [f"psi[{m.render()}]" for m in invariant]
+    return names, psi_positions
 
 
 def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector,
-                invariant) -> PhaseConstraintSystem:
-    """Structural-phase equations pinning (b J)^2 to the element f."""
-    system = PhaseConstraintSystem(_pin_unknowns(base, invariant))
-    for a in range(base.n_doublets):
-        coeffs = {_xi(a + 1): 1}
-        coeffs[_xi(sigma[a] + 1)] = coeffs.get(_xi(sigma[a] + 1), 0) - 1
-        coeffs["c0"] = -1
-        for i, w in enumerate(base.doublet_weights):
-            if w[a]:
-                coeffs[f"t{i + 1}"] = -w[a]
-        system.add(coeffs, f.phases[a])
+                unknowns: list[str]) -> PhaseConstraintSystem:
+    """Structural-phase equations pinning (b J)^2 to the element f.
+
+    Row a reads  xi_a - xi_sigma(a) - c0 - sum_i w_i[a] t_i == f_a (mod 1).
+    """
+    n = base.n_doublets
+    system = PhaseConstraintSystem(unknowns)
+    for a in range(n):
+        head = [int(x == a) - int(x == sigma[a]) for x in range(n)]
+        head += [-1] + [-w[a] for w in base.doublet_weights]
+        system.add(head + [0] * (len(unknowns) - len(head)), f.phases[a])
     return system
 
 
 def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
-                     invariant) -> CpCandidate:
-    system = _pin_system(base, sigma, f, invariant)
+                     pin: PhaseConstraintSystem, invariant,
+                     psi_positions: dict[Monomial, int]) -> CpCandidate:
+    """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable."""
+    n = base.n_doublets
+    b = GenPermMatrix.permutation(sigma)
+    images = {m: act_antiunitary(b, m) for m in invariant}
+    system = pin
     surviving: list[Monomial] = []
     killed: list[Monomial] = []
-    mag_pairs: list[tuple[Monomial, Monomial]] = []
-    for orbit in _orbits_of_action(sigma, invariant):
+    classes: list[tuple[Monomial, ...]] = []
+    for orbit in _components(invariant, ((m, img) for m, (img, _, _) in images.items())):
         trial = system.copy()
         for m in orbit:
-            coeffs, img = _term_equations(sigma, m)
-            trial.add(coeffs, 0)
-            if img != m:
-                mag_pairs.append((m, img))
+            img, _, conjugated = images[m]
+            xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
+            row = list(xi) + [0] * (len(system.unknowns) - n)
+            for j, c in psi.items():
+                row[j] += c
+            trial.add(row, 0)
         if trial.solvable():
             system = trial
             surviving.extend(orbit)
+            # magnitude classes: surviving terms linked by the action, which
+            # are exactly the surviving orbits
+            classes.append(orbit)
         else:
             killed.extend(orbit)
-    # magnitude classes: union of surviving terms linked by the action
-    parent = {m: m for m in surviving}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in mag_pairs:
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    classes: dict[Monomial, list[Monomial]] = {}
-    for m in surviving:
-        classes.setdefault(find(m), []).append(m)
-    mag_classes = tuple(sorted((tuple(sorted(v)) for v in classes.values()),
-                               key=lambda t: t[0]))
     finite_part = GroupSignature(base.signature.finite, base.signature.torus_rank)
     signature = extend_by_antiunitary(finite_part, expts)
     return CpCandidate(base, sigma, f, tuple(expts), signature, system,
                        tuple(sorted(surviving)), tuple(sorted(killed)),
-                       mag_classes, backbone_classes(sigma))
+                       tuple(classes), backbone_classes(sigma))
 
 
 # -- realizability verdicts -----------------------------------------------------
@@ -742,13 +622,6 @@ class CpVerdict:
                 "witness": self.witness.to_json() if self.witness else None}
 
 
-def _magnitude_class_of(candidate: CpCandidate, m: Monomial) -> int:
-    for i, cls in enumerate(candidate.magnitude_classes):
-        if m in cls:
-            return i
-    raise KeyError(str(m))
-
-
 def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     """Decide whether a candidate extension is the full symmetry group.
 
@@ -761,12 +634,10 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     """
     base = candidate.base
     basis = torus_basis(base.n_doublets)
-    full_lattice = _full_invariant_lattice(base)
-    if candidate.surviving:
-        surv_lattice = hnf_rows([charge_vector(m, basis) for m in candidate.surviving])
-    else:
-        surv_lattice = ()
-    if surv_lattice != full_lattice:
+    surv_lattice = hnf_rows([charge_vector(m, basis) for m in candidate.surviving])
+    # surviving and killed terms make up the invariant set, so the surviving
+    # lattice is the full invariant lattice unless it misses a killed charge
+    if not all(hnf_contains(surv_lattice, charge_vector(m, basis)) for m in candidate.killed):
         surv_group = _group_of_lattice(surv_lattice, basis)
         if surv_group.signature.torus_rank > base.signature.torus_rank:
             return CpVerdict(
@@ -788,6 +659,7 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
     particular, torsion, free = solution
+    _, psi_positions = _layout(base, base.invariant_monomials())
 
     n = base.n_doublets
     for perm in sorted(itertools.permutations(range(n))):
@@ -795,7 +667,7 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
             continue
         if not candidate.backbone.preserved_by(perm):
             continue
-        forced = _forced_symmetry(candidate, perm, particular, torsion, free)
+        forced = _forced_symmetry(candidate, perm, particular, torsion, free, psi_positions)
         if forced is not None:
             noncomm = _noncommuting_generator(base, forced)
             extra = f"; does not commute with {noncomm}" if noncomm else ""
@@ -818,65 +690,46 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
     return None
 
 
-def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion, free
-                     ) -> GenPermMatrix | None:
+def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion, free,
+                     psi_positions: dict[Monomial, int]) -> GenPermMatrix | None:
     """Unitary witness with permutation ``perm`` if one is forced, else None.
 
     Forced means: for every admissible coefficient assignment there are
     entry phases making the generalized permutation a symmetry of backbone
     plus surviving terms.
     """
-    surviving = set(candidate.surviving)
+    n = candidate.base.n_doublets
+    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
     u0 = GenPermMatrix.permutation(perm)
-    theta_names = [f"th{a}" for a in range(1, candidate.base.n_doublets + 1)]
-    rows: list[tuple[dict[str, int], dict[str, int]]] = []  # (theta coeffs, psi coeffs)
+    relations = []  # (entry coefficients, psi coefficients) per surviving term
     for m in candidate.surviving:
-        img, _, flag = act_unitary(u0, m)
-        if img not in surviving:
-            return None
-        if _magnitude_class_of(candidate, img) != _magnitude_class_of(candidate, m):
-            return None
-        theta: dict[str, int] = {}
-        for a, b in m.factors:
-            theta[f"th{b}"] = theta.get(f"th{b}", 0) + 1
-            theta[f"th{a}"] = theta.get(f"th{a}", 0) - 1
-        # Same matching convention as the antiunitary case: the shift enters
-        # with +1, the image phase with +1 (conjugated image) or -1 (direct).
-        psi: dict[str, int] = {}
-        sign = 1 if flag else -1
-        psi[_psi(img)] = psi.get(_psi(img), 0) + sign
-        psi[_psi(m)] = psi.get(_psi(m), 0) + 1
-        rows.append((theta, psi))
+        img, _, conjugated = act_unitary(u0, m)
+        if klass.get(img) != klass[m]:
+            return None  # the image is not a surviving term of the same magnitude
+        relations.append(_invariance_relation(m, img, conjugated, n, psi_positions))
+    thetas = [f"th{a}" for a in range(1, n + 1)]
 
-    def theta_system(rhs_values: list[Fraction]) -> PhaseConstraintSystem:
-        system = PhaseConstraintSystem(theta_names)
-        for (theta, _), r in zip(rows, rhs_values):
-            system.add(theta, r)
+    def psi_values(assign: list[Fraction]) -> list[Fraction]:
+        return [sum((c * assign[j] for j, c in psi.items()), Fraction(0))
+                for _, psi in relations]
+
+    def theta_system(assign: list[Fraction]) -> PhaseConstraintSystem:
+        # the invariance relations read  theta-part == -(psi-part)  (mod 1)
+        system = PhaseConstraintSystem(thetas)
+        for (theta, _), value in zip(relations, psi_values(assign)):
+            system.add(theta, -value)
         return system
 
-    def psi_eval(psi_coeffs: dict[str, int], assign: dict[str, Fraction]) -> Fraction:
-        return sum((c * assign.get(name, Fraction(0)) for name, c in psi_coeffs.items()),
-                   Fraction(0))
-
-    # The invariance relations read  theta-part == -(psi-part)  (mod 1).
-    base_rhs = [(-psi_eval(p, particular)) % 1 for _, p in rows]
-    solved = theta_system(base_rhs).solve()
+    solved = theta_system(particular).solve()
     if solved is None:
         return None
-    for gen in torsion:
-        rhs = [(-psi_eval(p, gen)) % 1 for _, p in rows]
-        if not theta_system(rhs).solvable():
-            return None
-    columns: list[list[Fraction]] = []
-    for name in theta_names:
-        columns.append([Fraction(t.get(name, 0)) for t, _ in rows])
-    for direction in free:
-        target = [-psi_eval(p, direction) for _, p in rows]
-        if not _rational_in_span(columns, target):
-            return None
-    theta_particular, _, _ = solved
-    phases = tuple(theta_particular[name] for name in theta_names)
-    return GenPermMatrix(perm, phases)
+    if not all(theta_system(gen).solvable() for gen in torsion):
+        return None
+    columns = [[Fraction(theta[a]) for theta, _ in relations] for a in range(n)]
+    if not all(_rational_in_span(columns, [-v for v in psi_values(direction)])
+               for direction in free):
+        return None
+    return GenPermMatrix(perm, tuple(solved[0]))
 
 
 # -- full antiunitary classification (three doublets) ---------------------------
@@ -895,11 +748,6 @@ class CpClassification:
     realizable: tuple[GroupSignature, ...]
     rejected: tuple[tuple[GroupSignature, CpVerdict], ...]
     cases: tuple[CpCaseResult, ...]
-
-    def verdict_for(self, signature: GroupSignature) -> CpVerdict | None:
-        if signature in self.realizable:
-            return CpVerdict("realizable", "realizable")
-        return next((v for s, v in self.rejected if s == signature), None)
 
 
 def cp_bases(n_doublets: int) -> list[AbelianBase]:

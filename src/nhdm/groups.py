@@ -83,9 +83,6 @@ class GroupSignature:
         return self.name()
 
 
-TRIVIAL = GroupSignature()
-
-
 # Largest cyclic order ``canonicalize`` factors; trial division up to it
 # takes milliseconds, while an unbounded order typed by a user would hang.
 MAX_CYCLIC_ORDER = 2 ** 32
@@ -133,10 +130,6 @@ def group_from_snf(d: Sequence[int], n: int) -> GroupSignature:
     if rank > n:
         raise ValueError("rank exceeds the number of angles")
     return GroupSignature(tuple(x for x in d if x > 1), torus_rank=n - rank)
-
-
-def order(g: GroupSignature) -> int | float:
-    return g.order()
 
 
 def abelian_groups_of_order(m: int) -> list[GroupSignature]:

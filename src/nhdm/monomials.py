@@ -59,9 +59,6 @@ class Monomial:
     def conjugate_factors(self) -> tuple[Factor, ...]:
         return _conj_factors(self.factors)
 
-    def doublets(self) -> set[int]:
-        return {x for pair in self.factors for x in pair}
-
     def render(self, pretty: bool = False) -> str:
         if pretty:
             return "".join(f"(φ{a}†φ{b})" for a, b in self.factors)
@@ -121,10 +118,6 @@ def phase_shift(m: Monomial, element: PhaseVector) -> Fraction:
     for a, b in m.factors:
         total += element.phases[b - 1] - element.phases[a - 1]
     return total % 1
-
-
-def is_invariant(m: Monomial, element: PhaseVector) -> bool:
-    return phase_shift(m, element) == 0
 
 
 def build_x_matrix(terms, basis: TorusBasis) -> IntMatrix:

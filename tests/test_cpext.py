@@ -19,7 +19,7 @@ from nhdm.cpext import (
     cp_realizable,
 )
 from nhdm.monomials import Monomial
-from nhdm.torus import PhaseVector
+from nhdm.torus import PhaseVector, equal_mod_center
 
 
 def base_u11():
@@ -52,6 +52,14 @@ def base_torus():
 
 def base_u1_x_z2():
     return AbelianBase.from_lattice(3, [(2, 0)])
+
+
+def row_of(system, coeffs):
+    """Coefficient row of ``system`` with the named unknowns set, zero elsewhere."""
+    row = [0] * len(system.unknowns)
+    for name, c in coeffs.items():
+        row[system.unknowns.index(name)] = c
+    return row
 
 
 def find_candidates(base, name):
@@ -145,6 +153,22 @@ class TestInvariantTerms:
             Monomial.canonical(((3, 1), (3, 2)))}
 
 
+class TestContainsDiagonal:
+    def test_matches_the_listed_elements_on_a_grid(self):
+        # independent path: a finite base contains exactly its listed
+        # elements, up to an overall phase; both sides ignore that phase, so
+        # the first entry of each grid vector stays 0
+        grid = [F(k, 12) for k in range(12)]
+        bases = [b for b in cp_bases(3) if b.signature.is_finite]
+        assert len(bases) == 9
+        for base in bases:
+            elements = [e for _, e in base.finite_elements()]
+            for phases in itertools.product(grid, repeat=2):
+                pv = PhaseVector((F(0), *phases))
+                expected = any(equal_mod_center(pv, e) for e in elements)
+                assert base.contains_diagonal(pv) == expected
+
+
 class TestCandidates:
     def test_z4_has_split_and_twisted_embeddings(self):
         names = sorted(c.signature.name() for c in cp_extensions(base_z4()))
@@ -177,7 +201,7 @@ class TestCandidates:
                 solution = cand.system.solve()
                 assert solution is not None
                 particular, _, _ = solution
-                eta = tuple(particular[f"xi{a}"] for a in range(1, 4))
+                eta = tuple(particular[:3])
                 b = GenPermMatrix(cand.sigma, eta)
                 sq = antiunitary_square(b).to_phase_vector()
                 diff = sq + (-cand.square)
@@ -188,7 +212,7 @@ class TestConstraintSystems:
     def fix_and_check(self, cand, assignments):
         trial = cand.system.copy()
         for m, value in assignments.items():
-            trial.add({f"psi[{m}]": 1}, value)
+            trial.add(row_of(trial, {f"psi[{m}]": 1}), value)
         return trial.solvable()
 
     def test_z6_attempt_reproduces_the_phase_sum_condition(self):
@@ -217,12 +241,12 @@ class TestConstraintSystems:
         # the structural phase is pinned by the coefficient phases
         trial = cand.system.copy()
         for m, v in {l7: 0, l8: F(1, 4), l9: F(1, 4)}.items():
-            trial.add({f"psi[{m}]": 1}, v)
+            trial.add(row_of(trial, {f"psi[{m}]": 1}), v)
         pinned = trial.copy()
-        pinned.add({"xi1": 1, "xi3": -1}, F(1, 4))
+        pinned.add(row_of(pinned, {"xi1": 1, "xi3": -1}), F(1, 4))
         assert pinned.solvable()
         pinned_bad = trial.copy()
-        pinned_bad.add({"xi1": 1, "xi3": -1}, 0)
+        pinned_bad.add(row_of(pinned_bad, {"xi1": 1, "xi3": -1}), 0)
         assert not pinned_bad.solvable()
 
     def test_klein_real_product_condition(self):

@@ -11,7 +11,6 @@ from nhdm.groups import (
     canonicalize,
     extend_by_antiunitary,
     group_from_snf,
-    order,
 )
 
 
@@ -69,10 +68,10 @@ class TestGroupFromSnf:
 
 class TestOrderAndNames:
     def test_orders(self):
-        assert order(GroupSignature((2, 4))) == 8
-        assert order(GroupSignature((2,), torus_rank=1)) == math.inf
-        assert order(GroupSignature((7,))) == 7
-        assert order(GroupSignature((2, 2), star=2)) == 8
+        assert GroupSignature((2, 4)).order() == 8
+        assert GroupSignature((2,), torus_rank=1).order() == math.inf
+        assert GroupSignature((7,)).order() == 7
+        assert GroupSignature((2, 2), star=2).order() == 8
 
     def test_names(self):
         assert GroupSignature((4,)).name() == "Z4"
