@@ -26,7 +26,7 @@ from math import gcd
 
 from .exactmath import IntMatrix, hnf_add, hnf_reduce, snf
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
-from .monomials import Monomial, build_x_matrix, charge_vector, enumerate_monomials
+from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
 
 Rows = tuple[tuple[int, ...], ...]
@@ -135,18 +135,16 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     in ``states`` with its first witness.  Skipping such edges therefore
     leaves the insertion order and every witness as they are.
     """
-    basis = torus_basis(n_doublets)
     generators: list[tuple[tuple[int, ...], Monomial]] = []
     seen_charges = set()
-    for m in enumerate_monomials(n_doublets):
-        chg = charge_vector(m, basis)
+    for m, chg in monomial_charges(n_doublets).items():
         key = min(chg, tuple(-c for c in chg))
         if key not in seen_charges:
             seen_charges.add(key)
             generators.append((chg, m))
 
     empty: Rows = ()
-    zero = (0,) * basis.n
+    zero = (0,) * (n_doublets - 1)
     states: dict[Rows, tuple[Monomial, ...]] = {empty: ()}
     frontier: deque[Rows] = deque([empty])
     while frontier:
@@ -241,11 +239,9 @@ def finite_groups_by_subset_scan(n_doublets: int) -> set[GroupSignature]:
     This is the direct strategy the lattice walk supersedes; it is kept as an
     independent cross-check of completeness.
     """
-    basis = torus_basis(n_doublets)
-    monos = enumerate_monomials(n_doublets)
-    charges = {m: charge_vector(m, basis) for m in monos}
+    charges = monomial_charges(n_doublets)
     found: set[GroupSignature] = set()
-    for subset in itertools.combinations(monos, n_doublets - 1):
+    for subset in itertools.combinations(charges, n_doublets - 1):
         x = IntMatrix.from_rows([charges[m] for m in subset])
         res = snf(x)
         if all(res.d):

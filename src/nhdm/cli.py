@@ -23,8 +23,7 @@ from .constructions import cyclic_c_matrix, product_c_matrix
 from .cpext import cp_bases, cp_extensions, cp_realizable, check_z3z3, classify_cp
 from .exactmath import IntMatrix, snf
 from .groups import GroupSignature, group_from_snf
-from .monomials import c_decompose, charge_vector, enumerate_monomials
-from .torus import torus_basis
+from .monomials import c_decompose, monomial_charges
 
 FORMAT_VERSION = "1"
 
@@ -111,13 +110,11 @@ def _cmd_snf(args) -> None:
 
 
 def _cmd_charges(args) -> None:
-    basis = torus_basis(args.doublets)
-    monos = enumerate_monomials(args.doublets)
-    x = IntMatrix.from_rows([charge_vector(m, basis) for m in monos])
-    c, types = c_decompose(x, args.doublets)
+    charges = monomial_charges(args.doublets)
+    c, types = c_decompose(IntMatrix.from_rows(charges.values()), args.doublets)
     rows = []
-    lines = [f"{len(monos)} monomials for N={args.doublets}"]
-    for m, chg, crow, t in zip(monos, x.entries, c.entries, types):
+    lines = [f"{len(charges)} monomials for N={args.doublets}"]
+    for (m, chg), crow, t in zip(charges.items(), c.entries, types):
         rows.append({"monomial": m.to_json(), "text": str(m), "charge": list(chg),
                      "c_row": list(crow), "row_type": t})
         lines.append(f"  {m.render(args.pretty):<24} charge {str(chg):<18} "

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import IntMatrix, hnf_contains, hnf_rows, snf
+from .exactmath import IntMatrix, SnfResult, hnf_contains, hnf_rows, snf
 from .groups import GroupSignature, extend_by_antiunitary
-from .monomials import Monomial, charge_vector, enumerate_monomials, phase_shift, raw_exponents
+from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
 from .torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
 
 Perm = tuple[int, ...]  # 0-based images: a -> perm[a]
@@ -158,12 +158,46 @@ def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doubl
 # -- exact linear congruence systems ------------------------------------------
 
 
-class PhaseConstraintSystem:
-    """Linear congruences mod 1 over rational unknowns indexed by position.
+def _smith(rows, ncols: int) -> SnfResult:
+    """Smith form u @ A @ v == diag(d) of the coefficient rows; identities when A is empty."""
+    if rows and ncols:
+        return snf(IntMatrix.from_rows(rows))
+    return SnfResult((), IntMatrix.identity(len(rows)), IntMatrix.identity(ncols))
 
-    ``unknowns`` labels the positions for ``render``.  Solvability and the
-    solution set are decided exactly by a Smith decomposition of the integer
-    coefficient matrix.
+
+def _transform(res: SnfResult, rhs) -> list[Fraction]:
+    """u @ rhs, exactly (not reduced mod 1)."""
+    return [sum((c * b for c, b in zip(row, rhs)), Fraction(0)) for row in res.u.entries]
+
+
+def _residual(res: SnfResult, rhs) -> list[Fraction]:
+    """The rows of u @ rhs past the rank, which decide solvability and span."""
+    return _transform(res, rhs)[res.rank:]
+
+
+def _integral(residual) -> bool:
+    return all(r.denominator == 1 for r in residual)
+
+
+def _particular(res: SnfResult, rhs) -> list[Fraction]:
+    """One solution of A x == rhs (mod 1), for a right-hand side that has one.
+
+    Each row of u @ rhs is reduced mod 1 before it is divided by its Smith
+    entry, which fixes the representative the solution is read from.
+    """
+    y = [b % 1 / d for b, d in zip(_transform(res, rhs), res.d[:res.rank])]
+    return [sum((res.v[(j, i)] * y[i] for i in range(res.rank)), Fraction(0)) % 1
+            for j in range(res.v.rows)]
+
+
+class PhaseConstraintSystem:
+    """Linear congruences A x == b (mod 1) over rational unknowns indexed by position.
+
+    ``unknowns`` labels the positions for ``render``.  Every question is
+    answered by one Smith form u @ A @ v == diag(d) of the integer
+    coefficients: the rows of u @ b past the rank are all integers exactly
+    when the congruences are solvable, and all zero exactly when b lies in
+    the rational column span of A.
     """
 
     def __init__(self, unknowns, equations=()):
@@ -179,6 +213,10 @@ class PhaseConstraintSystem:
             raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
         self.equations.append((tuple(int(c) for c in row), Fraction(rhs) % 1))
 
+    def _factor(self) -> tuple[SnfResult, list[Fraction]]:
+        return (_smith([row for row, _ in self.equations], len(self.unknowns)),
+                [r for _, r in self.equations])
+
     def solve(self):
         """(particular, torsion generators, free directions) or None.
 
@@ -186,33 +224,17 @@ class PhaseConstraintSystem:
         ``unknowns``; free directions span the divisible part of the solution
         set, torsion generators its finite part (all mod 1).
         """
+        res, rhs = self._factor()
+        if not _integral(_residual(res, rhs)):
+            return None
         nu = len(self.unknowns)
-        if not self.equations:
-            free = [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)]
-            return [Fraction(0)] * nu, [], free
-        rows = [row for row, _ in self.equations]
-        rhs = [r for _, r in self.equations]
-        if nu == 0:
-            return ([], [], []) if all(r.denominator == 1 for r in rhs) else None
-        res = snf(IntMatrix.from_rows(rows))
-        transformed = [sum(res.u[(i, k)] * rhs[k] for k in range(len(rhs))) % 1
-                       for i in range(len(rows))]
-        rank = res.rank
-        for i in range(rank, len(rows)):
-            if transformed[i].denominator != 1:
-                return None
-        y = [Fraction(0)] * nu
-        for i in range(min(len(rows), nu)):
-            if i < len(res.d) and res.d[i]:
-                y[i] = transformed[i] / res.d[i]
-        particular = [sum(res.v[(j, i)] * y[i] for i in range(nu)) % 1 for j in range(nu)]
         torsion = [[Fraction(res.v[(j, i)], res.d[i]) % 1 for j in range(nu)]
-                   for i in range(min(len(res.d), nu)) if res.d[i] > 1]
-        free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(rank, nu)]
-        return particular, torsion, free
+                   for i in range(res.rank) if res.d[i] > 1]
+        free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(res.rank, nu)]
+        return _particular(res, rhs), torsion, free
 
     def solvable(self) -> bool:
-        return self.solve() is not None
+        return _integral(_residual(*self._factor()))
 
     def render(self) -> list[str]:
         out = []
@@ -228,32 +250,6 @@ class PhaseConstraintSystem:
             lhs = " ".join(parts).lstrip("+ ") or "0"
             out.append(f"{lhs} = {rhs} (mod 1)")
         return out
-
-
-def _rational_in_span(columns: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """True when target lies in the rational column span."""
-    if not columns:
-        return all(x == 0 for x in target)
-    rows = len(target)
-    mat = [[columns[j][i] for j in range(len(columns))] + [target[i]] for i in range(rows)]
-
-    def rank(m, ncols):
-        m = [row[:ncols] for row in m]
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = m[r][c]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c] / inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            r += 1
-        return r
-
-    return rank(mat, len(columns)) == rank(mat, len(columns) + 1)
 
 
 # -- abelian bases -------------------------------------------------------------
@@ -272,9 +268,8 @@ class AbelianBase:
 
     @classmethod
     def trivial(cls, n_doublets: int) -> "AbelianBase":
-        basis = torus_basis(n_doublets)
-        full = tuple(charge_vector(m, basis) for m in enumerate_monomials(n_doublets))
-        return cls(n_doublets, GroupSignature(), (), (), (), hnf_rows(full))
+        full = hnf_rows(monomial_charges(n_doublets).values())
+        return cls(n_doublets, GroupSignature(), (), (), (), full)
 
     @classmethod
     def from_lattice(cls, n_doublets: int, rows) -> "AbelianBase":
@@ -286,18 +281,15 @@ class AbelianBase:
                    group.torus_directions, weights, rows)
 
     def invariant_monomials(self) -> tuple[Monomial, ...]:
-        """All monomials left invariant by every element of the group."""
-        basis = torus_basis(self.n_doublets)
-        out = []
-        for m in enumerate_monomials(self.n_doublets):
-            if any(phase_shift(m, g) != 0 for g in self.finite_generators):
-                continue
-            chg = charge_vector(m, basis)
-            if any(sum(c * d for c, d in zip(chg, direction)) != 0
-                   for direction in self.angle_directions):
-                continue
-            out.append(m)
-        return tuple(out)
+        """All monomials left invariant by every element of the group.
+
+        The group is the annihilator of its charge lattice, and by duality the
+        characters that vanish on that annihilator are exactly the lattice;
+        so a monomial is invariant precisely when its charge lies in
+        ``lattice``.
+        """
+        return tuple(m for m, chg in monomial_charges(self.n_doublets).items()
+                     if hnf_contains(self.lattice, chg))
 
     def finite_elements(self) -> list[tuple[tuple[int, ...], PhaseVector]]:
         """All elements of the finite part as (exponents, phase vector)."""
@@ -523,12 +515,11 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
         if any(sigma[sigma[a]] != a for a in range(n)):
             continue  # the squared generator must stay diagonal
         for expts, f in elements:
+            key = (sigma, min(_scalar_key(f + s) for s in squares))
+            if key in seen:
+                continue
             pin = _pin_system(base, sigma, f, unknowns)
             if not pin.solvable():
-                continue
-            class_key = min(_scalar_key(f + s) for s in squares)
-            key = (sigma, class_key)
-            if key in seen:
                 continue
             seen.add(key)
             candidates.append(_build_candidate(base, sigma, expts, f, pin, invariant,
@@ -633,12 +624,12 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     realizable.
     """
     base = candidate.base
-    basis = torus_basis(base.n_doublets)
-    surv_lattice = hnf_rows([charge_vector(m, basis) for m in candidate.surviving])
+    charges = monomial_charges(base.n_doublets)
+    surv_lattice = hnf_rows([charges[m] for m in candidate.surviving])
     # surviving and killed terms make up the invariant set, so the surviving
     # lattice is the full invariant lattice unless it misses a killed charge
-    if not all(hnf_contains(surv_lattice, charge_vector(m, basis)) for m in candidate.killed):
-        surv_group = _group_of_lattice(surv_lattice, basis)
+    if not all(hnf_contains(surv_lattice, charges[m]) for m in candidate.killed):
+        surv_group = _group_of_lattice(surv_lattice, torus_basis(base.n_doublets))
         if surv_group.signature.torus_rank > base.signature.torus_rank:
             return CpVerdict(
                 "continuous_degeneration",
@@ -696,7 +687,9 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion, fr
 
     Forced means: for every admissible coefficient assignment there are
     entry phases making the generalized permutation a symmetry of backbone
-    plus surviving terms.
+    plus surviving terms.  One Smith form of the entry-phase coefficients
+    checks the particular coefficient phases and each torsion generator for
+    solvability, and each free direction for lying in the rational span.
     """
     n = candidate.base.n_doublets
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
@@ -707,29 +700,19 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion, fr
         if klass.get(img) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
         relations.append(_invariance_relation(m, img, conjugated, n, psi_positions))
-    thetas = [f"th{a}" for a in range(1, n + 1)]
 
-    def psi_values(assign: list[Fraction]) -> list[Fraction]:
-        return [sum((c * assign[j] for j, c in psi.items()), Fraction(0))
+    def rhs(assign: list[Fraction]) -> list[Fraction]:
+        # the invariance relations read  theta-part == -(psi-part)  (mod 1)
+        return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))
                 for _, psi in relations]
 
-    def theta_system(assign: list[Fraction]) -> PhaseConstraintSystem:
-        # the invariance relations read  theta-part == -(psi-part)  (mod 1)
-        system = PhaseConstraintSystem(thetas)
-        for (theta, _), value in zip(relations, psi_values(assign)):
-            system.add(theta, -value)
-        return system
-
-    solved = theta_system(particular).solve()
-    if solved is None:
+    res = _smith([theta for theta, _ in relations], n)
+    target = rhs(particular)
+    if not (_integral(_residual(res, target))
+            and all(_integral(_residual(res, rhs(gen))) for gen in torsion)
+            and all(not any(_residual(res, rhs(direction))) for direction in free)):
         return None
-    if not all(theta_system(gen).solvable() for gen in torsion):
-        return None
-    columns = [[Fraction(theta[a]) for theta, _ in relations] for a in range(n)]
-    if not all(_rational_in_span(columns, [-v for v in psi_values(direction)])
-               for direction in free):
-        return None
-    return GenPermMatrix(perm, tuple(solved[0]))
+    return GenPermMatrix(perm, tuple(_particular(res, target)))
 
 
 # -- full antiunitary classification (three doublets) ---------------------------

@@ -41,7 +41,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .exactmath import IntMatrix, inverse_unimodular
 from .torus import PhaseVector, TorusBasis, torus_basis
@@ -112,6 +114,13 @@ def charge_vector(m: Monomial, basis: TorusBasis) -> ChargeVector:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def monomial_charges(n_doublets: int) -> MappingProxyType[Monomial, ChargeVector]:
+    """Read-only map from each monomial of ``enumerate_monomials`` to its charge, in order."""
+    basis = torus_basis(n_doublets)
+    return MappingProxyType({m: charge_vector(m, basis) for m in enumerate_monomials(n_doublets)})
+
+
 def phase_shift(m: Monomial, element: PhaseVector) -> Fraction:
     """Phase (units of 2*pi, mod 1) the monomial picks up under a diagonal element."""
     total = Fraction(0)
@@ -177,10 +186,8 @@ def c_decompose(x: IntMatrix, n_doublets: int) -> tuple[IntMatrix, tuple[int | N
 
 def duplicate_charge_report(n_doublets: int) -> dict[ChargeVector, tuple[Monomial, ...]]:
     """Charge vectors carried by more than one monomial (sign-insensitive)."""
-    basis = torus_basis(n_doublets)
     by_charge: dict[ChargeVector, list[Monomial]] = {}
-    for m in enumerate_monomials(n_doublets):
-        chg = charge_vector(m, basis)
+    for m, chg in monomial_charges(n_doublets).items():
         key = min(chg, tuple(-x for x in chg))
         by_charge.setdefault(key, []).append(m)
     return {k: tuple(v) for k, v in sorted(by_charge.items()) if len(v) > 1}

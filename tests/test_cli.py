@@ -118,6 +118,16 @@ class TestGolden:
         ("construct-cyclic-9-5.json",
          ["construct", "cyclic", "--p", "9", "--n", "5", "--format", "json"]),
         ("snf-worked.json", ["snf", "--matrix", "3,2;-3,-1", "--format", "json"]),
+        # recorded before the congruence solver shared one Smith form and the
+        # invariant terms were read off lattice membership
+        ("charges-2.json", ["charges", "--doublets", "2", "--format", "json"]),
+        ("verify-bound-2.json", ["verify-bound", "--doublets", "2", "--format", "json"]),
+        ("probe-conjecture-2.json", ["probe-conjecture", "--doublets", "2", "--format", "json"]),
+        ("classify-4-finite-only.json",
+         ["classify", "--doublets", "4", "--finite-only", "--format", "json"]),
+        ("witness-4-Z8.json", ["witness", "--doublets", "4", "--group", "Z8", "--format", "json"]),
+        ("witness-4-Z2xZ4.json",
+         ["witness", "--doublets", "4", "--group", "Z2xZ4", "--format", "json"]),
     ])
     def test_report_is_byte_identical(self, name, argv):
         code, out, _ = invoke(argv)

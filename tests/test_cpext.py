@@ -2,10 +2,15 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhdm.cpext import (
     AbelianBase,
     GenPermMatrix,
+    PhaseConstraintSystem,
+    _residual,
+    _smith,
     antiunitary_square,
     check_z3z3,
     classify_cp,
@@ -18,8 +23,8 @@ from nhdm.cpext import (
     cp_extensions,
     cp_realizable,
 )
-from nhdm.monomials import Monomial
-from nhdm.torus import PhaseVector, equal_mod_center
+from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, phase_shift
+from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
 
 
 def base_u11():
@@ -152,6 +157,22 @@ class TestInvariantTerms:
             Monomial.canonical(((2, 3), (2, 1))),
             Monomial.canonical(((3, 1), (3, 2)))}
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lattice_membership_matches_the_phase_shift_definition(self, n):
+        # reference definition: no finite generator shifts the term's phase
+        # and its charge pairs to zero with every continuous direction
+        basis = torus_basis(n)
+
+        def reference(base):
+            return tuple(
+                m for m in enumerate_monomials(n)
+                if all(phase_shift(m, g) == 0 for g in base.finite_generators)
+                and all(sum(c * d for c, d in zip(charge_vector(m, basis), direction)) == 0
+                        for direction in base.angle_directions))
+
+        for base in cp_bases(n):
+            assert base.invariant_monomials() == reference(base)
+
 
 class TestContainsDiagonal:
     def test_matches_the_listed_elements_on_a_grid(self):
@@ -265,6 +286,60 @@ class TestConstraintSystems:
             "m1^2 = m2^2", "L11 = L22", "L13 = L23", "L'13 = L'23"]
 
 
+@st.composite
+def congruences(draw):
+    """A random integer system A (1-4 x 1-5, entries -3..3) and a rational b.
+
+    Half of the right-hand sides are A applied to a rational vector, so the
+    span and solvability tests see both outcomes often.
+    """
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    if draw(st.booleans()):
+        x = draw(st.lists(rational, min_size=ncols, max_size=ncols))
+        rhs = [sum((c * v for c, v in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(rational, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+def satisfies(rows, rhs, x):
+    return all((sum((c * v for c, v in zip(row, x)), F(0)) - b) % 1 == 0
+               for row, b in zip(rows, rhs))
+
+
+class TestSolver:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(congruences(), st.fractions(min_value=-2, max_value=2, max_denominator=7))
+    def test_solutions_satisfy_every_congruence(self, case, t):
+        rows, rhs = case
+        system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
+        for row, b in zip(rows, rhs):
+            system.add(row, b)
+        solution = system.solve()
+        assert system.solvable() == (solution is not None)
+        if solution is None:
+            return
+        particular, torsion, free = solution
+        assert satisfies(rows, rhs, particular)
+        for gen in torsion:
+            assert satisfies(rows, rhs, [p + g for p, g in zip(particular, gen)])
+        for direction in free:
+            assert satisfies(rows, rhs, [p + t * d for p, d in zip(particular, direction)])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(congruences())
+    def test_zero_residual_is_the_rational_span(self, case):
+        sympy = pytest.importorskip("sympy")
+        rows, rhs = case
+        a = sympy.Matrix(rows)
+        in_span = a.row_join(sympy.Matrix([sympy.Rational(b.numerator, b.denominator)
+                                           for b in rhs])).rank() == a.rank()
+        assert (not any(_residual(_smith(rows, len(rows[0])), rhs))) == in_span
+
+
 class TestVerdicts:
     def test_z4_split_rejected_with_swap_witness(self):
         cand = next(c for c in cp_extensions(base_z4()) if c.signature.name() == "Z4xZ2*")
@@ -289,6 +364,17 @@ class TestVerdicts:
         verdict = cp_realizable(cand)
         assert verdict.kind == "enlarged_unitary"
         assert verdict.witness.perm == (1, 0, 2)
+
+    def test_witness_phases_come_from_the_reduced_rows(self):
+        # each row of u @ b is reduced mod 1 before the Smith division; the
+        # unreduced rows would give the equally valid phases (1/4, 3/4, 0, 0)
+        base = AbelianBase.from_lattice(4, [(2, 0, 0), (0, 2, 1)])
+        cand = next(c for c in cp_extensions(base)
+                    if c.sigma == (1, 0, 3, 2) and c.signature.name() == "U(1)xZ4*")
+        verdict = cp_realizable(cand)
+        assert verdict.kind == "enlarged_unitary"
+        assert verdict.witness.to_json() == {"perm": [2, 1, 4, 3],
+                                             "phases": ["3/4", "1/4", "0", "0"]}
 
     def test_realizable_cases(self):
         assert cp_realizable(cp_extensions(base_klein())[0]).realizable
