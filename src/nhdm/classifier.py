@@ -5,10 +5,11 @@ deduplicating lattices by their canonical Hermite basis.  Every subset of
 monomials spans one of the visited lattices, so the walk provably covers the
 fixed-size subset scan while also finding groups that would need more than
 N-1 terms (none are known to occur; the equality is tested, not assumed).
-The lattice L + g depends only on the coset g + L, so from each lattice the
-walk builds one child per distinct nonzero coset of the generators instead of
-one per generator; the visited lattices, their order and their witnesses are
-the same either way.
+From each lattice the walk builds one child per distinct nonzero coset of
+the generators after the last one of its witness, instead of one per
+generator; the visited lattices, their order and their witnesses are the
+same either way (see ``_lattice_scan``).  Of each lattice only the Smith
+form is read; generators are solved for the entries the report keeps.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -23,13 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Sequence, TypeVar
 
-from .exactmath import IntMatrix, hnf_add, hnf_reduce, snf
+from .exactmath import IntMatrix, SnfResult, hnf_add, hnf_reduce, snf
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
 
 Rows = tuple[tuple[int, ...], ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -62,35 +65,36 @@ def _canonical_generator(column: tuple[int, ...], d: int) -> tuple[Fraction, ...
 
 def symmetry_group_of_terms(terms, basis: TorusBasis) -> SymmetryGroup:
     """Torus subgroup leaving every term invariant, with solved generators."""
-    x = build_x_matrix(terms, basis)
-    return _group_of_charge_matrix(x, basis)
+    return _group_from_smith(snf(build_x_matrix(terms, basis)), basis)
 
 
-def _group_of_charge_matrix(x: IntMatrix, basis: TorusBasis) -> SymmetryGroup:
+def _lattice_smith(rows: Rows, n: int) -> SnfResult:
+    """Smith form of a lattice basis; the empty lattice reads as one zero row."""
+    if not rows:
+        return SnfResult((0,), IntMatrix.identity(1), IntMatrix.identity(n))
+    return snf(IntMatrix.from_rows(rows))
+
+
+def _torus_directions(res: SnfResult, n: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of ``v`` past the rank: angle directions fixing every charge."""
+    return tuple(res.v.column(i) for i in range(res.rank, n))
+
+
+def _group_from_smith(res: SnfResult, basis: TorusBasis) -> SymmetryGroup:
     n = basis.n
-    res = snf(x)
-    signature = group_from_snf(res.d, n)
     angles = []
     gens = []
-    dirs = []
-    for i in range(n):
-        d = res.d[i] if i < len(res.d) else 0
-        col = res.v.column(i)
-        if d == 0:
-            dirs.append(col)
-        elif d > 1:
-            a = _canonical_generator(col, d)
+    for i, d in enumerate(res.d):
+        if d > 1:
+            a = _canonical_generator(res.v.column(i), d)
             angles.append(a)
             gens.append(element_from_angles(basis, a))
-    return SymmetryGroup(signature, tuple(angles), tuple(gens), tuple(dirs))
+    return SymmetryGroup(group_from_snf(res.d, n), tuple(angles), tuple(gens),
+                         _torus_directions(res, n))
 
 
 def _group_of_lattice(rows: Rows, basis: TorusBasis) -> SymmetryGroup:
-    if not rows:
-        return SymmetryGroup(
-            GroupSignature(torus_rank=basis.n), (), (),
-            tuple(tuple(1 if j == i else 0 for j in range(basis.n)) for i in range(basis.n)))
-    return _group_of_charge_matrix(IntMatrix.from_rows(rows), basis)
+    return _group_from_smith(_lattice_smith(rows, basis.n), basis)
 
 
 @dataclass(frozen=True)
@@ -127,13 +131,22 @@ class ClassificationResult:
 def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     """All charge lattices spanned by monomial subsets, keyed by HNF basis.
 
-    Breadth-first over single-monomial additions, so the recorded witness for
-    each lattice has the minimum number of terms.  An edge is tried only for
-    the first generator of each distinct residue ``hnf_reduce(L, g)``: a zero
-    residue means g is already in L, and a repeated one means L + g equals
-    the lattice an earlier generator of the same loop gave, which is already
-    in ``states`` with its first witness.  Skipping such edges therefore
-    leaves the insertion order and every witness as they are.
+    ``_walk`` over the monomial charges, one generator per charge up to sign,
+    in ``enumerate_monomials`` order.  Children enter in (parent, generator
+    index) order, so each lattice is recorded with the lex-least shortest
+    sequence of generators that spans it as its witness; reordering such a
+    sequence spans the same lattice, so the witness is sorted.  Two prunings
+    leave the insertion order and every witness as they are:
+
+    - A lattice L is extended only by the generators after the last one of
+      its witness.  For an earlier generator g not in L, inserting g into
+      the witness gives a sorted sequence spanning L + g whose prefix
+      without the last term is lex-smaller than the witness of L, so L + g
+      was already recorded from a lattice popped before L.
+    - Of the remaining generators an edge is tried only for the first one of
+      each distinct residue ``hnf_reduce(L, g)``: a zero residue means g is
+      already in L, and a repeated one means L + g equals the lattice an
+      earlier generator of the same loop gave.
     """
     generators: list[tuple[tuple[int, ...], Monomial]] = []
     seen_charges = set()
@@ -142,24 +155,29 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
         if key not in seen_charges:
             seen_charges.add(key)
             generators.append((chg, m))
+    return _walk(generators)
 
-    empty: Rows = ()
-    zero = (0,) * (n_doublets - 1)
-    states: dict[Rows, tuple[Monomial, ...]] = {empty: ()}
-    frontier: deque[Rows] = deque([empty])
+
+def _walk(generators: Sequence[tuple[tuple[int, ...], T]]) -> dict[Rows, tuple[T, ...]]:
+    """Breadth-first closure of the zero lattice under (vector, label)
+    generators, mapping each lattice to the labels of its witness, with the
+    prunings described in ``_lattice_scan``."""
+    states: dict[Rows, tuple[T, ...]] = {(): ()}
+    frontier: deque[tuple[Rows, int]] = deque([((), 0)])
     while frontier:
-        lattice = frontier.popleft()
+        lattice, start = frontier.popleft()
         witness = states[lattice]
-        tried = {zero}
-        for chg, mono in generators:
+        tried = set()
+        for i in range(start, len(generators)):
+            chg, label = generators[i]
             residue = hnf_reduce(lattice, chg)
-            if residue in tried:
+            if residue in tried or not any(residue):
                 continue
             tried.add(residue)
             grown = hnf_add(lattice, residue)
             if grown not in states:
-                states[grown] = witness + (mono,)
-                frontier.append(grown)
+                states[grown] = witness + (label,)
+                frontier.append((grown, i + 1))
     return states
 
 
@@ -187,44 +205,45 @@ def _weight_pattern(basis: TorusBasis, dirs: Rows) -> tuple:
 @lru_cache(maxsize=None)
 def _classify_cached(n_doublets: int) -> ClassificationResult:
     basis = torus_basis(n_doublets)
+    n = basis.n
     states = _lattice_scan(n_doublets)
 
-    primary: dict[GroupSignature, ClassificationEntry] = {}
-    variants: dict[GroupSignature, dict[tuple, ClassificationEntry]] = {}
+    # Each group keeps its first lattice in the breadth-first insertion order,
+    # which has a minimal witness, and a continuous group also the first
+    # lattice of each weight pattern.  Only the Smith form of every lattice is
+    # needed to sort them; generators are solved for the kept ones below.
+    primary: dict[GroupSignature, tuple] = {}
+    variants: dict[GroupSignature, dict[tuple, tuple]] = {}
     counts: dict[GroupSignature, int] = {}
-    # Insertion order of the scan is breadth-first, so the first entry per
-    # signature has a minimal witness.
     for lattice, witness in states.items():
-        group = _group_of_lattice(lattice, basis)
-        sig = group.signature
+        res = _lattice_smith(lattice, n)
+        sig = group_from_snf(res.d, n)
         if sig.is_trivial:
             continue
-        entry = ClassificationEntry(
-            signature=sig, witness=witness,
+        counts[sig] = counts.get(sig, 0) + 1
+        kept = (lattice, witness, res)
+        if sig not in primary:
+            primary[sig] = kept
+        if not sig.is_finite:
+            pattern = _weight_pattern(basis, _torus_directions(res, n))
+            variants.setdefault(sig, {}).setdefault(pattern, kept)
+
+    def entry(kept, n_lattices=0, extra=()) -> ClassificationEntry:
+        lattice, witness, res = kept
+        group = _group_from_smith(res, basis)
+        return ClassificationEntry(
+            signature=group.signature, witness=witness,
             generators=group.finite_generators,
             generator_angles=group.finite_generator_angles,
             torus_directions=group.torus_directions,
-            lattice=lattice, n_lattices=0)
-        counts[sig] = counts.get(sig, 0) + 1
-        if sig not in primary:
-            primary[sig] = entry
-            if not sig.is_finite:
-                variants[sig] = {_weight_pattern(basis, group.torus_directions): entry}
-        elif not sig.is_finite:
-            pattern = _weight_pattern(basis, group.torus_directions)
-            variants[sig].setdefault(pattern, entry)
+            lattice=lattice, n_lattices=n_lattices, variants=extra)
 
     entries = []
     for sig in sorted(primary, key=GroupSignature.sort_key):
-        e = primary[sig]
-        extra = ()
-        if sig in variants and len(variants[sig]) > 1:
-            first_pattern = _weight_pattern(basis, e.torus_directions)
-            extra = tuple(v for p, v in sorted(variants[sig].items()) if p != first_pattern)
-        entries.append(ClassificationEntry(
-            signature=sig, witness=e.witness, generators=e.generators,
-            generator_angles=e.generator_angles, torus_directions=e.torus_directions,
-            lattice=e.lattice, n_lattices=counts[sig], variants=extra))
+        kept = primary[sig]
+        extra = tuple(entry(v) for _, v in sorted(variants.get(sig, {}).items())
+                      if v is not kept)
+        entries.append(entry(kept, counts[sig], extra))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
     if max_order > 2 ** (n_doublets - 1):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 Rational = Fraction | int
@@ -81,6 +82,11 @@ class TorusBasis:
     def __iter__(self):
         return iter(self.weights)
 
+    @cached_property
+    def scaled_weights(self) -> tuple[tuple[int, ...], ...]:
+        """``n_doublets`` times ``weights``: the same circles as integers."""
+        return tuple(tuple(int(self.n_doublets * w) for w in weight) for weight in self.weights)
+
 
 def torus_basis(n_doublets: int) -> TorusBasis:
     """Standard torus basis for ``n_doublets`` doublets (requires at least 2)."""
@@ -131,16 +137,16 @@ def direction_weights(basis: TorusBasis, angle_direction: Sequence[int]) -> tupl
     """Primitive integer per-doublet weights of a one-parameter torus direction.
 
     ``angle_direction`` is an integer combination of basis circles; the result
-    is the corresponding doublet weight vector, cleared of denominators and
-    divided by its content.  The weight sum is always zero.
+    is the corresponding doublet weight vector, divided by its content.  The
+    basis weights have denominators dividing N, so the sum is taken over N
+    times the weights, in integers.  The weight sum is always zero.
     """
     if len(angle_direction) != basis.n:
         raise ValueError(f"expected {basis.n} components, got {len(angle_direction)}")
-    raw = [Fraction(0)] * basis.n_doublets
-    for coeff, weight in zip(angle_direction, basis.weights):
-        for a in range(basis.n_doublets):
-            raw[a] += coeff * weight[a]
-    denom = lcm(*(f.denominator for f in raw)) if raw else 1
-    ints = [int(f * denom) for f in raw]
-    content = gcd(*(abs(x) for x in ints)) or 1
-    return tuple(x // content for x in ints)
+    raw = [0] * basis.n_doublets
+    for coeff, weight in zip(angle_direction, basis.scaled_weights):
+        if coeff:
+            for a, w in enumerate(weight):
+                raw[a] += coeff * w
+    content = gcd(*raw) or 1
+    return tuple(x // content for x in raw)

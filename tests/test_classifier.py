@@ -1,11 +1,17 @@
+import hashlib
+import json
 import random
 from collections import deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhdm import classifier
 from nhdm.classifier import (
+    ClassificationEntry,
+    ClassificationResult,
     classify,
     finite_groups_by_subset_scan,
     probe_conjecture,
@@ -16,7 +22,7 @@ from nhdm.classifier import (
 from nhdm.exactmath import hnf_add, hnf_contains
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
-from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
+from nhdm.torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
 
 
 def names(sigs):
@@ -109,9 +115,26 @@ class TestClassify:
             classify(1)
 
 
+def reference_walk_of(generators):
+    """The lattice walk without coset deduplication or pruning: from every
+    lattice, every generator that is not already a member is added, in
+    order."""
+    states = {(): ()}
+    frontier = deque([()])
+    while frontier:
+        lattice = frontier.popleft()
+        witness = states[lattice]
+        for chg, label in generators:
+            if hnf_contains(lattice, chg):
+                continue
+            grown = hnf_add(lattice, chg)
+            if grown not in states:
+                states[grown] = witness + (label,)
+                frontier.append(grown)
+    return states
+
+
 def reference_walk(n):
-    """The lattice walk without coset deduplication: every generator that is
-    not already a member is added, in order."""
     basis = torus_basis(n)
     generators = []
     seen = set()
@@ -121,19 +144,20 @@ def reference_walk(n):
         if key not in seen:
             seen.add(key)
             generators.append((chg, m))
-    states = {(): ()}
-    frontier = deque([()])
-    while frontier:
-        lattice = frontier.popleft()
-        witness = states[lattice]
-        for chg, mono in generators:
-            if hnf_contains(lattice, chg):
-                continue
-            grown = hnf_add(lattice, chg)
-            if grown not in states:
-                states[grown] = witness + (mono,)
-                frontier.append(grown)
-    return states
+    return reference_walk_of(generators)
+
+
+def walk_digest(states):
+    lines = (json.dumps((rows, [m.to_json() for m in witness]))
+             for rows, witness in states.items())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@st.composite
+def generator_lists(draw):
+    dim = draw(st.integers(2, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=8))
+    return [(vec, i) for i, vec in enumerate(vectors)]
 
 
 class TestLatticeWalk:
@@ -142,6 +166,78 @@ class TestLatticeWalk:
         # classify takes the first lattice per group in insertion order as
         # its minimal witness, so the order matters, not just the set
         assert list(classifier._lattice_scan(n).items()) == list(reference_walk(n).items())
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(generator_lists())
+    def test_pruned_walk_equals_the_reference_walk(self, generators):
+        # random generators may repeat, vanish or be multiples of each other
+        walked = classifier._walk(generators)
+        assert list(walked.items()) == list(reference_walk_of(generators).items())
+
+    def test_five_doublet_walk_is_pinned(self):
+        # digest of the N=5 walk, lattices and witnesses in insertion order,
+        # recorded from the walk without the last-generator pruning
+        states = classifier._lattice_scan(5)
+        assert len(states) == 11493
+        assert walk_digest(states) == (
+            "5cca90c73f9f159f54b5cb67eb2a01cd9daaccca1313f168e2c36654faa3d075")
+
+
+def weight_pattern(basis, dirs):
+    return tuple(sorted(tuple(sorted(abs(w) for w in direction_weights(basis, d)))
+                        for d in dirs))
+
+
+def reference_classification(n_doublets):
+    """Group extraction as one full ``_group_of_lattice`` per walked lattice."""
+    basis = torus_basis(n_doublets)
+    primary, variants, counts = {}, {}, {}
+    for lattice, witness in classifier._lattice_scan(n_doublets).items():
+        group = classifier._group_of_lattice(lattice, basis)
+        sig = group.signature
+        if sig.is_trivial:
+            continue
+        entry = ClassificationEntry(
+            signature=sig, witness=witness,
+            generators=group.finite_generators,
+            generator_angles=group.finite_generator_angles,
+            torus_directions=group.torus_directions,
+            lattice=lattice, n_lattices=0)
+        counts[sig] = counts.get(sig, 0) + 1
+        if sig not in primary:
+            primary[sig] = entry
+            if not sig.is_finite:
+                variants[sig] = {weight_pattern(basis, group.torus_directions): entry}
+        elif not sig.is_finite:
+            variants[sig].setdefault(weight_pattern(basis, group.torus_directions), entry)
+    entries = []
+    for sig in sorted(primary, key=GroupSignature.sort_key):
+        e = primary[sig]
+        extra = ()
+        if sig in variants and len(variants[sig]) > 1:
+            first_pattern = weight_pattern(basis, e.torus_directions)
+            extra = tuple(v for p, v in sorted(variants[sig].items()) if p != first_pattern)
+        entries.append(ClassificationEntry(
+            signature=sig, witness=e.witness, generators=e.generators,
+            generator_angles=e.generator_angles, torus_directions=e.torus_directions,
+            lattice=e.lattice, n_lattices=counts[sig], variants=extra))
+    max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
+                    default=1)
+    return ClassificationResult(n_doublets, tuple(entries), max_order)
+
+
+class TestGroupExtraction:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_result_as_extracting_every_lattice(self, n):
+        # compares every field, variants, generator angles, torus directions
+        # and lattices included, which the CLI reports do not all show
+        assert classifier._classify_cached(n) == reference_classification(n)
+
+    def test_empty_lattice_is_the_full_torus(self):
+        group = classifier._group_of_lattice((), torus_basis(4))
+        assert group.signature == GroupSignature(torus_rank=3)
+        assert group.finite_generators == ()
+        assert group.torus_directions == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class TestMonotonicity:

@@ -30,12 +30,12 @@ GOLDEN = ROOT / "tests" / "golden"
 SCHEMA = json.loads((ROOT / "src" / "nhdm" / "schema" / "report.schema.json").read_text())
 
 
-def run_cli(argv, timeout=10):
+def run_cli(argv, timeout=10, python_flags=()):
     """Run ``python -m nhdm`` in a child process; a hang fails the test."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "nhdm", *argv], capture_output=True,
-                          text=True, timeout=timeout, env=env)
+    return subprocess.run([sys.executable, *python_flags, "-m", "nhdm", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def validate_schema(report):
@@ -133,6 +133,19 @@ class TestGolden:
         code, out, _ = invoke(argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+
+class TestOptimizedInterpreter:
+    # ``python -O`` strips assert statements; the reports must not depend on
+    # them
+    @pytest.mark.parametrize("name, argv", [
+        ("classify-4.json", ["classify", "--doublets", "4", "--format", "json"]),
+        ("verify-bound-4.json", ["verify-bound", "--doublets", "4", "--format", "json"]),
+    ])
+    def test_report_is_byte_identical_under_dash_o(self, name, argv):
+        proc = run_cli(argv, timeout=60, python_flags=("-O",))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / name).read_text()
 
 
 class TestDeterminism:

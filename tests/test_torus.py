@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
@@ -121,6 +122,29 @@ def test_direction_weights():
     assert direction_weights(basis, (1, 0)) == (-1, 1, 0)
     assert direction_weights(basis, (0, 1)) == (-2, 1, 1)
     assert sum(direction_weights(basis, (2, 3))) == 0
+
+
+def fraction_direction_weights(basis, angle_direction):
+    """The weights summed as Fractions, cleared of denominators and divided
+    by their content."""
+    raw = [F(0)] * basis.n_doublets
+    for coeff, weight in zip(angle_direction, basis.weights):
+        for a in range(basis.n_doublets):
+            raw[a] += coeff * weight[a]
+    denom = lcm(*(f.denominator for f in raw))
+    ints = [int(f * denom) for f in raw]
+    content = gcd(*(abs(x) for x in ints)) or 1
+    return tuple(x // content for x in ints)
+
+
+@pytest.mark.parametrize("n_doublets", range(2, 8))
+def test_direction_weights_match_fraction_arithmetic(n_doublets):
+    basis = torus_basis(n_doublets)
+    rng = random.Random(n_doublets)
+    directions = [(0,) * basis.n] + [tuple(rng.randint(-9, 9) for _ in range(basis.n))
+                                     for _ in range(200)]
+    for d in directions:
+        assert direction_weights(basis, d) == fraction_direction_weights(basis, d)
 
 
 def test_render():
