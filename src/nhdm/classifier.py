@@ -14,11 +14,17 @@ form is read; generators are solved for the entries the report keeps.
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
 any added term set is the full unitary symmetry group of backbone + terms.
+The backbone gives each doublet its own mass term -m_a^2 (phi_a^dagger
+phi_a), and generic masses are distinct.  A unitary symmetry U must keep the
+mass matrix, U^dagger diag(m_a^2) U = diag(m_a^2), and the commutant of a
+diagonal matrix with distinct entries is the diagonal algebra: X -> DX - XD
+scales entry (i, j) by d_i - d_j, so its rank is N^2 - N (the tests read
+that rank off a Smith form).  So U is diagonal and lies in the torus, where
+the lattice walk is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,24 +258,6 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
     return ClassificationResult(n_doublets, tuple(entries), max_order)
 
 
-def finite_groups_by_subset_scan(n_doublets: int) -> set[GroupSignature]:
-    """Finite groups found by checking every subset of exactly N-1 monomials.
-
-    This is the direct strategy the lattice walk supersedes; it is kept as an
-    independent cross-check of completeness.
-    """
-    charges = monomial_charges(n_doublets)
-    found: set[GroupSignature] = set()
-    for subset in itertools.combinations(charges, n_doublets - 1):
-        x = IntMatrix.from_rows([charges[m] for m in subset])
-        res = snf(x)
-        if all(res.d):
-            sig = group_from_snf(res.d, n_doublets - 1)
-            if not sig.is_trivial:
-                found.add(sig)
-    return found
-
-
 @dataclass(frozen=True)
 class OrderBoundReport:
     n_doublets: int
@@ -301,10 +289,6 @@ class ConjectureProbe:
     bound: int
     realized: tuple[GroupSignature, ...]
     missing: tuple[GroupSignature, ...]
-
-    @property
-    def all_realized(self) -> bool:
-        return not self.missing
 
 
 def probe_conjecture(n_doublets: int) -> ConjectureProbe:

@@ -11,6 +11,14 @@ matrices with exact rational phases:
    whose coefficient is forced to vanish,
 5. check that the restricted potential acquires no further unitary symmetry.
 
+The group is asked about only through its charge lattice.  It is the set of
+torus elements on which every charge in the lattice vanishes, so by duality a
+character is trivial on the whole group, continuous part included, exactly
+when its charge lies in the lattice.  Invariant terms, commuting permutation
+patterns and the support of a commuting antiunitary are each a membership
+test (``AbelianBase.annihilates``) of a charge built from the phase
+differences psi_a - psi_b (``TorusBasis.differences``).
+
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
 boundary (a "realizable" verdict is then best-effort).
@@ -19,7 +27,7 @@ boundary (a "realizable" verdict is then best-effort).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classifier import _group_of_lattice, _lattice_scan
@@ -102,11 +110,6 @@ class GenPermMatrix:
         return f"[{cols}]"
 
 
-def antiunitary_square(b: GenPermMatrix) -> GenPermMatrix:
-    """(b J)^2 = b b* as a unitary matrix."""
-    return b.compose(b.conjugate())
-
-
 def conjugate_diagonal(u: GenPermMatrix, pv: PhaseVector) -> PhaseVector:
     """u diag(pv) u^{-1}, which is again diagonal."""
     return PhaseVector(tuple(pv.phases[u.perm[a]] for a in range(u.n)))
@@ -127,16 +130,9 @@ def act_unitary(u: GenPermMatrix, m: Monomial) -> tuple[Monomial, Fraction, bool
     evaluated on transformed fields equals e(shift) times the image; when
     ``conjugated`` is set the image listed is the conjugate of the raw one.
     """
-    raw = tuple(sorted((u.perm[a - 1] + 1, u.perm[b - 1] + 1) for a, b in m.factors))
-    shift = sum((u.phases[b - 1] - u.phases[a - 1] for a, b in m.factors), Fraction(0))
-    image = Monomial.canonical(raw)
-    return image, shift % 1, image.factors != raw
-
-
-def act_antiunitary(b: GenPermMatrix, m: Monomial) -> tuple[Monomial, Fraction, bool]:
-    """Image of a monomial under b J (J acting by complex conjugation)."""
-    image, shift, conjugated = act_unitary(b, Monomial(m.conjugate_factors()))
-    return image, -shift % 1, conjugated
+    image, conjugated = m.permuted(u.perm)
+    shift = sum((e * p for e, p in zip(raw_exponents(m, u.n), u.phases)), Fraction(0))
+    return image, shift % 1, conjugated
 
 
 def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doublets: int,
@@ -280,16 +276,14 @@ class AbelianBase:
         return cls(n_doublets, group.signature, group.finite_generators,
                    group.torus_directions, weights, rows)
 
-    def invariant_monomials(self) -> tuple[Monomial, ...]:
-        """All monomials left invariant by every element of the group.
+    def annihilates(self, charge) -> bool:
+        """True when the character with this charge is trivial on the whole group."""
+        return hnf_contains(self.lattice, charge)
 
-        The group is the annihilator of its charge lattice, and by duality the
-        characters that vanish on that annihilator are exactly the lattice;
-        so a monomial is invariant precisely when its charge lies in
-        ``lattice``.
-        """
+    def invariant_monomials(self) -> tuple[Monomial, ...]:
+        """All monomials left invariant by every element of the group."""
         return tuple(m for m, chg in monomial_charges(self.n_doublets).items()
-                     if hnf_contains(self.lattice, chg))
+                     if self.annihilates(chg))
 
     def finite_elements(self) -> list[tuple[tuple[int, ...], PhaseVector]]:
         """All elements of the finite part as (exponents, phase vector)."""
@@ -308,18 +302,17 @@ class AbelianBase:
 
 
 def _pattern_scan(base: AbelianBase, sign: int) -> list[Perm]:
-    """Permutations sigma with psi_a + sign * psi_{sigma(a)} constant per generator.
+    """Permutations sigma with psi_a + sign * psi_{sigma(a)} constant on the group.
 
-    Finite generators are compared mod 1 in their determinant-one form, and
-    continuous directions need w_a + sign * w_{sigma(a)} == 0 exactly.
+    That is, the group annihilates (psi_a - psi_0) + sign * (psi_sigma(a) - psi_sigma(0))
+    for every a.
     """
     n = base.n_doublets
-    finite = [g.su_normalized() for g in base.finite_generators]
+    diff = torus_basis(n).differences
     return [perm for perm in itertools.permutations(range(n))
-            if all(len({(psi[a] + sign * psi[perm[a]]) % 1 for a in range(n)}) == 1
-                   for psi in finite)
-            and all(w[a] + sign * w[perm[a]] == 0 for w in base.doublet_weights
-                    for a in range(n))]
+            if all(base.annihilates(tuple(x + sign * y for x, y in
+                                          zip(diff[a][0], diff[perm[a]][perm[0]])))
+                   for a in range(1, n))]
 
 
 def commutant_perms(base: AbelianBase) -> list[Perm]:
@@ -339,18 +332,15 @@ def centralizer_perms(base: AbelianBase) -> list[Perm]:
 def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
     """Entry pattern (i, j) where an antiunitary b J may have support.
 
-    An entry is allowed when psi_i + psi_j vanishes up to a center shift for
-    every finite generator and exactly for every continuous direction.
+    An entry is allowed when psi_i + psi_j is a center phase on the whole
+    group, that is when the group annihilates N (psi_i + psi_j) - 2 sum_c psi_c,
+    the sum over c of (psi_i - psi_c) + (psi_j - psi_c).
     """
     n = base.n_doublets
-    finite = [g.su_normalized() for g in base.finite_generators]
-    shifts = {Fraction(k, n) % 1 for k in range(n)}
+    diff = torus_basis(n).differences
 
     def allowed(i: int, j: int) -> bool:
-        for psi in finite:
-            if (psi[i] + psi[j]) % 1 not in shifts:
-                return False
-        return all(w[i] + w[j] == 0 for w in base.doublet_weights)
+        return base.annihilates(tuple(map(sum, zip(*diff[i], *diff[j]))))
 
     return tuple(tuple(allowed(i, j) for j in range(n)) for i in range(n))
 
@@ -368,9 +358,8 @@ class CentralizerDescription:
     perms: tuple[Perm, ...]
 
     def contains(self, u: GenPermMatrix) -> bool:
-        if u.perm not in self.perms:
-            return False
-        return all(commutes_with_diagonal(u, g) for g in self.base.finite_generators)
+        # the phase part of u is diagonal, so it commutes with the group already
+        return u.perm in self.perms
 
 
 def centralizer_genperm(base: AbelianBase) -> CentralizerDescription:
@@ -380,20 +369,19 @@ def centralizer_genperm(base: AbelianBase) -> CentralizerDescription:
 # -- candidate construction -----------------------------------------------------
 
 
-def _sigma_cycles(sigma: Perm) -> list[tuple[int, ...]]:
-    n = len(sigma)
-    seen = [False] * n
+def _cycles(items, image) -> tuple[tuple, ...]:
+    """Cycles of the permutation ``image`` of ``items``, each sorted, in sorted order."""
+    seen = set()
     cycles = []
-    for a in range(n):
-        if not seen[a]:
-            cyc = []
-            x = a
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = sigma[x]
-            cycles.append(tuple(sorted(cyc)))
-    return cycles
+    for x in items:
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = image(x)
+        if cycle:
+            cycles.append(tuple(sorted(cycle)))
+    return tuple(sorted(cycles))
 
 
 @dataclass(frozen=True)
@@ -433,26 +421,11 @@ class BackboneClasses:
 
 
 def backbone_classes(sigma: Perm) -> BackboneClasses:
-    n = len(sigma)
-    cycles = _sigma_cycles(sigma)
-    singles = tuple(tuple(a + 1 for a in cyc) for cyc in cycles)
-    pair_seen: set[tuple[int, int]] = set()
-    pair_classes = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if (a, b) in pair_seen:
-                continue
-            orbit = set()
-            x, y = a, b
-            while True:
-                pair = tuple(sorted((x, y)))
-                if pair in orbit:
-                    break
-                orbit.add(pair)
-                x, y = sigma[x - 1] + 1, sigma[y - 1] + 1
-            pair_seen |= orbit
-            pair_classes.append(tuple(sorted(orbit)))
-    return BackboneClasses(singles, tuple(pair_classes))
+    doublets = range(1, len(sigma) + 1)
+    singles = _cycles(doublets, lambda a: sigma[a - 1] + 1)
+    pairs = _cycles(itertools.combinations(doublets, 2),
+                    lambda p: tuple(sorted((sigma[p[0] - 1] + 1, sigma[p[1] - 1] + 1))))
+    return BackboneClasses(singles, pairs)
 
 
 @dataclass(frozen=True)
@@ -474,26 +447,8 @@ class CpCandidate:
     killed: tuple[Monomial, ...]
     magnitude_classes: tuple[tuple[Monomial, ...], ...]
     backbone: BackboneClasses
-
-
-def _components(terms, links) -> tuple[tuple[Monomial, ...], ...]:
-    """Connected components of ``terms`` under the linked pairs, sorted."""
-    parent = {m: m for m in terms}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[Monomial, list[Monomial]] = {}
-    for m in terms:
-        groups.setdefault(find(m), []).append(m)
-    return tuple(sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0]))
+    # the column of each invariant monomial's psi in ``system``; fixed by the base
+    psi_positions: dict[Monomial, int] = field(compare=False, repr=False)
 
 
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
@@ -515,7 +470,7 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
         if any(sigma[sigma[a]] != a for a in range(n)):
             continue  # the squared generator must stay diagonal
         for expts, f in elements:
-            key = (sigma, min(_scalar_key(f + s) for s in squares))
+            key = (sigma, min((f + s).center_key() for s in squares))
             if key in seen:
                 continue
             pin = _pin_system(base, sigma, f, unknowns)
@@ -525,10 +480,6 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
             candidates.append(_build_candidate(base, sigma, expts, f, pin, invariant,
                                                psi_positions))
     return candidates
-
-
-def _scalar_key(pv: PhaseVector) -> tuple:
-    return tuple((p - pv.phases[0]) % 1 for p in pv.phases)
 
 
 def _layout(base: AbelianBase, invariant) -> tuple[list[str], dict[Monomial, int]]:
@@ -565,16 +516,16 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
                      psi_positions: dict[Monomial, int]) -> CpCandidate:
     """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable."""
     n = base.n_doublets
-    b = GenPermMatrix.permutation(sigma)
-    images = {m: act_antiunitary(b, m) for m in invariant}
+    # b J with b the bare permutation: conjugate, then permute
+    images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
     system = pin
     surviving: list[Monomial] = []
     killed: list[Monomial] = []
     classes: list[tuple[Monomial, ...]] = []
-    for orbit in _components(invariant, ((m, img) for m, (img, _, _) in images.items())):
+    for orbit in _cycles(invariant, lambda m: images[m][0]):
         trial = system.copy()
         for m in orbit:
-            img, _, conjugated = images[m]
+            img, conjugated = images[m]
             xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
             row = list(xi) + [0] * (len(system.unknowns) - n)
             for j, c in psi.items():
@@ -592,7 +543,7 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
     signature = extend_by_antiunitary(finite_part, expts)
     return CpCandidate(base, sigma, f, tuple(expts), signature, system,
                        tuple(sorted(surviving)), tuple(sorted(killed)),
-                       tuple(classes), backbone_classes(sigma))
+                       tuple(classes), backbone_classes(sigma), psi_positions)
 
 
 # -- realizability verdicts -----------------------------------------------------
@@ -650,15 +601,13 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
     particular, torsion, free = solution
-    _, psi_positions = _layout(base, base.invariant_monomials())
-
     n = base.n_doublets
     for perm in sorted(itertools.permutations(range(n))):
         if perm == tuple(range(n)):
             continue
         if not candidate.backbone.preserved_by(perm):
             continue
-        forced = _forced_symmetry(candidate, perm, particular, torsion, free, psi_positions)
+        forced = _forced_symmetry(candidate, perm, particular, torsion, free)
         if forced is not None:
             noncomm = _noncommuting_generator(base, forced)
             extra = f"; does not commute with {noncomm}" if noncomm else ""
@@ -681,8 +630,8 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
     return None
 
 
-def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion, free,
-                     psi_positions: dict[Monomial, int]) -> GenPermMatrix | None:
+def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion,
+                     free) -> GenPermMatrix | None:
     """Unitary witness with permutation ``perm`` if one is forced, else None.
 
     Forced means: for every admissible coefficient assignment there are
@@ -693,13 +642,12 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion, fr
     """
     n = candidate.base.n_doublets
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
-    u0 = GenPermMatrix.permutation(perm)
     relations = []  # (entry coefficients, psi coefficients) per surviving term
     for m in candidate.surviving:
-        img, _, conjugated = act_unitary(u0, m)
+        img, conjugated = m.permuted(perm)
         if klass.get(img) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
-        relations.append(_invariance_relation(m, img, conjugated, n, psi_positions))
+        relations.append(_invariance_relation(m, img, conjugated, n, candidate.psi_positions))
 
     def rhs(assign: list[Fraction]) -> list[Fraction]:
         # the invariance relations read  theta-part == -(psi-part)  (mod 1)

@@ -51,8 +51,20 @@ class Monomial:
             raise ValueError("a monomial has one or two bilinear factors")
         if any(a == b for a, b in factors):
             raise ValueError("diagonal bilinears carry no charge")
+        if min(_flat(factors)) < 1:
+            raise ValueError("doublet indices start at 1")
         conj = _conj_factors(factors)
         return cls(min(factors, conj, key=_flat))
+
+    def permuted(self, perm) -> tuple["Monomial", bool]:
+        """Canonical image under the doublet permutation a -> perm[a] (0-based).
+
+        The flag is set when the image listed is the conjugate of the
+        permuted factors.
+        """
+        raw = tuple(sorted((perm[a - 1] + 1, perm[b - 1] + 1) for a, b in self.factors))
+        image = Monomial.canonical(raw)
+        return image, image.factors != raw
 
     @property
     def is_canonical(self) -> bool:
@@ -92,8 +104,14 @@ def enumerate_monomials(n_doublets: int) -> tuple[Monomial, ...]:
     return tuple(sorted(seen, key=lambda m: (len(m.factors), m.factors)))
 
 
+def _check_range(m: Monomial, n_doublets: int) -> None:
+    if not all(1 <= x <= n_doublets for x in _flat(m.factors)):
+        raise ValueError(f"{m} names a doublet outside 1..{n_doublets}")
+
+
 def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
     """Net per-doublet exponent vector (count of phi_a minus phi_a^dagger)."""
+    _check_range(m, n_doublets)
     out = [0] * n_doublets
     for a, b in m.factors:
         out[a - 1] -= 1
@@ -102,16 +120,13 @@ def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
 
 
 def charge_vector(m: Monomial, basis: TorusBasis) -> ChargeVector:
-    """Integer coefficients of the monomial's phase change in the torus angles."""
-    out = []
-    for weight in basis.weights:
-        total = Fraction(0)
-        for a, b in m.factors:
-            total += weight[b - 1] - weight[a - 1]
-        if total.denominator != 1:
-            raise ValueError(f"non-integer charge for {m}")
-        out.append(int(total))
-    return tuple(out)
+    """Integer coefficients of the monomial's phase change in the torus angles.
+
+    Each factor (phi_a^dagger phi_b) shifts the phase by psi_b - psi_a.
+    """
+    _check_range(m, basis.n_doublets)
+    table = basis.differences
+    return tuple(map(sum, zip(*(table[b - 1][a - 1] for a, b in m.factors))))
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +138,7 @@ def monomial_charges(n_doublets: int) -> MappingProxyType[Monomial, ChargeVector
 
 def phase_shift(m: Monomial, element: PhaseVector) -> Fraction:
     """Phase (units of 2*pi, mod 1) the monomial picks up under a diagonal element."""
+    _check_range(m, len(element))
     total = Fraction(0)
     for a, b in m.factors:
         total += element.phases[b - 1] - element.phases[a - 1]
@@ -182,12 +198,3 @@ def c_decompose(x: IntMatrix, n_doublets: int) -> tuple[IntMatrix, tuple[int | N
     a_inv = inverse_unimodular(charge_basis_matrix(n_doublets))
     c = x @ a_inv
     return c, tuple(row_type(row) for row in c.entries)
-
-
-def duplicate_charge_report(n_doublets: int) -> dict[ChargeVector, tuple[Monomial, ...]]:
-    """Charge vectors carried by more than one monomial (sign-insensitive)."""
-    by_charge: dict[ChargeVector, list[Monomial]] = {}
-    for m, chg in monomial_charges(n_doublets).items():
-        key = min(chg, tuple(-x for x in chg))
-        by_charge.setdefault(key, []).append(m)
-    return {k: tuple(v) for k, v in sorted(by_charge.items()) if len(v) > 1}

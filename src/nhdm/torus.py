@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -50,10 +50,9 @@ class PhaseVector:
     def is_identity_mod_center(self) -> bool:
         return equal_mod_center(self, PhaseVector.identity(len(self)))
 
-    def su_normalized(self) -> tuple[Fraction, ...]:
-        """Representative with phase sum 0 mod 1 (determinant-one convention)."""
-        shift = sum(self.phases) / len(self.phases)
-        return tuple((p - shift) % 1 for p in self.phases)
+    def center_key(self) -> tuple[Fraction, ...]:
+        """The phases relative to the first one: equal exactly modulo an overall phase."""
+        return tuple((p - self.phases[0]) % 1 for p in self.phases)
 
     def render(self) -> str:
         return "2π·(" + ", ".join(str(p) for p in self.phases) + ")"
@@ -87,9 +86,22 @@ class TorusBasis:
         """``n_doublets`` times ``weights``: the same circles as integers."""
         return tuple(tuple(int(self.n_doublets * w) for w in weight) for weight in self.weights)
 
+    @cached_property
+    def differences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``differences[a][b]``: the integer charge of psi_a - psi_b (0-based doublets)."""
+        def charge(a: int, b: int) -> tuple[int, ...]:
+            diff = [w[a] - w[b] for w in self.weights]
+            if any(d.denominator != 1 for d in diff):
+                raise ValueError(f"non-integer charge of psi_{a + 1} - psi_{b + 1}")
+            return tuple(d.numerator for d in diff)
 
+        doublets = range(self.n_doublets)
+        return tuple(tuple(charge(a, b) for b in doublets) for a in doublets)
+
+
+@lru_cache(maxsize=None)
 def torus_basis(n_doublets: int) -> TorusBasis:
-    """Standard torus basis for ``n_doublets`` doublets (requires at least 2)."""
+    """Standard torus basis for ``n_doublets`` doublets (at least 2), one shared instance per N."""
     if n_doublets < 2:
         raise ValueError("need at least 2 doublets")
     big_n = n_doublets
@@ -129,8 +141,7 @@ def equal_mod_center(x: PhaseVector, y: PhaseVector) -> bool:
     """
     if len(x) != len(y):
         raise ValueError("length mismatch")
-    diff = (x.phases[0] - y.phases[0]) % 1
-    return all((a - b) % 1 == diff for a, b in zip(x.phases[1:], y.phases[1:]))
+    return x.center_key() == y.center_key()
 
 
 def direction_weights(basis: TorusBasis, angle_direction: Sequence[int]) -> tuple[int, ...]:

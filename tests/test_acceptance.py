@@ -15,7 +15,6 @@ from math import prod
 
 from nhdm.classifier import (
     classify,
-    finite_groups_by_subset_scan,
     symmetry_group_of_terms,
     verify_order_bound,
 )
@@ -31,6 +30,7 @@ from nhdm.monomials import (
     enumerate_monomials,
 )
 from nhdm.torus import torus_basis
+from reference import finite_groups_by_subset_scan
 
 
 def report(number, message):

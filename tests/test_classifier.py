@@ -13,20 +13,44 @@ from nhdm.classifier import (
     ClassificationEntry,
     ClassificationResult,
     classify,
-    finite_groups_by_subset_scan,
     probe_conjecture,
     symmetry_group_of_terms,
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import hnf_add, hnf_contains
+from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, snf
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
 from nhdm.torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
+from reference import all_realized, finite_groups_by_subset_scan
 
 
 def names(sigs):
     return sorted(s.name() for s in sigs)
+
+
+def commutator_map(masses):
+    """Integer matrix of X -> DX - XD on row-major vec(X), D = diag(masses)."""
+    n = len(masses)
+    d = [[masses[i] if i == k else 0 for k in range(n)] for i in range(n)]
+    return [[d[i][k] * (j == l) - (i == k) * d[l][j] for k in range(n) for l in range(n)]
+            for i in range(n) for j in range(n)]
+
+
+class TestUnitaryPremise:
+    """Distinct backbone masses leave only diagonal unitary symmetries."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_commutant_of_distinct_masses_is_the_diagonal_algebra(self, n):
+        rows = commutator_map(random.Random(n).sample(range(1, 100), n))
+        # the N diagonal units are in the kernel, and rank N^2 - N leaves
+        # room for nothing else
+        assert all(row[a * n + a] == 0 for row in rows for a in range(n))
+        assert snf(IntMatrix.from_rows(rows)).rank == n * n - n
+
+    def test_equal_masses_let_the_pair_mix(self):
+        rows = commutator_map([3, 3, 5])
+        assert snf(IntMatrix.from_rows(rows)).rank == 9 - 3 - 2
 
 
 class TestSymmetryGroupOfTerms:
@@ -287,14 +311,14 @@ class TestOrderBound:
 class TestConjectureProbe:
     def test_three_doublets_all_realized(self):
         rep = probe_conjecture(3)
-        assert rep.all_realized
+        assert all_realized(rep)
         assert names(rep.realized) == names(
             [GroupSignature((2,)), GroupSignature((3,)), GroupSignature((4,)),
              GroupSignature((2, 2))])
 
     def test_four_doublets_all_ten_realized(self):
         rep = probe_conjecture(4)
-        assert rep.all_realized
+        assert all_realized(rep)
         assert len(rep.realized) == 10
 
 
@@ -335,7 +359,7 @@ class TestFiveDoublets:
         assert rep.bound == 16
         assert len(rep.realized) + len(rep.missing) == 24
         # the scan found all of them; reported as status, not as a theorem
-        assert rep.all_realized
+        assert all_realized(rep)
 
     def test_witnesses_reproduce_signatures(self):
         basis = torus_basis(5)

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from nhdm.cpext import (
     AbelianBase,
     GenPermMatrix,
     PhaseConstraintSystem,
+    _cycles,
     _residual,
     _smith,
-    antiunitary_square,
+    backbone_classes,
     check_z3z3,
     classify_cp,
     commutant_perms,
@@ -25,6 +27,8 @@ from nhdm.cpext import (
 )
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, phase_shift
 from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
+import reference
+from reference import antiunitary_square
 
 
 def base_u11():
@@ -57,6 +61,11 @@ def base_torus():
 
 def base_u1_x_z2():
     return AbelianBase.from_lattice(3, [(2, 0)])
+
+
+@lru_cache(maxsize=None)
+def all_bases(n):
+    return tuple(cp_bases(n))
 
 
 def row_of(system, coeffs):
@@ -141,6 +150,46 @@ class TestCommutantAndCentralizer:
                 if commutes:
                     seen_perms.add(perm)
         assert seen_perms == set(desc.perms)
+
+
+class TestLatticeForms:
+    """The lattice-membership and single-orbit forms against the earlier code."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pattern_scans_match_the_generator_form(self, n):
+        for base in all_bases(n):
+            assert commutant_perms(base) == reference.pattern_scan(base, 1)
+            assert centralizer_perms(base) == reference.pattern_scan(base, -1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_support_matches_the_generator_form(self, n):
+        for base in all_bases(n):
+            assert commutant_support(base) == reference.commutant_support(base)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_term_orbits_match_the_union_find(self, n):
+        # every (base, sigma) a candidate can be built from: an involutive
+        # commuting pattern acting on the base's invariant terms
+        checked = 0
+        for base in all_bases(n):
+            invariant = base.invariant_monomials()
+            for sigma in commutant_perms(base):
+                if any(sigma[sigma[a]] != a for a in range(n)):
+                    continue
+                image = {m: Monomial(m.conjugate_factors()).permuted(sigma)[0]
+                         for m in invariant}
+                assert (_cycles(invariant, image.__getitem__)
+                        == reference.components(invariant, image.items()))
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_backbone_classes_match_the_cycle_and_pair_loops(self, n):
+        for sigma in itertools.permutations(range(n)):
+            classes = backbone_classes(sigma)
+            assert classes.single_classes == tuple(
+                tuple(a + 1 for a in cyc) for cyc in reference.sigma_cycles(sigma))
+            assert classes.pair_classes == reference.pair_classes(sigma)
 
 
 class TestInvariantTerms:

@@ -7,12 +7,13 @@ from nhdm.monomials import (
     c_decompose,
     charge_basis_matrix,
     charge_vector,
-    duplicate_charge_report,
     enumerate_monomials,
+    phase_shift,
     raw_exponents,
     row_type,
 )
-from nhdm.torus import torus_basis
+from nhdm.torus import PhaseVector, torus_basis
+from reference import duplicate_charge_report, fraction_charge_vector
 
 
 class TestEnumeration:
@@ -43,8 +44,41 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             Monomial.canonical(((1, 1),))
 
+    @pytest.mark.parametrize("factors", [((0, 2),), ((-1, 2),), ((1, 2), (3, 0))])
+    def test_rejects_indices_below_one(self, factors):
+        with pytest.raises(ValueError):
+            Monomial.canonical(factors)
+
+    def test_permuted_is_canonical_and_flags_the_conjugate(self):
+        for m in enumerate_monomials(4):
+            assert m.permuted((0, 1, 2, 3)) == (m, False)
+            for perm in [(1, 0, 2, 3), (3, 2, 0, 1), (1, 2, 3, 0)]:
+                image, conjugated = m.permuted(perm)
+                raw = tuple(sorted((perm[a - 1] + 1, perm[b - 1] + 1) for a, b in m.factors))
+                assert image.is_canonical
+                assert (image.conjugate_factors() if conjugated else image.factors) == raw
+
 
 class TestCharges:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_table_matches_fraction_arithmetic(self, n):
+        basis = torus_basis(n)
+        for m in enumerate_monomials(n):
+            assert charge_vector(m, basis) == fraction_charge_vector(m, basis)
+            conj = Monomial(m.conjugate_factors())
+            assert charge_vector(conj, basis) == fraction_charge_vector(conj, basis)
+
+    @pytest.mark.parametrize("factors", [((1, 4),), ((1, 2), (4, 3)), ((0, 2),), ((-1, 2),)])
+    def test_out_of_range_doublets_rejected(self, factors):
+        # built directly, past the checks of Monomial.canonical
+        m = Monomial(factors)
+        with pytest.raises(ValueError):
+            charge_vector(m, torus_basis(3))
+        with pytest.raises(ValueError):
+            raw_exponents(m, 3)
+        with pytest.raises(ValueError):
+            phase_shift(m, PhaseVector.identity(3))
+
     def test_bilinear_table(self):
         basis = torus_basis(3)
         assert charge_vector(Monomial(((2, 1),)), basis) == (-2, -1)

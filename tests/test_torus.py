@@ -8,6 +8,7 @@ from nhdm.exactmath import inverse_unimodular
 from nhdm.monomials import Monomial, charge_basis_matrix, phase_shift
 from nhdm.torus import (
     PhaseVector,
+    TorusBasis,
     direction_weights,
     element_from_angles,
     equal_mod_center,
@@ -31,6 +32,28 @@ class TestBasis:
     def test_rejects_single_doublet(self):
         with pytest.raises(ValueError):
             torus_basis(1)
+
+
+class TestDifferences:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_entries_are_the_bilinear_charges(self, n):
+        # psi_a - psi_b is the phase of the bilinear (phi_b^dagger phi_a)
+        basis = torus_basis(n)
+        for a in range(n):
+            assert basis.differences[a][a] == (0,) * basis.n
+            for b in range(n):
+                expected = tuple(w[a] - w[b] for w in basis.weights)
+                assert basis.differences[a][b] == expected
+                assert all(isinstance(c, int) for c in basis.differences[a][b])
+
+    def test_non_integer_entry_raises(self):
+        basis = TorusBasis(2, ((F(1, 2), F(0)),))
+        with pytest.raises(ValueError):
+            basis.differences
+
+    def test_basis_is_shared_per_doublet_count(self):
+        assert torus_basis(4) is torus_basis(4)
+        assert torus_basis(4) is not torus_basis(5)
 
 
 class TestElements:
@@ -111,6 +134,12 @@ class TestCenterEquivalence:
                 assert equal_mod_center(x, z)
             if equal_mod_center(x, y):
                 assert equal_mod_center(y, x)
+
+    def test_center_key_is_relative_to_the_first_phase(self):
+        x = PhaseVector((F(1, 3), F(1, 2), F(0)))
+        assert x.center_key() == (F(0), F(1, 6), F(2, 3))
+        shifted = PhaseVector(tuple(p + F(2, 7) for p in x.phases))
+        assert shifted.center_key() == x.center_key()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
