@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .exactmath import IntMatrix, SnfResult, hnf_add, hnf_reduce, snf
+from .exactmath import SnfResult, hnf_add, hnf_reduce, snf, snf_rows
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
@@ -74,13 +74,6 @@ def symmetry_group_of_terms(terms, basis: TorusBasis) -> SymmetryGroup:
     return _group_from_smith(snf(build_x_matrix(terms, basis)), basis)
 
 
-def _lattice_smith(rows: Rows, n: int) -> SnfResult:
-    """Smith form of a lattice basis; the empty lattice reads as one zero row."""
-    if not rows:
-        return SnfResult((0,), IntMatrix.identity(1), IntMatrix.identity(n))
-    return snf(IntMatrix.from_rows(rows))
-
-
 def _torus_directions(res: SnfResult, n: int) -> tuple[tuple[int, ...], ...]:
     """The columns of ``v`` past the rank: angle directions fixing every charge."""
     return tuple(res.v.column(i) for i in range(res.rank, n))
@@ -100,7 +93,7 @@ def _group_from_smith(res: SnfResult, basis: TorusBasis) -> SymmetryGroup:
 
 
 def _group_of_lattice(rows: Rows, basis: TorusBasis) -> SymmetryGroup:
-    return _group_from_smith(_lattice_smith(rows, basis.n), basis)
+    return _group_from_smith(snf_rows(rows, basis.n), basis)
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
     variants: dict[GroupSignature, dict[tuple, tuple]] = {}
     counts: dict[GroupSignature, int] = {}
     for lattice, witness in states.items():
-        res = _lattice_smith(lattice, n)
+        res = snf_rows(lattice, n)
         sig = group_from_snf(res.d, n)
         if sig.is_trivial:
             continue

@@ -13,6 +13,7 @@ comes with an explicit witness potential.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .exactmath import IntMatrix, snf
@@ -113,49 +114,15 @@ def _finish(matrix: IntMatrix, boundary_list=()) -> ConstructedMatrix:
 def monomial_for_c_row(row, n_doublets: int) -> Monomial:
     """Concrete monomial whose charge decomposes to the given c-row.
 
-    The row is a combination of the base bilinear charges with coefficients
-    of one of the nine admissible patterns; index 0 in the combination stands
-    for the first doublet.  Ties are broken toward the lowest doublet
-    indices (via the canonical order of the resulting monomials).
+    A c-row lists the net exponents of doublets 2..N (phi_a counts +1 and
+    phi_a^dagger -1), so doublet 1 carries minus their sum.  Of the ways to
+    pair the phi^dagger factors with the phi factors the least canonical
+    monomial is returned.  The row alone fixes the monomial; ``n_doublets``
+    is not read.
     """
-    candidates = _realizations(tuple(row))
-    if not candidates:
+    exponents = (-sum(row), *row)
+    downs = [a for a, e in enumerate(exponents, 1) for _ in range(-e)]
+    ups = [a for a, e in enumerate(exponents, 1) for _ in range(e)]
+    if not 1 <= len(ups) <= 2:
         raise ValueError(f"row {tuple(row)} is not an admissible monomial pattern")
-    best = min(candidates, key=lambda m: (len(m.factors), m.factors))
-    return best
-
-
-def _realizations(row: tuple[int, ...]) -> list[Monomial]:
-    out = []
-    for sign in (1, -1):
-        entries = [sign * x for x in row]
-        pos = [(i + 2, x) for i, x in enumerate(entries) if x > 0]   # doublet index, weight
-        neg = [(i + 2, -x) for i, x in enumerate(entries) if x < 0]
-        total_pos = sum(x for _, x in pos)
-        total_neg = sum(x for _, x in neg)
-        if total_pos == 0:
-            continue
-        # pad with the first doublet (charge contribution zero)
-        while total_neg < total_pos:
-            neg.append((1, 1))
-            total_neg += 1
-        if total_neg != total_pos or total_pos > 2:
-            continue
-        ups = []
-        for d, w in pos:
-            ups.extend([d] * w)
-        downs = []
-        for d, w in neg:
-            downs.extend([d] * w)
-        if len(ups) == 1:
-            out.append(Monomial.canonical(((downs[0], ups[0]),)))
-        else:
-            for pairing in ((0, 1), (1, 0)):
-                f1 = (downs[pairing[0]], ups[0])
-                f2 = (downs[pairing[1]], ups[1])
-                if f1[0] != f1[1] and f2[0] != f2[1]:
-                    try:
-                        out.append(Monomial.canonical((f1, f2)))
-                    except ValueError:
-                        pass
-    return out
+    return min(Monomial.canonical(zip(downs, p)) for p in itertools.permutations(ups))

@@ -29,9 +29,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import IntMatrix, SnfResult, hnf_contains, hnf_rows, snf
+from .exactmath import SnfResult, hnf_contains, hnf_rows, snf_rows
 from .groups import GroupSignature, extend_by_antiunitary
 from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
 from .torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
@@ -154,25 +155,24 @@ def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doubl
 # -- exact linear congruence systems ------------------------------------------
 
 
-def _smith(rows, ncols: int) -> SnfResult:
-    """Smith form u @ A @ v == diag(d) of the coefficient rows; identities when A is empty."""
-    if rows and ncols:
-        return snf(IntMatrix.from_rows(rows))
-    return SnfResult((), IntMatrix.identity(len(rows)), IntMatrix.identity(ncols))
+def _transform(res: SnfResult, rhs, rows: range) -> tuple[list[int], int]:
+    """The given rows of u @ (D * rhs), and D, the lcm of the denominators of rhs."""
+    scale = lcm(*(b.denominator for b in rhs))
+    scaled = [(j, b.numerator * (scale // b.denominator)) for j, b in enumerate(rhs) if b]
+    u = res.u.entries
+    return [sum(u[i][j] * b for j, b in scaled) for i in rows], scale
 
 
-def _transform(res: SnfResult, rhs) -> list[Fraction]:
-    """u @ rhs, exactly (not reduced mod 1)."""
-    return [sum((c * b for c, b in zip(row, rhs)), Fraction(0)) for row in res.u.entries]
+def _solvable(res: SnfResult, rhs) -> bool:
+    """A x == rhs (mod 1) has a solution: each row of u @ rhs past the rank is an integer."""
+    t, scale = _transform(res, rhs, range(res.rank, res.u.rows))
+    return all(x % scale == 0 for x in t)
 
 
-def _residual(res: SnfResult, rhs) -> list[Fraction]:
-    """The rows of u @ rhs past the rank, which decide solvability and span."""
-    return _transform(res, rhs)[res.rank:]
-
-
-def _integral(residual) -> bool:
-    return all(r.denominator == 1 for r in residual)
+def _in_span(res: SnfResult, rhs) -> bool:
+    """rhs lies in the rational column span of A: each row of u @ rhs past the rank is zero."""
+    t, _ = _transform(res, rhs, range(res.rank, res.u.rows))
+    return not any(t)
 
 
 def _particular(res: SnfResult, rhs) -> list[Fraction]:
@@ -181,7 +181,8 @@ def _particular(res: SnfResult, rhs) -> list[Fraction]:
     Each row of u @ rhs is reduced mod 1 before it is divided by its Smith
     entry, which fixes the representative the solution is read from.
     """
-    y = [b % 1 / d for b, d in zip(_transform(res, rhs), res.d[:res.rank])]
+    t, scale = _transform(res, rhs, range(res.rank))
+    y = [Fraction(x % scale, scale * d) for x, d in zip(t, res.d)]
     return [sum((res.v[(j, i)] * y[i] for i in range(res.rank)), Fraction(0)) % 1
             for j in range(res.v.rows)]
 
@@ -191,9 +192,10 @@ class PhaseConstraintSystem:
 
     ``unknowns`` labels the positions for ``render``.  Every question is
     answered by one Smith form u @ A @ v == diag(d) of the integer
-    coefficients: the rows of u @ b past the rank are all integers exactly
-    when the congruences are solvable, and all zero exactly when b lies in
-    the rational column span of A.
+    coefficients, read in integers: with D the lcm of the denominators of b,
+    the rows of u @ (D b) past the rank are all divisible by D exactly when
+    the congruences are solvable, and all zero exactly when b lies in the
+    rational column span of A.
     """
 
     def __init__(self, unknowns, equations=()):
@@ -210,7 +212,7 @@ class PhaseConstraintSystem:
         self.equations.append((tuple(int(c) for c in row), Fraction(rhs) % 1))
 
     def _factor(self) -> tuple[SnfResult, list[Fraction]]:
-        return (_smith([row for row, _ in self.equations], len(self.unknowns)),
+        return (snf_rows([row for row, _ in self.equations], len(self.unknowns)),
                 [r for _, r in self.equations])
 
     def solve(self):
@@ -221,7 +223,7 @@ class PhaseConstraintSystem:
         set, torsion generators its finite part (all mod 1).
         """
         res, rhs = self._factor()
-        if not _integral(_residual(res, rhs)):
+        if not _solvable(res, rhs):
             return None
         nu = len(self.unknowns)
         torsion = [[Fraction(res.v[(j, i)], res.d[i]) % 1 for j in range(nu)]
@@ -230,7 +232,7 @@ class PhaseConstraintSystem:
         return _particular(res, rhs), torsion, free
 
     def solvable(self) -> bool:
-        return _integral(_residual(*self._factor()))
+        return _solvable(*self._factor())
 
     def render(self) -> list[str]:
         out = []
@@ -654,11 +656,11 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion,
         return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))
                 for _, psi in relations]
 
-    res = _smith([theta for theta, _ in relations], n)
+    res = snf_rows([theta for theta, _ in relations], n)
     target = rhs(particular)
-    if not (_integral(_residual(res, target))
-            and all(_integral(_residual(res, rhs(gen))) for gen in torsion)
-            and all(not any(_residual(res, rhs(direction))) for direction in free)):
+    if not (_solvable(res, target)
+            and all(_solvable(res, rhs(gen)) for gen in torsion)
+            and all(_in_span(res, rhs(direction)) for direction in free)):
         return None
     return GenPermMatrix(perm, tuple(_particular(res, target)))
 

@@ -8,6 +8,7 @@ classical elimination algorithms entirely adequate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -15,6 +16,9 @@ from typing import Iterable, Sequence
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.
+
+    Entries must be integers (``operator.index`` accepts them); a Fraction,
+    float or string raises ValueError instead of being truncated.
 
     A matrix may have zero rows (the basis of the zero lattice); in that case
     ``cols`` must be supplied explicitly because it cannot be inferred.
@@ -24,7 +28,10 @@ class IntMatrix:
     cols: int = -1
 
     def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        try:
+            entries = tuple(tuple(operator.index(x) for x in row) for row in self.entries)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be integers: {exc}") from exc
         object.__setattr__(self, "entries", entries)
         cols = self.cols
         if entries:
@@ -113,35 +120,6 @@ class SnfResult:
         return IntMatrix.diagonal(self.d, self.u.rows, self.v.rows)
 
 
-def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a: list[list[int]], v: list[list[int]], i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a: list[list[int]], u: list[list[int]], dst: int, src: int, factor: int) -> None:
-    a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-
-def _add_col(a: list[list[int]], v: list[list[int]], dst: int, src: int, factor: int) -> None:
-    for row in a:
-        row[dst] += factor * row[src]
-    for row in v:
-        row[dst] += factor * row[src]
-
-
-def _negate_row(a: list[list[int]], u: list[list[int]], i: int) -> None:
-    a[i] = [-x for x in a[i]]
-    u[i] = [-x for x in u[i]]
-
-
 def _pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int] | None:
     """Entry of smallest nonzero absolute value in the block from (t, t) on.
 
@@ -168,60 +146,81 @@ def snf(m: IntMatrix) -> SnfResult:
 
     Returns ``SnfResult(d, u, v)`` with ``u @ m @ v == diag(d)``, ``u`` and
     ``v`` unimodular, and ``d`` in the canonical divisibility chain.
+
+    The reduction runs on one working matrix.  Its first ``m.rows`` rows are
+    the rows of ``m``, each followed by the same row of the identity, which
+    becomes ``u``; below them sit the ``m.cols`` rows of the identity, which
+    become ``v``.  A row operation acts on a whole row, so ``u`` follows it,
+    and a column operation acts on the first ``m.cols`` entries of every
+    row, so ``v`` follows it.  The pivot search and the divisibility check
+    read only the ``m`` block.
     """
     if m.rows == 0 or m.cols == 0:
         raise ValueError("snf needs a nonempty matrix")
     nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    w = [list(row) + [1 if i == j else 0 for j in range(nrows)]
+         for i, row in enumerate(m.entries)]
+    w += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     t = 0
     while t < min(nrows, ncols):
-        piv = _pivot(a, t, nrows, ncols)
+        piv = _pivot(w, t, nrows, ncols)
         if piv is None:
             break
-        _swap_rows(a, u, t, piv[0])
-        _swap_cols(a, v, t, piv[1])
+        i, j = piv
+        w[t], w[i] = w[i], w[t]
+        for row in w:
+            row[t], row[j] = row[j], row[t]
         while True:
-            # Clear column t below the pivot.  A nonzero remainder becomes the
-            # new, strictly smaller pivot.
-            restart = False
+            # Clear column t below the pivot, then row t right of it.  A
+            # nonzero remainder becomes the new, strictly smaller pivot and
+            # the clearing starts over.
             for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
                     if q:
-                        _add_row(a, u, i, t, -q)
-                    if a[i][t]:
-                        _swap_rows(a, u, t, i)
-                        restart = True
+                        w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
                         break
-            if restart:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        _add_col(a, v, j, t, -q)
-                    if a[t][j]:
-                        _swap_cols(a, v, t, j)
-                        restart = True
+            else:
+                for j in range(t + 1, ncols):
+                    if w[t][j]:
+                        q = w[t][j] // w[t][t]
+                        if q:
+                            for row in w:
+                                row[j] -= q * row[t]
+                        if w[t][j]:
+                            for row in w:
+                                row[t], row[j] = row[j], row[t]
+                            break
+                else:
+                    # Row and column are clear; force the divisibility chain.
+                    p = w[t][t]
+                    bad = next((i for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                                if w[i][j] % p), None)
+                    if bad is None:
                         break
-            if restart:
-                continue
-            # Row and column are clear; force the divisibility chain.
-            p = a[t][t]
-            bad = next(((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
-                        if a[i][j] % p), None)
-            if bad is None:
-                break
-            _add_row(a, u, t, bad[0], 1)
-        if a[t][t] < 0:
-            _negate_row(a, u, t)
+                    w[t] = [x + y for x, y in zip(w[t], w[bad])]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
         t += 1
 
-    d = tuple(a[i][i] for i in range(min(nrows, ncols)))
-    return SnfResult(d, IntMatrix.from_rows(u), IntMatrix.from_rows(v))
+    d = tuple(w[i][i] for i in range(min(nrows, ncols)))
+    u = IntMatrix(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows)
+    v = IntMatrix(tuple(tuple(row) for row in w[nrows:]), ncols)
+    return SnfResult(d, u, v)
+
+
+def snf_rows(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
+    """``snf`` of the matrix with these rows and ``ncols`` columns.
+
+    With no rows or no columns there is nothing to reduce: the diagonal is
+    empty and both transforms are identities, and ``snf`` is not called.
+    """
+    if rows and ncols:
+        return snf(IntMatrix.from_rows(rows))
+    return SnfResult((), IntMatrix.identity(len(rows)), IntMatrix.identity(ncols))
 
 
 def det(m: IntMatrix) -> int:

@@ -74,11 +74,6 @@ class GroupSignature:
         return (self.torus_rank, order if order != math.inf else 0,
                 len(self.finite), self.finite, self.star or 0)
 
-    def to_json(self) -> dict:
-        return {"finite": list(self.finite), "torus_rank": self.torus_rank,
-                "star": self.star, "name": self.name(),
-                "order": None if self.torus_rank else self.order()}
-
     def __str__(self) -> str:
         return self.name()
 

@@ -78,9 +78,6 @@ class TorusBasis:
     def n(self) -> int:
         return self.n_doublets - 1
 
-    def __iter__(self):
-        return iter(self.weights)
-
     @cached_property
     def scaled_weights(self) -> tuple[tuple[int, ...], ...]:
         """``n_doublets`` times ``weights``: the same circles as integers."""

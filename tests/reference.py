@@ -2,7 +2,9 @@
 
 The oracles are the generator-based group questions, union-find orbits and
 Fraction charges that ``nhdm`` answered with before it asked everything
-through the charge lattice; the tests require the library to agree with them.
+through the charge lattice, the Smith form that kept its transforms beside
+the matrix, and the sign loop that mapped c-rows to monomials; the tests
+require the library to agree with them.
 """
 
 import itertools
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 from nhdm.exactmath import IntMatrix, snf
 from nhdm.groups import GroupSignature, group_from_snf
-from nhdm.monomials import monomial_charges
+from nhdm.monomials import Monomial, monomial_charges
 
 
 # -- helpers moved out of the library ------------------------------------------
@@ -163,3 +165,142 @@ def fraction_charge_vector(m, basis) -> tuple:
             raise ValueError(f"non-integer charge for {m}")
         out.append(int(total))
     return tuple(out)
+
+
+# -- oracles: the Smith form with separate transforms, c-rows by sign loop ------
+
+
+def _swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(a, u, dst, src, factor):
+    a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+    u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+
+def _add_col(a, v, dst, src, factor):
+    for row in a:
+        row[dst] += factor * row[src]
+    for row in v:
+        row[dst] += factor * row[src]
+
+
+def _negate_row(a, u, i):
+    a[i] = [-x for x in a[i]]
+    u[i] = [-x for x in u[i]]
+
+
+def _pivot(a, t, nrows, ncols):
+    best = None
+    best_abs = None
+    for i in range(t, nrows):
+        for j in range(t, ncols):
+            x = a[i][j]
+            if x and (best_abs is None or abs(x) < best_abs):
+                best, best_abs = (i, j), abs(x)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+def reference_snf(m):
+    """Smith form as (d, u, v) with u and v kept beside the matrix, each
+    operation applied to both by a helper; ``nhdm.exactmath.snf`` must take
+    the same operations in the same order."""
+    nrows, ncols = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    t = 0
+    while t < min(nrows, ncols):
+        piv = _pivot(a, t, nrows, ncols)
+        if piv is None:
+            break
+        _swap_rows(a, u, t, piv[0])
+        _swap_cols(a, v, t, piv[1])
+        while True:
+            restart = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        _add_row(a, u, i, t, -q)
+                    if a[i][t]:
+                        _swap_rows(a, u, t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        _add_col(a, v, j, t, -q)
+                    if a[t][j]:
+                        _swap_cols(a, v, t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            p = a[t][t]
+            bad = next(((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                        if a[i][j] % p), None)
+            if bad is None:
+                break
+            _add_row(a, u, t, bad[0], 1)
+        if a[t][t] < 0:
+            _negate_row(a, u, t)
+        t += 1
+    d = tuple(a[i][i] for i in range(min(nrows, ncols)))
+    return d, tuple(map(tuple, u)), tuple(map(tuple, v))
+
+
+def monomial_for_c_row(row, n_doublets):
+    """Least monomial (by factor count, then factors) among ``_realizations``."""
+    candidates = _realizations(tuple(row))
+    if not candidates:
+        raise ValueError(f"row {tuple(row)} is not an admissible monomial pattern")
+    return min(candidates, key=lambda m: (len(m.factors), m.factors))
+
+
+def _realizations(row):
+    """Monomials for the row and for its negation: positive entries become
+    phi factors, negative ones phi^dagger factors, and phi_1^dagger pads the
+    phi^dagger side up to the phi side."""
+    out = []
+    for sign in (1, -1):
+        entries = [sign * x for x in row]
+        pos = [(i + 2, x) for i, x in enumerate(entries) if x > 0]
+        neg = [(i + 2, -x) for i, x in enumerate(entries) if x < 0]
+        total_pos = sum(x for _, x in pos)
+        total_neg = sum(x for _, x in neg)
+        if total_pos == 0:
+            continue
+        while total_neg < total_pos:
+            neg.append((1, 1))
+            total_neg += 1
+        if total_neg != total_pos or total_pos > 2:
+            continue
+        ups = [d for d, w in pos for _ in range(w)]
+        downs = [d for d, w in neg for _ in range(w)]
+        if len(ups) == 1:
+            out.append(Monomial.canonical(((downs[0], ups[0]),)))
+        else:
+            for first, second in ((0, 1), (1, 0)):
+                f1 = (downs[first], ups[0])
+                f2 = (downs[second], ups[1])
+                if f1[0] != f1[1] and f2[0] != f2[1]:
+                    try:
+                        out.append(Monomial.canonical((f1, f2)))
+                    except ValueError:
+                        pass
+    return out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhdm import classifier
+from nhdm import classifier, exactmath
 from nhdm.classifier import (
     ClassificationEntry,
     ClassificationResult,
@@ -262,6 +262,21 @@ class TestGroupExtraction:
         assert group.signature == GroupSignature(torus_rank=3)
         assert group.finite_generators == ()
         assert group.torus_directions == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_one_smith_form_per_nonempty_lattice(self, monkeypatch):
+        # the N=3 walk visits 19 lattices; the empty one costs no snf call
+        uncached = classifier._classify_cached.__wrapped__
+        uncached(3)  # fill the caches below the classification first
+        calls = []
+        real = exactmath.snf
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(exactmath, "snf", counted)
+        uncached(3)
+        assert len(calls) == 18
 
 
 class TestMonotonicity:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nhdm.classifier import symmetry_group_of_terms
@@ -6,6 +8,7 @@ from nhdm.exactmath import det
 from nhdm.groups import GroupSignature, canonicalize
 from nhdm.monomials import charge_basis_matrix, charge_vector, row_type
 from nhdm.torus import torus_basis
+import reference
 
 
 class TestCyclic:
@@ -98,6 +101,23 @@ class TestRowRealization:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             monomial_for_c_row((3, 0, 0, 0), 5)
+
+    def test_matches_the_sign_loop(self):
+        # every row with at most four entries from {-2, -1, 1, 2}, 1..6 long
+        checked = 0
+        for length in range(1, 7):
+            for row in itertools.product((-2, -1, 0, 1, 2), repeat=length):
+                if sum(1 for x in row if x) > 4:
+                    continue
+                try:
+                    expected = reference.monomial_for_c_row(row, length + 1)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        monomial_for_c_row(row, length + 1)
+                    continue
+                assert monomial_for_c_row(row, length + 1) == expected
+                checked += 1
+        assert checked == 980  # rows with an admissible monomial
 
     def test_witness_group_matches_for_small_blocks(self):
         # mapping rows back to monomials preserves the charge lattice

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from nhdm.exactmath import (
     IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_rows, inverse_unimodular, snf,
+    snf_rows,
 )
+from reference import reference_snf
 
 
 def random_matrix(rng, max_dim=6, lo=-5, hi=5):
@@ -76,6 +79,41 @@ class TestSnf:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             snf(IntMatrix((), cols=3))
+
+    def test_transforms_match_the_reference(self):
+        # Smith transforms are not unique, and reports read them, so the
+        # reduction must take the reference's operations in its order
+        rng = random.Random(1112)
+        for _ in range(3000):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.3:
+                entries[rng.randrange(rows)] = [0] * cols
+            if rng.random() < 0.3:
+                j = rng.randrange(cols)
+                for row in entries:
+                    row[j] = 0
+            m = IntMatrix.from_rows(entries)
+            res = snf(m)
+            assert (res.d, res.u.entries, res.v.entries) == reference_snf(m)
+
+
+class TestSnfRows:
+    def test_no_rows(self):
+        res = snf_rows([], 3)
+        assert res.d == () and res.rank == 0
+        assert res.u == IntMatrix.identity(0)
+        assert res.v == IntMatrix.identity(3)
+
+    def test_no_columns(self):
+        res = snf_rows([(), ()], 0)
+        assert res.d == ()
+        assert res.u == IntMatrix.identity(2)
+        assert res.v == IntMatrix.identity(0)
+
+    def test_nonempty_is_snf(self):
+        rows = [(3, 2), (-3, -1), (0, 4)]
+        assert snf_rows(rows, 2) == snf(IntMatrix.from_rows(rows))
 
 
 class TestDet:
@@ -216,6 +254,13 @@ def test_inverse_unimodular():
     assert (m @ inv).entries == IntMatrix.identity(2).entries
     with pytest.raises(ValueError):
         inverse_unimodular(IntMatrix.from_rows([(2, 0), (0, 2)]))
+
+
+def test_matrix_entries_must_be_integers():
+    assert IntMatrix(((True, 2),)).entries == ((1, 2),)
+    for bad in (Fraction(5, 2), Fraction(4, 2), 0.9, 2.0, "3"):
+        with pytest.raises(ValueError):
+            IntMatrix(((bad, 1), (0, 3)))
 
 
 def test_matrix_text_roundtrip():
