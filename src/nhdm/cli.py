@@ -22,7 +22,7 @@ from .classifier import (
 from .constructions import cyclic_c_matrix, product_c_matrix
 from .cpext import cp_bases, cp_extensions, cp_realizable, check_z3z3, classify_cp
 from .exactmath import IntMatrix, snf
-from .groups import GroupSignature, group_from_snf
+from .groups import GroupSignature, canonicalize, group_from_snf
 from .monomials import c_decompose, monomial_charges
 
 FORMAT_VERSION = "1"
@@ -57,8 +57,6 @@ def _parse_group_name(name: str) -> GroupSignature:
             finite.append(int(part[1:]))
         else:
             raise ValueError(f"cannot parse group name {name!r}")
-    from .groups import canonicalize
-
     return canonicalize(finite, torus_rank=rank)
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import SnfResult, hnf_contains, hnf_rows, snf_rows
+from .exactmath import SnfResult, hnf_contains, hnf_rows, integers, snf_rows
 from .groups import GroupSignature, extend_by_antiunitary
 from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
 from .torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
@@ -124,18 +124,6 @@ def commutes_with_diagonal(u: GenPermMatrix, pv: PhaseVector) -> bool:
 # -- the action of transformations on monomials -------------------------------
 
 
-def act_unitary(u: GenPermMatrix, m: Monomial) -> tuple[Monomial, Fraction, bool]:
-    """Image of a monomial under a unitary generalized permutation.
-
-    Returns (canonical image, phase shift, conjugated) such that the monomial
-    evaluated on transformed fields equals e(shift) times the image; when
-    ``conjugated`` is set the image listed is the conjugate of the raw one.
-    """
-    image, conjugated = m.permuted(u.perm)
-    shift = sum((e * p for e, p in zip(raw_exponents(m, u.n), u.phases)), Fraction(0))
-    return image, shift % 1, conjugated
-
-
 def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doublets: int,
                          psi_positions: dict[Monomial, int]
                          ) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -209,7 +197,7 @@ class PhaseConstraintSystem:
         """Append  sum row[j] * unknowns[j] == rhs (mod 1), one coefficient per unknown."""
         if len(row) != len(self.unknowns):
             raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
-        self.equations.append((tuple(int(c) for c in row), Fraction(rhs) % 1))
+        self.equations.append((integers(row, "coefficients"), Fraction(rhs) % 1))
 
     def _factor(self) -> tuple[SnfResult, list[Fraction]]:
         return (snf_rows([row for row, _ in self.equations], len(self.unknowns)),
@@ -266,8 +254,7 @@ class AbelianBase:
 
     @classmethod
     def trivial(cls, n_doublets: int) -> "AbelianBase":
-        full = hnf_rows(monomial_charges(n_doublets).values())
-        return cls(n_doublets, GroupSignature(), (), (), (), full)
+        return cls.from_lattice(n_doublets, monomial_charges(n_doublets).values())
 
     @classmethod
     def from_lattice(cls, n_doublets: int, rows) -> "AbelianBase":
@@ -541,8 +528,7 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
             classes.append(orbit)
         else:
             killed.extend(orbit)
-    finite_part = GroupSignature(base.signature.finite, base.signature.torus_rank)
-    signature = extend_by_antiunitary(finite_part, expts)
+    signature = extend_by_antiunitary(base.signature, expts)
     return CpCandidate(base, sigma, f, tuple(expts), signature, system,
                        tuple(sorted(surviving)), tuple(sorted(killed)),
                        tuple(classes), backbone_classes(sigma), psi_positions)
@@ -669,18 +655,10 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion,
 
 
 @dataclass(frozen=True)
-class CpCaseResult:
-    base_signature: GroupSignature
-    candidate: CpCandidate
-    verdict: CpVerdict
-
-
-@dataclass(frozen=True)
 class CpClassification:
     n_doublets: int
     realizable: tuple[GroupSignature, ...]
     rejected: tuple[tuple[GroupSignature, CpVerdict], ...]
-    cases: tuple[CpCaseResult, ...]
 
 
 def cp_bases(n_doublets: int) -> list[AbelianBase]:
@@ -706,14 +684,10 @@ def classify_cp(n_doublets: int = 3) -> CpClassification:
     """
     if n_doublets != 3:
         raise ValueError("the antiunitary classification is only supported for 3 doublets")
-    cases: list[CpCaseResult] = []
+    by_sig: dict[GroupSignature, list[CpVerdict]] = {}
     for base in cp_bases(n_doublets):
         for candidate in cp_extensions(base):
-            verdict = cp_realizable(candidate)
-            cases.append(CpCaseResult(base.signature, candidate, verdict))
-    by_sig: dict[GroupSignature, list[CpVerdict]] = {}
-    for case in cases:
-        by_sig.setdefault(case.candidate.signature, []).append(case.verdict)
+            by_sig.setdefault(candidate.signature, []).append(cp_realizable(candidate))
     realizable = []
     rejected = []
     for sig in sorted(by_sig, key=GroupSignature.sort_key):
@@ -723,7 +697,7 @@ def classify_cp(n_doublets: int = 3) -> CpClassification:
         else:
             pick = next((v for v in verdicts if v.kind == "enlarged_unitary"), verdicts[0])
             rejected.append((sig, pick))
-    return CpClassification(n_doublets, tuple(realizable), tuple(rejected), tuple(cases))
+    return CpClassification(n_doublets, tuple(realizable), tuple(rejected))
 
 
 # -- the Z3 x Z3 exception -------------------------------------------------------
@@ -780,11 +754,11 @@ def _class_potential_invariant(terms: dict[Monomial, tuple[str, bool]],
     class with zero phase shift and consistently composed conjugations.
     """
     for m, (klass, flag) in terms.items():
-        img, shift, flip = act_unitary(u, m)
+        img, flip = m.permuted(u.perm)
         if img not in terms:
             return False
         k2, flag2 = terms[img]
-        if k2 != klass or flag2 != (flag ^ flip) or shift % 1 != 0:
+        if k2 != klass or flag2 != (flag ^ flip) or phase_shift(m, PhaseVector(u.phases)) != 0:
             return False
     return True
 

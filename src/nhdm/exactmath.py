@@ -13,6 +13,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints through ``operator.index``.
+
+    A Fraction, float or string raises ValueError instead of being
+    truncated the way ``int()`` would.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.
@@ -28,10 +40,7 @@ class IntMatrix:
     cols: int = -1
 
     def __post_init__(self):
-        try:
-            entries = tuple(tuple(operator.index(x) for x in row) for row in self.entries)
-        except TypeError as exc:
-            raise ValueError(f"matrix entries must be integers: {exc}") from exc
+        entries = tuple(integers(row, "matrix entries") for row in self.entries)
         object.__setattr__(self, "entries", entries)
         cols = self.cols
         if entries:

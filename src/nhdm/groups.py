@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactmath import IntMatrix, inverse_unimodular, snf
+from .exactmath import IntMatrix, integers, snf
 
 
 def _prime_factorization(n: int) -> dict[int, int]:
@@ -42,12 +42,19 @@ class GroupSignature:
     star: int | None = None
 
     def __post_init__(self):
-        factors = tuple(int(f) for f in self.finite)
+        factors = integers(self.finite, "invariant factors")
+        rank, star = integers((self.torus_rank, 2 if self.star is None else self.star),
+                              "the torus rank and the starred order")
         if any(f < 2 for f in factors):
             raise ValueError("invariant factors must be at least 2")
         if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
             raise ValueError(f"not a divisibility chain: {factors}")
+        if rank < 0 or star < 2:
+            raise ValueError(f"need torus_rank >= 0 and star >= 2, got {rank} and {self.star}")
         object.__setattr__(self, "finite", factors)
+        object.__setattr__(self, "torus_rank", rank)
+        if self.star is not None:
+            object.__setattr__(self, "star", star)
 
     @property
     def is_trivial(self) -> bool:
@@ -90,8 +97,7 @@ def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
     stays as it is.  Each factor must lie in ``1..MAX_CYCLIC_ORDER``.
     """
     primes: dict[int, list[int]] = {}
-    for f in factors:
-        f = int(f)
+    for f in integers(factors, "cyclic factors"):
         if f < 1:
             raise ValueError("cyclic factors must be positive")
         if f > MAX_CYCLIC_ORDER:
@@ -127,32 +133,22 @@ def group_from_snf(d: Sequence[int], n: int) -> GroupSignature:
     return GroupSignature(tuple(x for x in d if x > 1), torus_rank=n - rank)
 
 
+def _chains(m: int, least: int):
+    """Divisibility chains of factors >= 2 with product m, the first a multiple of least."""
+    if m == 1:
+        yield ()
+        return
+    for d in range(max(least, 2), m + 1, least):
+        if m % d == 0:
+            for rest in _chains(m // d, d):
+                yield (d,) + rest
+
+
 def abelian_groups_of_order(m: int) -> list[GroupSignature]:
-    """All abelian groups of order m, in canonical invariant-factor form."""
+    """All abelian groups of order m: each is its invariant-factor chain with product m."""
     if m < 1:
         raise ValueError("order must be positive")
-
-    def partitions(k: int, cap: int | None = None):
-        if k == 0:
-            yield ()
-            return
-        cap = k if cap is None else min(cap, k)
-        for first in range(cap, 0, -1):
-            for rest in partitions(k - first, first):
-                yield (first,) + rest
-
-    per_prime = []
-    for p, e in sorted(_prime_factorization(m).items()):
-        per_prime.append([(p, part) for part in partitions(e)])
-    out = []
-    from itertools import product as iproduct
-
-    for combo in iproduct(*per_prime) if per_prime else [()]:
-        factors = []
-        for p, part in combo:
-            factors.extend(p ** e for e in part)
-        out.append(canonicalize(factors))
-    return sorted(set(out), key=GroupSignature.sort_key)
+    return sorted((GroupSignature(c) for c in _chains(m, 1)), key=GroupSignature.sort_key)
 
 
 def all_abelian_groups_up_to(order_bound: int) -> list[GroupSignature]:
@@ -179,21 +175,14 @@ def extend_by_antiunitary(unitary: GroupSignature,
     # Relation matrix over generators (g_1..g_r, j): the cyclic orders and
     # j^2 = sum c_i g_i.
     rows = [[gens[i] if k == i else 0 for k in range(r + 1)] for i in range(r)]
-    rows.append([-int(c) for c in square_exponents] + [2])
+    rows.append([-c for c in square_exponents] + [2])
     res = snf(IntMatrix.from_rows(rows))
     # Row i of v^-1 expresses the i-th canonical generator over (g_1..g_r, j);
-    # an odd j-coefficient marks it antiunitary.
-    v_inv = inverse_unimodular(res.v)
-    factors = []
-    flags = []
-    for i, d in enumerate(res.d):
-        if d == 1:
-            continue
-        factors.append(d)
-        flags.append(v_inv[(i, r)] % 2 == 1)
+    # an odd j-coefficient marks it antiunitary.  The relations have full
+    # rank, so v^-1 == diag(d)^-1 @ u @ rows, and column r of the rows is
+    # 2 e_r: the j-coefficient is 2 u[i][r] / d_i, which is even if d_i == 1.
     # Concentrate antiunitarity on the earliest flagged factor: for i < k a
     # transvection h_k -> h_k - h_i is an automorphism because d_i | d_k.
-    first = next(i for i, f in enumerate(flags) if f)
-    star = factors[first]
-    finite = tuple(f for i, f in enumerate(factors) if i != first)
-    return GroupSignature(finite, unitary.torus_rank, star=star)
+    first = next(i for i, d in enumerate(res.d) if 2 * res.u[(i, r)] // d % 2)
+    finite = tuple(d for i, d in enumerate(res.d) if d > 1 and i != first)
+    return GroupSignature(finite, unitary.torus_rank, star=res.d[first])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .exactmath import IntMatrix, inverse_unimodular
+from .exactmath import IntMatrix, integers, inverse_unimodular
 from .torus import PhaseVector, TorusBasis, torus_basis
 
 Factor = tuple[int, int]
@@ -46,7 +46,7 @@ class Monomial:
 
     @classmethod
     def canonical(cls, factors) -> "Monomial":
-        factors = tuple(sorted((int(a), int(b)) for a, b in factors))
+        factors = tuple(sorted(integers(f, "doublet indices") for f in factors))
         if not 1 <= len(factors) <= 2:
             raise ValueError("a monomial has one or two bilinear factors")
         if any(a == b for a, b in factors):

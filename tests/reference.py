@@ -3,15 +3,17 @@
 The oracles are the generator-based group questions, union-find orbits and
 Fraction charges that ``nhdm`` answered with before it asked everything
 through the charge lattice, the Smith form that kept its transforms beside
-the matrix, and the sign loop that mapped c-rows to monomials; the tests
-require the library to agree with them.
+the matrix, the sign loop that mapped c-rows to monomials, the starred
+factor read from the inverse of the Smith column transform, and the abelian
+groups of each order assembled from per-prime partitions; the tests require
+the library to agree with them.
 """
 
 import itertools
 from fractions import Fraction
 
-from nhdm.exactmath import IntMatrix, snf
-from nhdm.groups import GroupSignature, group_from_snf
+from nhdm.exactmath import IntMatrix, inverse_unimodular, snf
+from nhdm.groups import GroupSignature, _prime_factorization, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges
 
 
@@ -304,3 +306,48 @@ def _realizations(row):
                     except ValueError:
                         pass
     return out
+
+
+# -- oracles: the star from v^-1, abelian groups from prime partitions ----------
+
+
+def extend_by_antiunitary(unitary, square_exponents):
+    """Starred extension with the antiunitary factor flagged by the j-column
+    of ``inverse_unimodular(v)``, a second Smith form of v."""
+    gens = unitary.finite
+    r = len(gens)
+    rows = [[gens[i] if k == i else 0 for k in range(r + 1)] for i in range(r)]
+    rows.append([-int(c) for c in square_exponents] + [2])
+    res = snf(IntMatrix.from_rows(rows))
+    v_inv = inverse_unimodular(res.v)
+    factors = []
+    flags = []
+    for i, d in enumerate(res.d):
+        if d == 1:
+            continue
+        factors.append(d)
+        flags.append(v_inv[(i, r)] % 2 == 1)
+    first = next(i for i, f in enumerate(flags) if f)
+    finite = tuple(f for i, f in enumerate(factors) if i != first)
+    return GroupSignature(finite, unitary.torus_rank, star=factors[first])
+
+
+def _partitions(k, cap=None):
+    if k == 0:
+        yield ()
+        return
+    cap = k if cap is None else min(cap, k)
+    for first in range(cap, 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def abelian_groups_of_order(m):
+    """One partition of each prime's exponent per factor of m, every
+    combination put through ``canonicalize``, sorted."""
+    per_prime = [[(p, part) for part in _partitions(e)]
+                 for p, e in sorted(_prime_factorization(m).items())]
+    out = set()
+    for combo in itertools.product(*per_prime):
+        out.add(canonicalize([p ** e for p, part in combo for e in part]))
+    return sorted(out, key=GroupSignature.sort_key)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -25,6 +27,7 @@ from nhdm.cpext import (
     cp_realizable,
 )
 from nhdm.exactmath import snf_rows
+from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, phase_shift
 from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
 import reference
@@ -154,6 +157,11 @@ class TestCommutantAndCentralizer:
 
 class TestLatticeForms:
     """The lattice-membership and single-orbit forms against the earlier code."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_trivial_base_is_the_full_lattice(self, n):
+        unit = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
+        assert AbelianBase.trivial(n) == AbelianBase(n, GroupSignature(), (), (), (), unit)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pattern_scans_match_the_generator_form(self, n):
@@ -329,6 +337,13 @@ class TestConstraintSystems:
         assert self.fix_and_check(cand, {s12: F(1, 4), s23: F(1, 4), s13: F(1, 2)})
         assert not self.fix_and_check(cand, {s12: F(1, 4), s23: 0, s13: 0})
 
+    def test_coefficients_must_be_integers(self):
+        system = PhaseConstraintSystem(["x", "y"])
+        system.add([True, -1], F(1, 2))
+        assert system.equations == [((1, -1), F(1, 2))]
+        with pytest.raises(ValueError):
+            system.add([F(5, 2), 1], 0)
+
     def test_u11_backbone_equalities(self):
         cand = cp_extensions(base_u11())[0]
         assert cand.backbone.equalities() == [
@@ -431,6 +446,25 @@ class TestVerdicts:
         assert cp_realizable(z4star).realizable
         trivial = cp_extensions(AbelianBase.trivial(3))
         assert any(cp_realizable(c).realizable for c in trivial)
+
+
+class TestFullDetail:
+    def test_three_doublet_sweep_digest(self):
+        # one JSON line per candidate, in cp_bases / cp_extensions order, with
+        # every field a report or a later check can read
+        lines = []
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                rec = [[list(row) for row in base.lattice], base.signature.name(),
+                       list(cand.sigma), str(cand.square), cand.signature.name(),
+                       cand.system.render(), [str(m) for m in cand.surviving],
+                       [str(m) for m in cand.killed],
+                       [[str(m) for m in cls] for cls in cand.magnitude_classes],
+                       cand.backbone.equalities(), cp_realizable(cand).to_json()]
+                lines.append(json.dumps(rec, sort_keys=True) + "\n")
+        assert len(lines) == 26
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "0f8e53e260776959cd238d8e623fa0883f0ac575c1e72bacd53fb3da4937bd1c")
 
 
 class TestClassification:

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import reference
 from nhdm.groups import (
     MAX_CYCLIC_ORDER,
     GroupSignature,
@@ -88,6 +91,27 @@ class TestOrderAndNames:
             GroupSignature((1, 2))
 
 
+class TestIntegerInputs:
+    """Integer fields go through ``operator.index``: no silent truncation."""
+
+    @pytest.mark.parametrize("factor", [Fraction(5, 2), 2.9])
+    def test_invariant_factors(self, factor):
+        with pytest.raises(ValueError):
+            GroupSignature((factor,))
+
+    def test_negative_torus_rank(self):
+        with pytest.raises(ValueError):
+            GroupSignature(torus_rank=-1)
+
+    def test_starred_order_below_two(self):
+        with pytest.raises(ValueError):
+            GroupSignature((2,), star=1)
+
+    def test_canonicalize_factors(self):
+        with pytest.raises(ValueError):
+            canonicalize([2.5, 3])
+
+
 class TestEnumeration:
     def test_order_sixteen_has_five_groups(self):
         assert len(abelian_groups_of_order(16)) == 5
@@ -99,6 +123,10 @@ class TestEnumeration:
 
     def test_up_to_sixteen_count(self):
         assert len(all_abelian_groups_up_to(16)) == 24
+
+    def test_chains_match_the_prime_partitions(self):
+        for m in range(1, 301):
+            assert abelian_groups_of_order(m) == reference.abelian_groups_of_order(m), m
 
 
 class TestAntiunitaryExtension:
@@ -128,6 +156,20 @@ class TestAntiunitaryExtension:
 
     def test_torus_passthrough(self):
         assert extend_by_antiunitary(GroupSignature(torus_rank=1), ()).name() == "U(1)xZ2*"
+
+    def test_star_matches_the_inverse_transform_reading(self):
+        # every group of order <= 32 (the 2^(N-1) bound at N=6), every square
+        # class and torus rank 0 and 1: 2,036 extensions
+        count = 0
+        for m in range(1, 33):
+            for sig in reference.abelian_groups_of_order(m):
+                for expts in itertools.product(*(range(d) for d in sig.finite)):
+                    for rank in (0, 1):
+                        unitary = GroupSignature(sig.finite, rank)
+                        assert (extend_by_antiunitary(unitary, expts)
+                                == reference.extend_by_antiunitary(unitary, expts)), (sig, expts)
+                        count += 1
+        assert count == 2036
 
     def test_full_order_doubles(self):
         rng = random.Random(9)

@@ -216,6 +216,12 @@ class TestRowTypeClosure:
                     assert row_type(tuple(merged)) in range(1, 10) or not any(merged)
 
 
+def test_doublet_indices_must_be_integers():
+    assert Monomial.canonical(((True, 2),)) == Monomial(((1, 2),))
+    with pytest.raises(ValueError):
+        Monomial.canonical(((1.9, 2),))
+
+
 def test_render_modes():
     m = Monomial(((1, 2), (1, 3)))
     assert str(m) == "(f1+ f2)(f1+ f3)"

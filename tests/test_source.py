@@ -12,3 +12,15 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def test_imports_sit_at_module_level():
+    # a function-local import hides a module dependency from the reader
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.relative_to(SRC)}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
