@@ -32,10 +32,11 @@ from fractions import Fraction
 from math import lcm
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import SnfResult, hnf_contains, hnf_rows, integers, snf_rows
+from .exactmath import Rows, SnfResult, hnf_add, hnf_contains, hnf_rows, integers, snf_rows
 from .groups import GroupSignature, extend_by_antiunitary
 from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
-from .torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
+from .torus import (PhaseVector, direction_weights, equal_mod_center, rational_phases,
+                    torus_basis)
 
 Perm = tuple[int, ...]  # 0-based images: a -> perm[a]
 
@@ -49,7 +50,8 @@ class GenPermMatrix:
 
     Acts on doublets as phi_a -> e(phases[a]) phi_{perm[a]} (indices 0-based
     internally; monomial factors are 1-based).  Phases are rational, in units
-    of 2*pi, reduced mod 1.
+    of 2*pi, reduced mod 1; each is an int or a Fraction, and anything else
+    raises ValueError.
     """
 
     perm: Perm
@@ -60,7 +62,7 @@ class GenPermMatrix:
             raise ValueError("not a permutation")
         if len(self.phases) != len(self.perm):
             raise ValueError("need one phase per row")
-        object.__setattr__(self, "phases", tuple(Fraction(p) % 1 for p in self.phases))
+        object.__setattr__(self, "phases", rational_phases(self.phases))
 
     @classmethod
     def identity(cls, n: int) -> "GenPermMatrix":
@@ -167,23 +169,34 @@ def _particular(res: SnfResult, rhs) -> list[Fraction]:
     """One solution of A x == rhs (mod 1), for a right-hand side that has one.
 
     Each row of u @ rhs is reduced mod 1 before it is divided by its Smith
-    entry, which fixes the representative the solution is read from.
+    entry, which fixes the representative the solution is read from.  The
+    sums over the columns of v are taken in integers over one denominator.
     """
     t, scale = _transform(res, rhs, range(res.rank))
-    y = [Fraction(x % scale, scale * d) for x, d in zip(t, res.d)]
-    return [sum((res.v[(j, i)] * y[i] for i in range(res.rank)), Fraction(0)) % 1
-            for j in range(res.v.rows)]
+    # y_i = (t_i mod D) / (D d_i), each put over the one denominator D lcm(d)
+    common = lcm(*res.d[:res.rank])
+    den = scale * common
+    y = [x % scale * (common // d) for x, d in zip(t, res.d)]
+    return [Fraction(sum(a * b for a, b in zip(row, y)) % den, den) for row in res.v.entries]
 
 
 class PhaseConstraintSystem:
     """Linear congruences A x == b (mod 1) over rational unknowns indexed by position.
 
-    ``unknowns`` labels the positions for ``render``.  Every question is
-    answered by one Smith form u @ A @ v == diag(d) of the integer
-    coefficients, read in integers: with D the lcm of the denominators of b,
-    the rows of u @ (D b) past the rank are all divisible by D exactly when
-    the congruences are solvable, and all zero exactly when b lies in the
-    rational column span of A.
+    ``unknowns`` labels the positions for ``render``.  With D the lcm of the
+    denominators of b, the system is read in integers in two ways:
+
+    - Solvability is read off the Hermite basis of the rows [A_i | D b_i]
+      together with (0, ..., 0, D) (``lattice``).  Its elements with zero
+      A-part are (0, y D b + k D) for integer y with y A == 0, so the basis
+      ends in a row (0, ..., 0, t) with t dividing D, and the congruences are
+      solvable exactly when t == D, that is when y b is an integer for every
+      such y.  A caller that adds equations can grow the basis by
+      ``hnf_add`` instead of starting over.
+    - ``solve`` and ``_forced_symmetry`` take one Smith form
+      u @ A @ v == diag(d): the rows of u @ (D b) past the rank are all
+      divisible by D exactly when the congruences are solvable, and all zero
+      exactly when b lies in the rational column span of A.
     """
 
     def __init__(self, unknowns, equations=()):
@@ -199,10 +212,6 @@ class PhaseConstraintSystem:
             raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
         self.equations.append((integers(row, "coefficients"), Fraction(rhs) % 1))
 
-    def _factor(self) -> tuple[SnfResult, list[Fraction]]:
-        return (snf_rows([row for row, _ in self.equations], len(self.unknowns)),
-                [r for _, r in self.equations])
-
     def solve(self):
         """(particular, torsion generators, free directions) or None.
 
@@ -210,7 +219,8 @@ class PhaseConstraintSystem:
         ``unknowns``; free directions span the divisible part of the solution
         set, torsion generators its finite part (all mod 1).
         """
-        res, rhs = self._factor()
+        res = snf_rows([row for row, _ in self.equations], len(self.unknowns))
+        rhs = [r for _, r in self.equations]
         if not _solvable(res, rhs):
             return None
         nu = len(self.unknowns)
@@ -219,8 +229,18 @@ class PhaseConstraintSystem:
         free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(res.rank, nu)]
         return _particular(res, rhs), torsion, free
 
+    def lattice(self) -> tuple[Rows, int]:
+        """The Hermite basis of the rows [A_i | D b_i] and (0, ..., 0, D), and D."""
+        scale = lcm(*(rhs.denominator for _, rhs in self.equations))
+        rows = [row + (rhs.numerator * (scale // rhs.denominator),)
+                for row, rhs in self.equations]
+        rows.append((0,) * len(self.unknowns) + (scale,))
+        return hnf_rows(rows), scale
+
     def solvable(self) -> bool:
-        return _solvable(*self._factor())
+        """The congruences have a solution: the last pivot of ``lattice()`` is D."""
+        basis, scale = self.lattice()
+        return basis[-1][-1] == scale
 
     def render(self) -> list[str]:
         out = []
@@ -463,11 +483,12 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
             if key in seen:
                 continue
             pin = _pin_system(base, sigma, f, unknowns)
-            if not pin.solvable():
+            basis, scale = pin.lattice()
+            if basis[-1][-1] != scale:
                 continue
             seen.add(key)
-            candidates.append(_build_candidate(base, sigma, expts, f, pin, invariant,
-                                               psi_positions))
+            candidates.append(_build_candidate(base, sigma, expts, f, pin, basis, scale,
+                                               invariant, psi_positions))
     return candidates
 
 
@@ -501,9 +522,14 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector,
 
 
 def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
-                     pin: PhaseConstraintSystem, invariant,
+                     pin: PhaseConstraintSystem, basis: Rows, scale: int, invariant,
                      psi_positions: dict[Monomial, int]) -> CpCandidate:
-    """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable."""
+    """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable.
+
+    ``basis`` and ``scale`` are ``pin.lattice()``.  The orbit rows have
+    right-hand side 0, so the scale stays fixed, and the basis grows by the
+    rows of each kept orbit in step with the system.
+    """
     n = base.n_doublets
     # b J with b the bare permutation: conjugate, then permute
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
@@ -513,6 +539,7 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
     classes: list[tuple[Monomial, ...]] = []
     for orbit in _cycles(invariant, lambda m: images[m][0]):
         trial = system.copy()
+        grown = basis
         for m in orbit:
             img, conjugated = images[m]
             xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
@@ -520,8 +547,9 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
             for j, c in psi.items():
                 row[j] += c
             trial.add(row, 0)
-        if trial.solvable():
-            system = trial
+            grown = hnf_add(grown, row + [0])
+        if grown[-1][-1] == scale:
+            system, basis = trial, grown
             surviving.extend(orbit)
             # magnitude classes: surviving terms linked by the action, which
             # are exactly the surviving orbits

@@ -52,12 +52,20 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
 
     @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """A matrix of ints this module built itself, stored without re-checking."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int = -1) -> "IntMatrix":
         return cls(tuple(tuple(row) for row in rows), cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -88,7 +96,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = tuple(zip(*other.entries)) if other.entries else ()
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries),
             other.cols,
         )
@@ -216,8 +224,8 @@ def snf(m: IntMatrix) -> SnfResult:
         t += 1
 
     d = tuple(w[i][i] for i in range(min(nrows, ncols)))
-    u = IntMatrix(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows)
-    v = IntMatrix(tuple(tuple(row) for row in w[nrows:]), ncols)
+    u = IntMatrix._trusted(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows)
+    v = IntMatrix._trusted(tuple(tuple(row) for row in w[nrows:]), ncols)
     return SnfResult(d, u, v)
 
 

@@ -18,14 +18,34 @@ from typing import Sequence
 Rational = Fraction | int
 
 
+def rational_phases(phases) -> tuple[Fraction, ...]:
+    """The phases as Fractions reduced mod 1.
+
+    Only an int or a Fraction is accepted: ``Fraction`` would take a float at
+    its binary value and a string as a rational, so either raises ValueError.
+    """
+    out = []
+    for p in phases:
+        if isinstance(p, Fraction):
+            out.append(p % 1)
+        elif isinstance(p, int):
+            out.append(Fraction(p % 1))
+        else:
+            raise ValueError(f"phases must be int or Fraction, got {p!r}")
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PhaseVector:
-    """Diagonal transformation as rational phases (units of 2*pi), reduced to [0, 1)."""
+    """Diagonal transformation as rational phases (units of 2*pi), reduced to [0, 1).
+
+    Each phase is an int or a Fraction; anything else raises ValueError.
+    """
 
     phases: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(Fraction(p) % 1 for p in self.phases))
+        object.__setattr__(self, "phases", rational_phases(self.phases))
 
     @classmethod
     def identity(cls, n_doublets: int) -> "PhaseVector":

@@ -4,15 +4,17 @@ The oracles are the generator-based group questions, union-find orbits and
 Fraction charges that ``nhdm`` answered with before it asked everything
 through the charge lattice, the Smith form that kept its transforms beside
 the matrix, the sign loop that mapped c-rows to monomials, the starred
-factor read from the inverse of the Smith column transform, and the abelian
-groups of each order assembled from per-prime partitions; the tests require
-the library to agree with them.
+factor read from the inverse of the Smith column transform, the abelian
+groups of each order assembled from per-prime partitions, and the phase
+congruences decided by a Smith form of the whole system for every orbit
+tried; the tests require the library to agree with them.
 """
 
 import itertools
 from fractions import Fraction
 
-from nhdm.exactmath import IntMatrix, inverse_unimodular, snf
+from nhdm.cpext import _cycles, _invariance_relation, _solvable, _transform
+from nhdm.exactmath import IntMatrix, inverse_unimodular, snf, snf_rows
 from nhdm.groups import GroupSignature, _prime_factorization, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges
 
@@ -351,3 +353,47 @@ def abelian_groups_of_order(m):
     for combo in itertools.product(*per_prime):
         out.add(canonicalize([p ** e for p, part in combo for e in part]))
     return sorted(out, key=GroupSignature.sort_key)
+
+
+# -- oracles: phase congruences by a Smith form per question ---------------------
+
+
+def smith_solvable(system) -> bool:
+    """Solvability from one Smith form of the whole system: each row of
+    u @ (D b) past the rank is divisible by D."""
+    return _solvable(snf_rows([row for row, _ in system.equations], len(system.unknowns)),
+                     [rhs for _, rhs in system.equations])
+
+
+def fraction_particular(res, rhs) -> list:
+    """One solution of A x == rhs (mod 1), summed in Fractions term by term."""
+    t, scale = _transform(res, rhs, range(res.rank))
+    y = [Fraction(x % scale, scale * d) for x, d in zip(t, res.d)]
+    return [sum((res.v[(j, i)] * y[i] for i in range(res.rank)), Fraction(0)) % 1
+            for j in range(res.v.rows)]
+
+
+def refactoring_restriction(base, sigma, pin, invariant, psi_positions) -> tuple:
+    """(surviving, killed, magnitude classes, rendered system) of a candidate,
+    with each orbit kept when ``smith_solvable`` of a copy of the whole system
+    plus the orbit's rows holds."""
+    n = base.n_doublets
+    images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
+    system = pin
+    surviving, killed, classes = [], [], []
+    for orbit in _cycles(invariant, lambda m: images[m][0]):
+        trial = system.copy()
+        for m in orbit:
+            img, conjugated = images[m]
+            xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
+            row = list(xi) + [0] * (len(system.unknowns) - n)
+            for j, c in psi.items():
+                row[j] += c
+            trial.add(row, 0)
+        if smith_solvable(trial):
+            system = trial
+            surviving.extend(orbit)
+            classes.append(orbit)
+        else:
+            killed.extend(orbit)
+    return tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes), system.render()

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhdm import exactmath
 from nhdm.cpext import (
     AbelianBase,
     GenPermMatrix,
     PhaseConstraintSystem,
     _cycles,
     _in_span,
+    _layout,
+    _particular,
+    _pin_system,
     backbone_classes,
     check_z3z3,
     classify_cp,
@@ -98,6 +102,14 @@ class TestGenPermAlgebra:
         sq = antiunitary_square(b)
         assert sq.is_diagonal
         assert sq.phases == (F(3, 4), F(1, 4), F(0))
+
+    def test_float_phase_rejected(self):
+        with pytest.raises(ValueError):
+            GenPermMatrix((0, 1), (0.1, F(1, 3)))
+
+    def test_string_phase_rejected(self):
+        with pytest.raises(ValueError):
+            GenPermMatrix((0, 1), (F(1, 10), "1/3"))
 
     def test_commutation_mod_scalar(self):
         r12 = PhaseVector((F(1, 2), F(1, 2), F(0)))
@@ -448,23 +460,100 @@ class TestVerdicts:
         assert any(cp_realizable(c).realizable for c in trivial)
 
 
+def sweep_digest(n):
+    """Candidate count and SHA-256 of one JSON line per candidate, in
+    cp_bases / cp_extensions order, with every field a report or a later
+    check can read."""
+    lines = []
+    for base in cp_bases(n):
+        for cand in cp_extensions(base):
+            rec = [[list(row) for row in base.lattice], base.signature.name(),
+                   list(cand.sigma), str(cand.square), cand.signature.name(),
+                   cand.system.render(), [str(m) for m in cand.surviving],
+                   [str(m) for m in cand.killed],
+                   [[str(m) for m in cls] for cls in cand.magnitude_classes],
+                   cand.backbone.equalities(), cp_realizable(cand).to_json()]
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 class TestFullDetail:
     def test_three_doublet_sweep_digest(self):
-        # one JSON line per candidate, in cp_bases / cp_extensions order, with
-        # every field a report or a later check can read
-        lines = []
+        assert sweep_digest(3) == (
+            26, "0f8e53e260776959cd238d8e623fa0883f0ac575c1e72bacd53fb3da4937bd1c")
+
+    def test_four_doublet_sweep_digest(self):
+        assert sweep_digest(4) == (
+            274, "4d94136717f361cf8faf8df7eecdd4f0221276897031e59861177ed33e0e9898")
+
+
+@st.composite
+def wide_congruences(draw):
+    """A random integer system A (1-5 x 1-6, entries -3..3) and b with
+    denominators 1..12.
+
+    Half of the systems repeat a multiple of the first row as the last one,
+    so that the left kernel of A is nonzero and both outcomes are common.
+    """
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [k * x for x in rows[0]]
+    rhs = [F(draw(st.integers(-24, 24)), draw(st.integers(1, 12))) for _ in rows]
+    return rows, rhs
+
+
+class TestHermiteSolvability:
+    """The augmented Hermite test and the orbit-by-orbit basis against the
+    Smith readings they replace."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(wide_congruences())
+    def test_same_answers_as_the_smith_readings(self, case):
+        rows, rhs = case
+        system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
+        for row, b in zip(rows, rhs):
+            system.add(row, b)
+        solvable = reference.smith_solvable(system)
+        assert system.solvable() == solvable
+        if solvable:
+            res = snf_rows(rows, len(rows[0]))
+            assert _particular(res, rhs) == reference.fraction_particular(res, rhs)
+
+    def test_three_doublet_sweep_matches_the_refactoring_loop(self):
+        for base in cp_bases(3):
+            invariant = base.invariant_monomials()
+            unknowns, psi_positions = _layout(base, invariant)
+            involutions = [s for s in commutant_perms(base)
+                           if all(s[s[a]] == a for a in range(len(s)))]
+            for sigma, (_, f) in itertools.product(involutions, base.finite_elements()):
+                pin = _pin_system(base, sigma, f, unknowns)
+                assert pin.solvable() == reference.smith_solvable(pin)
+            for cand in cp_extensions(base):
+                pin = _pin_system(base, cand.sigma, cand.square, unknowns)
+                assert reference.refactoring_restriction(
+                    base, cand.sigma, pin, invariant, psi_positions) == (
+                    cand.surviving, cand.killed, cand.magnitude_classes,
+                    cand.system.render())
+
+    def test_no_smith_form_per_orbit(self, monkeypatch):
+        # 63 snf calls in the N=3 sweep; factoring the system again for
+        # every orbit tried made 203
+        cp_bases(3)  # fill the lattice-walk cache first
+        calls = []
+        real = exactmath.snf
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(exactmath, "snf", counted)
         for base in cp_bases(3):
             for cand in cp_extensions(base):
-                rec = [[list(row) for row in base.lattice], base.signature.name(),
-                       list(cand.sigma), str(cand.square), cand.signature.name(),
-                       cand.system.render(), [str(m) for m in cand.surviving],
-                       [str(m) for m in cand.killed],
-                       [[str(m) for m in cls] for cls in cand.magnitude_classes],
-                       cand.backbone.equalities(), cp_realizable(cand).to_json()]
-                lines.append(json.dumps(rec, sort_keys=True) + "\n")
-        assert len(lines) == 26
-        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-            "0f8e53e260776959cd238d8e623fa0883f0ac575c1e72bacd53fb3da4937bd1c")
+                cp_realizable(cand)
+        assert len(calls) == 63
 
 
 class TestClassification:

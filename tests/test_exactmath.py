@@ -263,6 +263,17 @@ def test_matrix_entries_must_be_integers():
             IntMatrix(((bad, 1), (0, 3)))
 
 
+def test_snf_transforms_are_plain_integer_matrices():
+    # snf stores its transforms without re-checking them; they must equal
+    # the validated construction of the same entries
+    rng = random.Random(9)
+    for _ in range(50):
+        res = snf(random_matrix(rng))
+        for t in (res.u, res.v):
+            assert t == IntMatrix(t.entries, t.cols)
+            assert all(type(x) is int for row in t.entries for x in row)
+
+
 def test_matrix_text_roundtrip():
     m = IntMatrix.from_text("3,2;-3,-1")
     assert m.entries == ((3, 2), (-3, -1))

@@ -108,6 +108,21 @@ class TestElements:
         assert all(phase_shift(m, pv) == 0 for m in terms)
 
 
+class TestPhaseTypes:
+    # Fraction(p) would take a float at its binary value and a string as a
+    # rational; only int and Fraction phases are accepted
+    def test_ints_and_fractions(self):
+        assert PhaseVector((1, F(5, 4), True)).phases == (F(0), F(1, 4), F(0))
+
+    def test_float_phase_rejected(self):
+        with pytest.raises(ValueError):
+            PhaseVector((0.1, 0.9))
+
+    def test_string_phase_rejected(self):
+        with pytest.raises(ValueError):
+            PhaseVector((F(0), "1/3"))
+
+
 class TestCenterEquivalence:
     def test_hypercharge_shifted_pair(self):
         assert equal_mod_center(PhaseVector((F(0), F(0), F(1, 2))),
