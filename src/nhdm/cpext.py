@@ -11,13 +11,18 @@ matrices with exact rational phases:
    whose coefficient is forced to vanish,
 5. check that the restricted potential acquires no further unitary symmetry.
 
-The group is asked about only through its charge lattice.  It is the set of
-torus elements on which every charge in the lattice vanishes, so by duality a
-character is trivial on the whole group, continuous part included, exactly
-when its charge lies in the lattice.  Invariant terms, commuting permutation
-patterns and the support of a commuting antiunitary are each a membership
-test (``AbelianBase.annihilates``) of a charge built from the phase
-differences psi_a - psi_b (``TorusBasis.differences``).
+Every question is read off an integer lattice.  The group is
+the set of torus elements on which every charge in its charge lattice
+vanishes, so by duality a character is trivial on the whole group,
+continuous part included, exactly when its charge lies in that lattice.
+Invariant terms, commuting permutation patterns and the support of a
+commuting antiunitary are each such a test (``AbelianBase.annihilates``) of
+a charge built from the phase differences psi_a - psi_b
+(``TorusBasis.differences``).  The phase congruences of steps 3 to 5 are read
+through the one lattice of a ``PhaseConstraintSystem``: a term orbit survives
+while the system stays solvable, and a unitary symmetry is forced when the
+system fixes each relation its invariance needs.  A Smith form only writes
+witness phases.
 
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
@@ -29,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .classifier import _group_of_lattice, _lattice_scan
 from .exactmath import Rows, SnfResult, hnf_add, hnf_contains, hnf_rows, integers, snf_rows
@@ -145,34 +150,18 @@ def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doubl
 # -- exact linear congruence systems ------------------------------------------
 
 
-def _transform(res: SnfResult, rhs, rows: range) -> tuple[list[int], int]:
-    """The given rows of u @ (D * rhs), and D, the lcm of the denominators of rhs."""
-    scale = lcm(*(b.denominator for b in rhs))
-    scaled = [(j, b.numerator * (scale // b.denominator)) for j, b in enumerate(rhs) if b]
-    u = res.u.entries
-    return [sum(u[i][j] * b for j, b in scaled) for i in rows], scale
-
-
-def _solvable(res: SnfResult, rhs) -> bool:
-    """A x == rhs (mod 1) has a solution: each row of u @ rhs past the rank is an integer."""
-    t, scale = _transform(res, rhs, range(res.rank, res.u.rows))
-    return all(x % scale == 0 for x in t)
-
-
-def _in_span(res: SnfResult, rhs) -> bool:
-    """rhs lies in the rational column span of A: each row of u @ rhs past the rank is zero."""
-    t, _ = _transform(res, rhs, range(res.rank, res.u.rows))
-    return not any(t)
-
-
 def _particular(res: SnfResult, rhs) -> list[Fraction]:
     """One solution of A x == rhs (mod 1), for a right-hand side that has one.
 
-    Each row of u @ rhs is reduced mod 1 before it is divided by its Smith
-    entry, which fixes the representative the solution is read from.  The
-    sums over the columns of v are taken in integers over one denominator.
+    ``res`` is the Smith form u @ A @ v == diag(d) and D the lcm of the
+    denominators of rhs.  Each row t_i of u @ (D rhs) up to the rank is
+    reduced mod D before it is divided by D d_i, which fixes the
+    representative the solution is read from.  The sums over the columns of
+    v are taken in integers over one denominator.
     """
-    t, scale = _transform(res, rhs, range(res.rank))
+    scale = lcm(*(b.denominator for b in rhs))
+    scaled = [(j, b.numerator * (scale // b.denominator)) for j, b in enumerate(rhs) if b]
+    t = [sum(row[j] * b for j, b in scaled) for row in res.u.entries[:res.rank]]
     # y_i = (t_i mod D) / (D d_i), each put over the one denominator D lcm(d)
     common = lcm(*res.d[:res.rank])
     den = scale * common
@@ -183,64 +172,66 @@ def _particular(res: SnfResult, rhs) -> list[Fraction]:
 class PhaseConstraintSystem:
     """Linear congruences A x == b (mod 1) over rational unknowns indexed by position.
 
-    ``unknowns`` labels the positions for ``render``.  With D the lcm of the
-    denominators of b, the system is read in integers in two ways:
+    ``unknowns`` labels the positions for ``render``.  The system is read
+    through one integer lattice L: with D the lcm of the denominators of b,
+    L is spanned by the rows [A_i | D b_i] and (0, ..., 0, D), and ``basis``
+    is its Hermite basis, grown by ``add`` one equation at a time.
 
-    - Solvability is read off the Hermite basis of the rows [A_i | D b_i]
-      together with (0, ..., 0, D) (``lattice``).  Its elements with zero
-      A-part are (0, y D b + k D) for integer y with y A == 0, so the basis
-      ends in a row (0, ..., 0, t) with t dividing D, and the congruences are
-      solvable exactly when t == D, that is when y b is an integer for every
-      such y.  A caller that adds equations can grow the basis by
-      ``hnf_add`` instead of starting over.
-    - ``solve`` and ``_forced_symmetry`` take one Smith form
-      u @ A @ v == diag(d): the rows of u @ (D b) past the rank are all
-      divisible by D exactly when the congruences are solvable, and all zero
-      exactly when b lies in the rational column span of A.
+    - Its elements with zero A-part are (0, y D b + k D) for integer y with
+      y A == 0, so the basis ends in a row (0, ..., 0, t) with t dividing D,
+      and the congruences are solvable exactly when t == D, that is when
+      y b is an integer for every such y (``solvable``).
+    - For a solvable system, an integer row w has w x an integer on every
+      solution x exactly when (w, 0) lies in L (``fixes``).  The solutions
+      are x0 + S with S = {s : A s integral}, the dual of the row lattice of
+      A, whose dual is that row lattice again.  So w x is integral on S
+      exactly when w == y A for an integer y, and then w x0 == y b (mod 1),
+      which is an integer exactly when (w, 0) == y [A | D b] - (y b)(0, D)
+      lies in L.
     """
 
-    def __init__(self, unknowns, equations=()):
+    def __init__(self, unknowns):
         self.unknowns: tuple[str, ...] = tuple(unknowns)
-        self.equations: list[tuple[tuple[int, ...], Fraction]] = list(equations)
+        self.equations: list[tuple[tuple[int, ...], Fraction]] = []
+        self.scale = 1
+        self.basis: Rows = ((0,) * len(self.unknowns) + (1,),)
 
     def copy(self) -> "PhaseConstraintSystem":
-        return PhaseConstraintSystem(self.unknowns, self.equations)
+        other = PhaseConstraintSystem(self.unknowns)
+        other.equations = list(self.equations)
+        other.scale, other.basis = self.scale, self.basis
+        return other
+
+    def _row(self, row) -> tuple[int, ...]:
+        if len(row) != len(self.unknowns):
+            raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
+        return integers(row, "coefficients")
 
     def add(self, row, rhs) -> None:
         """Append  sum row[j] * unknowns[j] == rhs (mod 1), one coefficient per unknown."""
-        if len(row) != len(self.unknowns):
-            raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
-        self.equations.append((integers(row, "coefficients"), Fraction(rhs) % 1))
-
-    def solve(self):
-        """(particular, torsion generators, free directions) or None.
-
-        The particular solution and each generator are lists indexed like
-        ``unknowns``; free directions span the divisible part of the solution
-        set, torsion generators its finite part (all mod 1).
-        """
-        res = snf_rows([row for row, _ in self.equations], len(self.unknowns))
-        rhs = [r for _, r in self.equations]
-        if not _solvable(res, rhs):
-            return None
-        nu = len(self.unknowns)
-        torsion = [[Fraction(res.v[(j, i)], res.d[i]) % 1 for j in range(nu)]
-                   for i in range(res.rank) if res.d[i] > 1]
-        free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(res.rank, nu)]
-        return _particular(res, rhs), torsion, free
-
-    def lattice(self) -> tuple[Rows, int]:
-        """The Hermite basis of the rows [A_i | D b_i] and (0, ..., 0, D), and D."""
-        scale = lcm(*(rhs.denominator for _, rhs in self.equations))
-        rows = [row + (rhs.numerator * (scale // rhs.denominator),)
-                for row, rhs in self.equations]
-        rows.append((0,) * len(self.unknowns) + (scale,))
-        return hnf_rows(rows), scale
+        row, rhs = self._row(row), Fraction(rhs) % 1
+        self.equations.append((row, rhs))
+        scale = lcm(self.scale, rhs.denominator)
+        if scale > self.scale:
+            # scaling the last column keeps the basis in Hermite form
+            self.basis = tuple(r[:-1] + (r[-1] * scale // self.scale,) for r in self.basis)
+            self.scale = scale
+        self.basis = hnf_add(self.basis, row + (rhs.numerator * (scale // rhs.denominator),))
 
     def solvable(self) -> bool:
-        """The congruences have a solution: the last pivot of ``lattice()`` is D."""
-        basis, scale = self.lattice()
-        return basis[-1][-1] == scale
+        """The congruences have a solution: the last pivot of ``basis`` is D."""
+        return self.basis[-1][-1] == self.scale
+
+    def fixes(self, row) -> bool:
+        """sum row[j] * x_j is an integer on every solution x: (row, 0) lies in the lattice."""
+        return hnf_contains(self.basis, self._row(row) + (0,)) or not self.solvable()
+
+    def solve(self) -> list[Fraction] | None:
+        """One solution, indexed like ``unknowns``, read from a Smith form of A, or None."""
+        if not self.solvable():
+            return None
+        res = snf_rows([row for row, _ in self.equations], len(self.unknowns))
+        return _particular(res, [rhs for _, rhs in self.equations])
 
     def render(self) -> list[str]:
         out = []
@@ -296,14 +287,10 @@ class AbelianBase:
 
     def finite_elements(self) -> list[tuple[tuple[int, ...], PhaseVector]]:
         """All elements of the finite part as (exponents, phase vector)."""
-        orders = self.signature.finite
-        out = []
-        for expts in itertools.product(*(range(d) for d in orders)):
-            pv = PhaseVector.identity(self.n_doublets)
-            for e, g in zip(expts, self.finite_generators):
-                pv = pv + e * g
-            out.append((expts, pv))
-        return out
+        gens = self.finite_generators
+        return [(expts, PhaseVector(tuple(sum(e * g.phases[a] for e, g in zip(expts, gens))
+                                          for a in range(self.n_doublets))))
+                for expts in itertools.product(*(range(d) for d in self.signature.finite))]
 
     def contains_diagonal(self, pv: PhaseVector) -> bool:
         """Exact membership test: pv leaves every invariant monomial invariant."""
@@ -471,7 +458,6 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     invariant = base.invariant_monomials()
     unknowns, psi_positions = _layout(base, invariant)
     elements = base.finite_elements()
-    squares = [2 * pv for _, pv in elements]
     candidates: list[CpCandidate] = []
     seen: set[tuple] = set()
 
@@ -479,16 +465,17 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
         if any(sigma[sigma[a]] != a for a in range(n)):
             continue  # the squared generator must stay diagonal
         for expts, f in elements:
-            key = (sigma, min((f + s).center_key() for s in squares))
+            # the elements are distinct modulo the center, so two differ by a
+            # square exactly when their exponents agree mod gcd(2, d_i)
+            key = (sigma, tuple(e % gcd(2, d) for e, d in zip(expts, base.signature.finite)))
             if key in seen:
                 continue
             pin = _pin_system(base, sigma, f, unknowns)
-            basis, scale = pin.lattice()
-            if basis[-1][-1] != scale:
+            if not pin.solvable():
                 continue
             seen.add(key)
-            candidates.append(_build_candidate(base, sigma, expts, f, pin, basis, scale,
-                                               invariant, psi_positions))
+            candidates.append(_build_candidate(base, sigma, expts, f, pin, invariant,
+                                               psi_positions))
     return candidates
 
 
@@ -522,14 +509,9 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector,
 
 
 def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
-                     pin: PhaseConstraintSystem, basis: Rows, scale: int, invariant,
+                     pin: PhaseConstraintSystem, invariant,
                      psi_positions: dict[Monomial, int]) -> CpCandidate:
-    """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable.
-
-    ``basis`` and ``scale`` are ``pin.lattice()``.  The orbit rows have
-    right-hand side 0, so the scale stays fixed, and the basis grows by the
-    rows of each kept orbit in step with the system.
-    """
+    """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable."""
     n = base.n_doublets
     # b J with b the bare permutation: conjugate, then permute
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
@@ -539,7 +521,6 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
     classes: list[tuple[Monomial, ...]] = []
     for orbit in _cycles(invariant, lambda m: images[m][0]):
         trial = system.copy()
-        grown = basis
         for m in orbit:
             img, conjugated = images[m]
             xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
@@ -547,9 +528,8 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
             for j, c in psi.items():
                 row[j] += c
             trial.add(row, 0)
-            grown = hnf_add(grown, row + [0])
-        if grown[-1][-1] == scale:
-            system, basis = trial, grown
+        if trial.solvable():
+            system = trial
             surviving.extend(orbit)
             # magnitude classes: surviving terms linked by the action, which
             # are exactly the surviving orbits
@@ -612,18 +592,17 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
             f"surviving terms are invariant under the extra diagonal {witness_gen}",
             GenPermMatrix.diagonal(witness_gen))
 
-    solution = candidate.system.solve()
-    if solution is None:
+    particular = candidate.system.solve()
+    if particular is None:
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
-    particular, torsion, free = solution
     n = base.n_doublets
     for perm in sorted(itertools.permutations(range(n))):
         if perm == tuple(range(n)):
             continue
         if not candidate.backbone.preserved_by(perm):
             continue
-        forced = _forced_symmetry(candidate, perm, particular, torsion, free)
+        forced = _forced_symmetry(candidate, perm, particular)
         if forced is not None:
             noncomm = _noncommuting_generator(base, forced)
             extra = f"; does not commute with {noncomm}" if noncomm else ""
@@ -646,15 +625,16 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
     return None
 
 
-def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion,
-                     free) -> GenPermMatrix | None:
+def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular) -> GenPermMatrix | None:
     """Unitary witness with permutation ``perm`` if one is forced, else None.
 
     Forced means: for every admissible coefficient assignment there are
     entry phases making the generalized permutation a symmetry of backbone
-    plus surviving terms.  One Smith form of the entry-phase coefficients
-    checks the particular coefficient phases and each torsion generator for
-    solvability, and each free direction for lying in the rational span.
+    plus surviving terms.  The invariance relations read R theta == -P psi
+    (mod 1); with u @ R @ v == diag(d) they are solvable exactly when
+    z @ P @ psi is an integer for each row z of u past the rank, so each
+    z @ P must be fixed by the candidate's system.  The witness phases are
+    read from the particular coefficient phases.
     """
     n = candidate.base.n_doublets
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
@@ -665,17 +645,16 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular, torsion,
             return None  # the image is not a surviving term of the same magnitude
         relations.append(_invariance_relation(m, img, conjugated, n, candidate.psi_positions))
 
-    def rhs(assign: list[Fraction]) -> list[Fraction]:
-        # the invariance relations read  theta-part == -(psi-part)  (mod 1)
-        return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))
-                for _, psi in relations]
-
     res = snf_rows([theta for theta, _ in relations], n)
-    target = rhs(particular)
-    if not (_solvable(res, target)
-            and all(_solvable(res, rhs(gen)) for gen in torsion)
-            and all(_in_span(res, rhs(direction)) for direction in free)):
-        return None
+    for z in res.u.entries[res.rank:]:
+        w = [0] * len(candidate.system.unknowns)
+        for zk, (_, psi) in zip(z, relations):
+            for j, c in psi.items():
+                w[j] += zk * c
+        if not candidate.system.fixes(w):
+            return None
+    target = [-sum((c * particular[j] for j, c in psi.items()), Fraction(0))
+              for _, psi in relations]
     return GenPermMatrix(perm, tuple(_particular(res, target)))
 
 

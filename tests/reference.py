@@ -5,16 +5,21 @@ Fraction charges that ``nhdm`` answered with before it asked everything
 through the charge lattice, the Smith form that kept its transforms beside
 the matrix, the sign loop that mapped c-rows to monomials, the starred
 factor read from the inverse of the Smith column transform, the abelian
-groups of each order assembled from per-prime partitions, and the phase
+groups of each order assembled from per-prime partitions, the phase
 congruences decided by a Smith form of the whole system for every orbit
-tried; the tests require the library to agree with them.
+tried, the solution set as a particular solution with torsion generators
+and free directions, the forced unitary symmetry decided by testing that
+solution set against one Smith form, and the square classes keyed by the
+least center key over a coset of squares; the tests require the library to
+agree with them.
 """
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from nhdm.cpext import _cycles, _invariance_relation, _solvable, _transform
-from nhdm.exactmath import IntMatrix, inverse_unimodular, snf, snf_rows
+from nhdm.cpext import GenPermMatrix, _cycles, _invariance_relation
+from nhdm.exactmath import IntMatrix, hnf_rows, inverse_unimodular, snf, snf_rows
 from nhdm.groups import GroupSignature, _prime_factorization, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges
 
@@ -356,6 +361,85 @@ def abelian_groups_of_order(m):
 
 
 # -- oracles: phase congruences by a Smith form per question ---------------------
+
+
+def _transform(res, rhs, rows):
+    """The given rows of u @ (D * rhs), and D, the lcm of the denominators of rhs."""
+    scale = lcm(*(b.denominator for b in rhs))
+    scaled = [(j, b.numerator * (scale // b.denominator)) for j, b in enumerate(rhs) if b]
+    u = res.u.entries
+    return [sum(u[i][j] * b for j, b in scaled) for i in rows], scale
+
+
+def _solvable(res, rhs) -> bool:
+    """A x == rhs (mod 1) has a solution: each row of u @ rhs past the rank is an integer."""
+    t, scale = _transform(res, rhs, range(res.rank, res.u.rows))
+    return all(x % scale == 0 for x in t)
+
+
+def _in_span(res, rhs) -> bool:
+    """rhs lies in the rational column span of A: each row of u @ rhs past the rank is zero."""
+    t, _ = _transform(res, rhs, range(res.rank, res.u.rows))
+    return not any(t)
+
+
+def hnf_lattice(system) -> tuple:
+    """The Hermite basis of the rows [A_i | D b_i] and (0, ..., 0, D), taken at
+    once from all equations, and D."""
+    scale = lcm(*(rhs.denominator for _, rhs in system.equations))
+    rows = [row + (rhs.numerator * (scale // rhs.denominator),)
+            for row, rhs in system.equations]
+    rows.append((0,) * len(system.unknowns) + (scale,))
+    return hnf_rows(rows), scale
+
+
+def solve(system):
+    """(particular, torsion generators, free directions) or None, from one
+    Smith form of the whole system.
+
+    Free directions span the divisible part of the solution set, torsion
+    generators its finite part (all mod 1)."""
+    res = snf_rows([row for row, _ in system.equations], len(system.unknowns))
+    rhs = [r for _, r in system.equations]
+    if not _solvable(res, rhs):
+        return None
+    nu = len(system.unknowns)
+    torsion = [[Fraction(res.v[(j, i)], res.d[i]) % 1 for j in range(nu)]
+               for i in range(res.rank) if res.d[i] > 1]
+    free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(res.rank, nu)]
+    return fraction_particular(res, rhs), torsion, free
+
+
+def forced_symmetry(candidate, perm, particular, torsion, free):
+    """Unitary witness with permutation ``perm`` if one is forced, else None:
+    one Smith form of the entry-phase coefficients, checked for solvability
+    against the particular coefficient phases and each torsion generator,
+    and for span against each free direction."""
+    n = candidate.base.n_doublets
+    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
+    relations = []
+    for m in candidate.surviving:
+        img, conjugated = m.permuted(perm)
+        if klass.get(img) != klass[m]:
+            return None
+        relations.append(_invariance_relation(m, img, conjugated, n, candidate.psi_positions))
+
+    def rhs(assign):
+        return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))
+                for _, psi in relations]
+
+    res = snf_rows([theta for theta, _ in relations], n)
+    target = rhs(particular)
+    if not (_solvable(res, target)
+            and all(_solvable(res, rhs(gen)) for gen in torsion)
+            and all(_in_span(res, rhs(direction)) for direction in free)):
+        return None
+    return GenPermMatrix(perm, tuple(fraction_particular(res, target)))
+
+
+def square_class_key(elements, f) -> tuple:
+    """The least center key over the coset of f modulo the squares of ``elements``."""
+    return min((f + 2 * pv).center_key() for _, pv in elements)
 
 
 def smith_solvable(system) -> bool:

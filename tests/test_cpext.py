@@ -3,6 +3,7 @@ import itertools
 import json
 from fractions import Fraction as F
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from nhdm.cpext import (
     GenPermMatrix,
     PhaseConstraintSystem,
     _cycles,
-    _in_span,
+    _forced_symmetry,
     _layout,
     _particular,
     _pin_system,
@@ -288,9 +289,8 @@ class TestCandidates:
         for base in (AbelianBase.trivial(3), base_r12(), base_z3(), base_z4(),
                      base_klein(), base_u11()):
             for cand in cp_extensions(base):
-                solution = cand.system.solve()
-                assert solution is not None
-                particular, _, _ = solution
+                particular = cand.system.solve()
+                assert particular is not None
                 eta = tuple(particular[:3])
                 b = GenPermMatrix(cand.sigma, eta)
                 sq = antiunitary_square(b).to_phase_vector()
@@ -356,6 +356,20 @@ class TestConstraintSystems:
         with pytest.raises(ValueError):
             system.add([F(5, 2), 1], 0)
 
+    def test_a_fraction_coefficient_enters_by_no_path(self):
+        # equations enter only through ``add``; the constructor takes none
+        # and ``copy`` copies only what ``add`` let in
+        with pytest.raises(TypeError):
+            PhaseConstraintSystem(["x"], [((F(5, 2),), F(1, 2))])
+        system = PhaseConstraintSystem(["x"])
+        for row in ([F(5, 2)], [F(2)], [0.5], ["1"]):
+            with pytest.raises(ValueError):
+                system.add(row, F(1, 2))
+            with pytest.raises(ValueError):
+                system.fixes(row)
+        assert system.equations == [] and system.copy().equations == []
+        assert system.basis == ((0, 1),) and system.solve() == [F(0)]
+
     def test_u11_backbone_equalities(self):
         cand = cp_extensions(base_u11())[0]
         assert cand.backbone.equalities() == [
@@ -394,12 +408,15 @@ class TestSolver:
         system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
         for row, b in zip(rows, rhs):
             system.add(row, b)
-        solution = system.solve()
-        assert system.solvable() == (solution is not None)
-        if solution is None:
+        particular = system.solve()
+        oracle = reference.solve(system)
+        assert system.solvable() == (particular is not None) == (oracle is not None)
+        if particular is None:
             return
-        particular, torsion, free = solution
         assert satisfies(rows, rhs, particular)
+        # the oracle's solution set: each torsion generator and each free
+        # direction moves the library's solution to another one
+        _, torsion, free = oracle
         for gen in torsion:
             assert satisfies(rows, rhs, [p + g for p, g in zip(particular, gen)])
         for direction in free:
@@ -413,7 +430,7 @@ class TestSolver:
         a = sympy.Matrix(rows)
         in_span = a.row_join(sympy.Matrix([sympy.Rational(b.numerator, b.denominator)
                                            for b in rhs])).rank() == a.rank()
-        assert _in_span(snf_rows(rows, len(rows[0])), rhs) == in_span
+        assert reference._in_span(snf_rows(rows, len(rows[0])), rhs) == in_span
 
 
 class TestVerdicts:
@@ -522,6 +539,46 @@ class TestHermiteSolvability:
             res = snf_rows(rows, len(rows[0]))
             assert _particular(res, rhs) == reference.fraction_particular(res, rhs)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(wide_congruences(), st.data())
+    def test_grown_basis_is_the_hermite_form_of_all_rows(self, case, data):
+        # equations in random order, so the scale grows at random steps
+        rows, rhs = case
+        order = data.draw(st.permutations(range(len(rows))))
+        system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
+        for i in order:
+            system.add(rows[i], rhs[i])
+        assert (system.basis, system.scale) == reference.hnf_lattice(system)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(wide_congruences(), st.data())
+    def test_fixes_is_integrality_on_the_solution_set(self, case, data):
+        # w is either arbitrary or k y A for integer y, which lies in the row
+        # lattice of A and is integral on every solution when k y b is
+        rows, rhs = case
+        ncols = len(rows[0])
+        system = PhaseConstraintSystem([f"x{j}" for j in range(ncols)])
+        for row, b in zip(rows, rhs):
+            system.add(row, b)
+        if data.draw(st.booleans()):
+            w = data.draw(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols))
+        else:
+            y = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            k = data.draw(st.integers(1, 12))
+            w = [k * sum(c * r[j] for c, r in zip(y, rows)) for j in range(ncols)]
+        oracle = reference.solve(system)
+        if oracle is None:
+            assert system.fixes(w)  # nothing to be integral on
+            return
+        particular, torsion, free = oracle
+
+        def dot(x):
+            return sum((a * b for a, b in zip(w, x)), F(0))
+
+        assert system.fixes(w) == (dot(particular).denominator == 1
+                                   and all(dot(g).denominator == 1 for g in torsion)
+                                   and all(dot(d) == 0 for d in free))
+
     def test_three_doublet_sweep_matches_the_refactoring_loop(self):
         for base in cp_bases(3):
             invariant = base.invariant_monomials()
@@ -554,6 +611,38 @@ class TestHermiteSolvability:
             for cand in cp_extensions(base):
                 cp_realizable(cand)
         assert len(calls) == 63
+
+
+class TestLatticeReadings:
+    """The membership reading of forced symmetries and the exponent-space square
+    classes against the readings they replace."""
+
+    def test_forced_symmetry_matches_the_solution_set_reading(self):
+        # every non-identity permutation preserving the backbone, not only
+        # those ``cp_realizable`` reaches before its first witness
+        pairs = forced = 0
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                particular = cand.system.solve()
+                oracle = reference.solve(cand.system)
+                for perm in itertools.permutations(range(3)):
+                    if perm == (0, 1, 2) or not cand.backbone.preserved_by(perm):
+                        continue
+                    got = _forced_symmetry(cand, perm, particular)
+                    assert got == reference.forced_symmetry(cand, perm, *oracle)
+                    pairs += 1
+                    forced += got is not None
+        assert (pairs, forced) == (21, 12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_square_classes_match_the_center_key_cosets(self, n):
+        # ``cp_extensions`` keys an element by its exponents mod gcd(2, d_i)
+        for base in all_bases(n):
+            elements = base.finite_elements()
+            pairs = {(tuple(e % gcd(2, d) for e, d in zip(expts, base.signature.finite)),
+                      reference.square_class_key(elements, f)) for expts, f in elements}
+            # the same partition: each key determines the other
+            assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
 class TestClassification:
