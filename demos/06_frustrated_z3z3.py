@@ -5,6 +5,11 @@ is not diagonalizable as a whole.  The invariant potential turns out to be
 symmetric under any exchange of two doublets as well, and the exchange does
 not commute with the phase rotation: the full symmetry group is nonabelian,
 so Z3 x Z3 itself is not realizable with three doublets.
+
+The swap is found by the same forced-symmetry search that decides the
+antiunitary verdicts of demo 05: the Z3 potential is restricted by the cyclic
+permutation, and the search lists every generalized permutation the
+restricted potential is forced to admit.
 """
 
 from nhdm import check_z3z3

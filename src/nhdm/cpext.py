@@ -426,11 +426,13 @@ def backbone_classes(sigma: Perm) -> BackboneClasses:
 
 @dataclass(frozen=True)
 class CpCandidate:
-    """One possible abelian extension of a torus subgroup by an antiunitary.
+    """One possible abelian extension of a torus subgroup by one generalized permutation.
 
-    ``square`` is the unitary part of the squared antiunitary generator; the
-    constraint system collects the structural-phase pinning and the
-    coefficient conditions required for invariance of the surviving terms.
+    The generator is the antiunitary b J of ``cp_extensions``, or a unitary
+    b as in ``check_z3z3``.  ``square`` is the power of the generator that
+    lands in the base: the unitary part of (b J)^2, or b^3 for the Z3 x Z3
+    cycle.  The constraint system collects the structural-phase pinning and
+    the coefficient conditions required for invariance of the surviving terms.
     """
 
     base: AbelianBase
@@ -511,35 +513,40 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector,
 def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
                      pin: PhaseConstraintSystem, invariant,
                      psi_positions: dict[Monomial, int]) -> CpCandidate:
-    """Restrict the invariant terms orbit by orbit, keeping each orbit that stays solvable."""
-    n = base.n_doublets
     # b J with b the bare permutation: conjugate, then permute
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
-    system = pin
+    return CpCandidate(base, sigma, f, tuple(expts), extend_by_antiunitary(base.signature, expts),
+                       *_restrict(pin, images, psi_positions, base.n_doublets),
+                       backbone_classes(sigma), psi_positions)
+
+
+def _restrict(system: PhaseConstraintSystem, images: dict[Monomial, tuple[Monomial, bool]],
+              psi_positions: dict[Monomial, int], n_doublets: int) -> tuple:
+    """Restrict the terms orbit by orbit, keeping each orbit that stays solvable.
+
+    ``images`` maps each term, in order, to its (image, conjugated) under the
+    generator.  Returns the grown system, the surviving and the killed terms
+    and the magnitude classes: surviving terms linked by the action, which
+    are exactly the surviving orbits.
+    """
     surviving: list[Monomial] = []
     killed: list[Monomial] = []
     classes: list[tuple[Monomial, ...]] = []
-    for orbit in _cycles(invariant, lambda m: images[m][0]):
+    for orbit in _cycles(images, lambda m: images[m][0]):
         trial = system.copy()
         for m in orbit:
-            img, conjugated = images[m]
-            xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
-            row = list(xi) + [0] * (len(system.unknowns) - n)
+            xi, psi = _invariance_relation(m, *images[m], n_doublets, psi_positions)
+            row = list(xi) + [0] * (len(system.unknowns) - n_doublets)
             for j, c in psi.items():
                 row[j] += c
             trial.add(row, 0)
         if trial.solvable():
             system = trial
             surviving.extend(orbit)
-            # magnitude classes: surviving terms linked by the action, which
-            # are exactly the surviving orbits
             classes.append(orbit)
         else:
             killed.extend(orbit)
-    signature = extend_by_antiunitary(base.signature, expts)
-    return CpCandidate(base, sigma, f, tuple(expts), signature, system,
-                       tuple(sorted(surviving)), tuple(sorted(killed)),
-                       tuple(classes), backbone_classes(sigma), psi_positions)
+    return system, tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes)
 
 
 # -- realizability verdicts -----------------------------------------------------
@@ -592,25 +599,32 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
             f"surviving terms are invariant under the extra diagonal {witness_gen}",
             GenPermMatrix.diagonal(witness_gen))
 
+    forced = next(forced_symmetries(candidate), None)
+    if forced is None:
+        return CpVerdict("realizable", "no further unitary symmetry is forced")
+    noncomm = _noncommuting_generator(base, forced)
+    extra = f"; does not commute with {noncomm}" if noncomm else ""
+    return CpVerdict("enlarged_unitary",
+                     f"coefficient restrictions force the unitary symmetry {forced}{extra}", forced)
+
+
+def forced_symmetries(candidate: CpCandidate):
+    """Each unitary generalized permutation forced on the candidate's potential.
+
+    Permutations are tried in sorted order, skipping the identity and every
+    permutation that breaks the backbone classes; each forced
+    ``GenPermMatrix`` is yielded as it is found.
+    """
     particular = candidate.system.solve()
     if particular is None:
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
-    n = base.n_doublets
-    for perm in sorted(itertools.permutations(range(n))):
-        if perm == tuple(range(n)):
-            continue
-        if not candidate.backbone.preserved_by(perm):
-            continue
-        forced = _forced_symmetry(candidate, perm, particular)
-        if forced is not None:
-            noncomm = _noncommuting_generator(base, forced)
-            extra = f"; does not commute with {noncomm}" if noncomm else ""
-            return CpVerdict(
-                "enlarged_unitary",
-                f"coefficient restrictions force the unitary symmetry {forced}{extra}",
-                forced)
-    return CpVerdict("realizable", "no further unitary symmetry is forced")
+    # the permutations come in sorted order, the identity first
+    for perm in itertools.islice(itertools.permutations(range(candidate.base.n_doublets)), 1, None):
+        if candidate.backbone.preserved_by(perm):
+            forced = _forced_symmetry(candidate, perm, particular)
+            if forced is not None:
+                yield forced
 
 
 def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector | None:
@@ -619,9 +633,14 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
             return g
     for w in base.doublet_weights:
         if any(w[a] != w[u.perm[a]] for a in range(u.n)):
-            # a torus element along this direction fails to commute
-            denom = 2 * max(abs(x) for x in w) + 1
-            return PhaseVector(tuple(Fraction(x, denom) for x in w))
+            # the shifts w[u(a)] - w[a] lie in [-2M, 2M], sum to 0 and are not
+            # all 0, so two differ by 1 to 4M and the angle 1/d fails to
+            # commute for some d from 2M + 1 to 4M + 1
+            top = 2 * max(abs(x) for x in w)
+            for denom in range(top + 1, 2 * top + 2):
+                g = PhaseVector(tuple(Fraction(x, denom) for x in w))
+                if not commutes_with_diagonal(u, g):
+                    return g
     return None
 
 
@@ -739,56 +758,33 @@ class Z3Z3Report:
         }
 
 
-def _z3z3_terms() -> dict[Monomial, tuple[str, bool]]:
-    """Charged sector of the Z3 x Z3 invariant potential.
-
-    All three terms share one complex coefficient; the boolean marks whether
-    the canonical representative is the conjugate of the term as written.
-    """
-    return {
-        Monomial.canonical(((1, 2), (1, 3))): ("l3", False),
-        Monomial.canonical(((2, 3), (2, 1))): ("l3", True),
-        Monomial.canonical(((3, 1), (3, 2))): ("l3", True),
-    }
-
-
-def _class_potential_invariant(terms: dict[Monomial, tuple[str, bool]],
-                               u: GenPermMatrix) -> bool:
-    """Invariance of a symbolic-coefficient charged sector under a unitary.
-
-    Coefficients within a class are equal but otherwise arbitrary complex
-    numbers, so invariance requires each term to land on a term of the same
-    class with zero phase shift and consistently composed conjugations.
-    """
-    for m, (klass, flag) in terms.items():
-        img, flip = m.permuted(u.perm)
-        if img not in terms:
-            return False
-        k2, flag2 = terms[img]
-        if k2 != klass or flag2 != (flag ^ flip) or phase_shift(m, PhaseVector(u.phases)) != 0:
-            return False
-    return True
-
-
 def check_z3z3(n_doublets: int = 3) -> Z3Z3Report:
     """Non-realizability of Z3 x Z3 as a symmetry of a three-doublet potential.
 
-    Builds the invariant potential of the group generated by the phase
-    rotation diag(1, w, w^2) and the cyclic doublet permutation, verifies both
-    invariances, then exhibits the doublet swap 1 <-> 2 as a further unitary
-    symmetry that does not commute with the phase rotation.
+    The group extends the Z3 of the phase rotation a = diag(1, w, w^2) by
+    the cyclic doublet permutation b, whose cube is the identity.  Its
+    potential is the Z3-invariant one restricted by b, as an antiunitary
+    candidate is restricted by its generator, and the same forced-symmetry
+    search finds the doublet swap 1 <-> 2, which does not commute with a.
     """
     if n_doublets != 3:
         raise ValueError("the Z3 x Z3 check is specific to 3 doublets")
     a = PhaseVector((Fraction(0), Fraction(1, 3), Fraction(2, 3)))
     b = GenPermMatrix.permutation((1, 2, 0))
     swap = GenPermMatrix.permutation((1, 0, 2))
-    terms = _z3z3_terms()
-
-    inv_a = _class_potential_invariant(terms, GenPermMatrix.diagonal(a))
-    inv_b = _class_potential_invariant(terms, b)
-    inv_swap = _class_potential_invariant(terms, swap)
+    base = AbelianBase.from_lattice(3, [chg for m, chg in monomial_charges(3).items()
+                                        if phase_shift(m, a) == 0])
+    invariant = base.invariant_monomials()
+    unknowns, psi_positions = _layout(base, invariant)
+    pin = PhaseConstraintSystem(unknowns)
+    for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
+        pin.add([int(j == k) for j in range(len(unknowns))], phase)
+    images = {m: m.permuted(b.perm) for m in invariant}
+    extension = CpCandidate(base, b.perm, PhaseVector.identity(3), (0,), GroupSignature((3, 3)),
+                            *_restrict(pin, images, psi_positions, 3),
+                            backbone_classes(b.perm), psi_positions)
+    inv_ab = base.contains_diagonal(a) and not extension.killed
+    inv_swap = swap in forced_symmetries(extension)
     commutes = commutes_with_diagonal(swap, a)
-    verdict = "not_realizable" if (inv_a and inv_b and inv_swap and not commutes) \
-        else "inconclusive"
-    return Z3Z3Report(a, b, swap, inv_a and inv_b, inv_swap, commutes, verdict)
+    verdict = "not_realizable" if (inv_ab and inv_swap and not commutes) else "inconclusive"
+    return Z3Z3Report(a, b, swap, inv_ab, inv_swap, commutes, verdict)

@@ -128,6 +128,8 @@ class TestGolden:
         ("witness-4-Z8.json", ["witness", "--doublets", "4", "--group", "Z8", "--format", "json"]),
         ("witness-4-Z2xZ4.json",
          ["witness", "--doublets", "4", "--group", "Z2xZ4", "--format", "json"]),
+        # appended last so the positional ids of the cases above stay put
+        ("check-z3z3.txt", ["check-z3z3"]),
     ])
     def test_report_is_byte_identical(self, name, argv):
         code, out, _ = invoke(argv)

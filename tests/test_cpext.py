@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhdm import exactmath
+from nhdm import cpext, exactmath
 from nhdm.cpext import (
     AbelianBase,
     GenPermMatrix,
@@ -17,6 +19,7 @@ from nhdm.cpext import (
     _cycles,
     _forced_symmetry,
     _layout,
+    _noncommuting_generator,
     _particular,
     _pin_system,
     backbone_classes,
@@ -30,6 +33,7 @@ from nhdm.cpext import (
     cp_bases,
     cp_extensions,
     cp_realizable,
+    forced_symmetries,
 )
 from nhdm.exactmath import snf_rows
 from nhdm.groups import GroupSignature
@@ -476,6 +480,47 @@ class TestVerdicts:
         trivial = cp_extensions(AbelianBase.trivial(3))
         assert any(cp_realizable(c).realizable for c in trivial)
 
+    def test_witness_is_the_first_forced_symmetry(self):
+        # a candidate that passes the lattice checks is realizable exactly
+        # when the search yields nothing, and otherwise rejected by its first
+        # yield
+        kinds = Counter()
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                verdict = cp_realizable(cand)
+                if verdict.kind == "continuous_degeneration" or (
+                        verdict.witness is not None and verdict.witness.is_diagonal):
+                    continue
+                assert verdict.witness == next(forced_symmetries(cand), None)
+                kinds[verdict.kind] += 1
+        assert kinds == {"realizable": 14, "enlarged_unitary": 9}
+
+
+class TestNoncommutingGenerator:
+    def test_torus_elements_fail_to_commute_on_the_weight_grid(self):
+        # sum-zero weights in [-4, 4] for 3 to 5 doublets, each nondecreasing:
+        # relabelling the doublets conjugates both u and the element, so each
+        # weight vector stands for its n! / prod(multiplicity!) orderings.
+        # Over all orderings the angle 1/(2M + 1) commutes at 492 pairs.
+        beyond_first = 0
+        for n in (3, 4, 5):
+            perms = [GenPermMatrix.permutation(p) for p in itertools.permutations(range(n))]
+            for w in itertools.combinations_with_replacement(range(-4, 5), n):
+                if sum(w):
+                    continue
+                base = SimpleNamespace(finite_generators=(), doublet_weights=(w,))
+                orderings = factorial(n) // prod(map(factorial, Counter(w).values()))
+                first = 2 * max(map(abs, w)) + 1
+                for u in perms:
+                    g = _noncommuting_generator(base, u)
+                    if all(w[a] == w[u.perm[a]] for a in range(n)):
+                        assert g is None
+                        continue
+                    assert not commutes_with_diagonal(u, g)
+                    if g != PhaseVector(tuple(F(x, first) for x in w)):
+                        beyond_first += orderings
+        assert beyond_first == 492
+
 
 def sweep_digest(n):
     """Candidate count and SHA-256 of one JSON line per candidate, in
@@ -690,3 +735,24 @@ class TestZ3Z3:
     def test_wrong_doublet_count(self):
         with pytest.raises(ValueError):
             check_z3z3(4)
+
+    def test_search_yields_the_five_forced_permutations(self, monkeypatch):
+        # the Z3 potential restricted by the 3-cycle is forced to admit every
+        # permutation with zero phases; the transpositions fail to commute
+        # with a, the 3-cycles commute
+        searched = []
+        real = cpext.forced_symmetries
+        monkeypatch.setattr(cpext, "forced_symmetries",
+                            lambda cand: searched.append(cand) or real(cand))
+        rep = check_z3z3()
+        (extension,) = searched
+        assert extension.sigma == (1, 2, 0)
+        assert extension.square == PhaseVector.identity(3)
+        assert extension.signature == GroupSignature((3, 3))
+        assert extension.base.signature == GroupSignature((3,))
+        assert not extension.killed
+        forced = list(real(extension))
+        assert [u.perm for u in forced] == [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+        assert all(u.phases == (0, 0, 0) for u in forced)
+        assert [commutes_with_diagonal(u, rep.phase_generator) for u in forced] == [
+            False, False, True, True, False]

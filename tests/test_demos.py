@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -33,3 +35,17 @@ def test_demo_runs(path):
 def test_demo_output_is_byte_identical(prefix):
     (path,) = [p for p in DEMOS if p.name.startswith(prefix + "_")]
     assert run_demo(path).stdout == (GOLDEN / f"demo-{prefix}.txt").read_text()
+
+
+def test_readme_minimal_session_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("A minimal session:\n\n```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, {})
+    prints = [line for line in snippet.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(prints)
+    commented = [(got, line.partition("# ")[2]) for got, line in zip(printed, prints)
+                 if "# " in line]
+    assert commented == [("Z3", "Z3"), ("2π·(2/3, 1/3, 0)", "2π·(2/3, 1/3, 0)")]
