@@ -19,7 +19,6 @@ from .cpext import (
     check_z3z3,
     classify_cp,
     commutant_support,
-    centralizer_genperm,
     cp_extensions,
     cp_realizable,
 )
@@ -35,6 +34,6 @@ __all__ = [
     "symmetry_group_of_terms", "verify_order_bound", "witness_potential",
     "cyclic_c_matrix", "product_c_matrix",
     "AbelianBase", "GenPermMatrix", "check_z3z3", "classify_cp",
-    "commutant_support", "centralizer_genperm", "cp_extensions", "cp_realizable",
+    "commutant_support", "cp_extensions", "cp_realizable",
     "__version__",
 ]

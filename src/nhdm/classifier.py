@@ -184,9 +184,12 @@ def classify(n_doublets: int, include_continuous: bool = True) -> Classification
     """Complete list of realizable subgroups of the maximal torus.
 
     One entry per abstract group, carrying the first minimal witness found.
-    Continuous groups additionally list one variant per distinct eigenvalue
-    pattern of the torus directions (inequivalent embeddings with the same
-    abstract group).  The trivial group is excluded.
+    Continuous groups additionally list one variant per distinct weight
+    pattern of the torus directions read off the Smith kernel basis.  At
+    torus rank 1 the pattern is invariant under doublet permutations, so the
+    variants are pairwise inequivalent embeddings; at higher rank it depends
+    on the basis, and variants can be conjugate (the ten U(1)xU(1) variants
+    at N=4 fall into three orbits).  The trivial group is excluded.
     """
     if not 2 <= n_doublets <= 6:
         raise ValueError("doublet count out of supported range (2..6)")

@@ -90,21 +90,25 @@ def _cmd_snf(args) -> None:
         raise ValueError("matrix too large (limit 16x16)")
     res = snf(m)
     sig = group_from_snf(res.d, m.cols)
-    payload = {
-        "matrix": [list(r) for r in m.entries],
-        "d": list(res.d),
-        "u": [list(r) for r in res.u.entries],
-        "v": [list(r) for r in res.v.entries],
-        "group": sig.name(),
-    }
-    text = "\n".join([
-        f"input: {m.to_text()}",
-        f"d: {res.d}",
-        f"u: {res.u.to_text()}",
-        f"v: {res.v.to_text()}",
-        f"group (as a charge matrix): {sig.name()}",
-    ])
-    _emit(_report("snf", payload), text, args.format)
+    try:
+        payload = {
+            "matrix": [list(r) for r in m.entries],
+            "d": list(res.d),
+            "u": [list(r) for r in res.u.entries],
+            "v": [list(r) for r in res.v.entries],
+            "group": sig.name(),
+        }
+        text = "\n".join([
+            f"input: {m.to_text()}",
+            f"d: {res.d}",
+            f"u: {res.u.to_text()}",
+            f"v: {res.v.to_text()}",
+            f"group (as a charge matrix): {sig.name()}",
+        ])
+        _emit(_report("snf", payload), text, args.format)
+    except ValueError as exc:  # an int past Python's limit on digits in str()
+        raise ValueError("Smith form too long to print: its transform entries or invariant "
+                         "factors have more digits than Python converts to text") from exc
 
 
 def _cmd_charges(args) -> None:
@@ -257,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify, min_doublets=2, max_doublets=6)
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','")
+    p.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','; "
+                   "a leading minus sign needs the form --matrix='-1,2;3,4'")
     add_format(p)
     p.set_defaults(func=_cmd_snf)
 

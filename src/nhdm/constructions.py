@@ -107,18 +107,17 @@ def _finish(matrix: IntMatrix, boundary_list=()) -> ConstructedMatrix:
         raise AssertionError("constructed matrix has an inadmissible row")
     res = snf(matrix)
     group = group_from_snf(res.d, matrix.cols)
-    witness = tuple(monomial_for_c_row(row, matrix.cols + 1) for row in matrix.entries)
+    witness = tuple(monomial_for_c_row(row) for row in matrix.entries)
     return ConstructedMatrix(matrix, types, res.d, group, witness, tuple(boundary_list))
 
 
-def monomial_for_c_row(row, n_doublets: int) -> Monomial:
+def monomial_for_c_row(row) -> Monomial:
     """Concrete monomial whose charge decomposes to the given c-row.
 
     A c-row lists the net exponents of doublets 2..N (phi_a counts +1 and
     phi_a^dagger -1), so doublet 1 carries minus their sum.  Of the ways to
     pair the phi^dagger factors with the phi factors the least canonical
-    monomial is returned.  The row alone fixes the monomial; ``n_doublets``
-    is not read.
+    monomial is returned.
     """
     exponents = (-sum(row), *row)
     downs = [a for a, e in enumerate(exponents, 1) for _ in range(-e)]

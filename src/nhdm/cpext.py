@@ -11,10 +11,11 @@ matrices with exact rational phases:
    whose coefficient is forced to vanish,
 5. check that the restricted potential acquires no further unitary symmetry.
 
-Every question is read off an integer lattice.  The group is
-the set of torus elements on which every charge in its charge lattice
-vanishes, so by duality a character is trivial on the whole group,
-continuous part included, exactly when its charge lies in that lattice.
+Every question is read off an integer lattice.  The group is the set of
+torus elements on which every charge in its lattice vanishes, which is how
+``AbelianBase.contains_diagonal`` tests a diagonal element.  By duality a
+character is trivial on the whole group, continuous part included, exactly
+when its charge lies in that lattice.
 Invariant terms, commuting permutation patterns and the support of a
 commuting antiunitary are each such a test (``AbelianBase.annihilates``) of
 a charge built from the phase differences psi_a - psi_b
@@ -37,9 +38,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import Rows, SnfResult, hnf_add, hnf_contains, hnf_rows, integers, snf_rows
+from .exactmath import (IntMatrix, Rows, SnfResult, hnf_add, hnf_contains, hnf_rows, integers,
+                        snf_rows)
 from .groups import GroupSignature, extend_by_antiunitary
-from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
+from .monomials import Monomial, c_decompose, monomial_charges, phase_shift, raw_exponents
 from .torus import (PhaseVector, direction_weights, equal_mod_center, rational_phases,
                     torus_basis)
 
@@ -293,8 +295,19 @@ class AbelianBase:
                 for expts in itertools.product(*(range(d) for d in self.signature.finite))]
 
     def contains_diagonal(self, pv: PhaseVector) -> bool:
-        """Exact membership test: pv leaves every invariant monomial invariant."""
-        return all(phase_shift(m, pv) == 0 for m in self.invariant_monomials())
+        """Exact membership test: every charge in the lattice is trivial on pv.
+
+        A charge r has net exponents c == r A^-1 on doublets 2..N over the
+        bilinear charge basis A (``c_decompose``), so its phase under pv is
+        sum_b c_b (pv_b - pv_1).  The empty lattice contains every element.
+        """
+        if len(pv) != self.n_doublets:
+            raise ValueError(f"need {self.n_doublets} phases, got {len(pv)}")
+        if not self.lattice:
+            return True
+        c, _ = c_decompose(IntMatrix.from_rows(self.lattice), self.n_doublets)
+        shifts = [p - pv.phases[0] for p in pv.phases[1:]]
+        return all(sum(x * y for x, y in zip(row, shifts)).denominator == 1 for row in c.entries)
 
 
 def _pattern_scan(base: AbelianBase, sign: int) -> list[Perm]:
@@ -339,27 +352,6 @@ def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
         return base.annihilates(tuple(map(sum, zip(*diff[i], *diff[j]))))
 
     return tuple(tuple(allowed(i, j) for j in range(n)) for i in range(n))
-
-
-@dataclass(frozen=True)
-class CentralizerDescription:
-    """Centralizer of the group among generalized permutations.
-
-    Each listed permutation pattern extends to a commuting unitary with fully
-    free phases (modulo the overall scalar), so the centralizer is the union
-    of those phase tori.
-    """
-
-    base: AbelianBase
-    perms: tuple[Perm, ...]
-
-    def contains(self, u: GenPermMatrix) -> bool:
-        # the phase part of u is diagonal, so it commutes with the group already
-        return u.perm in self.perms
-
-
-def centralizer_genperm(base: AbelianBase) -> CentralizerDescription:
-    return CentralizerDescription(base, tuple(centralizer_perms(base)))
 
 
 # -- candidate construction -----------------------------------------------------
@@ -758,7 +750,7 @@ class Z3Z3Report:
         }
 
 
-def check_z3z3(n_doublets: int = 3) -> Z3Z3Report:
+def check_z3z3() -> Z3Z3Report:
     """Non-realizability of Z3 x Z3 as a symmetry of a three-doublet potential.
 
     The group extends the Z3 of the phase rotation a = diag(1, w, w^2) by
@@ -767,8 +759,6 @@ def check_z3z3(n_doublets: int = 3) -> Z3Z3Report:
     candidate is restricted by its generator, and the same forced-symmetry
     search finds the doublet swap 1 <-> 2, which does not commute with a.
     """
-    if n_doublets != 3:
-        raise ValueError("the Z3 x Z3 check is specific to 3 doublets")
     a = PhaseVector((Fraction(0), Fraction(1, 3), Fraction(2, 3)))
     b = GenPermMatrix.permutation((1, 2, 0))
     swap = GenPermMatrix.permutation((1, 0, 2))

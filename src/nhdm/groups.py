@@ -15,19 +15,6 @@ from typing import Iterable, Sequence
 from .exactmath import IntMatrix, integers, snf
 
 
-def _prime_factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True, order=True)
 class GroupSignature:
     """Abelian group in canonical form.
@@ -85,35 +72,26 @@ class GroupSignature:
         return self.name()
 
 
-# Largest cyclic order ``canonicalize`` factors; trial division up to it
-# takes milliseconds, while an unbounded order typed by a user would hang.
+# Largest cyclic order ``canonicalize`` accepts: a bound on the group names
+# users type, since the Smith form itself takes orders of any size.
 MAX_CYCLIC_ORDER = 2 ** 32
 
 
 def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
     """Invariant-factor form of a product of cyclic groups.
 
-    Repeatedly merges coprime parts, e.g. Z2 x Z3 becomes Z6 while Z2 x Z4
-    stays as it is.  Each factor must lie in ``1..MAX_CYCLIC_ORDER``.
+    The form is the Smith diagonal of diag(factors) without its ones, e.g.
+    Z2 x Z3 becomes Z6 while Z2 x Z4 stays as it is.  Each factor must lie
+    in ``1..MAX_CYCLIC_ORDER``.
     """
-    primes: dict[int, list[int]] = {}
-    for f in integers(factors, "cyclic factors"):
+    factors = integers(factors, "cyclic factors")
+    for f in factors:
         if f < 1:
             raise ValueError("cyclic factors must be positive")
         if f > MAX_CYCLIC_ORDER:
             raise ValueError(f"cyclic factor {f} exceeds the supported order {MAX_CYCLIC_ORDER}")
-        for p, e in _prime_factorization(f).items():
-            primes.setdefault(p, []).append(e)
-    width = max((len(v) for v in primes.values()), default=0)
-    chain = []
-    for i in range(width):
-        d = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                d *= p ** exps_sorted[i]
-        chain.append(d)
-    return GroupSignature(tuple(sorted(d for d in chain if d > 1)), torus_rank)
+    d = snf(IntMatrix.diagonal(factors)).d if factors else ()
+    return GroupSignature(tuple(x for x in d if x > 1), torus_rank)
 
 
 def group_from_snf(d: Sequence[int], n: int) -> GroupSignature:

@@ -1,11 +1,13 @@
 """Helpers only the tests call, and earlier forms of library code kept as oracles.
 
-The oracles are the generator-based group questions, union-find orbits and
+The oracles are the generator-based group questions, the diagonal
+membership scanned over invariant monomials, union-find orbits and
 Fraction charges that ``nhdm`` answered with before it asked everything
 through the charge lattice, the Smith form that kept its transforms beside
 the matrix, the sign loop that mapped c-rows to monomials, the starred
-factor read from the inverse of the Smith column transform, the abelian
-groups of each order assembled from per-prime partitions, the phase
+factor read from the inverse of the Smith column transform, the
+invariant factors merged from the prime powers of each cyclic order, the
+abelian groups of each order assembled from per-prime partitions, the phase
 congruences decided by a Smith form of the whole system for every orbit
 tried, the solution set as a particular solution with torsion generators
 and free directions, the forced unitary symmetry decided by testing that
@@ -20,8 +22,8 @@ from math import lcm
 
 from nhdm.cpext import GenPermMatrix, _cycles, _invariance_relation
 from nhdm.exactmath import IntMatrix, hnf_rows, inverse_unimodular, snf, snf_rows
-from nhdm.groups import GroupSignature, _prime_factorization, canonicalize, group_from_snf
-from nhdm.monomials import Monomial, monomial_charges
+from nhdm.groups import GroupSignature, canonicalize, group_from_snf
+from nhdm.monomials import Monomial, monomial_charges, phase_shift
 
 
 # -- helpers moved out of the library ------------------------------------------
@@ -102,6 +104,12 @@ def commutant_support(base) -> tuple:
         return all(w[i] + w[j] == 0 for w in base.doublet_weights)
 
     return tuple(tuple(allowed(i, j) for j in range(n)) for i in range(n))
+
+
+def contains_diagonal(base, pv) -> bool:
+    """pv leaves every invariant monomial of the base invariant.  Exact only
+    when the lattice is spanned by monomial charges, as on every walked base."""
+    return all(phase_shift(m, pv) == 0 for m in base.invariant_monomials())
 
 
 def components(terms, links) -> tuple:
@@ -347,6 +355,37 @@ def _partitions(k, cap=None):
     for first in range(cap, 0, -1):
         for rest in _partitions(k - first, first):
             yield (first,) + rest
+
+
+def _prime_factorization(n):
+    """Prime exponents of n by trial division, as {prime: exponent}."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def canonicalize_by_factoring(factors):
+    """Invariant factors of a product of cyclic groups: the i-th largest
+    power of each prime, over all factors, goes into the i-th factor."""
+    primes = {}
+    for f in factors:
+        for p, e in _prime_factorization(f).items():
+            primes.setdefault(p, []).append(e)
+    chain = []
+    for i in range(max((len(v) for v in primes.values()), default=0)):
+        chain.append(1)
+        for p, exps in primes.items():
+            exps = sorted(exps, reverse=True)
+            if i < len(exps):
+                chain[-1] *= p ** exps[i]
+    return GroupSignature(tuple(sorted(d for d in chain if d > 1)))
 
 
 def abelian_groups_of_order(m):

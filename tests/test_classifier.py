@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import deque
@@ -18,9 +19,9 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, snf
+from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, hnf_rows, snf
 from nhdm.groups import GroupSignature
-from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
+from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, monomial_charges
 from nhdm.torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
 from reference import all_realized, finite_groups_by_subset_scan
 
@@ -131,6 +132,25 @@ class TestClassify:
             patterns.add(tuple(sorted(abs(w) for w in
                                       direction_weights(basis, entry.torus_directions[0]))))
         assert patterns == {(0, 1, 1), (1, 1, 2)}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rank_one_variants_are_not_conjugate(self, n):
+        # a variant's lattice is spanned by its witness charges; a doublet
+        # permutation maps it to the lattice of the permuted witness
+        charges = monomial_charges(n)
+
+        def orbit(entry):
+            return {hnf_rows([charges[m.permuted(perm)[0]] for m in entry.witness])
+                    for perm in itertools.permutations(range(n))}
+
+        checked = 0
+        for e in classify(n).entries:
+            if e.signature.torus_rank == 1:
+                orbits = [orbit(v) for v in (e, *e.variants)]
+                assert all(v.lattice in o for v, o in zip((e, *e.variants), orbits))
+                assert all(a.isdisjoint(b) for a, b in itertools.combinations(orbits, 2))
+                checked += len(orbits)
+        assert checked == {3: 3, 4: 14}[n]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import io
 import json
 import contextlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,13 @@ def run_cli(argv, timeout=10, python_flags=()):
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *python_flags, "-m", "nhdm", *argv],
                           capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def random_matrix_text(seed, size, bound):
+    """A size x size matrix in the --matrix format, entries drawn row by row."""
+    rng = random.Random(seed)
+    return ";".join(",".join(str(rng.randint(-bound, bound)) for _ in range(size))
+                    for _ in range(size))
 
 
 def validate_schema(report):
@@ -80,6 +88,21 @@ class TestHostileInput:
         proc = run_cli(["snf", "--matrix", "99999999999999999999999,1;2,3"])
         assert proc.returncode == 0
         assert "group (as a charge matrix): Z299999999999999999999995" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("matrix", [
+        # the Smith transforms of this 12x12 matrix have entries past
+        # Python's default limit of 4300 digits in str()
+        pytest.param(random_matrix_text(1, 12, 10**20), id="transforms"),
+        # coprime 2,201-digit entries: the group order has 4,401 digits
+        pytest.param(f"{10**2200 + 1},0;0,{10**2200 + 3}", id="group-order"),
+    ])
+    def test_snf_too_long_to_print_exits_2(self, matrix, fmt):
+        proc = run_cli(["snf", f"--matrix={matrix}", "--format", fmt])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "too long to print" in proc.stderr
+        assert "set_int_max_str_digits" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["witness", "--doublets", "3", "--group", "Z" + "9" * 30],

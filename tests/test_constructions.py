@@ -93,14 +93,14 @@ class TestRowRealization:
         basis = torus_basis(n_doublets)
         for row, expected_type in rows.items():
             assert row_type(row) == expected_type
-            mono = monomial_for_c_row(row, n_doublets)
+            mono = monomial_for_c_row(row)
             target = tuple(sum(row[i] * a[(i, j)] for i in range(4)) for j in range(4))
             chg = charge_vector(mono, basis)
             assert chg == target or chg == tuple(-x for x in target)
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
-            monomial_for_c_row((3, 0, 0, 0), 5)
+            monomial_for_c_row((3, 0, 0, 0))
 
     def test_matches_the_sign_loop(self):
         # every row with at most four entries from {-2, -1, 1, 2}, 1..6 long
@@ -113,9 +113,9 @@ class TestRowRealization:
                     expected = reference.monomial_for_c_row(row, length + 1)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        monomial_for_c_row(row, length + 1)
+                        monomial_for_c_row(row)
                     continue
-                assert monomial_for_c_row(row, length + 1) == expected
+                assert monomial_for_c_row(row) == expected
                 checked += 1
         assert checked == 980  # rows with an admissible monomial
 

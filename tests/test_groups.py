@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from nhdm.groups import (
@@ -35,6 +37,17 @@ class TestCanonicalize:
     def test_prime_power_multiset_determines_result(self):
         # Z12 x Z60 and Z3 x Z4 x Z60 share elementary divisors
         assert canonicalize([12, 60]) == canonicalize([3, 4, 60]) == GroupSignature((12, 60))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.integers(1, 72), st.integers(1, MAX_CYCLIC_ORDER)),
+                    max_size=4))
+    def test_matches_the_prime_power_merge(self, factors):
+        # oracle: factor each order by trial division and merge prime powers
+        assert canonicalize(factors) == reference.canonicalize_by_factoring(factors)
+
+    def test_empty_and_unit_factors_give_the_trivial_group(self):
+        assert canonicalize([]) == canonicalize([1, 1]) == GroupSignature()
+        assert canonicalize([1], torus_rank=2) == GroupSignature(torus_rank=2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
