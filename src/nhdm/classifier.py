@@ -8,8 +8,9 @@ N-1 terms (none are known to occur; the equality is tested, not assumed).
 From each lattice the walk builds one child per distinct nonzero coset of
 the generators after the last one of its witness, instead of one per
 generator; the visited lattices, their order and their witnesses are the
-same either way (see ``_lattice_scan``).  Of each lattice only the Smith
-form is read; generators are solved for the entries the report keeps.
+same either way (see ``_lattice_scan``).  Of a full-rank lattice only the
+Smith diagonal is read; the transforms are taken for the weight patterns of
+the continuous lattices and for the entries the report keeps.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -32,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .exactmath import SnfResult, hnf_add, hnf_reduce, snf, snf_rows
+from .exactmath import SnfResult, hnf_add, hnf_reduce, smith_diagonal, snf, snf_rows
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
@@ -212,27 +213,32 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
 
     # Each group keeps its first lattice in the breadth-first insertion order,
     # which has a minimal witness, and a continuous group also the first
-    # lattice of each weight pattern.  Only the Smith form of every lattice is
-    # needed to sort them; generators are solved for the kept ones below.
+    # lattice of each weight pattern.  A full-rank lattice is sorted by its
+    # Smith diagonal alone; the transforms are taken for the weight pattern of
+    # each lattice below full rank and for the kept entries below.
     primary: dict[GroupSignature, tuple] = {}
     variants: dict[GroupSignature, dict[tuple, tuple]] = {}
     counts: dict[GroupSignature, int] = {}
+    signatures: dict[tuple[int, ...], GroupSignature] = {}
     for lattice, witness in states.items():
-        res = snf_rows(lattice, n)
-        sig = group_from_snf(res.d, n)
+        res = None if len(lattice) == n else snf_rows(lattice, n)
+        d = smith_diagonal(lattice, n) if res is None else res.d
+        sig = signatures.get(d)
+        if sig is None:
+            sig = signatures[d] = group_from_snf(d, n)
         if sig.is_trivial:
             continue
         counts[sig] = counts.get(sig, 0) + 1
-        kept = (lattice, witness, res)
+        kept = (lattice, witness)
         if sig not in primary:
             primary[sig] = kept
-        if not sig.is_finite:
+        if res is not None:
             pattern = _weight_pattern(basis, _torus_directions(res, n))
             variants.setdefault(sig, {}).setdefault(pattern, kept)
 
     def entry(kept, n_lattices=0, extra=()) -> ClassificationEntry:
-        lattice, witness, res = kept
-        group = _group_from_smith(res, basis)
+        lattice, witness = kept
+        group = _group_of_lattice(lattice, basis)
         return ClassificationEntry(
             signature=group.signature, witness=witness,
             generators=group.finite_generators,

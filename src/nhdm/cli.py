@@ -26,6 +26,7 @@ from .groups import GroupSignature, canonicalize, group_from_snf
 from .monomials import c_decompose, monomial_charges
 
 FORMAT_VERSION = "1"
+MAX_SNF_DIGITS = 10_000  # all entries of a `snf` matrix; 16x16 of 451 digits takes seconds
 
 
 def _report(command: str, payload: dict, n_doublets: int | None = None) -> dict:
@@ -88,6 +89,9 @@ def _cmd_snf(args) -> None:
     m = IntMatrix.from_text(args.matrix)
     if m.rows > 16 or m.cols > 16:
         raise ValueError("matrix too large (limit 16x16)")
+    if sum(len(str(abs(x))) for row in m.entries for x in row) > MAX_SNF_DIGITS:
+        raise ValueError(f"matrix entries too long (limit {MAX_SNF_DIGITS} decimal digits "
+                         "in all)")
     res = snf(m)
     sig = group_from_snf(res.d, m.cols)
     try:

@@ -158,27 +158,12 @@ def _pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int
     return best
 
 
-def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transformation matrices.
+def _smith_reduce(w: list[list[int]], nrows: int, ncols: int) -> None:
+    """Reduce the leading ``nrows`` x ``ncols`` block of ``w`` to Smith form, in place.
 
-    Returns ``SnfResult(d, u, v)`` with ``u @ m @ v == diag(d)``, ``u`` and
-    ``v`` unimodular, and ``d`` in the canonical divisibility chain.
-
-    The reduction runs on one working matrix.  Its first ``m.rows`` rows are
-    the rows of ``m``, each followed by the same row of the identity, which
-    becomes ``u``; below them sit the ``m.cols`` rows of the identity, which
-    become ``v``.  A row operation acts on a whole row, so ``u`` follows it,
-    and a column operation acts on the first ``m.cols`` entries of every
-    row, so ``v`` follows it.  The pivot search and the divisibility check
-    read only the ``m`` block.
+    Entries right of the block follow the row operations and rows below it
+    follow the column operations; only the block is searched and checked.
     """
-    if m.rows == 0 or m.cols == 0:
-        raise ValueError("snf needs a nonempty matrix")
-    nrows, ncols = m.rows, m.cols
-    w = [list(row) + [1 if i == j else 0 for j in range(nrows)]
-         for i, row in enumerate(m.entries)]
-    w += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
     t = 0
     while t < min(nrows, ncols):
         piv = _pivot(w, t, nrows, ncols)
@@ -186,8 +171,9 @@ def snf(m: IntMatrix) -> SnfResult:
             break
         i, j = piv
         w[t], w[i] = w[i], w[t]
-        for row in w:
-            row[t], row[j] = row[j], row[t]
+        if j != t:
+            for row in w:
+                row[t], row[j] = row[j], row[t]
         while True:
             # Clear column t below the pivot, then row t right of it.  A
             # nonzero remainder becomes the new, strictly smaller pivot and
@@ -212,8 +198,11 @@ def snf(m: IntMatrix) -> SnfResult:
                                 row[t], row[j] = row[j], row[t]
                             break
                 else:
-                    # Row and column are clear; force the divisibility chain.
+                    # Row and column are clear; force the divisibility chain,
+                    # which a unit pivot keeps by itself.
                     p = w[t][t]
+                    if p in (1, -1):
+                        break
                     bad = next((i for i in range(t + 1, nrows) for j in range(t + 1, ncols)
                                 if w[i][j] % p), None)
                     if bad is None:
@@ -223,10 +212,37 @@ def snf(m: IntMatrix) -> SnfResult:
             w[t] = [-x for x in w[t]]
         t += 1
 
+
+def snf(m: IntMatrix) -> SnfResult:
+    """Smith normal form with transformation matrices.
+
+    Returns ``SnfResult(d, u, v)`` with ``u @ m @ v == diag(d)``, ``u`` and
+    ``v`` unimodular, and ``d`` in the canonical divisibility chain.
+
+    ``_smith_reduce`` runs on one bordered matrix: the rows of ``m``, each
+    followed by the same row of the identity, which becomes ``u``, and below
+    them the ``m.cols`` rows of the identity, which become ``v``.
+    """
+    if m.rows == 0 or m.cols == 0:
+        raise ValueError("snf needs a nonempty matrix")
+    nrows, ncols = m.rows, m.cols
+    w = [list(row) + [1 if i == j else 0 for j in range(nrows)]
+         for i, row in enumerate(m.entries)]
+    w += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    _smith_reduce(w, nrows, ncols)
     d = tuple(w[i][i] for i in range(min(nrows, ncols)))
     u = IntMatrix._trusted(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows)
     v = IntMatrix._trusted(tuple(tuple(row) for row in w[nrows:]), ncols)
     return SnfResult(d, u, v)
+
+
+def smith_diagonal(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
+    """``snf_rows(rows, ncols).d`` without the transforms; empty with no rows or columns."""
+    if not rows or not ncols:
+        return ()
+    w = [list(row) for row in rows]
+    _smith_reduce(w, len(w), ncols)
+    return tuple(w[i][i] for i in range(min(len(w), ncols)))
 
 
 def snf_rows(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:

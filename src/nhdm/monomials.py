@@ -195,6 +195,10 @@ def c_decompose(x: IntMatrix, n_doublets: int) -> tuple[IntMatrix, tuple[int | N
     """
     if x.cols != n_doublets - 1:
         raise ValueError(f"charge matrix needs {n_doublets - 1} columns")
-    a_inv = inverse_unimodular(charge_basis_matrix(n_doublets))
-    c = x @ a_inv
+    c = x @ _charge_basis_inverse(n_doublets)
     return c, tuple(row_type(row) for row in c.entries)
+
+
+@lru_cache(maxsize=None)
+def _charge_basis_inverse(n_doublets: int) -> IntMatrix:
+    return inverse_unimodular(charge_basis_matrix(n_doublets))

@@ -283,20 +283,27 @@ class TestGroupExtraction:
         assert group.finite_generators == ()
         assert group.torus_directions == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    def test_one_smith_form_per_nonempty_lattice(self, monkeypatch):
-        # the N=3 walk visits 19 lattices; the empty one costs no snf call
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_smith_budget(self, monkeypatch, n):
+        # a full-rank (finite) lattice is read off its Smith diagonal alone;
+        # snf runs for each nonempty lattice below full rank, whose weight
+        # pattern reads the kernel columns of v, and once more for each
+        # printed entry and variant, whose generators read v
         uncached = classifier._classify_cached.__wrapped__
-        uncached(3)  # fill the caches below the classification first
+        result = uncached(n)  # fill the caches below the classification first
         calls = []
         real = exactmath.snf
 
         def counted(m):
-            calls.append(m)
+            calls.append(m.entries)
             return real(m)
 
         monkeypatch.setattr(exactmath, "snf", counted)
-        uncached(3)
-        assert len(calls) == 18
+        uncached(n)
+        below = [lat for lat in classifier._lattice_scan(n) if 0 < len(lat) < n - 1]
+        printed = [e.lattice for top in result.entries for e in (top, *top.variants) if e.lattice]
+        assert len(calls) == {3: 16, 4: 205}[n] == len(below) + len(printed)
+        assert set(calls) == set(below) | set(printed)
 
 
 class TestMonotonicity:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,16 @@ class TestHostileInput:
         assert proc.stdout == ""
         assert "too long to print" in proc.stderr
         assert "set_int_max_str_digits" not in proc.stderr
+
+    def test_snf_of_long_entries_exits_2_fast(self):
+        # 451-digit entries at 16x16 reduce for seconds; the digit bound
+        # refuses them before the Smith form is taken
+        start = time.perf_counter()
+        proc = run_cli(["snf", f"--matrix={random_matrix_text(1, 16, 10**450)}"])
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "matrix entries too long" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["witness", "--doublets", "3", "--group", "Z" + "9" * 30],

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
-    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_rows, inverse_unimodular, snf,
-    snf_rows,
+    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_rows, inverse_unimodular,
+    smith_diagonal, snf, snf_rows,
 )
 from reference import reference_snf
 
@@ -114,6 +115,59 @@ class TestSnfRows:
     def test_nonempty_is_snf(self):
         rows = [(3, 2), (-3, -1), (0, 4)]
         assert snf_rows(rows, 2) == snf(IntMatrix.from_rows(rows))
+
+
+@st.composite
+def smith_inputs(draw):
+    """Rows of an up to 6x6 integer matrix, empty shapes included, and its width.
+
+    Entries are small or up to 40 digits, of either sign; a zero row, a zero
+    column and a row that combines two others are each mixed in at random.
+    """
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and ncols:
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+        if draw(st.booleans()):
+            j = draw(st.integers(0, ncols - 1))
+            for row in rows:
+                row[j] = 0
+        if nrows > 1 and draw(st.booleans()):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows, ncols
+
+
+def reference_diagonal(rows, ncols):
+    return reference_snf(IntMatrix.from_rows(rows))[0] if rows and ncols else ()
+
+
+class TestSmithDiagonal:
+    # snf and smith_diagonal share one reduction, so each is also held to
+    # the separately written reference
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(smith_inputs())
+    def test_matches_the_full_smith_form(self, case):
+        rows, ncols = case
+        d = smith_diagonal(rows, ncols)
+        assert d == snf_rows(rows, ncols).d == reference_diagonal(rows, ncols)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_on_every_walked_lattice(self, n):
+        for lattice in _lattice_scan(n):
+            d = smith_diagonal(lattice, n - 1)
+            assert d == snf_rows(lattice, n - 1).d == reference_diagonal(lattice, n - 1)
+
+    def test_empty_shapes(self):
+        assert smith_diagonal([], 3) == ()
+        assert smith_diagonal([(), ()], 0) == ()
+
+    def test_leaves_its_input_alone(self):
+        rows = [[4, 6], [6, 4]]
+        assert smith_diagonal(rows, 2) == (2, 10)
+        assert rows == [[4, 6], [6, 4]]
 
 
 class TestDet:

@@ -1,6 +1,7 @@
 import pytest
 
-from nhdm.exactmath import IntMatrix, det
+from nhdm import monomials
+from nhdm.exactmath import IntMatrix, det, inverse_unimodular
 from nhdm.monomials import (
     Monomial,
     build_x_matrix,
@@ -197,6 +198,30 @@ class TestCDecompose:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError):
             c_decompose(IntMatrix.from_rows([(1, 0)]), 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_factors_every_monomial_charge(self, n):
+        x = build_x_matrix(list(enumerate_monomials(n)), torus_basis(n))
+        c, types = c_decompose(x, n)
+        assert c @ charge_basis_matrix(n) == x
+        assert c == x @ inverse_unimodular(charge_basis_matrix(n))
+        assert all(t in range(1, 10) for t in types)
+
+    def test_inverts_the_charge_basis_once_per_doublet_count(self, monkeypatch):
+        calls = []
+        real = monomials.inverse_unimodular
+
+        def counted(m):
+            calls.append(m.rows + 1)
+            return real(m)
+
+        monkeypatch.setattr(monomials, "inverse_unimodular", counted)
+        monomials._charge_basis_inverse.cache_clear()
+        for _ in range(3):
+            for n in (3, 4):
+                x = build_x_matrix(list(enumerate_monomials(n)), torus_basis(n))
+                c_decompose(x, n)
+        assert calls == [3, 4]
 
 
 class TestRowTypeClosure:
