@@ -8,9 +8,9 @@ N-1 terms (none are known to occur; the equality is tested, not assumed).
 From each lattice the walk builds one child per distinct nonzero coset of
 the generators after the last one of its witness, instead of one per
 generator; the visited lattices, their order and their witnesses are the
-same either way (see ``_lattice_scan``).  Of a full-rank lattice only the
-Smith diagonal is read; the transforms are taken for the weight patterns of
-the continuous lattices and for the entries the report keeps.
+same either way (see ``_lattice_scan``).  Each lattice is read by one
+``smith_columns``: d gives its group, and v the weight pattern of a
+continuous lattice and the generators of the entries the report keeps.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .exactmath import SnfResult, hnf_add, hnf_reduce, smith_diagonal, snf, snf_rows
+from .exactmath import IntMatrix, hnf_add, hnf_reduce, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
@@ -72,29 +72,28 @@ def _canonical_generator(column: tuple[int, ...], d: int) -> tuple[Fraction, ...
 
 def symmetry_group_of_terms(terms, basis: TorusBasis) -> SymmetryGroup:
     """Torus subgroup leaving every term invariant, with solved generators."""
-    return _group_from_smith(snf(build_x_matrix(terms, basis)), basis)
+    return _group_of_lattice(build_x_matrix(terms, basis).entries, basis)
 
 
-def _torus_directions(res: SnfResult, n: int) -> tuple[tuple[int, ...], ...]:
+def _torus_directions(d: tuple[int, ...], v: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """The columns of ``v`` past the rank: angle directions fixing every charge."""
-    return tuple(res.v.column(i) for i in range(res.rank, n))
+    return tuple(v.column(i) for i in range(sum(1 for x in d if x), v.cols))
 
 
-def _group_from_smith(res: SnfResult, basis: TorusBasis) -> SymmetryGroup:
-    n = basis.n
+def _group_from_smith(d: tuple[int, ...], v: IntMatrix, basis: TorusBasis) -> SymmetryGroup:
     angles = []
     gens = []
-    for i, d in enumerate(res.d):
-        if d > 1:
-            a = _canonical_generator(res.v.column(i), d)
+    for i, di in enumerate(d):
+        if di > 1:
+            a = _canonical_generator(v.column(i), di)
             angles.append(a)
             gens.append(element_from_angles(basis, a))
-    return SymmetryGroup(group_from_snf(res.d, n), tuple(angles), tuple(gens),
-                         _torus_directions(res, n))
+    return SymmetryGroup(group_from_snf(d, basis.n), tuple(angles), tuple(gens),
+                         _torus_directions(d, v))
 
 
 def _group_of_lattice(rows: Rows, basis: TorusBasis) -> SymmetryGroup:
-    return _group_from_smith(snf_rows(rows, basis.n), basis)
+    return _group_from_smith(*smith_columns(rows, basis.n), basis)
 
 
 @dataclass(frozen=True)
@@ -213,32 +212,31 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
 
     # Each group keeps its first lattice in the breadth-first insertion order,
     # which has a minimal witness, and a continuous group also the first
-    # lattice of each weight pattern.  A full-rank lattice is sorted by its
-    # Smith diagonal alone; the transforms are taken for the weight pattern of
-    # each lattice below full rank and for the kept entries below.
+    # lattice of each weight pattern.  Every lattice is read by one Smith
+    # reduction; the kept entries carry its d and v, so the printed entries
+    # below take no further Smith form.
     primary: dict[GroupSignature, tuple] = {}
     variants: dict[GroupSignature, dict[tuple, tuple]] = {}
     counts: dict[GroupSignature, int] = {}
     signatures: dict[tuple[int, ...], GroupSignature] = {}
     for lattice, witness in states.items():
-        res = None if len(lattice) == n else snf_rows(lattice, n)
-        d = smith_diagonal(lattice, n) if res is None else res.d
+        d, v = smith_columns(lattice, n)
         sig = signatures.get(d)
         if sig is None:
             sig = signatures[d] = group_from_snf(d, n)
         if sig.is_trivial:
             continue
         counts[sig] = counts.get(sig, 0) + 1
-        kept = (lattice, witness)
+        kept = (lattice, witness, d, v)
         if sig not in primary:
             primary[sig] = kept
-        if res is not None:
-            pattern = _weight_pattern(basis, _torus_directions(res, n))
+        if not sig.is_finite:
+            pattern = _weight_pattern(basis, _torus_directions(d, v))
             variants.setdefault(sig, {}).setdefault(pattern, kept)
 
     def entry(kept, n_lattices=0, extra=()) -> ClassificationEntry:
-        lattice, witness = kept
-        group = _group_of_lattice(lattice, basis)
+        lattice, witness, d, v = kept
+        group = _group_from_smith(d, v, basis)
         return ClassificationEntry(
             signature=group.signature, witness=witness,
             generators=group.finite_generators,

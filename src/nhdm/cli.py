@@ -54,7 +54,7 @@ def _parse_group_name(name: str) -> GroupSignature:
         part = part.strip()
         if part == "U(1)":
             rank += 1
-        elif part.startswith("Z") and part[1:].isdigit():
+        elif part.startswith("Z") and part[1:].isascii() and part[1:].isdigit():
             finite.append(int(part[1:]))
         else:
             raise ValueError(f"cannot parse group name {name!r}")

@@ -57,14 +57,15 @@ class GenPermMatrix:
 
     Acts on doublets as phi_a -> e(phases[a]) phi_{perm[a]} (indices 0-based
     internally; monomial factors are 1-based).  Phases are rational, in units
-    of 2*pi, reduced mod 1; each is an int or a Fraction, and anything else
-    raises ValueError.
+    of 2*pi, reduced mod 1.  Images are ints and phases ints or Fractions;
+    anything else raises ValueError.
     """
 
     perm: Perm
     phases: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "perm", integers(self.perm, "permutation images"))
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("not a permutation")
         if len(self.phases) != len(self.perm):
@@ -210,8 +211,8 @@ class PhaseConstraintSystem:
         return integers(row, "coefficients")
 
     def add(self, row, rhs) -> None:
-        """Append  sum row[j] * unknowns[j] == rhs (mod 1), one coefficient per unknown."""
-        row, rhs = self._row(row), Fraction(rhs) % 1
+        """Append  sum row[j] * unknowns[j] == rhs (mod 1): int coefficients, int or Fraction rhs."""
+        row, (rhs,) = self._row(row), rational_phases((rhs,))
         self.equations.append((row, rhs))
         scale = lcm(self.scale, rhs.denominator)
         if scale > self.scale:

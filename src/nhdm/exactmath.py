@@ -158,12 +158,16 @@ def _pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int
     return best
 
 
-def _smith_reduce(w: list[list[int]], nrows: int, ncols: int) -> None:
-    """Reduce the leading ``nrows`` x ``ncols`` block of ``w`` to Smith form, in place.
+def _smith_reduce(w: list[list[int]], ncols: int) -> tuple[tuple[int, ...], IntMatrix]:
+    """Reduce the leading ``ncols`` columns of the rows ``w`` to Smith form, in place.
 
-    Entries right of the block follow the row operations and rows below it
-    follow the column operations; only the block is searched and checked.
+    Returns ``d`` and ``v``: the ``ncols`` identity rows appended below ``w``
+    follow the column operations and become ``v``.  Entries right of the
+    columns follow the row operations; only the rows of ``w`` and the leading
+    columns are searched and checked.
     """
+    nrows = len(w)
+    w += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(nrows, ncols):
         piv = _pivot(w, t, nrows, ncols)
@@ -211,6 +215,8 @@ def _smith_reduce(w: list[list[int]], nrows: int, ncols: int) -> None:
         if w[t][t] < 0:
             w[t] = [-x for x in w[t]]
         t += 1
+    return (tuple(w[i][i] for i in range(min(nrows, ncols))),
+            IntMatrix._trusted(tuple(tuple(row) for row in w[nrows:]), ncols))
 
 
 def snf(m: IntMatrix) -> SnfResult:
@@ -219,30 +225,21 @@ def snf(m: IntMatrix) -> SnfResult:
     Returns ``SnfResult(d, u, v)`` with ``u @ m @ v == diag(d)``, ``u`` and
     ``v`` unimodular, and ``d`` in the canonical divisibility chain.
 
-    ``_smith_reduce`` runs on one bordered matrix: the rows of ``m``, each
-    followed by the same row of the identity, which becomes ``u``, and below
-    them the ``m.cols`` rows of the identity, which become ``v``.
+    ``_smith_reduce`` runs on the rows of ``m``, each followed by the same
+    row of the identity, which becomes ``u``.
     """
     if m.rows == 0 or m.cols == 0:
         raise ValueError("snf needs a nonempty matrix")
-    nrows, ncols = m.rows, m.cols
-    w = [list(row) + [1 if i == j else 0 for j in range(nrows)]
+    w = [list(row) + [1 if i == j else 0 for j in range(m.rows)]
          for i, row in enumerate(m.entries)]
-    w += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    _smith_reduce(w, nrows, ncols)
-    d = tuple(w[i][i] for i in range(min(nrows, ncols)))
-    u = IntMatrix._trusted(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows)
-    v = IntMatrix._trusted(tuple(tuple(row) for row in w[nrows:]), ncols)
+    d, v = _smith_reduce(w, m.cols)
+    u = IntMatrix._trusted(tuple(tuple(row[m.cols:]) for row in w[:m.rows]), m.rows)
     return SnfResult(d, u, v)
 
 
-def smith_diagonal(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
-    """``snf_rows(rows, ncols).d`` without the transforms; empty with no rows or columns."""
-    if not rows or not ncols:
-        return ()
-    w = [list(row) for row in rows]
-    _smith_reduce(w, len(w), ncols)
-    return tuple(w[i][i] for i in range(min(len(w), ncols)))
+def smith_columns(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], IntMatrix]:
+    """``d`` and ``v`` of ``snf_rows(rows, ncols)``, reduced without a ``u`` border."""
+    return _smith_reduce([list(row) for row in rows], ncols)
 
 
 def snf_rows(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:

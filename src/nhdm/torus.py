@@ -136,16 +136,18 @@ def element_from_angles(basis: TorusBasis, angles: Sequence[Rational]) -> PhaseV
     """Torus element with the given circle angles (units of 2*pi).
 
     The decomposition of a torus element over the basis circles is unique, and
-    the map is a homomorphism: adding angle vectors adds phases mod 1.
+    the map is a homomorphism: adding angle vectors adds phases mod 1.  Angles
+    are ints or Fractions, and are not reduced mod 1.
     """
     if len(angles) != basis.n:
         raise ValueError(f"expected {basis.n} angles, got {len(angles)}")
     phases = [Fraction(0)] * basis.n_doublets
     for angle, weight in zip(angles, basis.weights):
+        if not isinstance(angle, (int, Fraction)):
+            raise ValueError(f"angles must be int or Fraction, got {angle!r}")
         if angle:
-            frac = Fraction(angle)
             for a in range(basis.n_doublets):
-                phases[a] += frac * weight[a]
+                phases[a] += angle * weight[a]
     return PhaseVector(tuple(phases))
 
 

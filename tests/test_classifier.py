@@ -19,7 +19,7 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, hnf_rows, snf
+from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, hnf_rows, snf, snf_rows
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, monomial_charges
 from nhdm.torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
@@ -233,11 +233,12 @@ def weight_pattern(basis, dirs):
 
 
 def reference_classification(n_doublets):
-    """Group extraction as one full ``_group_of_lattice`` per walked lattice."""
+    """Group extraction from the bordered ``snf_rows`` reading of every walked lattice."""
     basis = torus_basis(n_doublets)
     primary, variants, counts = {}, {}, {}
     for lattice, witness in classifier._lattice_scan(n_doublets).items():
-        group = classifier._group_of_lattice(lattice, basis)
+        res = snf_rows(lattice, basis.n)
+        group = classifier._group_from_smith(res.d, res.v, basis)
         sig = group.signature
         if sig.is_trivial:
             continue
@@ -285,25 +286,32 @@ class TestGroupExtraction:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_smith_budget(self, monkeypatch, n):
-        # a full-rank (finite) lattice is read off its Smith diagonal alone;
-        # snf runs for each nonempty lattice below full rank, whose weight
-        # pattern reads the kernel columns of v, and once more for each
-        # printed entry and variant, whose generators read v
+        # one smith_columns reading per walked lattice, whose d gives the
+        # group and whose v gives the weight pattern and, for the printed
+        # entries and variants, the generators; snf is never taken
         uncached = classifier._classify_cached.__wrapped__
-        result = uncached(n)  # fill the caches below the classification first
-        calls = []
-        real = exactmath.snf
+        uncached(n)  # fill the caches below the classification first
+        calls, snf_calls = [], []
+        real = classifier.smith_columns
 
-        def counted(m):
-            calls.append(m.entries)
-            return real(m)
+        def counted(rows, ncols):
+            calls.append(rows)
+            return real(rows, ncols)
 
-        monkeypatch.setattr(exactmath, "snf", counted)
+        monkeypatch.setattr(classifier, "smith_columns", counted)
+        monkeypatch.setattr(exactmath, "snf", lambda m: snf_calls.append(m))
         uncached(n)
-        below = [lat for lat in classifier._lattice_scan(n) if 0 < len(lat) < n - 1]
-        printed = [e.lattice for top in result.entries for e in (top, *top.variants) if e.lattice]
-        assert len(calls) == {3: 16, 4: 205}[n] == len(below) + len(printed)
-        assert set(calls) == set(below) | set(printed)
+        assert snf_calls == []
+        assert len(calls) == {3: 19, 4: 295}[n] == len(classifier._lattice_scan(n))
+        assert calls == list(classifier._lattice_scan(n))
+
+    def test_term_input_errors(self):
+        basis = torus_basis(3)
+        with pytest.raises(ValueError, match="empty term list"):
+            symmetry_group_of_terms([], basis)
+        for factors in (((1, 4),), ((0, 2),)):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                symmetry_group_of_terms([Monomial(factors)], basis)
 
 
 class TestMonotonicity:

@@ -124,6 +124,12 @@ class TestHostileInput:
         assert proc.returncode == 2
         assert "exceeds the supported order" in proc.stderr
 
+    def test_group_name_with_a_superscript_digit_exits_2(self):
+        # "²".isdigit() is true, but int() rejects it
+        code, out, err = invoke(["witness", "--doublets", "3", "--group", "Z²"])
+        assert code == 2 and out == ""
+        assert "cannot parse group name" in err
+
 
 class TestGolden:
     # reports recorded from the walk without coset deduplication; changes to

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
     IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_rows, inverse_unimodular,
-    smith_diagonal, snf, snf_rows,
+    smith_columns, snf, snf_rows,
 )
 from reference import reference_snf
 
@@ -144,29 +144,42 @@ def reference_diagonal(rows, ncols):
     return reference_snf(IntMatrix.from_rows(rows))[0] if rows and ncols else ()
 
 
+def check_smith_columns(rows, ncols):
+    before = [list(row) for row in rows]
+    d, v = smith_columns(rows, ncols)
+    assert [list(row) for row in rows] == before
+    full = snf_rows(rows, ncols)
+    assert (d, v) == (full.d, full.v)
+    assert d == reference_diagonal(rows, ncols)
+    assert v.rows == v.cols == ncols
+    if ncols:
+        assert abs(det(v)) == 1
+    rank = sum(1 for x in d if x)
+    assert all(not any(row[rank:]) for row in (IntMatrix.from_rows(rows, ncols) @ v).entries)
+
+
 class TestSmithDiagonal:
-    # snf and smith_diagonal share one reduction, so each is also held to
-    # the separately written reference
+    # smith_columns reads the Smith diagonal and the column transform of the
+    # reduction snf runs, so each is also held to the separately written
+    # reference
     @settings(max_examples=300, deadline=None, database=None)
     @given(smith_inputs())
     def test_matches_the_full_smith_form(self, case):
-        rows, ncols = case
-        d = smith_diagonal(rows, ncols)
-        assert d == snf_rows(rows, ncols).d == reference_diagonal(rows, ncols)
+        check_smith_columns(*case)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_on_every_walked_lattice(self, n):
         for lattice in _lattice_scan(n):
-            d = smith_diagonal(lattice, n - 1)
-            assert d == snf_rows(lattice, n - 1).d == reference_diagonal(lattice, n - 1)
+            check_smith_columns(lattice, n - 1)
 
     def test_empty_shapes(self):
-        assert smith_diagonal([], 3) == ()
-        assert smith_diagonal([(), ()], 0) == ()
+        assert smith_columns([], 3) == ((), IntMatrix.identity(3))
+        assert smith_columns([(), ()], 0) == ((), IntMatrix.identity(0))
+        assert IntMatrix.identity(0).entries == ()
 
     def test_leaves_its_input_alone(self):
         rows = [[4, 6], [6, 4]]
-        assert smith_diagonal(rows, 2) == (2, 10)
+        assert smith_columns(rows, 2)[0] == (2, 10)
         assert rows == [[4, 6], [6, 4]]
 
 

@@ -71,6 +71,12 @@ class TestElements:
         with pytest.raises(ValueError):
             element_from_angles(torus_basis(3), [F(1, 3)])
 
+    @pytest.mark.parametrize("angle", [0.1, "1/3"])
+    def test_float_and_string_angles_rejected(self, angle):
+        # Fraction(angle) read 0.1 at its binary value and "1/3" as 1/3
+        with pytest.raises(ValueError):
+            element_from_angles(torus_basis(3), (angle, 0))
+
     def test_homomorphism(self):
         rng = random.Random(5)
         basis = torus_basis(4)
