@@ -8,9 +8,10 @@ N-1 terms (none are known to occur; the equality is tested, not assumed).
 From each lattice the walk builds one child per distinct nonzero coset of
 the generators after the last one of its witness, instead of one per
 generator; the visited lattices, their order and their witnesses are the
-same either way (see ``_lattice_scan``).  Each lattice is read by one
-``smith_columns``: d gives its group, and v the weight pattern of a
-continuous lattice and the generators of the entries the report keeps.
+same either way (see ``_lattice_scan``).  One ``hnf_residues`` pass per
+lattice gives the cosets of all those generators at once.  Each lattice is
+read by one ``smith_columns``: d gives its group, and v the weight pattern
+of a continuous lattice and the generators of the entries the report keeps.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -33,7 +34,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .exactmath import IntMatrix, hnf_add, hnf_reduce, smith_columns
+from .exactmath import IntMatrix, hnf_add, hnf_residues, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
@@ -143,9 +144,10 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       without the last term is lex-smaller than the witness of L, so L + g
       was already recorded from a lattice popped before L.
     - Of the remaining generators an edge is tried only for the first one of
-      each distinct residue ``hnf_reduce(L, g)``: a zero residue means g is
-      already in L, and a repeated one means L + g equals the lattice an
-      earlier generator of the same loop gave.
+      each distinct residue of g modulo L, all taken by one
+      ``hnf_residues(L, ...)``: a zero residue means g is already in L, and
+      a repeated one means L + g equals the lattice an earlier generator of
+      the same loop gave.
     """
     generators: list[tuple[tuple[int, ...], Monomial]] = []
     seen_charges = set()
@@ -161,21 +163,20 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]]) -> dict[Rows, tuple[T
     """Breadth-first closure of the zero lattice under (vector, label)
     generators, mapping each lattice to the labels of its witness, with the
     prunings described in ``_lattice_scan``."""
+    columns = list(zip(*(chg for chg, _ in generators)))
     states: dict[Rows, tuple[T, ...]] = {(): ()}
     frontier: deque[tuple[Rows, int]] = deque([((), 0)])
     while frontier:
         lattice, start = frontier.popleft()
         witness = states[lattice]
         tried = set()
-        for i in range(start, len(generators)):
-            chg, label = generators[i]
-            residue = hnf_reduce(lattice, chg)
+        for i, residue in enumerate(hnf_residues(lattice, [c[start:] for c in columns]), start):
             if residue in tried or not any(residue):
                 continue
             tried.add(residue)
             grown = hnf_add(lattice, residue)
             if grown not in states:
-                states[grown] = witness + (label,)
+                states[grown] = witness + (generators[i][1],)
                 frontier.append((grown, i + 1))
     return states
 

@@ -272,7 +272,11 @@ class AbelianBase:
 
     @classmethod
     def from_lattice(cls, n_doublets: int, rows) -> "AbelianBase":
+        """The group fixing every charge in the span of ``rows``, each of N-1 integers."""
         basis = torus_basis(n_doublets)
+        rows = [integers(row, "lattice rows") for row in rows]
+        if any(len(row) != basis.n for row in rows):
+            raise ValueError(f"lattice rows need {basis.n} entries for {n_doublets} doublets")
         rows = hnf_rows(rows)
         group = _group_of_lattice(rows, basis)
         weights = tuple(direction_weights(basis, d) for d in group.torus_directions)

@@ -72,7 +72,7 @@ class IntMatrix:
         rows = len(diag) if rows is None else rows
         cols = len(diag) if cols is None else cols
         return cls(tuple(tuple(diag[i] if i == j and i < len(diag) else 0
-                               for j in range(cols)) for i in range(rows)))
+                               for j in range(cols)) for i in range(rows)), cols)
 
     @property
     def rows(self) -> int:
@@ -414,6 +414,31 @@ def hnf_reduce(basis: Rows, vec: Sequence[int]) -> tuple[int, ...]:
             v = [x - q * y for x, y in zip(v, row)]
         j += 1
     return tuple(v)
+
+
+def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """``hnf_reduce(basis, v)`` of many vectors at once, given by coordinate.
+
+    ``columns[c][i]`` is coordinate c of vector i, and the residues come back
+    in vector order.  Each HNF row takes the quotients of all vectors in one
+    pass: one list for the pivot column, one for each nonzero entry right of
+    it.  With no coordinates there are no vectors to return.  A single
+    vector is cheaper through ``hnf_reduce``, which ``hnf_contains`` keeps.
+    """
+    cols = list(columns)
+    j = 0
+    for row in basis:
+        while not row[j]:
+            j += 1
+        p = row[j]
+        qs = [x // p for x in cols[j]]
+        cols[j] = [x % p for x in cols[j]]
+        for c in range(j + 1, len(row)):
+            y = row[c]
+            if y:
+                cols[c] = [x - q * y for x, q in zip(cols[c], qs)]
+        j += 1
+    return list(zip(*cols))
 
 
 def hnf_contains(basis: Rows, vec: Sequence[int]) -> bool:

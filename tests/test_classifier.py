@@ -6,7 +6,7 @@ from collections import deque
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhdm import classifier, exactmath
@@ -213,6 +213,8 @@ class TestLatticeWalk:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(generator_lists())
+    @example([])
+    @example([((0, 0), 0), ((0, 0), 1), ((0, 0), 2)])
     def test_pruned_walk_equals_the_reference_walk(self, generators):
         # random generators may repeat, vanish or be multiples of each other
         walked = classifier._walk(generators)

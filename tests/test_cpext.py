@@ -187,6 +187,12 @@ class TestLatticeForms:
         unit = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
         assert AbelianBase.trivial(n) == AbelianBase(n, GroupSignature(), (), (), (), unit)
 
+    def test_rows_of_the_wrong_length_or_type_rejected(self):
+        # the N=3 charge space has 2 coordinates
+        for rows in ([(1, 2, 3)], [(2, 0), (0,)], [(1,)], [(2, F(1, 2))]):
+            with pytest.raises(ValueError):
+                AbelianBase.from_lattice(3, rows)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pattern_scans_match_the_generator_form(self, n):
         for base in all_bases(n):

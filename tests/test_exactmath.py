@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
-    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_rows, inverse_unimodular,
-    smith_columns, snf, snf_rows,
+    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_residues, hnf_rows,
+    inverse_unimodular, smith_columns, snf, snf_rows,
 )
 from reference import reference_snf
 
@@ -105,6 +105,8 @@ class TestSnfRows:
         assert res.d == () and res.rank == 0
         assert res.u == IntMatrix.identity(0)
         assert res.v == IntMatrix.identity(3)
+        m = IntMatrix.from_rows([], 3)
+        assert res.u @ m @ res.v == res.diagonal_matrix()
 
     def test_no_columns(self):
         res = snf_rows([(), ()], 0)
@@ -254,6 +256,14 @@ class TestHnf:
         assert hnf_contains(grown, (1, 0))
         assert grown == hnf_rows([(1, 0), (0, 3)])
 
+    def test_residues_of_edge_cases(self):
+        # no basis rows leave every vector as it is, a zero vector stays
+        # zero, and no vectors give no residues
+        assert hnf_residues((), [(1, 0, -7), (2, 0, 5)]) == [(1, 2), (0, 0), (-7, 5)]
+        basis = hnf_rows([(2, 1), (0, 3)])
+        assert hnf_residues(basis, [(0, 5), (0, -3)]) == [(0, 0), (1, 1)]
+        assert hnf_residues(basis, [(), ()]) == []
+
 
 @st.composite
 def rows_and_vector(draw, max_rows=5):
@@ -298,6 +308,7 @@ class TestHnfProperties:
         shifted = [x + y for x, y in zip(v, w)]
         residue = hnf_reduce(basis, v)
         assert residue == hnf_reduce(basis, shifted)
+        assert hnf_residues(basis, list(zip(v, shifted, v))) == [residue] * 3
         for row in basis:
             j = next(j for j, x in enumerate(row) if x)
             assert 0 <= residue[j] < row[j]
@@ -307,7 +318,10 @@ class TestHnfProperties:
     def test_reduce_is_zero_exactly_on_members(self, case):
         rows, v, coeffs = case
         basis = hnf_rows(rows)
-        for vec in (v, combination(rows, coeffs, len(v))):
+        vectors = (v, combination(rows, coeffs, len(v)))
+        assert (hnf_residues(basis, list(zip(*vectors)))
+                == [hnf_reduce(basis, vec) for vec in vectors])
+        for vec in vectors:
             is_zero = not any(hnf_reduce(basis, vec))
             assert is_zero == hnf_contains(basis, vec)
             # independent of the reduction: v lies in L exactly when adding
