@@ -10,8 +10,8 @@ the generators after the last one of its witness, instead of one per
 generator; the visited lattices, their order and their witnesses are the
 same either way (see ``_lattice_scan``).  One ``hnf_residues`` pass per
 lattice gives the cosets of all those generators at once.  Each lattice is
-read by one ``smith_columns``: d gives its group, and v the weight pattern
-of a continuous lattice and the generators of the entries the report keeps.
+read by one ``smith_columns``: d gives its group, and v the generators of
+the entries the report keeps.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -37,7 +37,7 @@ from typing import Sequence, TypeVar
 from .exactmath import IntMatrix, hnf_add, hnf_residues, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
-from .torus import PhaseVector, TorusBasis, direction_weights, element_from_angles, torus_basis
+from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
 
 Rows = tuple[tuple[int, ...], ...]
 T = TypeVar("T")
@@ -76,11 +76,6 @@ def symmetry_group_of_terms(terms, basis: TorusBasis) -> SymmetryGroup:
     return _group_of_lattice(build_x_matrix(terms, basis).entries, basis)
 
 
-def _torus_directions(d: tuple[int, ...], v: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """The columns of ``v`` past the rank: angle directions fixing every charge."""
-    return tuple(v.column(i) for i in range(sum(1 for x in d if x), v.cols))
-
-
 def _group_from_smith(d: tuple[int, ...], v: IntMatrix, basis: TorusBasis) -> SymmetryGroup:
     angles = []
     gens = []
@@ -89,8 +84,10 @@ def _group_from_smith(d: tuple[int, ...], v: IntMatrix, basis: TorusBasis) -> Sy
             a = _canonical_generator(v.column(i), di)
             angles.append(a)
             gens.append(element_from_angles(basis, a))
+    # the columns of v past the rank are the angle directions fixing every charge
+    rank = sum(1 for x in d if x)
     return SymmetryGroup(group_from_snf(d, basis.n), tuple(angles), tuple(gens),
-                         _torus_directions(d, v))
+                         tuple(v.column(i) for i in range(rank, v.cols)))
 
 
 def _group_of_lattice(rows: Rows, basis: TorusBasis) -> SymmetryGroup:
@@ -108,7 +105,6 @@ class ClassificationEntry:
     torus_directions: tuple[tuple[int, ...], ...]
     lattice: Rows
     n_lattices: int
-    variants: tuple["ClassificationEntry", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,7 @@ def classify(n_doublets: int, include_continuous: bool = True) -> Classification
     """Complete list of realizable subgroups of the maximal torus.
 
     One entry per abstract group, carrying the first minimal witness found.
-    Continuous groups additionally list one variant per distinct weight
-    pattern of the torus directions read off the Smith kernel basis.  At
-    torus rank 1 the pattern is invariant under doublet permutations, so the
-    variants are pairwise inequivalent embeddings; at higher rank it depends
-    on the basis, and variants can be conjugate (the ten U(1)xU(1) variants
-    at N=4 fall into three orbits).  The trivial group is excluded.
+    The trivial group is excluded.
     """
     if not 2 <= n_doublets <= 6:
         raise ValueError("doublet count out of supported range (2..6)")
@@ -201,10 +192,6 @@ def classify(n_doublets: int, include_continuous: bool = True) -> Classification
     return ClassificationResult(n_doublets, entries, result.max_finite_order)
 
 
-def _weight_pattern(basis: TorusBasis, dirs: Rows) -> tuple:
-    return tuple(sorted(tuple(sorted(abs(w) for w in direction_weights(basis, d))) for d in dirs))
-
-
 @lru_cache(maxsize=None)
 def _classify_cached(n_doublets: int) -> ClassificationResult:
     basis = torus_basis(n_doublets)
@@ -212,12 +199,10 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
     states = _lattice_scan(n_doublets)
 
     # Each group keeps its first lattice in the breadth-first insertion order,
-    # which has a minimal witness, and a continuous group also the first
-    # lattice of each weight pattern.  Every lattice is read by one Smith
-    # reduction; the kept entries carry its d and v, so the printed entries
+    # which has a minimal witness.  Every lattice is read by one Smith
+    # reduction; the kept lattices carry its d and v, so the printed entries
     # below take no further Smith form.
     primary: dict[GroupSignature, tuple] = {}
-    variants: dict[GroupSignature, dict[tuple, tuple]] = {}
     counts: dict[GroupSignature, int] = {}
     signatures: dict[tuple[int, ...], GroupSignature] = {}
     for lattice, witness in states.items():
@@ -228,29 +213,19 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
         if sig.is_trivial:
             continue
         counts[sig] = counts.get(sig, 0) + 1
-        kept = (lattice, witness, d, v)
         if sig not in primary:
-            primary[sig] = kept
-        if not sig.is_finite:
-            pattern = _weight_pattern(basis, _torus_directions(d, v))
-            variants.setdefault(sig, {}).setdefault(pattern, kept)
+            primary[sig] = (lattice, witness, d, v)
 
-    def entry(kept, n_lattices=0, extra=()) -> ClassificationEntry:
-        lattice, witness, d, v = kept
+    entries = []
+    for sig in sorted(primary, key=GroupSignature.sort_key):
+        lattice, witness, d, v = primary[sig]
         group = _group_from_smith(d, v, basis)
-        return ClassificationEntry(
+        entries.append(ClassificationEntry(
             signature=group.signature, witness=witness,
             generators=group.finite_generators,
             generator_angles=group.finite_generator_angles,
             torus_directions=group.torus_directions,
-            lattice=lattice, n_lattices=n_lattices, variants=extra)
-
-    entries = []
-    for sig in sorted(primary, key=GroupSignature.sort_key):
-        kept = primary[sig]
-        extra = tuple(entry(v) for _, v in sorted(variants.get(sig, {}).items())
-                      if v is not kept)
-        entries.append(entry(kept, counts[sig], extra))
+            lattice=lattice, n_lattices=counts[sig]))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
     if max_order > 2 ** (n_doublets - 1):
@@ -348,8 +323,17 @@ class WitnessReport:
 
 
 def witness_potential(signature: GroupSignature, n_doublets: int) -> WitnessReport:
-    """Witness term set for a signature, or a not-realizable report."""
+    """Witness term set for a signature, or a not-realizable report.
+
+    ``classify`` leaves out the trivial group, whose lattice is every charge:
+    the only lattice with an all-ones Smith diagonal, keyed by the identity
+    as its Hermite basis.  The walk records it with a minimal witness.
+    """
     result = classify(n_doublets)
+    if signature.is_trivial:
+        n = n_doublets - 1
+        unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return WitnessReport(n_doublets, signature, True, _lattice_scan(n_doublets)[unit], ())
     entry = result.find(signature)
     if entry is None:
         return WitnessReport(n_doublets, signature, False, (), ())

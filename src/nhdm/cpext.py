@@ -73,10 +73,6 @@ class GenPermMatrix:
         object.__setattr__(self, "phases", rational_phases(self.phases))
 
     @classmethod
-    def identity(cls, n: int) -> "GenPermMatrix":
-        return cls(tuple(range(n)), (Fraction(0),) * n)
-
-    @classmethod
     def diagonal(cls, pv: PhaseVector) -> "GenPermMatrix":
         return cls(tuple(range(len(pv))), pv.phases)
 
@@ -87,30 +83,6 @@ class GenPermMatrix:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.perm == tuple(range(self.n))
-
-    def to_phase_vector(self) -> PhaseVector:
-        if not self.is_diagonal:
-            raise ValueError("not diagonal")
-        return PhaseVector(self.phases)
-
-    def compose(self, other: "GenPermMatrix") -> "GenPermMatrix":
-        """Matrix product self @ other (apply ``other`` first)."""
-        perm = tuple(other.perm[self.perm[a]] for a in range(self.n))
-        phases = tuple(self.phases[a] + other.phases[self.perm[a]] for a in range(self.n))
-        return GenPermMatrix(perm, phases)
-
-    def inverse(self) -> "GenPermMatrix":
-        inv = [0] * self.n
-        for a, b in enumerate(self.perm):
-            inv[b] = a
-        return GenPermMatrix(tuple(inv), tuple(-self.phases[inv[a]] for a in range(self.n)))
-
-    def conjugate(self) -> "GenPermMatrix":
-        return GenPermMatrix(self.perm, tuple(-p for p in self.phases))
 
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm], "phases": [str(p) for p in self.phases]}
@@ -315,32 +287,19 @@ class AbelianBase:
         return all(sum(x * y for x, y in zip(row, shifts)).denominator == 1 for row in c.entries)
 
 
-def _pattern_scan(base: AbelianBase, sign: int) -> list[Perm]:
-    """Permutations sigma with psi_a + sign * psi_{sigma(a)} constant on the group.
+def commutant_perms(base: AbelianBase) -> list[Perm]:
+    """Permutation patterns sigma with psi_a + psi_{sigma(a)} constant on the group.
 
-    That is, the group annihilates (psi_a - psi_0) + sign * (psi_sigma(a) - psi_sigma(0))
-    for every a.
+    That is, the group annihilates (psi_a - psi_0) + (psi_sigma(a) - psi_sigma(0))
+    for every a.  A matrix b supported on such a pattern makes b J commute
+    with the whole group; no other generalized permutation can.
     """
     n = base.n_doublets
     diff = torus_basis(n).differences
     return [perm for perm in itertools.permutations(range(n))
-            if all(base.annihilates(tuple(x + sign * y for x, y in
+            if all(base.annihilates(tuple(x + y for x, y in
                                           zip(diff[a][0], diff[perm[a]][perm[0]])))
                    for a in range(1, n))]
-
-
-def commutant_perms(base: AbelianBase) -> list[Perm]:
-    """Permutation patterns sigma with psi_a + psi_{sigma(a)} constant per generator.
-
-    A matrix b supported on such a pattern makes b J commute with the whole
-    group; no other generalized permutation can.
-    """
-    return _pattern_scan(base, 1)
-
-
-def centralizer_perms(base: AbelianBase) -> list[Perm]:
-    """Permutation patterns of unitary generalized permutations commuting with the group."""
-    return _pattern_scan(base, -1)
 
 
 def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:

@@ -66,10 +66,6 @@ class Monomial:
         image = Monomial.canonical(raw)
         return image, image.factors != raw
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.factors == min(self.factors, _conj_factors(self.factors), key=_flat)
-
     def conjugate_factors(self) -> tuple[Factor, ...]:
         return _conj_factors(self.factors)
 

@@ -13,7 +13,12 @@ tried, the solution set as a particular solution with torsion generators
 and free directions, the forced unitary symmetry decided by testing that
 solution set against one Smith form, and the square classes keyed by the
 least center key over a coset of squares; the tests require the library to
-agree with them.
+agree with them.  The generator-based pattern scan with sign -1 also stands
+in for the centralizer patterns, which no library code asks for.
+
+The helpers include the square b b* of an antiunitary b J taken entry by
+entry, the canonical-representative check on a stored monomial, and a rank
+by Fraction elimination that shares no code with the Smith form.
 """
 
 import itertools
@@ -62,8 +67,34 @@ def duplicate_charge_report(n_doublets: int) -> dict:
 
 
 def antiunitary_square(b):
-    """(b J)^2 = b b* as a unitary matrix."""
-    return b.compose(b.conjugate())
+    """(b J)^2 = b b* as a unitary matrix, taken entry by entry.
+
+    Its permutation is sigma applied twice, and row a carries the phase
+    eta_a - eta_sigma(a): b's phase, less b*'s phase on the row sigma(a).
+    """
+    return GenPermMatrix(tuple(b.perm[b.perm[a]] for a in range(b.n)),
+                         tuple(b.phases[a] - b.phases[b.perm[a]] for a in range(b.n)))
+
+
+def is_canonical(m) -> bool:
+    """Whether ``m`` is stored as the representative ``Monomial.canonical`` picks."""
+    return m.factors == Monomial.canonical(m.factors).factors
+
+
+def fraction_rank(rows) -> int:
+    """Rank over the rationals, by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 # -- oracles: the generator-based and union-find forms ---------------------------

@@ -1,8 +1,8 @@
 import hashlib
-import itertools
 import json
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,10 +19,10 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, hnf_rows, snf, snf_rows
+from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, snf, snf_rows
 from nhdm.groups import GroupSignature
-from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, monomial_charges
-from nhdm.torus import PhaseVector, direction_weights, equal_mod_center, torus_basis
+from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
+from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
 from reference import all_realized, finite_groups_by_subset_scan
 
 
@@ -120,38 +120,6 @@ class TestClassify:
         for n in (2, 3, 4):
             assert all(not e.signature.is_trivial for e in classify(n).entries)
 
-    def test_continuous_variants_distinguish_embeddings(self):
-        result = classify(3)
-        u1 = result.find(GroupSignature(torus_rank=1))
-        assert u1 is not None and len(u1.variants) == 1
-        patterns = set()
-        for entry in (u1, *u1.variants):
-            from nhdm.torus import direction_weights
-
-            basis = torus_basis(3)
-            patterns.add(tuple(sorted(abs(w) for w in
-                                      direction_weights(basis, entry.torus_directions[0]))))
-        assert patterns == {(0, 1, 1), (1, 1, 2)}
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_rank_one_variants_are_not_conjugate(self, n):
-        # a variant's lattice is spanned by its witness charges; a doublet
-        # permutation maps it to the lattice of the permuted witness
-        charges = monomial_charges(n)
-
-        def orbit(entry):
-            return {hnf_rows([charges[m.permuted(perm)[0]] for m in entry.witness])
-                    for perm in itertools.permutations(range(n))}
-
-        checked = 0
-        for e in classify(n).entries:
-            if e.signature.torus_rank == 1:
-                orbits = [orbit(v) for v in (e, *e.variants)]
-                assert all(v.lattice in o for v, o in zip((e, *e.variants), orbits))
-                assert all(a.isdisjoint(b) for a, b in itertools.combinations(orbits, 2))
-                checked += len(orbits)
-        assert checked == {3: 3, 4: 14}[n]
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             classify(7)
@@ -229,55 +197,36 @@ class TestLatticeWalk:
             "5cca90c73f9f159f54b5cb67eb2a01cd9daaccca1313f168e2c36654faa3d075")
 
 
-def weight_pattern(basis, dirs):
-    return tuple(sorted(tuple(sorted(abs(w) for w in direction_weights(basis, d)))
-                        for d in dirs))
-
-
 def reference_classification(n_doublets):
     """Group extraction from the bordered ``snf_rows`` reading of every walked lattice."""
     basis = torus_basis(n_doublets)
-    primary, variants, counts = {}, {}, {}
+    primary, counts = {}, {}
     for lattice, witness in classifier._lattice_scan(n_doublets).items():
         res = snf_rows(lattice, basis.n)
         group = classifier._group_from_smith(res.d, res.v, basis)
         sig = group.signature
         if sig.is_trivial:
             continue
-        entry = ClassificationEntry(
-            signature=sig, witness=witness,
-            generators=group.finite_generators,
-            generator_angles=group.finite_generator_angles,
-            torus_directions=group.torus_directions,
-            lattice=lattice, n_lattices=0)
         counts[sig] = counts.get(sig, 0) + 1
         if sig not in primary:
-            primary[sig] = entry
-            if not sig.is_finite:
-                variants[sig] = {weight_pattern(basis, group.torus_directions): entry}
-        elif not sig.is_finite:
-            variants[sig].setdefault(weight_pattern(basis, group.torus_directions), entry)
-    entries = []
-    for sig in sorted(primary, key=GroupSignature.sort_key):
-        e = primary[sig]
-        extra = ()
-        if sig in variants and len(variants[sig]) > 1:
-            first_pattern = weight_pattern(basis, e.torus_directions)
-            extra = tuple(v for p, v in sorted(variants[sig].items()) if p != first_pattern)
-        entries.append(ClassificationEntry(
-            signature=sig, witness=e.witness, generators=e.generators,
-            generator_angles=e.generator_angles, torus_directions=e.torus_directions,
-            lattice=e.lattice, n_lattices=counts[sig], variants=extra))
+            primary[sig] = ClassificationEntry(
+                signature=sig, witness=witness,
+                generators=group.finite_generators,
+                generator_angles=group.finite_generator_angles,
+                torus_directions=group.torus_directions,
+                lattice=lattice, n_lattices=0)
+    entries = tuple(replace(primary[sig], n_lattices=counts[sig])
+                    for sig in sorted(primary, key=GroupSignature.sort_key))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
-    return ClassificationResult(n_doublets, tuple(entries), max_order)
+    return ClassificationResult(n_doublets, entries, max_order)
 
 
 class TestGroupExtraction:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_same_result_as_extracting_every_lattice(self, n):
-        # compares every field, variants, generator angles, torus directions
-        # and lattices included, which the CLI reports do not all show
+        # compares every field, generator angles, torus directions and
+        # lattices included, which the CLI reports do not all show
         assert classifier._classify_cached(n) == reference_classification(n)
 
     def test_empty_lattice_is_the_full_torus(self):
@@ -289,8 +238,8 @@ class TestGroupExtraction:
     @pytest.mark.parametrize("n", [3, 4])
     def test_smith_budget(self, monkeypatch, n):
         # one smith_columns reading per walked lattice, whose d gives the
-        # group and whose v gives the weight pattern and, for the printed
-        # entries and variants, the generators; snf is never taken
+        # group and whose v gives the generators of the printed entries; snf
+        # is never taken
         uncached = classifier._classify_cached.__wrapped__
         uncached(n)  # fill the caches below the classification first
         calls, snf_calls = [], []

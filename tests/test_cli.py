@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from nhdm.classifier import symmetry_group_of_terms
 from nhdm.cli import run
+from nhdm.monomials import Monomial
+from nhdm.torus import torus_basis
 
 
 def invoke(argv):
@@ -242,3 +245,14 @@ class TestJson:
     def test_witness_unreal(self):
         report = payload_of(["witness", "--doublets", "3", "--group", "Z16"])
         assert report["payload"]["realizable"] is False
+
+    @pytest.mark.parametrize("n, terms", [(2, ["(f1+ f2)"]), (3, ["(f1+ f2)", "(f1+ f3)"])])
+    def test_witness_trivial(self, n, terms):
+        # classify leaves the trivial group out, but the walk spans the
+        # lattice of every charge, first with these terms
+        report = payload_of(["witness", "--doublets", str(n), "--group", "trivial"])["payload"]
+        assert report["realizable"] is True
+        assert report["witness_text"] == terms
+        assert report["generators"] == []
+        witness = [Monomial.canonical(factors) for factors in report["witness"]]
+        assert symmetry_group_of_terms(witness, torus_basis(n)).signature.is_trivial
