@@ -101,15 +101,11 @@ class ClassificationEntry:
     signature: GroupSignature
     witness: tuple[Monomial, ...]
     generators: tuple[PhaseVector, ...]
-    generator_angles: tuple[tuple[Fraction, ...], ...]
-    torus_directions: tuple[tuple[int, ...], ...]
-    lattice: Rows
     n_lattices: int
 
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    n_doublets: int
     entries: tuple[ClassificationEntry, ...]
     max_finite_order: int
 
@@ -189,7 +185,7 @@ def classify(n_doublets: int, include_continuous: bool = True) -> Classification
     if include_continuous:
         return result
     entries = tuple(e for e in result.entries if e.signature.is_finite)
-    return ClassificationResult(n_doublets, entries, result.max_finite_order)
+    return ClassificationResult(entries, result.max_finite_order)
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +196,8 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
 
     # Each group keeps its first lattice in the breadth-first insertion order,
     # which has a minimal witness.  Every lattice is read by one Smith
-    # reduction; the kept lattices carry its d and v, so the printed entries
-    # below take no further Smith form.
+    # reduction; each group keeps the witness, d and v of its first lattice,
+    # so the printed entries below take no further Smith form.
     primary: dict[GroupSignature, tuple] = {}
     counts: dict[GroupSignature, int] = {}
     signatures: dict[tuple[int, ...], GroupSignature] = {}
@@ -214,29 +210,24 @@ def _classify_cached(n_doublets: int) -> ClassificationResult:
             continue
         counts[sig] = counts.get(sig, 0) + 1
         if sig not in primary:
-            primary[sig] = (lattice, witness, d, v)
+            primary[sig] = (witness, d, v)
 
     entries = []
     for sig in sorted(primary, key=GroupSignature.sort_key):
-        lattice, witness, d, v = primary[sig]
+        witness, d, v = primary[sig]
         group = _group_from_smith(d, v, basis)
-        entries.append(ClassificationEntry(
-            signature=group.signature, witness=witness,
-            generators=group.finite_generators,
-            generator_angles=group.finite_generator_angles,
-            torus_directions=group.torus_directions,
-            lattice=lattice, n_lattices=counts[sig]))
+        entries.append(ClassificationEntry(group.signature, witness, group.finite_generators,
+                                           counts[sig]))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
     if max_order > 2 ** (n_doublets - 1):
         raise RuntimeError(f"order bound violated: a group of order {max_order} "
                            f"at N={n_doublets} exceeds 2^(N-1)")
-    return ClassificationResult(n_doublets, tuple(entries), max_order)
+    return ClassificationResult(tuple(entries), max_order)
 
 
 @dataclass(frozen=True)
 class OrderBoundReport:
-    n_doublets: int
     max_order: int
     bound: int
     bound_met: bool
@@ -249,8 +240,7 @@ def verify_order_bound(n_doublets: int) -> OrderBoundReport:
         raise ValueError("doublet count out of supported range (2..5)")
     result = classify(n_doublets)
     bound = 2 ** (n_doublets - 1)
-    return OrderBoundReport(n_doublets, result.max_finite_order, bound,
-                            result.max_finite_order == bound)
+    return OrderBoundReport(result.max_finite_order, bound, result.max_finite_order == bound)
 
 
 @dataclass(frozen=True)
@@ -261,7 +251,6 @@ class ConjectureProbe:
     an open question, and this report only states what the scan found.
     """
 
-    n_doublets: int
     bound: int
     realized: tuple[GroupSignature, ...]
     missing: tuple[GroupSignature, ...]
@@ -277,7 +266,7 @@ def probe_conjecture(n_doublets: int) -> ConjectureProbe:
     missing = []
     for g in all_abelian_groups_up_to(bound):
         (realized if g in found else missing).append(g)
-    return ConjectureProbe(n_doublets, bound, tuple(realized), tuple(missing))
+    return ConjectureProbe(bound, tuple(realized), tuple(missing))
 
 
 def backbone_terms(n_doublets: int, pretty: bool = False) -> list[str]:

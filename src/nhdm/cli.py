@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -341,7 +342,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the CLI and exit with its code, or with 1 if the reader closed stdout early."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as in `nhdm ... | head`: point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -234,7 +234,6 @@ class AbelianBase:
     n_doublets: int
     signature: GroupSignature
     finite_generators: tuple[PhaseVector, ...]
-    angle_directions: tuple[tuple[int, ...], ...]
     doublet_weights: tuple[tuple[int, ...], ...]
     lattice: tuple[tuple[int, ...], ...]
 
@@ -252,8 +251,7 @@ class AbelianBase:
         rows = hnf_rows(rows)
         group = _group_of_lattice(rows, basis)
         weights = tuple(direction_weights(basis, d) for d in group.torus_directions)
-        return cls(n_doublets, group.signature, group.finite_generators,
-                   group.torus_directions, weights, rows)
+        return cls(n_doublets, group.signature, group.finite_generators, weights, rows)
 
     def annihilates(self, charge) -> bool:
         """True when the character with this charge is trivial on the whole group."""
@@ -394,7 +392,6 @@ class CpCandidate:
     base: AbelianBase
     sigma: Perm
     square: PhaseVector
-    square_exponents: tuple[int, ...]
     signature: GroupSignature
     system: PhaseConstraintSystem
     surviving: tuple[Monomial, ...]
@@ -445,7 +442,7 @@ def _layout(base: AbelianBase, invariant) -> tuple[list[str], dict[Monomial, int
     then one coefficient phase psi per invariant monomial, in order.
     """
     names = [f"xi{a}" for a in range(1, base.n_doublets + 1)]
-    names += ["c0"] + [f"t{i}" for i in range(1, len(base.angle_directions) + 1)]
+    names += ["c0"] + [f"t{i}" for i in range(1, len(base.doublet_weights) + 1)]
     psi_positions = {m: len(names) + i for i, m in enumerate(invariant)}
     names += [f"psi[{m.render()}]" for m in invariant]
     return names, psi_positions
@@ -471,7 +468,7 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
                      psi_positions: dict[Monomial, int]) -> CpCandidate:
     # b J with b the bare permutation: conjugate, then permute
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
-    return CpCandidate(base, sigma, f, tuple(expts), extend_by_antiunitary(base.signature, expts),
+    return CpCandidate(base, sigma, f, extend_by_antiunitary(base.signature, expts),
                        *_restrict(pin, images, psi_positions, base.n_doublets),
                        backbone_classes(sigma), psi_positions)
 
@@ -569,16 +566,16 @@ def forced_symmetries(candidate: CpCandidate):
 
     Permutations are tried in sorted order, skipping the identity and every
     permutation that breaks the backbone classes; each forced
-    ``GenPermMatrix`` is yielded as it is found.
+    ``GenPermMatrix`` is yielded as it is found.  The candidate's system must
+    be solvable, or RuntimeError is raised; it is solved only for a witness.
     """
-    particular = candidate.system.solve()
-    if particular is None:
+    if not candidate.system.solvable():
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
     # the permutations come in sorted order, the identity first
     for perm in itertools.islice(itertools.permutations(range(candidate.base.n_doublets)), 1, None):
         if candidate.backbone.preserved_by(perm):
-            forced = _forced_symmetry(candidate, perm, particular)
+            forced = _forced_symmetry(candidate, perm)
             if forced is not None:
                 yield forced
 
@@ -600,7 +597,7 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
     return None
 
 
-def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular) -> GenPermMatrix | None:
+def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None:
     """Unitary witness with permutation ``perm`` if one is forced, else None.
 
     Forced means: for every admissible coefficient assignment there are
@@ -608,8 +605,9 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular) -> GenPermM
     plus surviving terms.  The invariance relations read R theta == -P psi
     (mod 1); with u @ R @ v == diag(d) they are solvable exactly when
     z @ P @ psi is an integer for each row z of u past the rank, so each
-    z @ P must be fixed by the candidate's system.  The witness phases are
-    read from the particular coefficient phases.
+    z @ P must be fixed by the candidate's system.  Only then is the system
+    solved: the witness phases are read from one particular solution's
+    coefficient phases.
     """
     n = candidate.base.n_doublets
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
@@ -628,6 +626,7 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular) -> GenPermM
                 w[j] += zk * c
         if not candidate.system.fixes(w):
             return None
+    particular = candidate.system.solve()
     target = [-sum((c * particular[j] for j, c in psi.items()), Fraction(0))
               for _, psi in relations]
     return GenPermMatrix(perm, tuple(_particular(res, target)))
@@ -638,7 +637,6 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, particular) -> GenPermM
 
 @dataclass(frozen=True)
 class CpClassification:
-    n_doublets: int
     realizable: tuple[GroupSignature, ...]
     rejected: tuple[tuple[GroupSignature, CpVerdict], ...]
 
@@ -679,7 +677,7 @@ def classify_cp(n_doublets: int = 3) -> CpClassification:
         else:
             pick = next((v for v in verdicts if v.kind == "enlarged_unitary"), verdicts[0])
             rejected.append((sig, pick))
-    return CpClassification(n_doublets, tuple(realizable), tuple(rejected))
+    return CpClassification(tuple(realizable), tuple(rejected))
 
 
 # -- the Z3 x Z3 exception -------------------------------------------------------
@@ -734,7 +732,7 @@ def check_z3z3() -> Z3Z3Report:
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
         pin.add([int(j == k) for j in range(len(unknowns))], phase)
     images = {m: m.permuted(b.perm) for m in invariant}
-    extension = CpCandidate(base, b.perm, PhaseVector.identity(3), (0,), GroupSignature((3, 3)),
+    extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
                             *_restrict(pin, images, psi_positions, 3),
                             backbone_classes(b.perm), psi_positions)
     inv_ab = base.contains_diagonal(a) and not extension.killed

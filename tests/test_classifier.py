@@ -211,22 +211,19 @@ def reference_classification(n_doublets):
         if sig not in primary:
             primary[sig] = ClassificationEntry(
                 signature=sig, witness=witness,
-                generators=group.finite_generators,
-                generator_angles=group.finite_generator_angles,
-                torus_directions=group.torus_directions,
-                lattice=lattice, n_lattices=0)
+                generators=group.finite_generators, n_lattices=0)
     entries = tuple(replace(primary[sig], n_lattices=counts[sig])
                     for sig in sorted(primary, key=GroupSignature.sort_key))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
-    return ClassificationResult(n_doublets, entries, max_order)
+    return ClassificationResult(entries, max_order)
 
 
 class TestGroupExtraction:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_same_result_as_extracting_every_lattice(self, n):
-        # compares every field, generator angles, torus directions and
-        # lattices included, which the CLI reports do not all show
+        # compares every field of every entry: signature, witness,
+        # generators and n_lattices
         assert classifier._classify_cached(n) == reference_classification(n)
 
     def test_empty_lattice_is_the_full_torus(self):

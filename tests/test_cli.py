@@ -35,12 +35,16 @@ GOLDEN = ROOT / "tests" / "golden"
 SCHEMA = json.loads((ROOT / "src" / "nhdm" / "schema" / "report.schema.json").read_text())
 
 
+def child_env():
+    """The environment of a child ``python -m nhdm``, with ``src`` on its path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(argv, timeout=10, python_flags=()):
     """Run ``python -m nhdm`` in a child process; a hang fails the test."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *python_flags, "-m", "nhdm", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=child_env())
 
 
 def random_matrix_text(seed, size, bound):
@@ -132,6 +136,19 @@ class TestHostileInput:
         code, out, err = invoke(["witness", "--doublets", "3", "--group", "Z²"])
         assert code == 2 and out == ""
         assert "cannot parse group name" in err
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails however much it prints
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nhdm", "classify", "--doublets", "3", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=10, env=child_env())
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestGolden:

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, gcd, prod
@@ -36,8 +37,8 @@ from nhdm.cpext import (
 )
 from nhdm.exactmath import snf_rows
 from nhdm.groups import GroupSignature
-from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, phase_shift
-from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
+from nhdm.monomials import Monomial, enumerate_monomials, phase_shift, raw_exponents
+from nhdm.torus import PhaseVector, equal_mod_center
 import reference
 from reference import antiunitary_square
 
@@ -175,7 +176,7 @@ class TestLatticeForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_trivial_base_is_the_full_lattice(self, n):
         unit = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
-        assert AbelianBase.trivial(n) == AbelianBase(n, GroupSignature(), (), (), (), unit)
+        assert AbelianBase.trivial(n) == AbelianBase(n, GroupSignature(), (), (), unit)
 
     def test_rows_of_the_wrong_length_or_type_rejected(self):
         # the N=3 charge space has 2 coordinates
@@ -236,15 +237,14 @@ class TestInvariantTerms:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lattice_membership_matches_the_phase_shift_definition(self, n):
         # reference definition: no finite generator shifts the term's phase
-        # and its charge pairs to zero with every continuous direction
-        basis = torus_basis(n)
-
+        # and its net exponents pair to zero with every continuous direction's
+        # doublet weights
         def reference(base):
             return tuple(
                 m for m in enumerate_monomials(n)
                 if all(phase_shift(m, g) == 0 for g in base.finite_generators)
-                and all(sum(c * d for c, d in zip(charge_vector(m, basis), direction)) == 0
-                        for direction in base.angle_directions))
+                and all(sum(e * w for e, w in zip(raw_exponents(m, n), weights)) == 0
+                        for weights in base.doublet_weights))
 
         for base in cp_bases(n):
             assert base.invariant_monomials() == reference(base)
@@ -599,6 +599,12 @@ class TestFullDetail:
         assert sweep_digest(4) == (
             274, "4d94136717f361cf8faf8df7eecdd4f0221276897031e59861177ed33e0e9898")
 
+    @pytest.mark.slow
+    def test_five_doublet_sweep_digest(self):
+        # opt-in with `pytest -m slow`: the 2,462 candidates take about 30 s
+        assert sweep_digest(5) == (
+            2462, "333569afc5940f2c79eb566ef91e6f21bb481382e3f6a4ffe52a4257c01c129d")
+
 
 @st.composite
 def wide_congruences(draw):
@@ -692,9 +698,11 @@ class TestHermiteSolvability:
                     cand.system.render())
 
     def test_no_smith_form_per_orbit(self, monkeypatch):
-        # 41 snf calls in the N=3 sweep, none of them for the groups of the
-        # bases; factoring the system again for every orbit tried made 140
-        # more
+        # 27 snf calls in the N=3 sweep, none of them for the groups of the
+        # bases: 9 solve the systems of the candidates with a forced witness
+        # and 18 read invariance relations; factoring the system again for
+        # every orbit tried made 140 more, and solving every candidate's
+        # system up front 14 more
         cp_bases(3)  # fill the lattice-walk cache first
         calls = []
         real = exactmath.snf
@@ -707,7 +715,31 @@ class TestHermiteSolvability:
         for base in cp_bases(3):
             for cand in cp_extensions(base):
                 cp_realizable(cand)
-        assert len(calls) == 41
+        assert len(calls) == 27
+
+    def test_one_solve_per_forced_witness(self, monkeypatch):
+        # a candidate's system is solved only to write the phases of a forced
+        # symmetry, whose permutation is never the identity; solving every
+        # candidate's system made 23 calls
+        cp_bases(3)
+        calls = []
+        real = PhaseConstraintSystem.solve
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(PhaseConstraintSystem, "solve", counted)
+        verdicts = [cp_realizable(cand) for base in cp_bases(3) for cand in cp_extensions(base)]
+        forced = [v for v in verdicts if v.witness and v.witness.perm != (0, 1, 2)]
+        assert len(calls) == len(forced) == 9
+
+    def test_unsolvable_system_raises(self):
+        cand = next(c for base in cp_bases(3) for c in cp_extensions(base))
+        system = cand.system.copy()
+        system.add([0] * len(system.unknowns), F(1, 2))
+        with pytest.raises(RuntimeError, match="have no solution"):
+            next(forced_symmetries(replace(cand, system=system)))
 
 
 class TestLatticeReadings:
@@ -720,12 +752,11 @@ class TestLatticeReadings:
         pairs = forced = 0
         for base in cp_bases(3):
             for cand in cp_extensions(base):
-                particular = cand.system.solve()
                 oracle = reference.solve(cand.system)
                 for perm in itertools.permutations(range(3)):
                     if perm == (0, 1, 2) or not cand.backbone.preserved_by(perm):
                         continue
-                    got = _forced_symmetry(cand, perm, particular)
+                    got = _forced_symmetry(cand, perm)
                     assert got == reference.forced_symmetry(cand, perm, *oracle)
                     pairs += 1
                     forced += got is not None

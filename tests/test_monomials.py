@@ -154,7 +154,7 @@ class TestChargeBasis:
             a = charge_basis_matrix(n_doublets)
             for i in range(1, n + 1):
                 expected = [j if j < i else j + 1 for j in range(1, n)] + [1]
-                assert a.row(i - 1) == tuple(expected)
+                assert a.entries[i - 1] == tuple(expected)
 
     def test_determinant_one(self):
         for n_doublets in range(2, 10):
@@ -176,7 +176,7 @@ class TestCDecompose:
         # oracle: solve (c1, c2) @ A = x directly by Cramer's rule
         a = charge_basis_matrix(3)
         d = det(a)
-        x0 = x.row(0)
+        x0 = x.entries[0]
         c1 = (x0[0] * a[(1, 1)] - x0[1] * a[(1, 0)]) // d
         c2 = (a[(0, 0)] * x0[1] - a[(0, 1)] * x0[0]) // d
         assert (c1, c2) == (2, 0)
