@@ -17,13 +17,14 @@ torus elements on which every charge in its lattice vanishes, which is how
 character is trivial on the whole group, continuous part included, exactly
 when its charge lies in that lattice.
 Invariant terms, commuting permutation patterns and the support of a
-commuting antiunitary are each such a test (``AbelianBase.annihilates``) of
-a charge built from the phase differences psi_a - psi_b
-(``TorusBasis.differences``).  The phase congruences of steps 3 to 5 are read
-through the one lattice of a ``PhaseConstraintSystem``: a term orbit survives
-while the system stays solvable, and a unitary symmetry is forced when the
-system fixes each relation its invariance needs.  A Smith form only writes
-witness phases.
+commuting antiunitary are each read off the cosets modulo that lattice
+(``AbelianBase.cosets``) of charges built from the phase differences
+psi_a - psi_b (``TorusBasis.differences``): a zero coset is a trivial
+character, and two equal cosets are characters that agree on the group.
+The phase congruences of steps 3 to 5 are read through the one lattice of a
+``PhaseConstraintSystem``: a term orbit survives while the system stays
+solvable, and a unitary symmetry is forced when the system fixes each
+relation its invariance needs.  A Smith form only writes witness phases.
 
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
@@ -38,8 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import (IntMatrix, Rows, SnfResult, hnf_add, hnf_contains, hnf_rows, integers,
-                        snf_rows)
+from .exactmath import (IntMatrix, Rows, SnfResult, hnf_add, hnf_contains, hnf_residues, hnf_rows,
+                        integers, snf_rows)
 from .groups import GroupSignature, extend_by_antiunitary
 from .monomials import Monomial, c_decompose, monomial_charges, phase_shift, raw_exponents
 from .torus import (PhaseVector, direction_weights, equal_mod_center, rational_phases,
@@ -253,14 +254,18 @@ class AbelianBase:
         weights = tuple(direction_weights(basis, d) for d in group.torus_directions)
         return cls(n_doublets, group.signature, group.finite_generators, weights, rows)
 
-    def annihilates(self, charge) -> bool:
-        """True when the character with this charge is trivial on the whole group."""
-        return hnf_contains(self.lattice, charge)
+    def cosets(self, charges: dict) -> dict:
+        """Each key's charge modulo ``lattice``, from one ``hnf_residues`` pass.
+
+        A zero coset is a character trivial on the whole group, and two equal
+        cosets are two characters that agree on it.
+        """
+        return _cosets(self.lattice, charges, self.n_doublets - 1)
 
     def invariant_monomials(self) -> tuple[Monomial, ...]:
         """All monomials left invariant by every element of the group."""
-        return tuple(m for m, chg in monomial_charges(self.n_doublets).items()
-                     if self.annihilates(chg))
+        cosets = self.cosets(monomial_charges(self.n_doublets))
+        return tuple(m for m, coset in cosets.items() if not any(coset))
 
     def finite_elements(self) -> list[tuple[tuple[int, ...], PhaseVector]]:
         """All elements of the finite part as (exponents, phase vector)."""
@@ -285,35 +290,42 @@ class AbelianBase:
         return all(sum(x * y for x, y in zip(row, shifts)).denominator == 1 for row in c.entries)
 
 
+def _cosets(lattice: Rows, charges: dict, dim: int) -> dict:
+    """Each key's charge modulo ``lattice``; ``dim`` columns even with no charges."""
+    columns = [[chg[c] for chg in charges.values()] for c in range(dim)]
+    return dict(zip(charges, hnf_residues(lattice, columns)))
+
+
 def commutant_perms(base: AbelianBase) -> list[Perm]:
     """Permutation patterns sigma with psi_a + psi_{sigma(a)} constant on the group.
 
-    That is, the group annihilates (psi_a - psi_0) + (psi_sigma(a) - psi_sigma(0))
-    for every a.  A matrix b supported on such a pattern makes b J commute
-    with the whole group; no other generalized permutation can.
+    That is, every s(a, sigma(a)) lies in one coset, with s(i, j) the charge
+    of psi_i + psi_j - 2 psi_0, since s(a, sigma(a)) - s(0, sigma(0)) is
+    (psi_a - psi_0) + (psi_sigma(a) - psi_sigma(0)).  A matrix b supported on
+    such a pattern makes b J commute with the whole group; no other
+    generalized permutation can.
     """
     n = base.n_doublets
     diff = torus_basis(n).differences
+    coset = base.cosets({(i, j): tuple(x + y for x, y in zip(diff[i][0], diff[j][0]))
+                         for i in range(n) for j in range(n)})
     return [perm for perm in itertools.permutations(range(n))
-            if all(base.annihilates(tuple(x + y for x, y in
-                                          zip(diff[a][0], diff[perm[a]][perm[0]])))
-                   for a in range(1, n))]
+            if len({coset[a, perm[a]] for a in range(n)}) == 1]
 
 
 def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
     """Entry pattern (i, j) where an antiunitary b J may have support.
 
     An entry is allowed when psi_i + psi_j is a center phase on the whole
-    group, that is when the group annihilates N (psi_i + psi_j) - 2 sum_c psi_c,
-    the sum over c of (psi_i - psi_c) + (psi_j - psi_c).
+    group, that is when N (psi_i + psi_j) - 2 sum_c psi_c, the sum over c of
+    (psi_i - psi_c) + (psi_j - psi_c), has a zero coset.  The N^2 cosets are
+    read in one pass.
     """
     n = base.n_doublets
     diff = torus_basis(n).differences
-
-    def allowed(i: int, j: int) -> bool:
-        return base.annihilates(tuple(map(sum, zip(*diff[i], *diff[j]))))
-
-    return tuple(tuple(allowed(i, j) for j in range(n)) for i in range(n))
+    coset = base.cosets({(i, j): tuple(map(sum, zip(*diff[i], *diff[j])))
+                         for i in range(n) for j in range(n)})
+    return tuple(tuple(not any(coset[i, j]) for j in range(n)) for i in range(n))
 
 
 # -- candidate construction -----------------------------------------------------
@@ -406,19 +418,23 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     """All candidate abelian extensions of ``base`` by an antiunitary generator.
 
     Candidates are indexed by a commuting permutation pattern and the square
-    class of the antiunitary generator inside the group.  An empty list means
-    the group admits no commuting antiunitary at all.
+    class of the antiunitary generator inside the group.  The squared
+    generator must stay diagonal, so only involutive patterns qualify.  With
+    none the group admits no commuting antiunitary at all, and the empty list
+    comes back before the invariant terms and group elements are read.
     """
     n = base.n_doublets
+    involutions = [sigma for sigma in commutant_perms(base)
+                   if all(sigma[sigma[a]] == a for a in range(n))]
+    if not involutions:
+        return []
     invariant = base.invariant_monomials()
     unknowns, psi_positions = _layout(base, invariant)
     elements = base.finite_elements()
     candidates: list[CpCandidate] = []
     seen: set[tuple] = set()
 
-    for sigma in commutant_perms(base):
-        if any(sigma[sigma[a]] != a for a in range(n)):
-            continue  # the squared generator must stay diagonal
+    for sigma in involutions:
         for expts, f in elements:
             # the elements are distinct modulo the center, so two differ by a
             # square exactly when their exponents agree mod gcd(2, d_i)
@@ -535,7 +551,8 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     surv_lattice = hnf_rows([charges[m] for m in candidate.surviving])
     # surviving and killed terms make up the invariant set, so the surviving
     # lattice is the full invariant lattice unless it misses a killed charge
-    if not all(hnf_contains(surv_lattice, charges[m]) for m in candidate.killed):
+    killed = {m: charges[m] for m in candidate.killed}
+    if any(map(any, _cosets(surv_lattice, killed, base.n_doublets - 1).values())):
         surv_group = _group_of_lattice(surv_lattice, torus_basis(base.n_doublets))
         if surv_group.signature.torus_rank > base.signature.torus_rank:
             return CpVerdict(

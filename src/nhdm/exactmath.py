@@ -393,34 +393,16 @@ def hnf_add(basis: Rows, vec: Sequence[int]) -> Rows:
     return tuple(tuple(row) for row in work)
 
 
-def hnf_reduce(basis: Rows, vec: Sequence[int]) -> tuple[int, ...]:
-    """Canonical representative of the coset ``vec + L``, L spanned by ``basis``.
-
-    Subtracts multiples of the HNF rows in pivot order so that each pivot
-    coordinate lands in ``[0, pivot)``.  Two vectors give the same result
-    exactly when they differ by an element of L, so the result is all zeros
-    exactly when ``vec`` lies in L.
-    """
-    v = list(vec)
-    j = 0
-    for row in basis:
-        while not row[j]:
-            j += 1
-        q = v[j] // row[j]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-        j += 1
-    return tuple(v)
-
-
 def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """``hnf_reduce(basis, v)`` of many vectors at once, given by coordinate.
+    """Canonical representatives of the cosets ``v + L`` of many v, L spanned by ``basis``.
 
-    ``columns[c][i]`` is coordinate c of vector i, and the residues come back
-    in vector order.  Each HNF row takes the quotients of all vectors in one
-    pass: one list for the pivot column, one for each nonzero entry right of
-    it.  With no coordinates there are no vectors to return.  A single
-    vector is cheaper through ``hnf_reduce``, which ``hnf_contains`` keeps.
+    ``columns[c][i]`` is coordinate c of vector i, one list per coordinate
+    even when there are no vectors; the residues come back in vector order.
+    Each HNF row is subtracted from all vectors at once, in pivot order, so
+    that each pivot coordinate lands in ``[0, pivot)``.  Two vectors give the
+    same residue exactly when they differ by an element of L, so a residue is
+    all zeros exactly when its vector lies in L.  With no coordinates there
+    are no vectors to return.
     """
     cols = list(columns)
     j = 0
@@ -440,7 +422,7 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
 
 def hnf_contains(basis: Rows, vec: Sequence[int]) -> bool:
     """Exact membership test of ``vec`` in the lattice with HNF basis ``basis``."""
-    return not any(hnf_reduce(basis, vec))
+    return not any(map(any, hnf_residues(basis, [(x,) for x in vec])))
 
 
 def hnf(m: IntMatrix) -> IntMatrix:

@@ -19,7 +19,7 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import IntMatrix, hnf_add, hnf_contains, snf, snf_rows
+from nhdm.exactmath import IntMatrix, hnf_add, snf, snf_rows
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
 from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
@@ -137,9 +137,9 @@ def reference_walk_of(generators):
         lattice = frontier.popleft()
         witness = states[lattice]
         for chg, label in generators:
-            if hnf_contains(lattice, chg):
-                continue
             grown = hnf_add(lattice, chg)
+            if grown == lattice:
+                continue
             if grown not in states:
                 states[grown] = witness + (label,)
                 frontier.append(grown)

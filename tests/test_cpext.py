@@ -734,6 +734,44 @@ class TestHermiteSolvability:
         forced = [v for v in verdicts if v.witness and v.witness.perm != (0, 1, 2)]
         assert len(calls) == len(forced) == 9
 
+    def test_membership_only_in_fixes(self, monkeypatch):
+        # the bases' coset questions and the surviving-lattice check each take
+        # one hnf_residues pass, so hnf_contains serves only the forced-symmetry
+        # search's fixes; asking them one charge at a time made 407 calls, and
+        # checking the 9 killed charges one at a time would add 9
+        cp_bases(3)
+        calls = []
+        real = exactmath.hnf_contains
+
+        def counted(basis, vec):
+            calls.append(vec)
+            return real(basis, vec)
+
+        for module in (exactmath, cpext):
+            monkeypatch.setattr(module, "hnf_contains", counted)
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                cp_realizable(cand)
+        assert len(calls) == 13
+
+    def test_invariant_terms_read_only_with_an_involution(self, monkeypatch):
+        # a base without an involutive commuting pattern has no candidate, and
+        # its invariant terms are not read; reading them first made 19 calls
+        with_involution = sum(any(all(s[s[a]] == a for a in range(3)) for s in commutant_perms(b))
+                              for b in cp_bases(3))
+        calls = []
+        real = AbelianBase.invariant_monomials
+
+        def counted(base):
+            calls.append(base)
+            return real(base)
+
+        monkeypatch.setattr(AbelianBase, "invariant_monomials", counted)
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                cp_realizable(cand)
+        assert len(calls) == with_involution == 12
+
     def test_unsolvable_system_raises(self):
         cand = next(c for base in cp_bases(3) for c in cp_extensions(base))
         system = cand.system.copy()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
-    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_reduce, hnf_residues, hnf_rows,
+    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_residues, hnf_rows,
     inverse_unimodular, smith_columns, snf, snf_rows,
 )
 from reference import reference_snf
@@ -306,9 +306,11 @@ class TestHnfProperties:
         basis = hnf_rows(rows)
         w = combination(rows, coeffs, len(v))
         shifted = [x + y for x, y in zip(v, w)]
-        residue = hnf_reduce(basis, v)
-        assert residue == hnf_reduce(basis, shifted)
-        assert hnf_residues(basis, list(zip(v, shifted, v))) == [residue] * 3
+        residue, *others = hnf_residues(basis, list(zip(v, shifted, v)))
+        assert others == [residue] * 2
+        # the residue lies in the coset of v, and is its canonical
+        # representative: every pivot coordinate in [0, pivot)
+        assert hnf_add(basis, [x - y for x, y in zip(v, residue)]) == basis
         for row in basis:
             j = next(j for j, x in enumerate(row) if x)
             assert 0 <= residue[j] < row[j]
@@ -319,13 +321,14 @@ class TestHnfProperties:
         rows, v, coeffs = case
         basis = hnf_rows(rows)
         vectors = (v, combination(rows, coeffs, len(v)))
-        assert (hnf_residues(basis, list(zip(*vectors)))
-                == [hnf_reduce(basis, vec) for vec in vectors])
-        for vec in vectors:
-            is_zero = not any(hnf_reduce(basis, vec))
+        residues = hnf_residues(basis, list(zip(*vectors)))
+        assert not any(residues[1])
+        for vec, residue in zip(vectors, residues):
+            is_zero = not any(residue)
             assert is_zero == hnf_contains(basis, vec)
             # independent of the reduction: v lies in L exactly when adding
             # it leaves the canonical basis unchanged
+            assert is_zero == (hnf_add(basis, vec) == basis)
             assert is_zero == (hnf_rows(rows + [vec]) == basis)
 
 
