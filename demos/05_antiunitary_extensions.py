@@ -21,7 +21,7 @@ for sig, verdict in res.rejected:
 # Drill into the cyclic-four case: the commuting pattern swaps the first two
 # doublets, and the two square classes give a split and a twisted extension.
 base = AbelianBase.from_lattice(3, [(0, 1), (4, 2)])
-print(f"\nbase group {base.signature.name()}, generator {base.finite_generators[0]}")
+print(f"\nbase group {base.group.signature.name()}, generator {base.group.finite_generators[0]}")
 print("antiunitary support pattern:")
 for row in commutant_support(base):
     print("   ", ["x" if v else "." for v in row])

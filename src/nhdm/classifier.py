@@ -34,12 +34,11 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .exactmath import IntMatrix, hnf_add, hnf_residues, smith_columns
+from .exactmath import IntMatrix, Rows, hnf_add, hnf_residues, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
 
-Rows = tuple[tuple[int, ...], ...]
 T = TypeVar("T")
 
 
@@ -108,9 +107,6 @@ class ClassificationEntry:
 class ClassificationResult:
     entries: tuple[ClassificationEntry, ...]
     max_finite_order: int
-
-    def signatures(self) -> tuple[GroupSignature, ...]:
-        return tuple(e.signature for e in self.entries)
 
     def finite_signatures(self) -> tuple[GroupSignature, ...]:
         return tuple(e.signature for e in self.entries if e.signature.is_finite)

@@ -171,7 +171,7 @@ def _cmd_cp_extend(args) -> None:
         _emit(_report("cp-extend", payload, args.doublets), "\n".join(lines), args.format)
         return
     target = _parse_group_name(args.group)
-    bases = [b for b in cp_bases(args.doublets) if b.signature == target]
+    bases = [b for b in cp_bases(args.doublets) if b.group.signature == target]
     if not bases:
         raise ValueError(f"group {args.group} is not a realizable torus subgroup here")
     candidates = [cand for base in bases for cand in cp_extensions(base)]

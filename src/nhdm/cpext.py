@@ -12,10 +12,11 @@ matrices with exact rational phases:
 5. check that the restricted potential acquires no further unitary symmetry.
 
 Every question is read off an integer lattice.  The group is the set of
-torus elements on which every charge in its lattice vanishes, which is how
-``AbelianBase.contains_diagonal`` tests a diagonal element.  By duality a
-character is trivial on the whole group, continuous part included, exactly
-when its charge lies in that lattice.
+torus elements on which every charge in its lattice vanishes, so
+``AbelianBase.contains_angles`` tests an element by checking that every
+lattice row is integral on its circle angles.  By duality a character is
+trivial on the whole group, continuous part included, exactly when its
+charge lies in that lattice.
 Invariant terms, commuting permutation patterns and the support of a
 commuting antiunitary are each read off the cosets modulo that lattice
 (``AbelianBase.cosets``) of charges built from the phase differences
@@ -36,13 +37,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
-from .classifier import _group_of_lattice, _lattice_scan
-from .exactmath import (IntMatrix, Rows, SnfResult, hnf_add, hnf_contains, hnf_residues, hnf_rows,
-                        integers, snf_rows)
+from .classifier import SymmetryGroup, _group_of_lattice, _lattice_scan
+from .exactmath import (Rows, SnfResult, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
+                        snf_rows)
 from .groups import GroupSignature, extend_by_antiunitary
-from .monomials import Monomial, c_decompose, monomial_charges, phase_shift, raw_exponents
+from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
 from .torus import (PhaseVector, direction_weights, equal_mod_center, rational_phases,
                     torus_basis)
 
@@ -94,14 +96,9 @@ class GenPermMatrix:
         return f"[{cols}]"
 
 
-def conjugate_diagonal(u: GenPermMatrix, pv: PhaseVector) -> PhaseVector:
-    """u diag(pv) u^{-1}, which is again diagonal."""
-    return PhaseVector(tuple(pv.phases[u.perm[a]] for a in range(u.n)))
-
-
 def commutes_with_diagonal(u: GenPermMatrix, pv: PhaseVector) -> bool:
-    """Commutation modulo an overall scalar (the PSU identification)."""
-    return equal_mod_center(conjugate_diagonal(u, pv), pv)
+    """Commutation modulo an overall scalar (PSU): u diag(pv) u^-1 is diag(pv[u.perm])."""
+    return equal_mod_center(PhaseVector(tuple(pv.phases[b] for b in u.perm)), pv)
 
 
 # -- the action of transformations on monomials -------------------------------
@@ -230,29 +227,33 @@ class PhaseConstraintSystem:
 
 @dataclass(frozen=True)
 class AbelianBase:
-    """A concrete torus subgroup: finite generators plus continuous directions."""
+    """The torus subgroup fixing every charge in ``lattice``, a Hermite basis.
+
+    Its group facts come from one Smith reading, ``group``, taken on first use.
+    """
 
     n_doublets: int
-    signature: GroupSignature
-    finite_generators: tuple[PhaseVector, ...]
-    doublet_weights: tuple[tuple[int, ...], ...]
-    lattice: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def trivial(cls, n_doublets: int) -> "AbelianBase":
-        return cls.from_lattice(n_doublets, monomial_charges(n_doublets).values())
+    lattice: Rows
 
     @classmethod
     def from_lattice(cls, n_doublets: int, rows) -> "AbelianBase":
         """The group fixing every charge in the span of ``rows``, each of N-1 integers."""
-        basis = torus_basis(n_doublets)
+        n = torus_basis(n_doublets).n
         rows = [integers(row, "lattice rows") for row in rows]
-        if any(len(row) != basis.n for row in rows):
-            raise ValueError(f"lattice rows need {basis.n} entries for {n_doublets} doublets")
-        rows = hnf_rows(rows)
-        group = _group_of_lattice(rows, basis)
-        weights = tuple(direction_weights(basis, d) for d in group.torus_directions)
-        return cls(n_doublets, group.signature, group.finite_generators, weights, rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"lattice rows need {n} entries for {n_doublets} doublets")
+        return cls(n_doublets, hnf_rows(rows))
+
+    @cached_property
+    def group(self) -> SymmetryGroup:
+        """Signature, finite generators and continuous directions, from one Smith form."""
+        return _group_of_lattice(self.lattice, torus_basis(self.n_doublets))
+
+    @cached_property
+    def doublet_weights(self) -> tuple[tuple[int, ...], ...]:
+        """Per-doublet weights of each continuous direction of ``group``."""
+        basis = torus_basis(self.n_doublets)
+        return tuple(direction_weights(basis, d) for d in self.group.torus_directions)
 
     def cosets(self, charges: dict) -> dict:
         """Each key's charge modulo ``lattice``, from one ``hnf_residues`` pass.
@@ -260,7 +261,8 @@ class AbelianBase:
         A zero coset is a character trivial on the whole group, and two equal
         cosets are two characters that agree on it.
         """
-        return _cosets(self.lattice, charges, self.n_doublets - 1)
+        columns = [[chg[c] for chg in charges.values()] for c in range(self.n_doublets - 1)]
+        return dict(zip(charges, hnf_residues(self.lattice, columns)))
 
     def invariant_monomials(self) -> tuple[Monomial, ...]:
         """All monomials left invariant by every element of the group."""
@@ -269,31 +271,20 @@ class AbelianBase:
 
     def finite_elements(self) -> list[tuple[tuple[int, ...], PhaseVector]]:
         """All elements of the finite part as (exponents, phase vector)."""
-        gens = self.finite_generators
+        gens = self.group.finite_generators
         return [(expts, PhaseVector(tuple(sum(e * g.phases[a] for e, g in zip(expts, gens))
                                           for a in range(self.n_doublets))))
-                for expts in itertools.product(*(range(d) for d in self.signature.finite))]
+                for expts in itertools.product(*(range(d) for d in self.group.signature.finite))]
 
-    def contains_diagonal(self, pv: PhaseVector) -> bool:
-        """Exact membership test: every charge in the lattice is trivial on pv.
-
-        A charge r has net exponents c == r A^-1 on doublets 2..N over the
-        bilinear charge basis A (``c_decompose``), so its phase under pv is
-        sum_b c_b (pv_b - pv_1).  The empty lattice contains every element.
-        """
-        if len(pv) != self.n_doublets:
-            raise ValueError(f"need {self.n_doublets} phases, got {len(pv)}")
-        if not self.lattice:
-            return True
-        c, _ = c_decompose(IntMatrix.from_rows(self.lattice), self.n_doublets)
-        shifts = [p - pv.phases[0] for p in pv.phases[1:]]
-        return all(sum(x * y for x, y in zip(row, shifts)).denominator == 1 for row in c.entries)
-
-
-def _cosets(lattice: Rows, charges: dict, dim: int) -> dict:
-    """Each key's charge modulo ``lattice``; ``dim`` columns even with no charges."""
-    columns = [[chg[c] for chg in charges.values()] for c in range(dim)]
-    return dict(zip(charges, hnf_residues(lattice, columns)))
+    def contains_angles(self, angles) -> bool:
+        """Membership of ``element_from_angles(basis, angles)``: a charge r shifts
+        its phase by r . angles, which must be integral for every lattice row.
+        Angles are ints or Fractions; anything else raises ValueError."""
+        angles = rational_phases(angles)
+        if len(angles) != self.n_doublets - 1:
+            raise ValueError(f"need {self.n_doublets - 1} angles, got {len(angles)}")
+        return all(sum(r * a for r, a in zip(row, angles)).denominator == 1
+                   for row in self.lattice)
 
 
 def commutant_perms(base: AbelianBase) -> list[Perm]:
@@ -438,7 +429,7 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
         for expts, f in elements:
             # the elements are distinct modulo the center, so two differ by a
             # square exactly when their exponents agree mod gcd(2, d_i)
-            key = (sigma, tuple(e % gcd(2, d) for e, d in zip(expts, base.signature.finite)))
+            key = (sigma, tuple(e % gcd(2, d) for e, d in zip(expts, base.group.signature.finite)))
             if key in seen:
                 continue
             pin = _pin_system(base, sigma, f, unknowns)
@@ -484,7 +475,7 @@ def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
                      psi_positions: dict[Monomial, int]) -> CpCandidate:
     # b J with b the bare permutation: conjugate, then permute
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
-    return CpCandidate(base, sigma, f, extend_by_antiunitary(base.signature, expts),
+    return CpCandidate(base, sigma, f, extend_by_antiunitary(base.group.signature, expts),
                        *_restrict(pin, images, psi_positions, base.n_doublets),
                        backbone_classes(sigma), psi_positions)
 
@@ -548,19 +539,19 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     """
     base = candidate.base
     charges = monomial_charges(base.n_doublets)
-    surv_lattice = hnf_rows([charges[m] for m in candidate.surviving])
+    surv = AbelianBase(base.n_doublets, hnf_rows([charges[m] for m in candidate.surviving]))
     # surviving and killed terms make up the invariant set, so the surviving
     # lattice is the full invariant lattice unless it misses a killed charge
-    killed = {m: charges[m] for m in candidate.killed}
-    if any(map(any, _cosets(surv_lattice, killed, base.n_doublets - 1).values())):
-        surv_group = _group_of_lattice(surv_lattice, torus_basis(base.n_doublets))
-        if surv_group.signature.torus_rank > base.signature.torus_rank:
+    if any(map(any, surv.cosets({m: charges[m] for m in candidate.killed}).values())):
+        if surv.group.signature.torus_rank > base.group.signature.torus_rank:
             return CpVerdict(
                 "continuous_degeneration",
                 f"dropping {', '.join(str(m) for m in candidate.killed)} leaves the "
-                f"diagonal symmetry {surv_group.signature}, strictly larger than {base.signature}")
-        witness_gen = next((g for g in surv_group.finite_generators
-                            if not base.contains_diagonal(g)), None)
+                f"diagonal symmetry {surv.group.signature}, strictly larger than "
+                f"{base.group.signature}")
+        witness_gen = next((g for angles, g in zip(surv.group.finite_generator_angles,
+                                                   surv.group.finite_generators)
+                            if not base.contains_angles(angles)), None)
         if witness_gen is None:
             raise RuntimeError(f"surviving lattice of {candidate.signature} differs from the "
                                "base lattice but no generator leaves the base group")
@@ -598,7 +589,7 @@ def forced_symmetries(candidate: CpCandidate):
 
 
 def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector | None:
-    for g in base.finite_generators:
+    for g in base.group.finite_generators:
         if not commutes_with_diagonal(u, g):
             return g
     for w in base.doublet_weights:
@@ -659,17 +650,15 @@ class CpClassification:
 
 
 def cp_bases(n_doublets: int) -> list[AbelianBase]:
-    """The trivial group plus one base per distinct realizable charge lattice.
+    """The trivial group (the lattice of every charge), then one base per other
+    walked charge lattice in sorted order, none of them read by a Smith form yet.
 
     Conjugate embeddings of the same abstract group appear separately so that
     every inequivalent extension pattern is examined.
     """
-    bases = [AbelianBase.trivial(n_doublets)]
-    for rows in sorted(_lattice_scan(n_doublets)):
-        base = AbelianBase.from_lattice(n_doublets, rows)
-        if not base.signature.is_trivial:
-            bases.append(base)
-    return bases
+    full = AbelianBase.from_lattice(n_doublets, monomial_charges(n_doublets).values())
+    return [full] + [AbelianBase(n_doublets, rows) for rows in sorted(_lattice_scan(n_doublets))
+                     if rows != full.lattice]
 
 
 def classify_cp(n_doublets: int = 3) -> CpClassification:
@@ -752,7 +741,7 @@ def check_z3z3() -> Z3Z3Report:
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
                             *_restrict(pin, images, psi_positions, 3),
                             backbone_classes(b.perm), psi_positions)
-    inv_ab = base.contains_diagonal(a) and not extension.killed
+    inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
     inv_swap = swap in forced_symmetries(extension)
     commutes = commutes_with_diagonal(swap, a)
     verdict = "not_realizable" if (inv_ab and inv_swap and not commutes) else "inconclusive"

@@ -72,9 +72,10 @@ class GroupSignature:
         return self.name()
 
 
-# Largest cyclic order ``canonicalize`` accepts: a bound on the group names
-# users type, since the Smith form itself takes orders of any size.
+# Bounds ``canonicalize`` puts on the group names users type: the Smith form
+# takes orders of any size, but its time grows steeply with the factor count.
 MAX_CYCLIC_ORDER = 2 ** 32
+MAX_CYCLIC_FACTORS = 64
 
 
 def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
@@ -82,9 +83,11 @@ def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
 
     The form is the Smith diagonal of diag(factors) without its ones, e.g.
     Z2 x Z3 becomes Z6 while Z2 x Z4 stays as it is.  Each factor must lie
-    in ``1..MAX_CYCLIC_ORDER``.
+    in ``1..MAX_CYCLIC_ORDER``, and at most ``MAX_CYCLIC_FACTORS`` are taken.
     """
     factors = integers(factors, "cyclic factors")
+    if len(factors) > MAX_CYCLIC_FACTORS:
+        raise ValueError(f"{len(factors)} cyclic factors exceed the supported {MAX_CYCLIC_FACTORS}")
     for f in factors:
         if f < 1:
             raise ValueError("cyclic factors must be positive")

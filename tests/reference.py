@@ -113,7 +113,7 @@ def pattern_scan(base, sign: int) -> list:
     continuous directions need w_a + sign * w_{sigma(a)} == 0 exactly.
     """
     n = base.n_doublets
-    finite = [su_normalized(g) for g in base.finite_generators]
+    finite = [su_normalized(g) for g in base.group.finite_generators]
     return [perm for perm in itertools.permutations(range(n))
             if all(len({(psi[a] + sign * psi[perm[a]]) % 1 for a in range(n)}) == 1
                    for psi in finite)
@@ -125,7 +125,7 @@ def commutant_support(base) -> tuple:
     """Entries (i, j) where psi_i + psi_j vanishes up to a center shift for every
     finite generator and exactly for every continuous direction."""
     n = base.n_doublets
-    finite = [su_normalized(g) for g in base.finite_generators]
+    finite = [su_normalized(g) for g in base.group.finite_generators]
     shifts = {Fraction(k, n) % 1 for k in range(n)}
 
     def allowed(i: int, j: int) -> bool:

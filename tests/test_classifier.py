@@ -89,7 +89,7 @@ class TestSymmetryGroupOfTerms:
 class TestClassify:
     def test_three_doublets_full_list(self):
         result = classify(3)
-        assert names(result.signatures()) == names([
+        assert names(tuple(e.signature for e in result.entries)) == names([
             GroupSignature((2,)), GroupSignature((3,)), GroupSignature((4,)),
             GroupSignature((2, 2)), GroupSignature(torus_rank=1),
             GroupSignature((2,), torus_rank=1), GroupSignature(torus_rank=2)])
@@ -97,12 +97,12 @@ class TestClassify:
     def test_two_doublets_by_hand(self):
         # charges are (1) and (2): the only lattices are Z, 2Z and the empty one
         result = classify(2)
-        assert names(result.signatures()) == ["U(1)", "Z2"]
+        assert names(tuple(e.signature for e in result.entries)) == ["U(1)", "Z2"]
         assert result.max_finite_order == 2
 
     def test_four_doublet_finite_list(self):
         result = classify(4, include_continuous=False)
-        assert names(result.signatures()) == names([
+        assert names(tuple(e.signature for e in result.entries)) == names([
             GroupSignature((k,)) for k in range(2, 9)] + [
             GroupSignature((2, 2)), GroupSignature((2, 4)), GroupSignature((2, 2, 2))])
 

@@ -131,6 +131,21 @@ class TestHostileInput:
         assert proc.returncode == 2
         assert "exceeds the supported order" in proc.stderr
 
+    def test_group_name_with_many_factors_exits_2_fast(self):
+        # the Smith form of diag(factors) took 22 s at 800 factors; the factor
+        # bound refuses 2,000 before it is taken
+        start = time.perf_counter()
+        proc = run_cli(["witness", "--doublets", "3", "--group", "x".join(["Z2"] * 2000)])
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cyclic factors exceed the supported 64" in proc.stderr
+
+    def test_group_name_with_the_most_factors_answers(self):
+        code, out, _ = invoke(["witness", "--doublets", "3", "--group", "x".join(["Z2"] * 64)])
+        assert code == 0
+        assert out.strip().endswith("is not realizable as a torus subgroup for N=3")
+
     def test_group_name_with_a_superscript_digit_exits_2(self):
         # "²".isdigit() is true, but int() rejects it
         code, out, err = invoke(["witness", "--doublets", "3", "--group", "Z²"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhdm import cpext, exactmath
+from nhdm import classifier, cpext, exactmath
 from nhdm.cpext import (
     AbelianBase,
     GenPermMatrix,
@@ -35,10 +35,11 @@ from nhdm.cpext import (
     cp_realizable,
     forced_symmetries,
 )
-from nhdm.exactmath import snf_rows
+from nhdm.exactmath import hnf_rows, snf_rows
 from nhdm.groups import GroupSignature
-from nhdm.monomials import Monomial, enumerate_monomials, phase_shift, raw_exponents
-from nhdm.torus import PhaseVector, equal_mod_center
+from nhdm.monomials import (Monomial, enumerate_monomials, monomial_charges, phase_shift,
+                            raw_exponents)
+from nhdm.torus import PhaseVector, element_from_angles, equal_mod_center, torus_basis
 import reference
 from reference import antiunitary_square
 
@@ -110,7 +111,7 @@ class TestGenPermAlgebra:
     @pytest.mark.parametrize("perm", [(1.0, 0.0, 2.0), ("1", "0", "2")])
     def test_float_and_string_images_rejected(self, perm):
         # sorted((1.0, 0.0, 2.0)) == [0, 1, 2], so the float images passed
-        # the permutation check and failed later in conjugate_diagonal
+        # the permutation check and failed later in commutes_with_diagonal
         with pytest.raises(ValueError):
             GenPermMatrix(perm, (0, 0, 0))
 
@@ -142,7 +143,7 @@ class TestCommutantAndCentralizer:
         assert commutant_perms(base) == [(1, 0)]
 
     def test_trivial_group_allows_everything(self):
-        base = AbelianBase.trivial(3)
+        base = all_bases(3)[0]
         assert all(all(row) for row in commutant_support(base))
         assert len(commutant_perms(base)) == 6
         assert len(reference.pattern_scan(base, -1)) == 6
@@ -163,7 +164,8 @@ class TestCommutantAndCentralizer:
         for perm in itertools.permutations(range(3)):
             for phases in itertools.product(grid, repeat=3):
                 u = GenPermMatrix(perm, phases)
-                commutes = all(commutes_with_diagonal(u, g) for g in base.finite_generators)
+                commutes = all(commutes_with_diagonal(u, g)
+                               for g in base.group.finite_generators)
                 assert commutes == (u.perm in perms)
                 if commutes:
                     seen_perms.add(perm)
@@ -176,7 +178,10 @@ class TestLatticeForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_trivial_base_is_the_full_lattice(self, n):
         unit = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
-        assert AbelianBase.trivial(n) == AbelianBase(n, GroupSignature(), (), (), unit)
+        base = AbelianBase.from_lattice(n, monomial_charges(n).values())
+        assert base == AbelianBase(n, unit)
+        assert base.group.signature == GroupSignature()
+        assert base.group.finite_generators == () and base.doublet_weights == ()
 
     def test_rows_of_the_wrong_length_or_type_rejected(self):
         # the N=3 charge space has 2 coordinates
@@ -242,7 +247,7 @@ class TestInvariantTerms:
         def reference(base):
             return tuple(
                 m for m in enumerate_monomials(n)
-                if all(phase_shift(m, g) == 0 for g in base.finite_generators)
+                if all(phase_shift(m, g) == 0 for g in base.group.finite_generators)
                 and all(sum(e * w for e, w in zip(raw_exponents(m, n), weights)) == 0
                         for weights in base.doublet_weights))
 
@@ -250,62 +255,108 @@ class TestInvariantTerms:
             assert base.invariant_monomials() == reference(base)
 
 
+def element_angles(base):
+    """Circle angles of each element of ``base.finite_elements()``, in its order."""
+    gens = base.group.finite_generator_angles
+    return [tuple(sum((e * g[i] for e, g in zip(expts, gens)), F(0))
+                  for i in range(base.n_doublets - 1))
+            for expts, _ in base.finite_elements()]
+
+
 class TestContainsDiagonal:
+    """``contains_angles`` on the torus element ``element_from_angles`` gives."""
+
     def test_matches_the_listed_elements_on_a_grid(self):
         # independent path: a finite base contains exactly its listed
-        # elements, up to an overall phase; both sides ignore that phase, so
-        # the first entry of each grid vector stays 0
+        # elements, up to an overall phase.  Every N=3 group has exponent 2,
+        # 3 or 4, so each element has exactly one angle vector on the grid.
+        basis = torus_basis(3)
         grid = [F(k, 12) for k in range(12)]
-        bases = [b for b in cp_bases(3) if b.signature.is_finite]
+        bases = [b for b in cp_bases(3) if b.group.signature.is_finite]
         assert len(bases) == 9
         for base in bases:
             elements = [e for _, e in base.finite_elements()]
-            for phases in itertools.product(grid, repeat=2):
-                pv = PhaseVector((F(0), *phases))
+            members = 0
+            for angles in itertools.product(grid, repeat=2):
+                pv = element_from_angles(basis, angles)
                 expected = any(equal_mod_center(pv, e) for e in elements)
-                assert base.contains_diagonal(pv) == expected
+                assert base.contains_angles(angles) == expected
+                members += expected
+            assert members == base.group.signature.order()
 
     @pytest.mark.parametrize("n, rows, outsider", [
-        (2, [(4,)], (F(0), F(1, 3))),  # Z4 with no invariant monomial
-        (3, [(0, 3), (3, 0)], (F(0), F(1, 5), F(0))),  # Z3 x Z3, the same
+        (2, [(4,)], (F(1, 3),)),  # Z4 with no invariant monomial
+        (3, [(0, 3), (3, 0)], (F(1, 5), F(0))),  # Z3 x Z3, the same
     ])
     def test_lattice_not_spanned_by_monomials(self, n, rows, outsider):
+        basis = torus_basis(n)
         base = AbelianBase.from_lattice(n, rows)
         assert base.invariant_monomials() == ()
         elements = [e for _, e in base.finite_elements()]
-        assert all(base.contains_diagonal(e) for e in elements)
-        assert not base.contains_diagonal(PhaseVector(outsider))
+        for angles, e in zip(element_angles(base), elements):
+            assert base.contains_angles(angles)
+            assert equal_mod_center(element_from_angles(basis, angles), e)
+        assert not base.contains_angles(outsider)
         grid = [F(k, 9) for k in range(9)] + [F(1, 5), F(1, 4)]
-        for phases in itertools.product(grid, repeat=n - 1):
-            pv = PhaseVector((F(0), *phases))
-            assert base.contains_diagonal(pv) == any(equal_mod_center(pv, e) for e in elements)
+        for angles in itertools.product(grid, repeat=n - 1):
+            pv = element_from_angles(basis, angles)
+            assert base.contains_angles(angles) == any(equal_mod_center(pv, e) for e in elements)
 
     def test_a_member_keeps_its_phases_relative_to_the_first(self):
+        # angle 1/4 is the element (7/8, 1/8), which is (1/8, 3/8) up to an
+        # overall phase; angle 1/8 is (1/8, 1/4) up to one.  Angles count mod 1.
+        basis = torus_basis(2)
         base = AbelianBase.from_lattice(2, [(4,)])
-        assert base.contains_diagonal(PhaseVector((F(1, 8), F(3, 8))))
-        assert not base.contains_diagonal(PhaseVector((F(1, 8), F(1, 4))))
+        assert equal_mod_center(element_from_angles(basis, (F(1, 4),)),
+                                PhaseVector((F(1, 8), F(3, 8))))
+        assert base.contains_angles((F(1, 4),)) and base.contains_angles((F(5, 4),))
+        assert equal_mod_center(element_from_angles(basis, (F(1, 8),)),
+                                PhaseVector((F(1, 8), F(1, 4))))
+        assert not base.contains_angles((F(1, 8),))
 
-    @pytest.mark.parametrize("phases", [(F(0), F(1, 3)), (F(0), F(1, 3), F(2, 3), F(0))])
+    @pytest.mark.parametrize("phases", [(F(1, 3),), (F(1, 3), F(2, 3), F(0))])
     def test_rejects_a_phase_vector_of_another_length(self, phases):
-        with pytest.raises(ValueError, match="need 3 phases"):
-            base_z3().contains_diagonal(PhaseVector(phases))
+        # the angles of another doublet count, one circle short or one over
+        with pytest.raises(ValueError, match="need 2 angles"):
+            base_z3().contains_angles(phases)
+
+    def test_rejects_float_angles(self):
+        with pytest.raises(ValueError):
+            base_z3().contains_angles((0.5, F(0)))
 
     def test_empty_lattice_contains_every_element(self):
-        assert AbelianBase.from_lattice(3, []).contains_diagonal(
-            PhaseVector((F(1, 7), F(1, 5), F(0))))
+        assert AbelianBase.from_lattice(3, []).contains_angles((F(1, 7), F(1, 5)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_the_monomial_scan_on_every_walked_base(self, n):
-        # probe elements: the generators of every walked base and a few torus
+        # probe angles: the generators of every walked base and a few torus
         # elements; for N=4 each base's own generators and a seeded sample
+        basis = torus_basis(n)
         bases = all_bases(n)
-        probes = sorted({g for b in bases for g in b.finite_generators}, key=str)
-        probes += [PhaseVector(tuple(F(w, 7) for w in ws)) for b in bases[:4]
-                   for ws in b.doublet_weights]
+        probes = sorted({a for b in bases for a in b.group.finite_generator_angles}, key=str)
+        probes += [tuple(F(x, 7) for x in d) for b in bases[:4]
+                   for d in b.group.torus_directions]
         rng = random.Random(n)
         for base in bases:
-            for pv in probes if n < 4 else [*base.finite_generators, *rng.sample(probes, 6)]:
-                assert base.contains_diagonal(pv) == reference.contains_diagonal(base, pv)
+            own = base.group.finite_generator_angles
+            for angles in probes if n < 4 else [*own, *rng.sample(probes, 6)]:
+                assert base.contains_angles(angles) == reference.contains_diagonal(
+                    base, element_from_angles(basis, angles))
+
+
+class TestSmithBudget:
+    def test_bases_take_no_smith_form_and_extensions_one_per_involutive_base(self, monkeypatch):
+        calls = []
+        real = classifier.smith_columns
+        monkeypatch.setattr(classifier, "smith_columns",
+                            lambda *args: calls.append(args) or real(*args))
+        bases = cp_bases(4)
+        assert (len(bases), len(calls)) == (295, 0)
+        for base in bases:
+            cp_extensions(base)
+        involutive = sum(any(all(s[s[a]] == a for a in range(4)) for s in commutant_perms(b))
+                         for b in bases)
+        assert len(calls) == involutive == 109
 
 
 class TestCandidates:
@@ -334,8 +385,11 @@ class TestCandidates:
         assert cp_extensions(base_torus()) == []
 
     def test_squares_lie_in_the_claimed_element(self):
-        for base in (AbelianBase.trivial(3), base_r12(), base_z3(), base_z4(),
+        charges = monomial_charges(3)
+        for base in (all_bases(3)[0], base_r12(), base_z3(), base_z4(),
                      base_klein(), base_u11()):
+            # the invariant charges span the lattice, so the monomial scan is exact
+            assert hnf_rows(charges[m] for m in base.invariant_monomials()) == base.lattice
             for cand in cp_extensions(base):
                 particular = cand.system.solve()
                 assert particular is not None
@@ -344,7 +398,7 @@ class TestCandidates:
                 sq = antiunitary_square(b)
                 assert sq.perm == (0, 1, 2)
                 diff = PhaseVector(sq.phases) + (-cand.square)
-                assert base.contains_diagonal(diff)
+                assert reference.contains_diagonal(base, diff)
 
 
 class TestConstraintSystems:
@@ -494,7 +548,7 @@ class TestVerdicts:
         verdict = cp_realizable(cand)
         assert verdict.kind == "enlarged_unitary"
         assert verdict.witness is not None and verdict.witness.perm == (1, 0, 2)
-        gen = base_z4().finite_generators[0]
+        gen = base_z4().group.finite_generators[0]
         assert not commutes_with_diagonal(verdict.witness, gen)
 
     def test_z8_degenerates(self):
@@ -528,7 +582,7 @@ class TestVerdicts:
         assert cp_realizable(cp_extensions(base_klein())[0]).realizable
         z4star = next(c for c in cp_extensions(base_r12()) if c.signature.name() == "Z4*")
         assert cp_realizable(z4star).realizable
-        trivial = cp_extensions(AbelianBase.trivial(3))
+        trivial = cp_extensions(all_bases(3)[0])
         assert any(cp_realizable(c).realizable for c in trivial)
 
     def test_witness_is_the_first_forced_symmetry(self):
@@ -559,7 +613,8 @@ class TestNoncommutingGenerator:
             for w in itertools.combinations_with_replacement(range(-4, 5), n):
                 if sum(w):
                     continue
-                base = SimpleNamespace(finite_generators=(), doublet_weights=(w,))
+                base = SimpleNamespace(group=SimpleNamespace(finite_generators=()),
+                                       doublet_weights=(w,))
                 orderings = factorial(n) // prod(map(factorial, Counter(w).values()))
                 first = 2 * max(map(abs, w)) + 1
                 for u in perms:
@@ -580,7 +635,7 @@ def sweep_digest(n):
     lines = []
     for base in cp_bases(n):
         for cand in cp_extensions(base):
-            rec = [[list(row) for row in base.lattice], base.signature.name(),
+            rec = [[list(row) for row in base.lattice], base.group.signature.name(),
                    list(cand.sigma), str(cand.square), cand.signature.name(),
                    cand.system.render(), [str(m) for m in cand.surviving],
                    [str(m) for m in cand.killed],
@@ -805,7 +860,7 @@ class TestLatticeReadings:
         # ``cp_extensions`` keys an element by its exponents mod gcd(2, d_i)
         for base in all_bases(n):
             elements = base.finite_elements()
-            pairs = {(tuple(e % gcd(2, d) for e, d in zip(expts, base.signature.finite)),
+            pairs = {(tuple(e % gcd(2, d) for e, d in zip(expts, base.group.signature.finite)),
                       reference.square_class_key(elements, f)) for expts, f in elements}
             # the same partition: each key determines the other
             assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
@@ -835,8 +890,9 @@ class TestClassification:
 
     def test_bases_cover_all_lattices_once(self):
         bases = cp_bases(3)
-        assert bases[0].signature.is_trivial
-        assert all(not b.signature.is_trivial for b in bases[1:])
+        assert bases[0].group.signature.is_trivial
+        assert all(not b.group.signature.is_trivial for b in bases[1:])
+        assert len({b.lattice for b in bases}) == len(bases)
 
 
 class TestZ3Z3:
@@ -866,7 +922,7 @@ class TestZ3Z3:
         assert extension.sigma == (1, 2, 0)
         assert extension.square == PhaseVector.identity(3)
         assert extension.signature == GroupSignature((3, 3))
-        assert extension.base.signature == GroupSignature((3,))
+        assert extension.base.group.signature == GroupSignature((3,))
         assert not extension.killed
         forced = list(real(extension))
         assert [u.perm for u in forced] == [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from nhdm.groups import (
+    MAX_CYCLIC_FACTORS,
     MAX_CYCLIC_ORDER,
     GroupSignature,
     abelian_groups_of_order,
@@ -57,6 +58,11 @@ class TestCanonicalize:
         assert canonicalize([MAX_CYCLIC_ORDER]) == GroupSignature((MAX_CYCLIC_ORDER,))
         with pytest.raises(ValueError, match="exceeds the supported order"):
             canonicalize([2, MAX_CYCLIC_ORDER + 1])
+
+    def test_rejects_more_factors_than_supported(self):
+        assert canonicalize([2] * MAX_CYCLIC_FACTORS) == GroupSignature((2,) * MAX_CYCLIC_FACTORS)
+        with pytest.raises(ValueError, match="exceed the supported"):
+            canonicalize([2] * (MAX_CYCLIC_FACTORS + 1))
 
 
 class TestGroupFromSnf:

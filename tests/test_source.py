@@ -39,26 +39,34 @@ UNREFERENCED_ALLOWED = {
 def test_every_definition_is_reached():
     """Each def under src/nhdm is named by library code, a demo or a trace target.
 
-    A name counts as referenced when an ``ast.Name`` or ``ast.Attribute``
-    in ``src/nhdm`` or ``demos/`` carries it, or when a string in
-    ``perfbench/tracer.py`` names it as a dotted component.  The check is by
-    name, so same-named definitions hide each other: one ``identity`` in use
-    keeps every other ``identity`` from being flagged.
+    A module-level or nested function counts as referenced when an
+    ``ast.Name`` or ``ast.Attribute`` in ``src/nhdm`` or ``demos/`` carries
+    its name; a method, a def in a class body, only when an ``ast.Attribute``
+    does, since a local variable of the same name does not call it.  A string
+    in ``perfbench/tracer.py`` that names a def as a dotted component counts
+    for both.  The check is by name, so same-named definitions hide each
+    other: one ``identity`` in use keeps every other ``identity`` from being
+    flagged.
     """
     root = SRC.parent.parent
-    defs, used = [], set()
+    defs, names, attrs = [], set(), set()
     for path in sorted(SRC.rglob("*.py")) + sorted((root / "demos").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                     path.is_relative_to(SRC) and not DUNDER.fullmatch(node.name):
-                defs.append((f"{path.relative_to(SRC)}:{node.lineno}", node.name))
+                defs.append((f"{path.relative_to(SRC)}:{node.lineno}", node.name,
+                             id(node) in methods))
+    traced = set(UNREFERENCED_ALLOWED)
     tracer = root / "perfbench" / "tracer.py"
     for node in ast.walk(ast.parse(tracer.read_text(), filename=str(tracer))):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.update(node.value.split("."))
-    assert [f"{where} {name}" for where, name in defs
-            if name not in used | UNREFERENCED_ALLOWED] == []
+            traced.update(node.value.split("."))
+    assert [f"{where} {name}" for where, name, method in defs
+            if name not in attrs | traced | (set() if method else names)] == []
