@@ -7,7 +7,7 @@ form of its charge matrix.
 """
 
 from nhdm import Monomial, build_x_matrix, charge_vector, enumerate_monomials, torus_basis
-from nhdm.monomials import c_decompose
+from nhdm.monomials import c_row, row_type
 
 basis = torus_basis(3)
 print("torus basis circles for three doublets (per-doublet weights):")
@@ -17,9 +17,11 @@ for i, w in enumerate(basis.weights, 1):
 monos = enumerate_monomials(3)
 print(f"\n{len(monos)} monomials transform nontrivially (3 bilinears, 9 products):")
 x = build_x_matrix(list(monos), basis)
-c, types = c_decompose(x, 3)
-for m, chg, crow, t in zip(monos, x.entries, c.entries, types):
-    print(f"  {m.render(pretty=True):<16} charge {str(chg):<9} c-row {str(crow):<9} type {t}")
+# a c-row is the monomial's net exponents of doublets 2 and 3
+for m, chg in zip(monos, x.entries):
+    crow = c_row(m, 3)
+    print(f"  {m.render(pretty=True):<16} charge {str(chg):<9} c-row {str(crow):<9} "
+          f"type {row_type(crow)}")
 
 print(f"\nfour doublets: {len(enumerate_monomials(4))} monomials")
 

@@ -16,14 +16,13 @@ for n in (2, 3):
         for g in e.generators:
             print(f"      generator {g}")
 
-result4 = classify(4, include_continuous=False)
-print(f"\nN = 4 finite groups ({len(result4.entries)}):",
-      ", ".join(e.signature.name() for e in result4.entries))
+result4 = classify(4)
+finite4 = result4.finite_signatures()
+print(f"\nN = 4 finite groups ({len(finite4)}):", ", ".join(s.name() for s in finite4))
 
 # Every witness reproduces its group when fed back through the solver.
 basis = torus_basis(4)
-entry = result4.find(next(e.signature for e in result4.entries
-                          if e.signature.name() == "Z7"))
+entry = result4.find(next(s for s in finite4 if s.name() == "Z7"))
 group = symmetry_group_of_terms(entry.witness, basis)
 print("\nZ7 witness terms:", " ".join(m.render(True) for m in entry.witness))
 print("solved generator:", group.finite_generators[0])

@@ -27,7 +27,7 @@ for partition, orders in [([1, 2], [2, 3]), ([2, 2], [3, 3]), ([1, 3], [2, 8])]:
 
 # Cross-check against the scan: at six angles every order up to 64 is cyclic-realizable,
 # and at N = 4 the construction hits everything the classification found.
-found = {e.signature.name() for e in classify(4, include_continuous=False).entries}
+found = {s.name() for s in classify(4).finite_signatures()}
 constructed = set()
 for p in range(2, 9):
     constructed.add(cyclic_c_matrix(p, 3).group.name())

@@ -169,7 +169,8 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]]) -> dict[Rows, tuple[T
     return states
 
 
-def classify(n_doublets: int, include_continuous: bool = True) -> ClassificationResult:
+@lru_cache(maxsize=None)
+def classify(n_doublets: int) -> ClassificationResult:
     """Complete list of realizable subgroups of the maximal torus.
 
     One entry per abstract group, carrying the first minimal witness found.
@@ -177,15 +178,6 @@ def classify(n_doublets: int, include_continuous: bool = True) -> Classification
     """
     if not 2 <= n_doublets <= 6:
         raise ValueError("doublet count out of supported range (2..6)")
-    result = _classify_cached(n_doublets)
-    if include_continuous:
-        return result
-    entries = tuple(e for e in result.entries if e.signature.is_finite)
-    return ClassificationResult(entries, result.max_finite_order)
-
-
-@lru_cache(maxsize=None)
-def _classify_cached(n_doublets: int) -> ClassificationResult:
     basis = torus_basis(n_doublets)
     n = basis.n
     states = _lattice_scan(n_doublets)

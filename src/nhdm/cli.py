@@ -24,7 +24,7 @@ from .constructions import cyclic_c_matrix, product_c_matrix
 from .cpext import cp_bases, cp_extensions, cp_realizable, check_z3z3, classify_cp
 from .exactmath import IntMatrix, snf
 from .groups import GroupSignature, canonicalize, group_from_snf
-from .monomials import c_decompose, monomial_charges
+from .monomials import c_row, monomial_charges, row_type
 
 FORMAT_VERSION = "1"
 MAX_SNF_DIGITS = 10_000  # all entries of a `snf` matrix; 16x16 of 451 digits takes seconds
@@ -63,9 +63,10 @@ def _parse_group_name(name: str) -> GroupSignature:
 
 
 def _cmd_classify(args) -> None:
-    result = classify(args.doublets, include_continuous=not args.finite_only)
+    result = classify(args.doublets)
+    entries = [e for e in result.entries if e.signature.is_finite or not args.finite_only]
     rows = []
-    for e in result.entries:
+    for e in entries:
         rows.append({
             "group": e.signature.name(),
             "order": None if not e.signature.is_finite else int(e.signature.order()),
@@ -77,7 +78,7 @@ def _cmd_classify(args) -> None:
     payload = {"groups": rows, "max_finite_order": result.max_finite_order}
     lines = [f"realizable torus subgroups for N={args.doublets}"
              + (" (finite only)" if args.finite_only else "")]
-    for e in result.entries:
+    for e in entries:
         order = e.signature.order()
         order_text = "inf" if order == float("inf") else str(int(order))
         witness = " ".join(str(m) for m in e.witness) or "(torus-symmetric backbone only)"
@@ -118,10 +119,11 @@ def _cmd_snf(args) -> None:
 
 def _cmd_charges(args) -> None:
     charges = monomial_charges(args.doublets)
-    c, types = c_decompose(IntMatrix.from_rows(charges.values()), args.doublets)
     rows = []
     lines = [f"{len(charges)} monomials for N={args.doublets}"]
-    for (m, chg), crow, t in zip(charges.items(), c.entries, types):
+    for m, chg in charges.items():
+        crow = c_row(m, args.doublets)
+        t = row_type(crow)
         rows.append({"monomial": m.to_json(), "text": str(m), "charge": list(chg),
                      "c_row": list(crow), "row_type": t})
         lines.append(f"  {m.render(args.pretty):<24} charge {str(chg):<18} "

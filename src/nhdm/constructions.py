@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactmath import IntMatrix, snf
+from .exactmath import IntMatrix, smith_columns
 from .groups import GroupSignature, group_from_snf
 from .monomials import Monomial, row_type
 
@@ -105,10 +105,10 @@ def _finish(matrix: IntMatrix, boundary_list=()) -> ConstructedMatrix:
     types = tuple(row_type(row) for row in matrix.entries)
     if any(t is None for t in types):
         raise AssertionError("constructed matrix has an inadmissible row")
-    res = snf(matrix)
-    group = group_from_snf(res.d, matrix.cols)
+    d = smith_columns(matrix.entries, matrix.cols)[0]
+    group = group_from_snf(d, matrix.cols)
     witness = tuple(monomial_for_c_row(row) for row in matrix.entries)
-    return ConstructedMatrix(matrix, types, res.d, group, witness, tuple(boundary_list))
+    return ConstructedMatrix(matrix, types, d, group, witness, tuple(boundary_list))
 
 
 def monomial_for_c_row(row) -> Monomial:

@@ -273,14 +273,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a matrix with determinant +-1."""
-    res = snf(m)
-    if any(x != 1 for x in res.d):
-        raise ValueError("matrix is not unimodular")
-    return res.v @ res.u
-
-
 # -- Hermite normal form ------------------------------------------------------
 #
 # Row-style HNF used as the canonical representative of an integer row lattice:
@@ -405,18 +397,16 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
     are no vectors to return.
     """
     cols = list(columns)
-    j = 0
-    for row in basis:
-        while not row[j]:
-            j += 1
+    for row, j in zip(basis, _pivots(basis)):
         p = row[j]
         qs = [x // p for x in cols[j]]
+        if not any(qs):
+            continue  # coordinate j is already in [0, p) and nothing is subtracted
         cols[j] = [x % p for x in cols[j]]
         for c in range(j + 1, len(row)):
             y = row[c]
             if y:
                 cols[c] = [x - q * y for x, q in zip(cols[c], qs)]
-        j += 1
     return list(zip(*cols))
 
 

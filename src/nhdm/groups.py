@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactmath import IntMatrix, integers, snf
+from .exactmath import IntMatrix, integers, smith_columns, snf
 
 
 @dataclass(frozen=True, order=True)
@@ -93,7 +93,7 @@ def canonicalize(factors: Iterable[int], torus_rank: int = 0) -> GroupSignature:
             raise ValueError("cyclic factors must be positive")
         if f > MAX_CYCLIC_ORDER:
             raise ValueError(f"cyclic factor {f} exceeds the supported order {MAX_CYCLIC_ORDER}")
-    d = snf(IntMatrix.diagonal(factors)).d if factors else ()
+    d = smith_columns(IntMatrix.diagonal(factors).entries, len(factors))[0] if factors else ()
     return GroupSignature(tuple(x for x in d if x > 1), torus_rank)
 
 

@@ -1,9 +1,13 @@
-"""Potential monomials, their integer charge vectors, and the c-row calculus.
+"""Potential monomials, their integer charge vectors, and their c-rows.
 
 A monomial is a product of one or two off-diagonal bilinears (phi_a^dagger
 phi_b).  Monomials are kept up to complex conjugation (the potential always
 carries the conjugate with the conjugate coefficient) and canonicalized so
 that enumeration and dedup are deterministic.
+
+A monomial's c-row is its net exponent vector over doublets 2..N.  The
+exponents of all N doublets sum to zero, so the charge is the c-row times A,
+the charges of the bilinears (phi_1^dagger phi_a), a = 2..N, as rows.
 
 Products of a diagonal bilinear with an off-diagonal one are excluded: their
 charge vector coincides with the bare bilinear's, so they add nothing to the
@@ -18,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .exactmath import IntMatrix, integers, inverse_unimodular
+from .exactmath import IntMatrix, integers
 from .torus import PhaseVector, TorusBasis, torus_basis
 
 Factor = tuple[int, int]
@@ -149,17 +153,10 @@ def build_x_matrix(terms, basis: TorusBasis) -> IntMatrix:
     return IntMatrix.from_rows([charge_vector(m, basis) for m in terms])
 
 
-def charge_basis_matrix(n_doublets: int) -> IntMatrix:
-    """Charges of the bilinears (phi_1^dagger phi_{i+1}), i = 1..N-1.
-
-    These rows form a determinant-one basis of the charge space: every
-    monomial charge is an integer combination of them with coefficients
-    between -2 and 2.
-    """
-    basis = torus_basis(n_doublets)
-    rows = [charge_vector(Monomial.canonical(((1, i),)), basis)
-            for i in range(2, n_doublets + 1)]
-    return IntMatrix.from_rows(rows)
+def c_row(m: Monomial, n_doublets: int) -> tuple[int, ...]:
+    """Net exponents of doublets 2..N, the c-row: the monomial's charge is
+    ``c_row @ A`` over the bilinear charge basis A of the module note."""
+    return raw_exponents(m, n_doublets)[1:]
 
 
 def row_type(row) -> int | None:
@@ -181,20 +178,3 @@ def row_type(row) -> int | None:
         (-1, -1, 1, 1): 9,
     }
     return patterns.get(nonzero)
-
-
-def c_decompose(x: IntMatrix, n_doublets: int) -> tuple[IntMatrix, tuple[int | None, ...]]:
-    """Factor a charge matrix as c @ A over the bilinear charge basis A.
-
-    Returns c together with the nine-type classification of each row.  A row
-    classifies as None only if it cannot come from a real monomial.
-    """
-    if x.cols != n_doublets - 1:
-        raise ValueError(f"charge matrix needs {n_doublets - 1} columns")
-    c = x @ _charge_basis_inverse(n_doublets)
-    return c, tuple(row_type(row) for row in c.entries)
-
-
-@lru_cache(maxsize=None)
-def _charge_basis_inverse(n_doublets: int) -> IntMatrix:
-    return inverse_unimodular(charge_basis_matrix(n_doublets))

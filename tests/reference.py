@@ -17,8 +17,9 @@ agree with them.  The generator-based pattern scan with sign -1 also stands
 in for the centralizer patterns, which no library code asks for.
 
 The helpers include the square b b* of an antiunitary b J taken entry by
-entry, the canonical-representative check on a stored monomial, and a rank
-by Fraction elimination that shares no code with the Smith form.
+entry, the canonical-representative check on a stored monomial, a rank
+by Fraction elimination that shares no code with the Smith form, and the
+bilinear charge basis read straight off the circle weights.
 """
 
 import itertools
@@ -26,9 +27,10 @@ from fractions import Fraction
 from math import lcm
 
 from nhdm.cpext import GenPermMatrix, _cycles, _invariance_relation
-from nhdm.exactmath import IntMatrix, hnf_rows, inverse_unimodular, snf, snf_rows
+from nhdm.exactmath import IntMatrix, hnf_rows, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
+from nhdm.torus import torus_basis
 
 
 # -- helpers moved out of the library ------------------------------------------
@@ -50,6 +52,16 @@ def finite_groups_by_subset_scan(n_doublets: int) -> set[GroupSignature]:
             if not sig.is_trivial:
                 found.add(sig)
     return found
+
+
+def charge_basis(n_doublets: int) -> IntMatrix:
+    """A: row a - 1 is the charge of (phi_1^dagger phi_a), a = 2..N, taken on
+    each circle as the weight of doublet a minus that of doublet 1, without
+    ``differences`` or ``charge_vector``."""
+    weights = torus_basis(n_doublets).weights
+    rows = [[w[a] - w[0] for w in weights] for a in range(1, n_doublets)]
+    assert all(x.denominator == 1 for row in rows for x in row)
+    return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
 
 
 def all_realized(probe) -> bool:
@@ -359,13 +371,14 @@ def _realizations(row):
 
 def extend_by_antiunitary(unitary, square_exponents):
     """Starred extension with the antiunitary factor flagged by the j-column
-    of ``inverse_unimodular(v)``, a second Smith form of v."""
+    of v^-1, taken from a second Smith form of v."""
     gens = unitary.finite
     r = len(gens)
     rows = [[gens[i] if k == i else 0 for k in range(r + 1)] for i in range(r)]
     rows.append([-int(c) for c in square_exponents] + [2])
     res = snf(IntMatrix.from_rows(rows))
-    v_inv = inverse_unimodular(res.v)
+    res_v = snf(res.v)  # v is unimodular: u' v v' = I, so v^-1 = v' u'
+    v_inv = res_v.v @ res_v.u
     factors = []
     flags = []
     for i, d in enumerate(res.d):

@@ -25,12 +25,13 @@ from nhdm.groups import GroupSignature, canonicalize
 from nhdm.monomials import (
     Monomial,
     build_x_matrix,
-    c_decompose,
+    c_row,
     charge_vector,
     enumerate_monomials,
+    row_type,
 )
 from nhdm.torus import torus_basis
-from reference import finite_groups_by_subset_scan
+from reference import charge_basis, finite_groups_by_subset_scan
 
 
 def report(number, message):
@@ -198,11 +199,10 @@ def test_criterion_10b_conjugation_antisymmetry():
 
 
 def test_criterion_10c_nine_type_closure():
-    basis = torus_basis(4)
-    x = build_x_matrix(list(enumerate_monomials(4)), basis)
-    c, types = c_decompose(x, 4)
-    assert all(t in range(1, 10) for t in types)
-    from nhdm.monomials import row_type
+    monos = list(enumerate_monomials(4))
+    c = IntMatrix.from_rows([c_row(m, 4) for m in monos])
+    assert c @ charge_basis(4) == build_x_matrix(monos, torus_basis(4))
+    assert all(row_type(row) in range(1, 10) for row in c.entries)
 
     for row in c.entries:
         for k in range(len(row)):
@@ -218,7 +218,7 @@ def test_criterion_10c_nine_type_closure():
 
 def test_criterion_10d_scan_agreement():
     for n in (2, 3, 4):
-        bfs = {e.signature for e in classify(n, include_continuous=False).entries}
+        bfs = set(classify(n).finite_signatures())
         subsets = finite_groups_by_subset_scan(n)
         assert bfs == subsets, f"N={n}"
     report("10d", "lattice walk and fixed-size subset scan agree for N <= 4")

@@ -101,8 +101,7 @@ class TestClassify:
         assert result.max_finite_order == 2
 
     def test_four_doublet_finite_list(self):
-        result = classify(4, include_continuous=False)
-        assert names(tuple(e.signature for e in result.entries)) == names([
+        assert names(classify(4).finite_signatures()) == names([
             GroupSignature((k,)) for k in range(2, 9)] + [
             GroupSignature((2, 2)), GroupSignature((2, 4)), GroupSignature((2, 2, 2))])
 
@@ -224,7 +223,7 @@ class TestGroupExtraction:
     def test_same_result_as_extracting_every_lattice(self, n):
         # compares every field of every entry: signature, witness,
         # generators and n_lattices
-        assert classifier._classify_cached(n) == reference_classification(n)
+        assert classifier.classify(n) == reference_classification(n)
 
     def test_empty_lattice_is_the_full_torus(self):
         group = classifier._group_of_lattice((), torus_basis(4))
@@ -237,7 +236,7 @@ class TestGroupExtraction:
         # one smith_columns reading per walked lattice, whose d gives the
         # group and whose v gives the generators of the printed entries; snf
         # is never taken
-        uncached = classifier._classify_cached.__wrapped__
+        uncached = classifier.classify.__wrapped__
         uncached(n)  # fill the caches below the classification first
         calls, snf_calls = [], []
         real = classifier.smith_columns
@@ -286,7 +285,7 @@ class TestMonotonicity:
 class TestSubsetScanAgreement:
     @pytest.mark.parametrize("n", [2, 3])
     def test_small(self, n):
-        bfs = {e.signature for e in classify(n, include_continuous=False).entries}
+        bfs = set(classify(n).finite_signatures())
         assert finite_groups_by_subset_scan(n) == bfs
 
 
@@ -297,7 +296,7 @@ class TestOrderBound:
         mono = next(m for m in enumerate_monomials(2) if charge_vector(m, basis) == (2,))
         monkeypatch.setattr(classifier, "_lattice_scan", lambda n: {(): (), ((5,),): (mono,)})
         with pytest.raises(RuntimeError, match="order bound violated"):
-            classifier._classify_cached.__wrapped__(2)
+            classifier.classify.__wrapped__(2)
 
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 4), (4, 8)])
     def test_bound_attained(self, n, expected):

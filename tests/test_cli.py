@@ -205,6 +205,10 @@ class TestGolden:
          ["witness", "--doublets", "4", "--group", "Z2xZ4", "--format", "json"]),
         # appended last so the positional ids of the cases above stay put
         ("check-z3z3.txt", ["check-z3z3"]),
+        # text reports recorded before the c-row was read off the exponent
+        # vector and before `classify` lost its continuous-group switch
+        ("charges-3-pretty.txt", ["charges", "--doublets", "3", "--pretty"]),
+        ("classify-4-finite-only.txt", ["classify", "--doublets", "4", "--finite-only"]),
     ])
     def test_report_is_byte_identical(self, name, argv):
         code, out, _ = invoke(argv)

@@ -6,7 +6,7 @@ from nhdm.classifier import symmetry_group_of_terms
 from nhdm.constructions import cyclic_c_matrix, monomial_for_c_row, power_block, product_c_matrix
 from nhdm.exactmath import det
 from nhdm.groups import GroupSignature, canonicalize
-from nhdm.monomials import charge_basis_matrix, charge_vector, row_type
+from nhdm.monomials import charge_vector, row_type
 from nhdm.torus import torus_basis
 import reference
 
@@ -89,7 +89,7 @@ class TestRowRealization:
             (2, -1, 0, 0): 5, (1, 1, -1, 0): 6, (2, -2, 0, 0): 7,
             (2, -1, -1, 0): 8, (1, 1, -1, -1): 9,
         }
-        a = charge_basis_matrix(n_doublets)
+        a = reference.charge_basis(n_doublets)
         basis = torus_basis(n_doublets)
         for row, expected_type in rows.items():
             assert row_type(row) == expected_type

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
     IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_residues, hnf_rows,
-    inverse_unimodular, smith_columns, snf, snf_rows,
+    smith_columns, snf, snf_rows,
 )
 from reference import reference_snf
 
@@ -330,14 +330,6 @@ class TestHnfProperties:
             # it leaves the canonical basis unchanged
             assert is_zero == (hnf_add(basis, vec) == basis)
             assert is_zero == (hnf_rows(rows + [vec]) == basis)
-
-
-def test_inverse_unimodular():
-    m = IntMatrix.from_rows([(2, 1), (1, 1)])
-    inv = inverse_unimodular(m)
-    assert (m @ inv).entries == IntMatrix.identity(2).entries
-    with pytest.raises(ValueError):
-        inverse_unimodular(IntMatrix.from_rows([(2, 0), (0, 2)]))
 
 
 def test_matrix_entries_must_be_integers():

@@ -4,8 +4,8 @@ from math import gcd, lcm
 
 import pytest
 
-from nhdm.exactmath import inverse_unimodular
-from nhdm.monomials import Monomial, charge_basis_matrix, phase_shift
+from nhdm.exactmath import snf
+from nhdm.monomials import Monomial, phase_shift
 from nhdm.torus import (
     PhaseVector,
     TorusBasis,
@@ -14,6 +14,7 @@ from nhdm.torus import (
     equal_mod_center,
     torus_basis,
 )
+from reference import charge_basis
 
 
 class TestBasis:
@@ -104,7 +105,9 @@ class TestElements:
         # decompose through the bilinear charge basis and rebuild the element
         basis = torus_basis(4)
         pv = PhaseVector((F(-9, 28), F(-1, 28), F(3, 28), F(7, 28)))
-        a_inv = inverse_unimodular(charge_basis_matrix(4))
+        res = snf(charge_basis(4))  # A is unimodular: u A v = I, so A^-1 = v u
+        assert res.d == (1, 1, 1)
+        a_inv = res.v @ res.u
         rel = [pv.phases[j] - pv.phases[0] for j in range(1, 4)]
         angles = [sum(a_inv[(j, i)] * rel[i] for i in range(3)) for j in range(3)]
         rebuilt = element_from_angles(basis, angles)
