@@ -5,13 +5,13 @@ deduplicating lattices by their canonical Hermite basis.  Every subset of
 monomials spans one of the visited lattices, so the walk provably covers the
 fixed-size subset scan while also finding groups that would need more than
 N-1 terms (none are known to occur; the equality is tested, not assumed).
-From each lattice the walk builds one child per distinct nonzero coset of
-the generators after the last one of its witness, instead of one per
-generator; the visited lattices, their order and their witnesses are the
-same either way (see ``_lattice_scan``).  One ``hnf_residues`` pass per
-lattice gives the cosets of all those generators at once.  Each lattice is
-read by one ``smith_columns``: d gives its group, and v the generators of
-the entries the report keeps.
+From each lattice the walk builds one child per coset that is nonzero and
+that no earlier generator has, taken over the generators after the last one
+of its witness, instead of one per generator; the visited lattices, their
+order and their witnesses are the same either way (see ``_lattice_scan``).
+One ``hnf_residues`` pass per lattice gives the cosets of all generators at
+once.  Each lattice is read by one ``smith_columns``: d gives its group, and
+v the generators of the entries the report keeps.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -131,11 +131,13 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       the witness gives a sorted sequence spanning L + g whose prefix
       without the last term is lex-smaller than the witness of L, so L + g
       was already recorded from a lattice popped before L.
-    - Of the remaining generators an edge is tried only for the first one of
-      each distinct residue of g modulo L, all taken by one
-      ``hnf_residues(L, ...)``: a zero residue means g is already in L, and
-      a repeated one means L + g equals the lattice an earlier generator of
-      the same loop gave.
+    - Of the remaining generators an edge is tried only for one whose
+      residue modulo L, all taken by one ``hnf_residues(L, ...)``, is nonzero
+      and belongs to no earlier generator.  A zero residue means g is
+      already in L.  If g shares its residue with an earlier g' not in L,
+      then L + g = L + g'.  For g' in the same loop, that edge came first;
+      for g' before the start, the first bullet shows that L + g' was
+      recorded from a lattice popped before L.
     """
     generators: list[tuple[tuple[int, ...], Monomial]] = []
     seen_charges = set()
@@ -157,9 +159,10 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]]) -> dict[Rows, tuple[T
     while frontier:
         lattice, start = frontier.popleft()
         witness = states[lattice]
-        tried = set()
-        for i, residue in enumerate(hnf_residues(lattice, [c[start:] for c in columns]), start):
-            if residue in tried or not any(residue):
+        residues = hnf_residues(lattice, columns)
+        tried = {(0,) * len(columns), *residues[:start]}
+        for i, residue in enumerate(residues[start:], start):
+            if residue in tried:
                 continue
             tried.add(residue)
             grown = hnf_add(lattice, residue)

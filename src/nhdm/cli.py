@@ -62,6 +62,14 @@ def _parse_group_name(name: str) -> GroupSignature:
     return canonicalize(finite, torus_rank=rank)
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    """Parse the comma-separated integers of ``option``, naming it on failure."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
 def _cmd_classify(args) -> None:
     result = classify(args.doublets)
     entries = [e for e in result.entries if e.signature.is_finite or not args.finite_only]
@@ -135,9 +143,8 @@ def _cmd_construct(args) -> None:
     if args.kind == "cyclic":
         built = cyclic_c_matrix(args.p, args.n)
     else:
-        partition = [int(x) for x in args.partition.split(",")]
-        orders = [int(x) for x in args.orders.split(",")]
-        built = product_c_matrix(partition, orders)
+        built = product_c_matrix(_int_list("--partition", args.partition),
+                                 _int_list("--orders", args.orders))
     payload = {
         "matrix": [list(r) for r in built.matrix.entries],
         "row_types": list(built.row_types),

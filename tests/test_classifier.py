@@ -166,9 +166,18 @@ def walk_digest(states):
 
 @st.composite
 def generator_lists(draw):
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 3))
     vectors = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=8))
     return [(vec, i) for i, vec in enumerate(vectors)]
+
+
+def edges_of_walks(monkeypatch):
+    """The vector of every ``hnf_add`` call the walk makes from now on."""
+    edges = []
+    real = classifier.hnf_add
+    monkeypatch.setattr(classifier, "hnf_add",
+                        lambda basis, vec: edges.append(vec) or real(basis, vec))
+    return edges
 
 
 class TestLatticeWalk:
@@ -182,10 +191,27 @@ class TestLatticeWalk:
     @given(generator_lists())
     @example([])
     @example([((0, 0), 0), ((0, 0), 1), ((0, 0), 2)])
+    # Z needs all three, so the walk goes deeper than the rank
+    @example([((6,), 0), ((10,), 1), ((15,), 2)])
+    # a generator, its negative and its double share or split cosets
+    @example([((2, 1), 0), ((1, 3), 1), ((-2, -1), 2), ((4, 2), 3)])
     def test_pruned_walk_equals_the_reference_walk(self, generators):
         # random generators may repeat, vanish or be multiples of each other
         walked = classifier._walk(generators)
         assert list(walked.items()) == list(reference_walk_of(generators).items())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_edge_budget(self, monkeypatch, n):
+        # one hnf_add per tried edge; an edge is tried only for a residue
+        # that neither the zero coset nor an earlier generator has
+        edges = edges_of_walks(monkeypatch)
+        classifier._lattice_scan.__wrapped__(n)
+        assert len(edges) == {3: 26, 4: 541}[n]
+
+    def test_zero_generator_takes_no_edge(self, monkeypatch):
+        edges = edges_of_walks(monkeypatch)
+        classifier._walk([((0, 0), 0), ((2, 0), 1), ((0, 0), 2)])
+        assert edges == [(2, 0)]
 
     def test_five_doublet_walk_is_pinned(self):
         # digest of the N=5 walk, lattices and witnesses in insertion order,
@@ -194,6 +220,16 @@ class TestLatticeWalk:
         assert len(states) == 11493
         assert walk_digest(states) == (
             "5cca90c73f9f159f54b5cb67eb2a01cd9daaccca1313f168e2c36654faa3d075")
+
+    @pytest.mark.slow
+    def test_six_doublet_walk_is_pinned(self):
+        # digest of the N=6 walk, recorded from the walk whose coset set
+        # started from the zero residue alone; minutes of work and about
+        # 1 GiB at its peak
+        states = classifier._lattice_scan(6)
+        assert len(states) == 1051229
+        assert walk_digest(states) == (
+            "a8292697b08da67aea60388e94b69e01b595d8104a7eb6f9dc61556840d199e8")
 
 
 def reference_classification(n_doublets):

@@ -146,6 +146,16 @@ class TestHostileInput:
         assert code == 0
         assert out.strip().endswith("is not realizable as a torus subgroup for N=3")
 
+    @pytest.mark.parametrize("option", ["--partition", "--orders"])
+    @pytest.mark.parametrize("text", ["", "1,a", "1,,2"])
+    def test_product_lists_that_are_not_integers_exit_2(self, option, text):
+        partition, orders = (text, "2,2") if option == "--partition" else ("1,2", text)
+        code, out, err = invoke(["construct", "product", "--partition", partition,
+                                 "--orders", orders])
+        assert code == 2 and out == ""
+        assert f"{option} must be comma-separated integers, got {text!r}" in err
+        assert "invalid literal" not in err
+
     def test_group_name_with_a_superscript_digit_exits_2(self):
         # "²".isdigit() is true, but int() rejects it
         code, out, err = invoke(["witness", "--doublets", "3", "--group", "Z²"])
