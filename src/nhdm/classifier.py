@@ -119,6 +119,8 @@ class ClassificationResult:
 def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     """All charge lattices spanned by monomial subsets, keyed by HNF basis.
 
+    N outside the supported range 2..6 raises ValueError before any charge
+    is read; ``classify``, ``witness_potential`` and ``cp_bases`` rely on it.
     ``_walk`` over the monomial charges, one generator per charge up to sign,
     in ``enumerate_monomials`` order.  Children enter in (parent, generator
     index) order, so each lattice is recorded with the lex-least shortest
@@ -139,6 +141,8 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       for g' before the start, the first bullet shows that L + g' was
       recorded from a lattice popped before L.
     """
+    if not 2 <= n_doublets <= 6:
+        raise ValueError("doublet count out of supported range (2..6)")
     generators: list[tuple[tuple[int, ...], Monomial]] = []
     seen_charges = set()
     for m, chg in monomial_charges(n_doublets).items():
@@ -177,13 +181,12 @@ def classify(n_doublets: int) -> ClassificationResult:
     """Complete list of realizable subgroups of the maximal torus.
 
     One entry per abstract group, carrying the first minimal witness found.
-    The trivial group is excluded.
+    The trivial group is excluded.  The range 2..6 is checked by the walk,
+    ``_lattice_scan``, which runs first.
     """
-    if not 2 <= n_doublets <= 6:
-        raise ValueError("doublet count out of supported range (2..6)")
+    states = _lattice_scan(n_doublets)
     basis = torus_basis(n_doublets)
     n = basis.n
-    states = _lattice_scan(n_doublets)
 
     # Each group keeps its first lattice in the breadth-first insertion order,
     # which has a minimal witness.  Every lattice is read by one Smith
@@ -307,14 +310,15 @@ def witness_potential(signature: GroupSignature, n_doublets: int) -> WitnessRepo
 
     ``classify`` leaves out the trivial group, whose lattice is every charge:
     the only lattice with an all-ones Smith diagonal, keyed by the identity
-    as its Hermite basis.  The walk records it with a minimal witness.
+    as its Hermite basis.  The walk records it with a minimal witness, so the
+    trivial group is read off the walk alone, which also checks the range,
+    and takes no Smith form; every other group is looked up in ``classify``.
     """
-    result = classify(n_doublets)
     if signature.is_trivial:
         n = n_doublets - 1
         unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return WitnessReport(n_doublets, signature, True, _lattice_scan(n_doublets)[unit], ())
-    entry = result.find(signature)
+    entry = classify(n_doublets).find(signature)
     if entry is None:
         return WitnessReport(n_doublets, signature, False, (), ())
     return WitnessReport(n_doublets, signature, True, entry.witness, entry.generators)

@@ -35,7 +35,7 @@ boundary (a "realizable" verdict is then best-effort).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -229,7 +229,9 @@ class PhaseConstraintSystem:
 class AbelianBase:
     """The torus subgroup fixing every charge in ``lattice``, a Hermite basis.
 
-    Its group facts come from one Smith reading, ``group``, taken on first use.
+    Its group facts come from one Smith reading, ``group``, and the columns
+    of its candidates' phase systems from one ``layout``, each taken on
+    first use.
     """
 
     n_doublets: int
@@ -254,6 +256,21 @@ class AbelianBase:
         """Per-doublet weights of each continuous direction of ``group``."""
         basis = torus_basis(self.n_doublets)
         return tuple(direction_weights(basis, d) for d in self.group.torus_directions)
+
+    @cached_property
+    def layout(self) -> tuple[tuple[str, ...], dict[Monomial, int]]:
+        """Unknowns of a candidate's phase system and the column of each invariant term's psi.
+
+        The columns are the entry phases xi_1..xi_N of the generator, the
+        overall phase c0, one angle t_i per continuous direction, then one
+        psi per invariant monomial, in order: the keys of the positions map.
+        """
+        invariant = self.invariant_monomials()
+        names = [f"xi{a}" for a in range(1, self.n_doublets + 1)]
+        names += ["c0"] + [f"t{i}" for i in range(1, len(self.doublet_weights) + 1)]
+        positions = {m: len(names) + i for i, m in enumerate(invariant)}
+        names += [f"psi[{m.render()}]" for m in invariant]
+        return tuple(names), positions
 
     def cosets(self, charges: dict) -> dict:
         """Each key's charge modulo ``lattice``, from one ``hnf_residues`` pass.
@@ -390,6 +407,7 @@ class CpCandidate:
     lands in the base: the unitary part of (b J)^2, or b^3 for the Z3 x Z3
     cycle.  The constraint system collects the structural-phase pinning and
     the coefficient conditions required for invariance of the surviving terms.
+    Its columns are ``base.layout``; the backbone classes belong to ``sigma``.
     """
 
     base: AbelianBase
@@ -401,8 +419,6 @@ class CpCandidate:
     killed: tuple[Monomial, ...]
     magnitude_classes: tuple[tuple[Monomial, ...], ...]
     backbone: BackboneClasses
-    # the column of each invariant monomial's psi in ``system``; fixed by the base
-    psi_positions: dict[Monomial, int] = field(compare=False, repr=False)
 
 
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
@@ -413,76 +429,54 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     generator must stay diagonal, so only involutive patterns qualify.  With
     none the group admits no commuting antiunitary at all, and the empty list
     comes back before the invariant terms and group elements are read.
+    The layout and group elements are read once per base, the term images and
+    backbone classes once per involution, and the pinned system and the
+    restriction once per candidate.
     """
     n = base.n_doublets
     involutions = [sigma for sigma in commutant_perms(base)
                    if all(sigma[sigma[a]] == a for a in range(n))]
     if not involutions:
         return []
-    invariant = base.invariant_monomials()
-    unknowns, psi_positions = _layout(base, invariant)
     elements = base.finite_elements()
     candidates: list[CpCandidate] = []
-    seen: set[tuple] = set()
-
     for sigma in involutions:
+        # b J with b the bare permutation: conjugate, then permute
+        images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in base.layout[1]}
+        backbone = backbone_classes(sigma)
+        seen: set[tuple] = set()
         for expts, f in elements:
             # the elements are distinct modulo the center, so two differ by a
             # square exactly when their exponents agree mod gcd(2, d_i)
-            key = (sigma, tuple(e % gcd(2, d) for e, d in zip(expts, base.group.signature.finite)))
+            key = tuple(e % gcd(2, d) for e, d in zip(expts, base.group.signature.finite))
             if key in seen:
                 continue
-            pin = _pin_system(base, sigma, f, unknowns)
+            pin = _pin_system(base, sigma, f)
             if not pin.solvable():
                 continue
             seen.add(key)
-            candidates.append(_build_candidate(base, sigma, expts, f, pin, invariant,
-                                               psi_positions))
+            signature = extend_by_antiunitary(base.group.signature, expts)
+            candidates.append(CpCandidate(base, sigma, f, signature,
+                                          *_restrict(base, pin, images), backbone))
     return candidates
 
 
-def _layout(base: AbelianBase, invariant) -> tuple[list[str], dict[Monomial, int]]:
-    """Unknowns of a candidate's phase system and the position of each psi.
-
-    The columns are the entry phases xi_1..xi_N of the antiunitary
-    generator, the overall phase c0, one angle t_i per continuous direction,
-    then one coefficient phase psi per invariant monomial, in order.
-    """
-    names = [f"xi{a}" for a in range(1, base.n_doublets + 1)]
-    names += ["c0"] + [f"t{i}" for i in range(1, len(base.doublet_weights) + 1)]
-    psi_positions = {m: len(names) + i for i, m in enumerate(invariant)}
-    names += [f"psi[{m.render()}]" for m in invariant]
-    return names, psi_positions
-
-
-def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector,
-                unknowns: list[str]) -> PhaseConstraintSystem:
+def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstraintSystem:
     """Structural-phase equations pinning (b J)^2 to the element f.
 
     Row a reads  xi_a - xi_sigma(a) - c0 - sum_i w_i[a] t_i == f_a (mod 1).
     """
     n = base.n_doublets
-    system = PhaseConstraintSystem(unknowns)
+    system = PhaseConstraintSystem(base.layout[0])
     for a in range(n):
         head = [int(x == a) - int(x == sigma[a]) for x in range(n)]
         head += [-1] + [-w[a] for w in base.doublet_weights]
-        system.add(head + [0] * (len(unknowns) - len(head)), f.phases[a])
+        system.add(head + [0] * (len(system.unknowns) - len(head)), f.phases[a])
     return system
 
 
-def _build_candidate(base: AbelianBase, sigma: Perm, expts, f: PhaseVector,
-                     pin: PhaseConstraintSystem, invariant,
-                     psi_positions: dict[Monomial, int]) -> CpCandidate:
-    # b J with b the bare permutation: conjugate, then permute
-    images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
-    return CpCandidate(base, sigma, f, extend_by_antiunitary(base.group.signature, expts),
-                       *_restrict(pin, images, psi_positions, base.n_doublets),
-                       backbone_classes(sigma), psi_positions)
-
-
-def _restrict(system: PhaseConstraintSystem, images: dict[Monomial, tuple[Monomial, bool]],
-              psi_positions: dict[Monomial, int], n_doublets: int) -> tuple:
-    """Restrict the terms orbit by orbit, keeping each orbit that stays solvable.
+def _restrict(base: AbelianBase, system: PhaseConstraintSystem, images: dict) -> tuple:
+    """Restrict the terms of ``base`` orbit by orbit, keeping each orbit that stays solvable.
 
     ``images`` maps each term, in order, to its (image, conjugated) under the
     generator.  Returns the grown system, the surviving and the killed terms
@@ -495,8 +489,8 @@ def _restrict(system: PhaseConstraintSystem, images: dict[Monomial, tuple[Monomi
     for orbit in _cycles(images, lambda m: images[m][0]):
         trial = system.copy()
         for m in orbit:
-            xi, psi = _invariance_relation(m, *images[m], n_doublets, psi_positions)
-            row = list(xi) + [0] * (len(system.unknowns) - n_doublets)
+            xi, psi = _invariance_relation(m, *images[m], base.n_doublets, base.layout[1])
+            row = list(xi) + [0] * (len(system.unknowns) - base.n_doublets)
             for j, c in psi.items():
                 row[j] += c
             trial.add(row, 0)
@@ -624,7 +618,7 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
         img, conjugated = m.permuted(perm)
         if klass.get(img) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
-        relations.append(_invariance_relation(m, img, conjugated, n, candidate.psi_positions))
+        relations.append(_invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
 
     res = snf_rows([theta for theta, _ in relations], n)
     for z in res.u.entries[res.rank:]:
@@ -732,15 +726,13 @@ def check_z3z3() -> Z3Z3Report:
     swap = GenPermMatrix.permutation((1, 0, 2))
     base = AbelianBase.from_lattice(3, [chg for m, chg in monomial_charges(3).items()
                                         if phase_shift(m, a) == 0])
-    invariant = base.invariant_monomials()
-    unknowns, psi_positions = _layout(base, invariant)
+    unknowns, psi_positions = base.layout
     pin = PhaseConstraintSystem(unknowns)
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
         pin.add([int(j == k) for j in range(len(unknowns))], phase)
-    images = {m: m.permuted(b.perm) for m in invariant}
+    images = {m: m.permuted(b.perm) for m in psi_positions}
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
-                            *_restrict(pin, images, psi_positions, 3),
-                            backbone_classes(b.perm), psi_positions)
+                            *_restrict(base, pin, images), backbone_classes(b.perm))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
     inv_swap = swap in forced_symmetries(extension)
     commutes = commutes_with_diagonal(swap, a)

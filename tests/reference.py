@@ -505,7 +505,7 @@ def forced_symmetry(candidate, perm, particular, torsion, free):
         img, conjugated = m.permuted(perm)
         if klass.get(img) != klass[m]:
             return None
-        relations.append(_invariance_relation(m, img, conjugated, n, candidate.psi_positions))
+        relations.append(_invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
 
     def rhs(assign):
         return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))

@@ -378,6 +378,15 @@ class TestWitnessPotential:
         assert group.signature == GroupSignature((4,))
         assert "backbone" in rep.render()
 
+    def test_trivial_witness_takes_no_classification(self, monkeypatch):
+        def no_classify(n):
+            raise AssertionError("classify ran")
+
+        expected = witness_potential(GroupSignature(), 3)
+        monkeypatch.setattr(classifier, "classify", no_classify)
+        assert witness_potential(GroupSignature(), 3) == expected
+        assert expected.realizable and expected.witness
+
     def test_lookup_not_realizable(self):
         rep = witness_potential(GroupSignature((16,)), 3)
         assert not rep.realizable

@@ -20,7 +20,6 @@ from nhdm.cpext import (
     PhaseConstraintSystem,
     _cycles,
     _forced_symmetry,
-    _layout,
     _noncommuting_generator,
     _particular,
     _pin_system,
@@ -358,6 +357,21 @@ class TestSmithBudget:
                          for b in bases)
         assert len(calls) == involutive == 109
 
+    def test_term_images_read_once_per_involution(self, monkeypatch):
+        # one Monomial.permuted per invariant term and (base, involution)
+        # pair, 20 pairs at N=3; building the images per candidate made 129
+        # calls; the invariant terms are read once per base with an involution
+        bases = cp_bases(3)
+        permuted, invariant = [], []
+        real_permuted, real_invariant = Monomial.permuted, AbelianBase.invariant_monomials
+        monkeypatch.setattr(Monomial, "permuted",
+                            lambda m, perm: permuted.append(m) or real_permuted(m, perm))
+        monkeypatch.setattr(AbelianBase, "invariant_monomials",
+                            lambda base: invariant.append(base) or real_invariant(base))
+        for base in bases:
+            cp_extensions(base)
+        assert (len(permuted), len(invariant)) == (105, 12)
+
 
 class TestCandidates:
     def test_z4_has_split_and_twisted_embeddings(self):
@@ -585,6 +599,30 @@ class TestVerdicts:
         trivial = cp_extensions(all_bases(3)[0])
         assert any(cp_realizable(c).realizable for c in trivial)
 
+    def test_a_surviving_lattice_with_a_finite_gap_gives_a_diagonal_witness(self):
+        # keeping the terms of even first charge coordinate halves the
+        # trivial group's lattice: the surviving terms gain a diagonal Z2
+        cand = cp_extensions(cp_bases(3)[0])[0]
+        charges = monomial_charges(3)
+        terms = cand.surviving + cand.killed
+        surviving = tuple(sorted(m for m in terms if charges[m][0] % 2 == 0))
+        killed = tuple(sorted(m for m in terms if charges[m][0] % 2))
+        assert (len(surviving), len(killed)) == (6, 6)
+        verdict = cp_realizable(replace(cand, surviving=surviving, killed=killed))
+        assert verdict.kind == "enlarged_unitary"
+        assert str(verdict.witness) == "[1->1:e(1/2), 2->2:e(1/2), 3->3:e(0)]"
+        phases = PhaseVector(verdict.witness.phases)
+        assert all(phase_shift(m, phases) == 0 for m in surviving)
+        assert any(phase_shift(m, phases) != 0 for m in killed)
+
+    def test_a_forced_permutation_must_keep_each_magnitude_class(self):
+        # the exchange 2 <-> 3 maps each surviving Z6* term to the other term
+        # of its magnitude class; with singleton classes no term may move
+        cand = next(c for c in cp_extensions(base_z3()) if c.sigma == (0, 2, 1))
+        assert str(_forced_symmetry(cand, (0, 2, 1))) == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]"
+        singletons = tuple((m,) for m in cand.surviving)
+        assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1)) is None
+
     def test_witness_is_the_first_forced_symmetry(self):
         # a candidate that passes the lattice checks is realizable exactly
         # when the search yields nothing, and otherwise rejected by its first
@@ -739,16 +777,15 @@ class TestHermiteSolvability:
     def test_three_doublet_sweep_matches_the_refactoring_loop(self):
         for base in cp_bases(3):
             invariant = base.invariant_monomials()
-            unknowns, psi_positions = _layout(base, invariant)
             involutions = [s for s in commutant_perms(base)
                            if all(s[s[a]] == a for a in range(len(s)))]
             for sigma, (_, f) in itertools.product(involutions, base.finite_elements()):
-                pin = _pin_system(base, sigma, f, unknowns)
+                pin = _pin_system(base, sigma, f)
                 assert pin.solvable() == reference.smith_solvable(pin)
             for cand in cp_extensions(base):
-                pin = _pin_system(base, cand.sigma, cand.square, unknowns)
+                pin = _pin_system(base, cand.sigma, cand.square)
                 assert reference.refactoring_restriction(
-                    base, cand.sigma, pin, invariant, psi_positions) == (
+                    base, cand.sigma, pin, invariant, base.layout[1]) == (
                     cand.surviving, cand.killed, cand.magnitude_classes,
                     cand.system.render())
 
@@ -887,6 +924,14 @@ class TestClassification:
     def test_unsupported_doublet_count(self):
         with pytest.raises(ValueError):
             classify_cp(4)
+
+    def test_bases_out_of_range_raise_before_any_walk(self, monkeypatch):
+        def no_walk(generators):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(classifier, "_walk", no_walk)
+        with pytest.raises(ValueError, match=r"out of supported range \(2\.\.6\)"):
+            cp_bases(7)
 
     def test_bases_cover_all_lattices_once(self):
         bases = cp_bases(3)
