@@ -10,8 +10,10 @@ that no earlier generator has, taken over the generators after the last one
 of its witness, instead of one per generator; the visited lattices, their
 order and their witnesses are the same either way (see ``_lattice_scan``).
 One ``hnf_residues`` pass per lattice gives the cosets of all generators at
-once.  Each lattice is read by one ``smith_columns``: d gives its group, and
-v the generators of the entries the report keeps.
+once.  A lattice's group is read off the Smith diagonal of the block its
+unit pivots leave (``hnf_unit_split``), one ``smith_columns`` per distinct
+block; only the first lattice of each reported group takes a full reading,
+whose v gives the generators of its entry.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -34,7 +36,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .exactmath import IntMatrix, Rows, hnf_add, hnf_residues, smith_columns
+from .exactmath import IntMatrix, Rows, hnf_add, hnf_residues, hnf_unit_split, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, build_x_matrix, monomial_charges
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
@@ -189,22 +191,26 @@ def classify(n_doublets: int) -> ClassificationResult:
     n = basis.n
 
     # Each group keeps its first lattice in the breadth-first insertion order,
-    # which has a minimal witness.  Every lattice is read by one Smith
-    # reduction; each group keeps the witness, d and v of its first lattice,
-    # so the printed entries below take no further Smith form.
+    # which has a minimal witness.  A lattice's group is its Smith diagonal:
+    # one 1 per unit pivot, then the diagonal of the block left without them,
+    # so each distinct nonempty block takes one Smith diagonal.  The first
+    # lattice of each group takes one full reading, whose d and v the
+    # printed entries below use.
     primary: dict[GroupSignature, tuple] = {}
     counts: dict[GroupSignature, int] = {}
-    signatures: dict[tuple[int, ...], GroupSignature] = {}
+    signatures: dict[tuple[int, Rows, int], GroupSignature] = {}
     for lattice, witness in states.items():
-        d, v = smith_columns(lattice, n)
-        sig = signatures.get(d)
+        split = hnf_unit_split(lattice, n)
+        sig = signatures.get(split)
         if sig is None:
-            sig = signatures[d] = group_from_snf(d, n)
+            units, block, width = split
+            d = (1,) * units + (smith_columns(block, width)[0] if block else ())
+            sig = signatures[split] = group_from_snf(d, n)
         if sig.is_trivial:
             continue
         counts[sig] = counts.get(sig, 0) + 1
         if sig not in primary:
-            primary[sig] = (witness, d, v)
+            primary[sig] = (witness, *smith_columns(lattice, n))
 
     entries = []
     for sig in sorted(primary, key=GroupSignature.sort_key):

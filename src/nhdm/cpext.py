@@ -648,10 +648,12 @@ def cp_bases(n_doublets: int) -> list[AbelianBase]:
     walked charge lattice in sorted order, none of them read by a Smith form yet.
 
     Conjugate embeddings of the same abstract group appear separately so that
-    every inequivalent extension pattern is examined.
+    every inequivalent extension pattern is examined.  The walk runs first,
+    so N outside 2..6 raises its range error before any charge is read.
     """
+    lattices = _lattice_scan(n_doublets)
     full = AbelianBase.from_lattice(n_doublets, monomial_charges(n_doublets).values())
-    return [full] + [AbelianBase(n_doublets, rows) for rows in sorted(_lattice_scan(n_doublets))
+    return [full] + [AbelianBase(n_doublets, rows) for rows in sorted(lattices)
                      if rows != full.lattice]
 
 

@@ -394,20 +394,37 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
     that each pivot coordinate lands in ``[0, pivot)``.  Two vectors give the
     same residue exactly when they differ by an element of L, so a residue is
     all zeros exactly when its vector lies in L.  With no coordinates there
-    are no vectors to return.
+    are no vectors to return.  A row with pivot 1 takes no division: its
+    quotients are coordinate j itself, which it sets to zero.
     """
     cols = list(columns)
     for row, j in zip(basis, _pivots(basis)):
         p = row[j]
-        qs = [x // p for x in cols[j]]
+        qs = cols[j] if p == 1 else [x // p for x in cols[j]]
         if not any(qs):
             continue  # coordinate j is already in [0, p) and nothing is subtracted
-        cols[j] = [x % p for x in cols[j]]
+        cols[j] = [0] * len(qs) if p == 1 else [x % p for x in cols[j]]
         for c in range(j + 1, len(row)):
             y = row[c]
             if y:
                 cols[c] = [x - q * y for x, q in zip(cols[c], qs)]
     return list(zip(*cols))
+
+
+def hnf_unit_split(basis: Rows, ncols: int) -> tuple[int, Rows, int]:
+    """Unit pivot count, block rows and block width of an HNF basis of ``ncols`` columns.
+
+    The entries above a pivot of 1 lie in [0, 1), so they are 0 and the pivot
+    is alone in its column; column operations then clear its row and touch no
+    other row.  So the Smith diagonal of ``basis`` is one 1 per unit pivot,
+    followed by the Smith diagonal of the block: the rows with other pivots,
+    on the columns that are not unit pivots.
+    """
+    rows = list(zip(basis, _pivots(basis)))
+    units = {j for row, j in rows if row[j] == 1}
+    keep = [c for c in range(ncols) if c not in units]
+    block = tuple(tuple(row[c] for c in keep) for row, j in rows if row[j] != 1)
+    return len(units), block, len(keep)
 
 
 def hnf_contains(basis: Rows, vec: Sequence[int]) -> bool:

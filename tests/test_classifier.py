@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -19,7 +19,7 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import IntMatrix, hnf_add, snf, snf_rows
+from nhdm.exactmath import IntMatrix, hnf_add, hnf_unit_split, snf, snf_rows
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
 from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
@@ -269,24 +269,29 @@ class TestGroupExtraction:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_smith_budget(self, monkeypatch, n):
-        # one smith_columns reading per walked lattice, whose d gives the
-        # group and whose v gives the generators of the printed entries; snf
-        # is never taken
+        # one smith_columns diagonal per distinct nonempty block left by the
+        # unit pivots, and one full-width reading (d and v) of the first
+        # lattice of each printed entry; snf is never taken
         uncached = classifier.classify.__wrapped__
-        uncached(n)  # fill the caches below the classification first
+        result = uncached(n)  # fill the caches below the classification first
         calls, snf_calls = [], []
         real = classifier.smith_columns
 
         def counted(rows, ncols):
-            calls.append(rows)
+            calls.append((tuple(rows), ncols))
             return real(rows, ncols)
 
         monkeypatch.setattr(classifier, "smith_columns", counted)
         monkeypatch.setattr(exactmath, "snf", lambda m: snf_calls.append(m))
         uncached(n)
         assert snf_calls == []
-        assert len(calls) == {3: 19, 4: 295}[n] == len(classifier._lattice_scan(n))
-        assert calls == list(classifier._lattice_scan(n))
+        assert len(calls) == {3: 17, 4: 126}[n]
+        scan = classifier._lattice_scan(n)
+        lattice_of = {witness: lattice for lattice, witness in scan.items()}
+        firsts = [(lattice_of[e.witness], n - 1) for e in result.entries]
+        splits = {hnf_unit_split(lattice, n - 1) for lattice in scan}
+        blocks = [(block, width) for _, block, width in splits if block]
+        assert Counter(calls) == Counter(blocks) + Counter(firsts)
 
     def test_term_input_errors(self):
         basis = torus_basis(3)

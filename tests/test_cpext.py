@@ -933,6 +933,15 @@ class TestClassification:
         with pytest.raises(ValueError, match=r"out of supported range \(2\.\.6\)"):
             cp_bases(7)
 
+    def test_bases_check_the_range_before_reading_a_charge(self, monkeypatch):
+        def no_charges(n_doublets):
+            raise AssertionError("a charge was read")
+
+        monkeypatch.setattr(cpext, "monomial_charges", no_charges)
+        for n in (1, 7):
+            with pytest.raises(ValueError, match=r"out of supported range \(2\.\.6\)"):
+                cp_bases(n)
+
     def test_bases_cover_all_lattices_once(self):
         bases = cp_bases(3)
         assert bases[0].group.signature.is_trivial

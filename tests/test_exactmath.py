@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
     IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_residues, hnf_rows,
-    smith_columns, snf, snf_rows,
+    hnf_unit_split, smith_columns, snf, snf_rows,
 )
 from reference import reference_snf
 
@@ -264,6 +264,14 @@ class TestHnf:
         assert hnf_residues(basis, [(0, 5), (0, -3)]) == [(0, 0), (1, 1)]
         assert hnf_residues(basis, [(), ()]) == []
 
+    def test_residues_through_a_unit_pivot(self):
+        # the unit row clears coordinate 0 and carries it into coordinate 2;
+        # vectors already zero at coordinate 0 skip that row
+        basis = hnf_rows([(1, 2, 3), (0, 2, 1)])
+        assert basis == ((1, 0, 2), (0, 2, 1))
+        assert hnf_residues(basis, [(3, -2), (1, 3), (0, 1)]) == [(0, 1, -6), (0, 1, 4)]
+        assert hnf_residues(basis, [(0, 0), (5, 0), (4, 7)]) == [(0, 1, 2), (0, 0, 7)]
+
 
 @st.composite
 def rows_and_vector(draw, max_rows=5):
@@ -330,6 +338,18 @@ class TestHnfProperties:
             # it leaves the canonical basis unchanged
             assert is_zero == (hnf_add(basis, vec) == basis)
             assert is_zero == (hnf_rows(rows + [vec]) == basis)
+
+    # fewer examples than its neighbours: each one costs hypothesis about
+    # 3 ms to draw, and tier-1 is at its time budget
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(rows_and_vector())
+    def test_unit_split_keeps_the_smith_diagonal(self, case):
+        rows, v, _ = case
+        ncols = len(v)
+        basis = hnf_rows(rows)
+        units, block, width = hnf_unit_split(basis, ncols)
+        assert width == ncols - units
+        assert (1,) * units + smith_columns(block, width)[0] == smith_columns(basis, ncols)[0]
 
 
 def test_matrix_entries_must_be_integers():
