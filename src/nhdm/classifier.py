@@ -300,8 +300,8 @@ class WitnessReport:
             return f"{self.signature} is not realizable as a torus subgroup for N={self.n_doublets}"
         lines = [f"group: {self.signature}"]
         lines.append("witness terms (added to the torus-symmetric backbone):")
-        for m in self.witness:
-            lines.append(f"  {m.render(pretty)} + h.c.")
+        lines += [f"  {m.render(pretty)} + h.c." for m in self.witness] or [
+            "  (torus-symmetric backbone only)"]
         if self.generators:
             lines.append("generators:")
             for g in self.generators:

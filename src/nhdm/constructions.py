@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactmath import IntMatrix, smith_columns
+from .exactmath import IntMatrix, integers, smith_columns
 from .groups import GroupSignature, group_from_snf
 from .monomials import Monomial, row_type
 
@@ -53,8 +53,9 @@ def cyclic_c_matrix(p: int, n: int) -> ConstructedMatrix:
     """c-matrix whose charge system realizes exactly the cyclic group of order p.
 
     Valid for 1 <= p <= 2^n; p = 1 gives the trivial group (all invariant
-    factors one).
+    factors one).  Both arguments must be integers, or ValueError.
     """
+    p, n = integers((p, n), "order and block size")
     if n < 1 or n > 16:
         raise ValueError("block size out of range (1..16)")
     if not 1 <= p <= 2 ** n:
@@ -73,8 +74,8 @@ def product_c_matrix(partition, orders) -> ConstructedMatrix:
     the block construction supports them even though the product statement is
     usually quoted with a strict inequality.
     """
-    partition = [int(x) for x in partition]
-    orders = [int(x) for x in orders]
+    partition = integers(partition, "partition parts")
+    orders = integers(orders, "orders")
     if len(partition) != len(orders):
         raise ValueError("partition and orders must have the same length")
     if not partition:

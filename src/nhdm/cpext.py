@@ -6,7 +6,8 @@ matrices with exact rational phases:
 1. find a permutation pattern commuting with the chosen abelian group,
 2. describe its centralizer among generalized permutations,
 3. close the antiunitary coset so products of two antiunitaries land in the
-   group (this quantizes the structural phases and picks the square),
+   group (this quantizes the structural phases and picks one square per
+   class of G / G^2),
 4. restrict the invariant terms by antiunitary invariance, dropping terms
    whose coefficient is forced to vanish,
 5. check that the restricted potential acquires no further unitary symmetry.
@@ -286,13 +287,6 @@ class AbelianBase:
         cosets = self.cosets(monomial_charges(self.n_doublets))
         return tuple(m for m, coset in cosets.items() if not any(coset))
 
-    def finite_elements(self) -> list[tuple[tuple[int, ...], PhaseVector]]:
-        """All elements of the finite part as (exponents, phase vector)."""
-        gens = self.group.finite_generators
-        return [(expts, PhaseVector(tuple(sum(e * g.phases[a] for e, g in zip(expts, gens))
-                                          for a in range(self.n_doublets))))
-                for expts in itertools.product(*(range(d) for d in self.group.signature.finite))]
-
     def contains_angles(self, angles) -> bool:
         """Membership of ``element_from_angles(basis, angles)``: a charge r shifts
         its phase by r . angles, which must be integral for every lattice row.
@@ -424,40 +418,38 @@ class CpCandidate:
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     """All candidate abelian extensions of ``base`` by an antiunitary generator.
 
-    Candidates are indexed by a commuting permutation pattern and the square
-    class of the antiunitary generator inside the group.  The squared
-    generator must stay diagonal, so only involutive patterns qualify.  With
-    none the group admits no commuting antiunitary at all, and the empty list
-    comes back before the invariant terms and group elements are read.
-    The layout and group elements are read once per base, the term images and
-    backbone classes once per involution, and the pinned system and the
-    restriction once per candidate.
+    Candidates are indexed by a commuting permutation pattern and the class
+    of the generator's square in G / G^2, pinned to its element with
+    exponents 0 or 1 on the even cyclic factors and 0 on the odd ones.  The
+    squared generator must stay diagonal, so only involutive patterns
+    qualify.  With none the empty list comes back before the invariant
+    terms and group facts are read.  The layout, square classes and starred
+    signatures are read once per base, the term images and backbone classes
+    once per involution, the pinned system once per involution and square
+    class, and the restriction once per candidate.
     """
     n = base.n_doublets
     involutions = [sigma for sigma in commutant_perms(base)
                    if all(sigma[sigma[a]] == a for a in range(n))]
     if not involutions:
         return []
-    elements = base.finite_elements()
+    # J -> J h (h in G) turns J^2 into J^2 h^2, so a pin's solvability and the
+    # starred group depend only on the class of the square in G / G^2
+    gens = base.group.finite_generators
+    classes = [(extend_by_antiunitary(base.group.signature, expts),
+                sum((e * g for e, g in zip(expts, gens)), PhaseVector.identity(n)))
+               for expts in itertools.product(*(range(gcd(2, d))
+                                                for d in base.group.signature.finite))]
     candidates: list[CpCandidate] = []
     for sigma in involutions:
         # b J with b the bare permutation: conjugate, then permute
         images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in base.layout[1]}
         backbone = backbone_classes(sigma)
-        seen: set[tuple] = set()
-        for expts, f in elements:
-            # the elements are distinct modulo the center, so two differ by a
-            # square exactly when their exponents agree mod gcd(2, d_i)
-            key = tuple(e % gcd(2, d) for e, d in zip(expts, base.group.signature.finite))
-            if key in seen:
-                continue
+        for signature, f in classes:
             pin = _pin_system(base, sigma, f)
-            if not pin.solvable():
-                continue
-            seen.add(key)
-            signature = extend_by_antiunitary(base.group.signature, expts)
-            candidates.append(CpCandidate(base, sigma, f, signature,
-                                          *_restrict(base, pin, images), backbone))
+            if pin.solvable():
+                candidates.append(CpCandidate(base, sigma, f, signature,
+                                              *_restrict(base, pin, images), backbone))
     return candidates
 
 

@@ -16,10 +16,11 @@ least center key over a coset of squares; the tests require the library to
 agree with them.  The generator-based pattern scan with sign -1 also stands
 in for the centralizer patterns, which no library code asks for.
 
-The helpers include the square b b* of an antiunitary b J taken entry by
-entry, the canonical-representative check on a stored monomial, a rank
-by Fraction elimination that shares no code with the Smith form, and the
-bilinear charge basis read straight off the circle weights.
+The helpers include every element of a base's finite part, of which the
+library reads one per square class, the square b b* of an antiunitary b J
+taken entry by entry, the canonical-representative check on a stored
+monomial, a rank by Fraction elimination that shares no code with the Smith
+form, and the bilinear charge basis read straight off the circle weights.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from nhdm.cpext import GenPermMatrix, _cycles, _invariance_relation
 from nhdm.exactmath import IntMatrix, hnf_rows, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
-from nhdm.torus import torus_basis
+from nhdm.torus import PhaseVector, torus_basis
 
 
 # -- helpers moved out of the library ------------------------------------------
@@ -520,9 +521,23 @@ def forced_symmetry(candidate, perm, particular, torsion, free):
     return GenPermMatrix(perm, tuple(fraction_particular(res, target)))
 
 
-def square_class_key(elements, f) -> tuple:
-    """The least center key over the coset of f modulo the squares of ``elements``."""
-    return min((f + 2 * pv).center_key() for _, pv in elements)
+def finite_elements(base) -> list:
+    """Every element of the finite part of ``base`` as (exponents, phase vector),
+    the exponents over ``base.group.finite_generators`` in product order."""
+    gens = base.group.finite_generators
+    return [(expts, PhaseVector(tuple(sum(e * g.phases[a] for e, g in zip(expts, gens))
+                                      for a in range(base.n_doublets))))
+            for expts in itertools.product(*(range(d) for d in base.group.signature.finite))]
+
+
+def squares(elements) -> list:
+    """The squares 2 h of ``elements``, one phase vector per center key."""
+    return list({sq.center_key(): sq for sq in (2 * pv for _, pv in elements)}.values())
+
+
+def square_class_key(squares, f) -> tuple:
+    """The least center key over the coset of f modulo ``squares``."""
+    return min((f + s).center_key() for s in squares)
 
 
 def smith_solvable(system) -> bool:

@@ -292,6 +292,15 @@ class TestJson:
         report = payload_of(["witness", "--doublets", "3", "--group", "Z16"])
         assert report["payload"]["realizable"] is False
 
+    def test_witness_text_names_an_empty_witness(self):
+        # the heading alone read as a witness cut off; classify words it so
+        code, out, _ = invoke(["witness", "--doublets", "3", "--group", "U(1)xU(1)"])
+        assert code == 0
+        assert out.splitlines()[1:4] == [
+            "witness terms (added to the torus-symmetric backbone):",
+            "  (torus-symmetric backbone only)",
+            "backbone:"]
+
     @pytest.mark.parametrize("n, terms", [(2, ["(f1+ f2)"]), (3, ["(f1+ f2)", "(f1+ f3)"])])
     def test_witness_trivial(self, n, terms):
         # classify leaves the trivial group out, but the walk spans the

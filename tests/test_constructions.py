@@ -33,6 +33,11 @@ class TestCyclic:
         with pytest.raises(ValueError):
             cyclic_c_matrix(9, 3)
 
+    @pytest.mark.parametrize("p, n", [(2.0, 3), ("3", 2)])
+    def test_rejects_a_non_integer(self, p, n):
+        with pytest.raises(ValueError, match="must be integers"):
+            cyclic_c_matrix(p, n)
+
     def test_every_order_up_to_eight_rows(self):
         for n in range(1, 9):
             for p in range(1, 2 ** n + 1):
@@ -69,6 +74,12 @@ class TestProduct:
             product_c_matrix([], [])
         with pytest.raises(ValueError):
             product_c_matrix([1], [3])
+
+    @pytest.mark.parametrize("partition, orders", [([1.5], [2]), (["2"], ["3"])])
+    def test_rejects_a_non_integer(self, partition, orders):
+        # int() built Z2 on a size-1 block from 1.5 and parsed the strings
+        with pytest.raises(ValueError, match="must be integers"):
+            product_c_matrix(partition, orders)
 
     def test_various_products(self):
         cases = [

@@ -80,6 +80,18 @@ def all_bases(n):
     return tuple(cp_bases(n))
 
 
+@lru_cache(maxsize=None)
+def square_classes(n):
+    """Per base of ``all_bases(n)``: its distinct squares, and each element of
+    ``reference.finite_elements`` with its ``reference.square_class_key``."""
+    out = []
+    for base in all_bases(n):
+        elements = reference.finite_elements(base)
+        squares = reference.squares(elements)
+        out.append((squares, [(reference.square_class_key(squares, f), f) for _, f in elements]))
+    return tuple(out)
+
+
 def row_of(system, coeffs):
     """Coefficient row of ``system`` with the named unknowns set, zero elsewhere."""
     row = [0] * len(system.unknowns)
@@ -255,11 +267,11 @@ class TestInvariantTerms:
 
 
 def element_angles(base):
-    """Circle angles of each element of ``base.finite_elements()``, in its order."""
+    """Circle angles of each element of ``reference.finite_elements(base)``, in its order."""
     gens = base.group.finite_generator_angles
     return [tuple(sum((e * g[i] for e, g in zip(expts, gens)), F(0))
                   for i in range(base.n_doublets - 1))
-            for expts, _ in base.finite_elements()]
+            for expts, _ in reference.finite_elements(base)]
 
 
 class TestContainsDiagonal:
@@ -274,7 +286,7 @@ class TestContainsDiagonal:
         bases = [b for b in cp_bases(3) if b.group.signature.is_finite]
         assert len(bases) == 9
         for base in bases:
-            elements = [e for _, e in base.finite_elements()]
+            elements = [e for _, e in reference.finite_elements(base)]
             members = 0
             for angles in itertools.product(grid, repeat=2):
                 pv = element_from_angles(basis, angles)
@@ -291,7 +303,7 @@ class TestContainsDiagonal:
         basis = torus_basis(n)
         base = AbelianBase.from_lattice(n, rows)
         assert base.invariant_monomials() == ()
-        elements = [e for _, e in base.finite_elements()]
+        elements = [e for _, e in reference.finite_elements(base)]
         for angles, e in zip(element_angles(base), elements):
             assert base.contains_angles(angles)
             assert equal_mod_center(element_from_angles(basis, angles), e)
@@ -345,17 +357,32 @@ class TestContainsDiagonal:
 
 class TestSmithBudget:
     def test_bases_take_no_smith_form_and_extensions_one_per_involutive_base(self, monkeypatch):
-        calls = []
+        # and one pinned system per (involution, class of G / G^2) and one
+        # starred signature per class; pinning every element until its class
+        # solved made 411 and 274
+        calls, pins, starred = [], [], []
         real = classifier.smith_columns
+        real_pin, real_starred = cpext._pin_system, cpext.extend_by_antiunitary
         monkeypatch.setattr(classifier, "smith_columns",
                             lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(cpext, "_pin_system",
+                            lambda *args: pins.append(args) or real_pin(*args))
+        monkeypatch.setattr(cpext, "extend_by_antiunitary",
+                            lambda *args: starred.append(args) or real_starred(*args))
         bases = cp_bases(4)
         assert (len(bases), len(calls)) == (295, 0)
         for base in bases:
             cp_extensions(base)
-        involutive = sum(any(all(s[s[a]] == a for a in range(4)) for s in commutant_perms(b))
-                         for b in bases)
+        involutive = classes = involution_classes = 0
+        for base in bases:
+            involutions = sum(all(s[s[a]] == a for a in range(4)) for s in commutant_perms(base))
+            if involutions:
+                quotient = prod(gcd(2, d) for d in base.group.signature.finite)  # |G / G^2|
+                involutive += 1
+                classes += quotient
+                involution_classes += involutions * quotient
         assert len(calls) == involutive == 109
+        assert (len(pins), len(starred)) == (involution_classes, classes) == (369, 219)
 
     def test_term_images_read_once_per_involution(self, monkeypatch):
         # one Monomial.permuted per invariant term and (base, involution)
@@ -779,7 +806,7 @@ class TestHermiteSolvability:
             invariant = base.invariant_monomials()
             involutions = [s for s in commutant_perms(base)
                            if all(s[s[a]] == a for a in range(len(s)))]
-            for sigma, (_, f) in itertools.product(involutions, base.finite_elements()):
+            for sigma, (_, f) in itertools.product(involutions, reference.finite_elements(base)):
                 pin = _pin_system(base, sigma, f)
                 assert pin.solvable() == reference.smith_solvable(pin)
             for cand in cp_extensions(base):
@@ -893,14 +920,33 @@ class TestLatticeReadings:
         assert (pairs, forced) == (21, 12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_square_classes_match_the_center_key_cosets(self, n):
-        # ``cp_extensions`` keys an element by its exponents mod gcd(2, d_i)
-        for base in all_bases(n):
-            elements = base.finite_elements()
-            pairs = {(tuple(e % gcd(2, d) for e, d in zip(expts, base.group.signature.finite)),
-                      reference.square_class_key(elements, f)) for expts, f in elements}
-            # the same partition: each key determines the other
-            assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+    def test_square_classes_match_the_center_key_cosets(self, n, monkeypatch):
+        # per involution, ``cp_extensions`` pins one element in each coset of
+        # G^2; the restriction of the terms is not under test
+        pins = []
+        real = cpext._pin_system
+        monkeypatch.setattr(cpext, "_pin_system",
+                            lambda base, sigma, f: pins.append((sigma, f)) or real(base, sigma, f))
+        monkeypatch.setattr(cpext, "_restrict", lambda base, pin, images: (pin, (), (), ()))
+        for base, (squares, keyed) in zip(all_bases(n), square_classes(n)):
+            pins.clear()
+            cp_extensions(base)
+            for sigma in {s for s, _ in pins}:
+                keys = [reference.square_class_key(squares, f) for s, f in pins if s == sigma]
+                assert sorted(keys) == sorted({key for key, _ in keyed})
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_pin_is_solvable_exactly_on_whole_square_classes(self, n):
+        # J -> J h moves the square by h^2, so every element pins exactly
+        # when the first element of its coset of G^2 does
+        for base, (_, keyed) in zip(all_bases(n), square_classes(n)):
+            for sigma in commutant_perms(base):
+                if any(sigma[sigma[a]] != a for a in range(n)):
+                    continue
+                solvable = {}
+                for key, f in keyed:
+                    got = _pin_system(base, sigma, f).solvable()
+                    assert solvable.setdefault(key, got) == got
 
 
 class TestClassification:
