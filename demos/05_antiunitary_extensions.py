@@ -8,6 +8,7 @@ outcome is exact.
 """
 
 from nhdm import AbelianBase, classify_cp, commutant_support, cp_extensions, cp_realizable
+from nhdm.cpext import backbone_classes
 
 res = classify_cp(3)
 print("realizable groups with an antiunitary generator (three doublets):")
@@ -30,7 +31,7 @@ for cand in cp_extensions(base):
     print(f"\ncandidate {cand.signature.name()}  (square = {cand.square})")
     print("  surviving terms:", " ".join(m.render(True) for m in cand.surviving) or "none")
     print("  killed terms:   ", " ".join(m.render(True) for m in cand.killed) or "none")
-    print("  coefficient restrictions on the backbone:", cand.backbone.equalities())
+    print("  coefficient restrictions on the backbone:", backbone_classes(cand.sigma).equalities())
     print("  verdict:", verdict.kind)
     if verdict.witness:
         print("  witness:", verdict.witness)

@@ -21,7 +21,7 @@ from .classifier import (
     witness_potential,
 )
 from .constructions import cyclic_c_matrix, product_c_matrix
-from .cpext import cp_bases, cp_extensions, cp_realizable, check_z3z3, classify_cp
+from .cpext import backbone_classes, check_z3z3, classify_cp, cp_bases, cp_extensions, cp_realizable
 from .exactmath import IntMatrix, snf
 from .groups import GroupSignature, canonicalize, group_from_snf
 from .monomials import c_row, monomial_charges, row_type
@@ -195,12 +195,14 @@ def _cmd_cp_extend(args) -> None:
             "constraints": cand.system.render(),
             "surviving": [str(m) for m in cand.surviving],
             "killed": [str(m) for m in cand.killed],
-            "backbone_equalities": cand.backbone.equalities(),
+            "backbone_equalities": backbone_classes(cand.sigma).equalities(),
             **verdict.to_json(),
         })
         lines.append(f"  candidate {cand.signature.name():<10} sigma "
                      f"{[p + 1 for p in cand.sigma]} -> {verdict.kind}")
         lines.append(f"    {verdict.detail}")
+    if not candidates:
+        lines.append("  (no antiunitary candidates)")
     cases.sort(key=lambda c: (c["extension"], c["sigma"]))
     _emit(_report("cp-extend", {"group": target.name(), "cases": cases}, args.doublets),
           "\n".join(lines), args.format)

@@ -34,7 +34,11 @@ class ConstructedMatrix:
 
 
 def power_block(n: int) -> IntMatrix:
-    """n x n matrix with 2 on the diagonal and -1 on the superdiagonal."""
+    """n x n matrix with 2 on the diagonal and -1 on the superdiagonal.
+
+    The size must be an integer, or ValueError.
+    """
+    (n,) = integers((n,), "block size")
     if n < 1:
         raise ValueError("block size must be positive")
     return IntMatrix.from_rows(
@@ -118,8 +122,9 @@ def monomial_for_c_row(row) -> Monomial:
     A c-row lists the net exponents of doublets 2..N (phi_a counts +1 and
     phi_a^dagger -1), so doublet 1 carries minus their sum.  Of the ways to
     pair the phi^dagger factors with the phi factors the least canonical
-    monomial is returned.
+    monomial is returned.  The entries must be integers, or ValueError.
     """
+    row = integers(row, "c-row entries")
     exponents = (-sum(row), *row)
     downs = [a for a, e in enumerate(exponents, 1) for _ in range(-e)]
     ups = [a for a, e in enumerate(exponents, 1) for _ in range(e)]

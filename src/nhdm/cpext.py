@@ -11,6 +11,10 @@ matrices with exact rational phases:
 4. restrict the invariant terms by antiunitary invariance, dropping terms
    whose coefficient is forced to vanish,
 5. check that the restricted potential acquires no further unitary symmetry.
+   A forced unitary must keep the backbone's mass and coupling classes, the
+   cycles of the pattern sigma on doublets and on doublet pairs.  For an
+   involution only the identity and sigma itself do, so step 5 asks sigma
+   alone, and nothing when sigma is the identity.
 
 Every question is read off an integer lattice.  The group is the set of
 torus elements on which every charge in its lattice vanishes, so
@@ -373,16 +377,6 @@ class BackboneClasses:
                 out.append(" = ".join(f"L'{a}{b}" for a, b in cls))
         return out
 
-    def preserved_by(self, perm: Perm) -> bool:
-        for cls in self.single_classes:
-            if {perm[a - 1] + 1 for a in cls} != set(cls):
-                return False
-        for cls in self.pair_classes:
-            mapped = {tuple(sorted((perm[a - 1] + 1, perm[b - 1] + 1))) for a, b in cls}
-            if mapped != set(cls):
-                return False
-        return True
-
 
 def backbone_classes(sigma: Perm) -> BackboneClasses:
     doublets = range(1, len(sigma) + 1)
@@ -401,7 +395,8 @@ class CpCandidate:
     lands in the base: the unitary part of (b J)^2, or b^3 for the Z3 x Z3
     cycle.  The constraint system collects the structural-phase pinning and
     the coefficient conditions required for invariance of the surviving terms.
-    Its columns are ``base.layout``; the backbone classes belong to ``sigma``.
+    Its columns are ``base.layout``; the backbone classes are
+    ``backbone_classes(sigma)``.
     """
 
     base: AbelianBase
@@ -412,7 +407,6 @@ class CpCandidate:
     surviving: tuple[Monomial, ...]
     killed: tuple[Monomial, ...]
     magnitude_classes: tuple[tuple[Monomial, ...], ...]
-    backbone: BackboneClasses
 
 
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
@@ -424,9 +418,9 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     squared generator must stay diagonal, so only involutive patterns
     qualify.  With none the empty list comes back before the invariant
     terms and group facts are read.  The layout, square classes and starred
-    signatures are read once per base, the term images and backbone classes
-    once per involution, the pinned system once per involution and square
-    class, and the restriction once per candidate.
+    signatures are read once per base, the term images once per involution,
+    the pinned system once per involution and square class, and the
+    restriction once per candidate.
     """
     n = base.n_doublets
     involutions = [sigma for sigma in commutant_perms(base)
@@ -444,12 +438,11 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     for sigma in involutions:
         # b J with b the bare permutation: conjugate, then permute
         images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in base.layout[1]}
-        backbone = backbone_classes(sigma)
         for signature, f in classes:
             pin = _pin_system(base, sigma, f)
             if pin.solvable():
                 candidates.append(CpCandidate(base, sigma, f, signature,
-                                              *_restrict(base, pin, images), backbone))
+                                              *_restrict(base, pin, images)))
     return candidates
 
 
@@ -520,8 +513,10 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     unitary symmetry grows beyond the base (continuously, in every case that
     occurs here).  Enlarged unitary: the forced coefficient restrictions make
     some non-diagonal generalized permutation a symmetry of every admissible
-    potential; the witness is returned.  Otherwise the candidate is
-    realizable.
+    potential; the witness is returned.  Such a permutation keeps the
+    backbone classes of the involution sigma, so it is sigma itself, and only
+    sigma is asked, once, unless it is the identity.  Otherwise the candidate
+    is realizable.
     """
     base = candidate.base
     charges = monomial_charges(base.n_doublets)
@@ -546,32 +541,14 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
             f"surviving terms are invariant under the extra diagonal {witness_gen}",
             GenPermMatrix.diagonal(witness_gen))
 
-    forced = next(forced_symmetries(candidate), None)
+    sigma = candidate.sigma
+    forced = None if sigma == tuple(range(base.n_doublets)) else _forced_symmetry(candidate, sigma)
     if forced is None:
         return CpVerdict("realizable", "no further unitary symmetry is forced")
     noncomm = _noncommuting_generator(base, forced)
     extra = f"; does not commute with {noncomm}" if noncomm else ""
     return CpVerdict("enlarged_unitary",
                      f"coefficient restrictions force the unitary symmetry {forced}{extra}", forced)
-
-
-def forced_symmetries(candidate: CpCandidate):
-    """Each unitary generalized permutation forced on the candidate's potential.
-
-    Permutations are tried in sorted order, skipping the identity and every
-    permutation that breaks the backbone classes; each forced
-    ``GenPermMatrix`` is yielded as it is found.  The candidate's system must
-    be solvable, or RuntimeError is raised; it is solved only for a witness.
-    """
-    if not candidate.system.solvable():
-        raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
-                           "have no solution")
-    # the permutations come in sorted order, the identity first
-    for perm in itertools.islice(itertools.permutations(range(candidate.base.n_doublets)), 1, None):
-        if candidate.backbone.preserved_by(perm):
-            forced = _forced_symmetry(candidate, perm)
-            if forced is not None:
-                yield forced
 
 
 def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector | None:
@@ -596,13 +573,21 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
 
     Forced means: for every admissible coefficient assignment there are
     entry phases making the generalized permutation a symmetry of backbone
-    plus surviving terms.  The invariance relations read R theta == -P psi
+    plus surviving terms.  ``perm`` may be any permutation, and one that
+    moves a surviving term out of its magnitude class is not forced.  That
+    guard holds for the pattern sigma ``cp_realizable`` asks about, which maps
+    each term to its image under the antiunitary generator; ``check_z3z3``
+    asks about a swap.  The candidate's system must be solvable, or
+    RuntimeError is raised.  The invariance relations read R theta == -P psi
     (mod 1); with u @ R @ v == diag(d) they are solvable exactly when
     z @ P @ psi is an integer for each row z of u past the rank, so each
     z @ P must be fixed by the candidate's system.  Only then is the system
     solved: the witness phases are read from one particular solution's
     coefficient phases.
     """
+    if not candidate.system.solvable():
+        raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
+                           "have no solution")
     n = candidate.base.n_doublets
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
     relations = []  # (entry coefficients, psi coefficients) per surviving term
@@ -712,8 +697,9 @@ def check_z3z3() -> Z3Z3Report:
     The group extends the Z3 of the phase rotation a = diag(1, w, w^2) by
     the cyclic doublet permutation b, whose cube is the identity.  Its
     potential is the Z3-invariant one restricted by b, as an antiunitary
-    candidate is restricted by its generator, and the same forced-symmetry
-    search finds the doublet swap 1 <-> 2, which does not commute with a.
+    candidate is restricted by its generator.  The forced-symmetry question
+    an antiunitary verdict asks of its pattern, asked here of the doublet
+    swap 1 <-> 2, finds it forced, and the swap does not commute with a.
     """
     a = PhaseVector((Fraction(0), Fraction(1, 3), Fraction(2, 3)))
     b = GenPermMatrix.permutation((1, 2, 0))
@@ -726,9 +712,9 @@ def check_z3z3() -> Z3Z3Report:
         pin.add([int(j == k) for j in range(len(unknowns))], phase)
     images = {m: m.permuted(b.perm) for m in psi_positions}
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
-                            *_restrict(base, pin, images), backbone_classes(b.perm))
+                            *_restrict(base, pin, images))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
-    inv_swap = swap in forced_symmetries(extension)
+    inv_swap = _forced_symmetry(extension, swap.perm) == swap
     commutes = commutes_with_diagonal(swap, a)
     verdict = "not_realizable" if (inv_ab and inv_swap and not commutes) else "inconclusive"
     return Z3Z3Report(a, b, swap, inv_ab, inv_swap, commutes, verdict)

@@ -251,10 +251,12 @@ def snf_rows(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination; 1 for 0 x 0."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
+    if n == 0:
+        return 1  # the empty product
     a = [list(row) for row in m.entries]
     sign = 1
     prev = 1

@@ -11,9 +11,10 @@ abelian groups of each order assembled from per-prime partitions, the phase
 congruences decided by a Smith form of the whole system for every orbit
 tried, the solution set as a particular solution with torsion generators
 and free directions, the forced unitary symmetry decided by testing that
-solution set against one Smith form, and the square classes keyed by the
-least center key over a coset of squares; the tests require the library to
-agree with them.  The generator-based pattern scan with sign -1 also stands
+solution set against one Smith form, the forced unitary symmetries searched
+over every permutation that keeps the backbone classes, and the square
+classes keyed by the least center key over a coset of squares; the tests
+require the library to agree with them.  The generator-based pattern scan with sign -1 also stands
 in for the centralizer patterns, which no library code asks for.
 
 The helpers include every element of a base's finite part, of which the
@@ -27,7 +28,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from nhdm.cpext import GenPermMatrix, _cycles, _invariance_relation
+from nhdm.cpext import (GenPermMatrix, _cycles, _forced_symmetry, _invariance_relation,
+                         backbone_classes)
 from nhdm.exactmath import IntMatrix, hnf_rows, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
@@ -519,6 +521,26 @@ def forced_symmetry(candidate, perm, particular, torsion, free):
             and all(_in_span(res, rhs(direction)) for direction in free)):
         return None
     return GenPermMatrix(perm, tuple(fraction_particular(res, target)))
+
+
+def preserves_backbone(classes, perm) -> bool:
+    """``perm`` maps each single and each pair class of ``classes`` onto itself."""
+    if any({perm[a - 1] + 1 for a in cls} != set(cls) for cls in classes.single_classes):
+        return False
+    return all({tuple(sorted((perm[a - 1] + 1, perm[b - 1] + 1))) for a, b in cls} == set(cls)
+               for cls in classes.pair_classes)
+
+
+def forced_symmetries(candidate):
+    """Each unitary generalized permutation forced on the candidate's potential,
+    searched over every non-identity permutation, in sorted order, that keeps
+    the backbone classes of the candidate's pattern."""
+    classes = backbone_classes(candidate.sigma)
+    for perm in itertools.islice(itertools.permutations(range(candidate.base.n_doublets)), 1, None):
+        if preserves_backbone(classes, perm):
+            forced = _forced_symmetry(candidate, perm)
+            if forced is not None:
+                yield forced
 
 
 def finite_elements(base) -> list:

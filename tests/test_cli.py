@@ -288,6 +288,14 @@ class TestJson:
             if c["extension"] == "Z4xZ2*":
                 assert tuple(c["witness"]["perm"]) in transpositions
 
+    def test_cp_extend_text_names_an_empty_case_list(self):
+        # no antiunitary pattern commutes with U(1) x U(1); the heading alone
+        # read as a report cut off
+        code, out, _ = invoke(["cp-extend", "--doublets", "3", "--group", "U(1)xU(1)"])
+        assert code == 0
+        assert out.splitlines() == ["antiunitary extensions of U(1)xU(1) for N=3",
+                                    "  (no antiunitary candidates)"]
+
     def test_witness_unreal(self):
         report = payload_of(["witness", "--doublets", "3", "--group", "Z16"])
         assert report["payload"]["realizable"] is False

@@ -38,6 +38,11 @@ class TestCyclic:
         with pytest.raises(ValueError, match="must be integers"):
             cyclic_c_matrix(p, n)
 
+    @pytest.mark.parametrize("n", [2.0, "2"])
+    def test_power_block_rejects_a_non_integer(self, n):
+        with pytest.raises(ValueError, match="must be integers"):
+            power_block(n)
+
     def test_every_order_up_to_eight_rows(self):
         for n in range(1, 9):
             for p in range(1, 2 ** n + 1):
@@ -112,6 +117,11 @@ class TestRowRealization:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             monomial_for_c_row((3, 0, 0, 0))
+
+    @pytest.mark.parametrize("row", [[1.5, 0], ["1", "0"]])
+    def test_rejects_a_non_integer(self, row):
+        with pytest.raises(ValueError, match="must be integers"):
+            monomial_for_c_row(row)
 
     def test_matches_the_sign_loop(self):
         # every row with at most four entries from {-2, -1, 1, 2}, 1..6 long

@@ -32,7 +32,6 @@ from nhdm.cpext import (
     cp_bases,
     cp_extensions,
     cp_realizable,
-    forced_symmetries,
 )
 from nhdm.exactmath import hnf_rows, snf_rows
 from nhdm.groups import GroupSignature
@@ -524,7 +523,7 @@ class TestConstraintSystems:
 
     def test_u11_backbone_equalities(self):
         cand = cp_extensions(base_u11())[0]
-        assert cand.backbone.equalities() == [
+        assert backbone_classes(cand.sigma).equalities() == [
             "m1^2 = m2^2", "L11 = L22", "L13 = L23", "L'13 = L'23"]
 
 
@@ -650,20 +649,61 @@ class TestVerdicts:
         singletons = tuple((m,) for m in cand.surviving)
         assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1)) is None
 
-    def test_witness_is_the_first_forced_symmetry(self):
-        # a candidate that passes the lattice checks is realizable exactly
-        # when the search yields nothing, and otherwise rejected by its first
-        # yield
+    @staticmethod
+    def searched_verdict_kinds(n):
+        """The verdicts past the lattice checks, each checked against the
+        first forced symmetry of the full backbone-preserving search: a
+        candidate is realizable exactly when the search yields nothing, and
+        otherwise rejected by its first yield."""
         kinds = Counter()
-        for base in cp_bases(3):
+        for base in cp_bases(n):
             for cand in cp_extensions(base):
                 verdict = cp_realizable(cand)
                 if verdict.kind == "continuous_degeneration" or (
-                        verdict.witness is not None and verdict.witness.perm == (0, 1, 2)):
+                        verdict.witness is not None and verdict.witness.perm == tuple(range(n))):
                     continue
-                assert verdict.witness == next(forced_symmetries(cand), None)
+                assert verdict.witness == next(reference.forced_symmetries(cand), None)
                 kinds[verdict.kind] += 1
-        assert kinds == {"realizable": 14, "enlarged_unitary": 9}
+        return kinds
+
+    def test_witness_is_the_first_forced_symmetry(self):
+        assert self.searched_verdict_kinds(3) == {"realizable": 14, "enlarged_unitary": 9}
+
+    def test_four_doublet_witnesses_match_the_search(self):
+        assert self.searched_verdict_kinds(4) == {"realizable": 157, "enlarged_unitary": 72}
+
+    def test_a_verdict_asks_only_its_own_pattern(self, monkeypatch):
+        # one question per candidate past the lattice checks, about sigma,
+        # and none when sigma is the identity
+        asked = []
+        real = cpext._forced_symmetry
+        monkeypatch.setattr(cpext, "_forced_symmetry",
+                            lambda cand, perm: asked.append(perm) or real(cand, perm))
+        kinds = Counter()
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                asked.clear()
+                verdict = cp_realizable(cand)
+                if verdict.kind == "continuous_degeneration" or (
+                        verdict.witness is not None and verdict.witness.perm == (0, 1, 2)):
+                    assert asked == []
+                    continue
+                assert asked == ([] if cand.sigma == (0, 1, 2) else [cand.sigma])
+                kinds[len(asked)] += 1
+        assert kinds == {0: 5, 1: 18}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_an_involution_s_backbone_is_kept_only_by_itself_and_the_identity(self, n):
+        # so the pattern sigma is the one permutation a verdict needs to ask
+        identity = tuple(range(n))
+        involutions = [s for s in itertools.permutations(range(n))
+                       if all(s[s[a]] == a for a in range(n))]
+        for sigma in involutions:
+            classes = backbone_classes(sigma)
+            kept = {perm for perm in itertools.permutations(range(n))
+                    if reference.preserves_backbone(classes, perm)}
+            assert kept == {identity, sigma}
+        assert len(involutions) == [2, 4, 10, 26, 76][n - 2]
 
 
 class TestNoncommutingGenerator:
@@ -705,7 +745,7 @@ def sweep_digest(n):
                    cand.system.render(), [str(m) for m in cand.surviving],
                    [str(m) for m in cand.killed],
                    [[str(m) for m in cls] for cls in cand.magnitude_classes],
-                   cand.backbone.equalities(), cp_realizable(cand).to_json()]
+                   backbone_classes(cand.sigma).equalities(), cp_realizable(cand).to_json()]
             lines.append(json.dumps(rec, sort_keys=True) + "\n")
     return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
 
@@ -892,11 +932,13 @@ class TestHermiteSolvability:
         assert len(calls) == with_involution == 12
 
     def test_unsolvable_system_raises(self):
-        cand = next(c for base in cp_bases(3) for c in cp_extensions(base))
+        # a pattern other than the identity, which ``cp_realizable`` asks about
+        cand = next(c for base in cp_bases(3) for c in cp_extensions(base)
+                    if c.sigma != (0, 1, 2))
         system = cand.system.copy()
         system.add([0] * len(system.unknowns), F(1, 2))
         with pytest.raises(RuntimeError, match="have no solution"):
-            next(forced_symmetries(replace(cand, system=system)))
+            _forced_symmetry(replace(cand, system=system), cand.sigma)
 
 
 class TestLatticeReadings:
@@ -910,8 +952,9 @@ class TestLatticeReadings:
         for base in cp_bases(3):
             for cand in cp_extensions(base):
                 oracle = reference.solve(cand.system)
+                classes = backbone_classes(cand.sigma)
                 for perm in itertools.permutations(range(3)):
-                    if perm == (0, 1, 2) or not cand.backbone.preserved_by(perm):
+                    if perm == (0, 1, 2) or not reference.preserves_backbone(classes, perm):
                         continue
                     got = _forced_symmetry(cand, perm)
                     assert got == reference.forced_symmetry(cand, perm, *oracle)
@@ -1013,18 +1056,19 @@ class TestZ3Z3:
         # the Z3 potential restricted by the 3-cycle is forced to admit every
         # permutation with zero phases; the transpositions fail to commute
         # with a, the 3-cycles commute
-        searched = []
-        real = cpext.forced_symmetries
-        monkeypatch.setattr(cpext, "forced_symmetries",
-                            lambda cand: searched.append(cand) or real(cand))
+        asked = []
+        real = cpext._forced_symmetry
+        monkeypatch.setattr(cpext, "_forced_symmetry",
+                            lambda cand, perm: asked.append((cand, perm)) or real(cand, perm))
         rep = check_z3z3()
-        (extension,) = searched
+        ((extension, perm),) = asked
+        assert perm == rep.swap.perm
         assert extension.sigma == (1, 2, 0)
         assert extension.square == PhaseVector.identity(3)
         assert extension.signature == GroupSignature((3, 3))
         assert extension.base.group.signature == GroupSignature((3,))
         assert not extension.killed
-        forced = list(real(extension))
+        forced = list(reference.forced_symmetries(extension))
         assert [u.perm for u in forced] == [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
         assert all(u.phases == (0, 0, 0) for u in forced)
         assert [commutes_with_diagonal(u, rep.phase_generator) for u in forced] == [

@@ -199,6 +199,10 @@ class TestDet:
         with pytest.raises(ValueError):
             det(IntMatrix.from_rows([(1, 2, 3)]))
 
+    def test_empty_matrix_is_the_empty_product(self):
+        # d0 = 1 in the determinantal-divisor reading of a Smith form
+        assert det(IntMatrix((), 0)) == 1
+
     def test_matches_snf_product(self):
         rng = random.Random(11)
         for _ in range(200):
