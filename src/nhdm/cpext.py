@@ -3,7 +3,7 @@
 Implements the five-step embedding strategy over generalized-permutation
 matrices with exact rational phases:
 
-1. find a permutation pattern commuting with the chosen abelian group,
+1. find an involutive permutation pattern commuting with the chosen abelian group,
 2. describe its centralizer among generalized permutations,
 3. close the antiunitary coset so products of two antiunitaries land in the
    group (this quantizes the structural phases and picks one square per
@@ -22,7 +22,7 @@ torus elements on which every charge in its lattice vanishes, so
 lattice row is integral on its circle angles.  By duality a character is
 trivial on the whole group, continuous part included, exactly when its
 charge lies in that lattice.
-Invariant terms, commuting permutation patterns and the support of a
+Invariant terms, commuting involutive patterns and the support of a
 commuting antiunitary are each read off the cosets modulo that lattice
 (``AbelianBase.cosets``) of charges built from the phase differences
 psi_a - psi_b (``TorusBasis.differences``): a zero coset is a trivial
@@ -40,9 +40,9 @@ boundary (a "realizable" verdict is then best-effort).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .classifier import SymmetryGroup, _group_of_lattice, _lattice_scan
@@ -103,6 +103,8 @@ class GenPermMatrix:
 
 def commutes_with_diagonal(u: GenPermMatrix, pv: PhaseVector) -> bool:
     """Commutation modulo an overall scalar (PSU): u diag(pv) u^-1 is diag(pv[u.perm])."""
+    if len(pv) != u.n:
+        raise ValueError(f"a permutation of {u.n} doublets and {len(pv)} diagonal phases")
     return equal_mod_center(PhaseVector(tuple(pv.phases[b] for b in u.perm)), pv)
 
 
@@ -302,21 +304,27 @@ class AbelianBase:
                    for row in self.lattice)
 
 
-def commutant_perms(base: AbelianBase) -> list[Perm]:
-    """Permutation patterns sigma with psi_a + psi_{sigma(a)} constant on the group.
+@lru_cache(maxsize=None)
+def _involutions(n: int) -> tuple[Perm, ...]:
+    """The permutations of n doublets that are their own inverse, in sorted order."""
+    return tuple(s for s in itertools.permutations(range(n)) if all(s[s[a]] == a for a in range(n)))
+
+
+def commuting_involutions(base: AbelianBase) -> list[Perm]:
+    """Involutive patterns sigma with psi_a + psi_{sigma(a)} constant on the group.
 
     That is, every s(a, sigma(a)) lies in one coset, with s(i, j) the charge
     of psi_i + psi_j - 2 psi_0, since s(a, sigma(a)) - s(0, sigma(0)) is
     (psi_a - psi_0) + (psi_sigma(a) - psi_sigma(0)).  A matrix b supported on
     such a pattern makes b J commute with the whole group; no other
-    generalized permutation can.
+    generalized permutation can.  Only an involution keeps (b J)^2 diagonal.
     """
     n = base.n_doublets
     diff = torus_basis(n).differences
     coset = base.cosets({(i, j): tuple(x + y for x, y in zip(diff[i][0], diff[j][0]))
                          for i in range(n) for j in range(n)})
-    return [perm for perm in itertools.permutations(range(n))
-            if len({coset[a, perm[a]] for a in range(n)}) == 1]
+    return [sigma for sigma in _involutions(n)
+            if len({coset[a, sigma[a]] for a in range(n)}) == 1]
 
 
 def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
@@ -401,6 +409,7 @@ class CpCandidate:
 
     base: AbelianBase
     sigma: Perm
+    images: dict = field(compare=False, repr=False)  # term: (image, conjugated) under sigma
     square: PhaseVector
     signature: GroupSignature
     system: PhaseConstraintSystem
@@ -412,37 +421,36 @@ class CpCandidate:
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     """All candidate abelian extensions of ``base`` by an antiunitary generator.
 
-    Candidates are indexed by a commuting permutation pattern and the class
+    Candidates are indexed by a commuting involutive pattern and the class
     of the generator's square in G / G^2, pinned to its element with
-    exponents 0 or 1 on the even cyclic factors and 0 on the odd ones.  The
-    squared generator must stay diagonal, so only involutive patterns
-    qualify.  With none the empty list comes back before the invariant
-    terms and group facts are read.  The layout, square classes and starred
-    signatures are read once per base, the term images once per involution,
-    the pinned system once per involution and square class, and the
-    restriction once per candidate.
+    exponents 0 or 1 on the even cyclic factors and 0 on the odd ones.  With
+    none the empty list comes back before the invariant terms and group
+    facts are read.  The layout, square classes and starred signatures are
+    read once per base, the term images under sigma once per involution and
+    shared by its candidates, the pinned system once per involution and
+    square class, and the restriction once per candidate.  No term is its
+    own conjugate, so b J maps it to its image with the flag flipped.
     """
-    n = base.n_doublets
-    involutions = [sigma for sigma in commutant_perms(base)
-                   if all(sigma[sigma[a]] == a for a in range(n))]
+    involutions = commuting_involutions(base)
     if not involutions:
         return []
     # J -> J h (h in G) turns J^2 into J^2 h^2, so a pin's solvability and the
     # starred group depend only on the class of the square in G / G^2
     gens = base.group.finite_generators
     classes = [(extend_by_antiunitary(base.group.signature, expts),
-                sum((e * g for e, g in zip(expts, gens)), PhaseVector.identity(n)))
+                sum((e * g for e, g in zip(expts, gens)), PhaseVector.identity(base.n_doublets)))
                for expts in itertools.product(*(range(gcd(2, d))
                                                 for d in base.group.signature.finite))]
     candidates: list[CpCandidate] = []
     for sigma in involutions:
-        # b J with b the bare permutation: conjugate, then permute
-        images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in base.layout[1]}
+        images = {m: m.permuted(sigma) for m in base.layout[1]}
+        # b J with b the bare permutation conjugates, then permutes: same image, flag flipped
+        antiunitary = {m: (img, not conjugated) for m, (img, conjugated) in images.items()}
         for signature, f in classes:
             pin = _pin_system(base, sigma, f)
             if pin.solvable():
-                candidates.append(CpCandidate(base, sigma, f, signature,
-                                              *_restrict(base, pin, images)))
+                candidates.append(CpCandidate(base, sigma, images, f, signature,
+                                              *_restrict(base, pin, antiunitary)))
     return candidates
 
 
@@ -542,7 +550,8 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
             GenPermMatrix.diagonal(witness_gen))
 
     sigma = candidate.sigma
-    forced = None if sigma == tuple(range(base.n_doublets)) else _forced_symmetry(candidate, sigma)
+    forced = (None if sigma == tuple(range(base.n_doublets))
+              else _forced_symmetry(candidate, sigma, candidate.images))
     if forced is None:
         return CpVerdict("realizable", "no further unitary symmetry is forced")
     noncomm = _noncommuting_generator(base, forced)
@@ -568,22 +577,22 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
     return None
 
 
-def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None:
+def _forced_symmetry(candidate: CpCandidate, perm: Perm, images: dict) -> GenPermMatrix | None:
     """Unitary witness with permutation ``perm`` if one is forced, else None.
 
     Forced means: for every admissible coefficient assignment there are
     entry phases making the generalized permutation a symmetry of backbone
-    plus surviving terms.  ``perm`` may be any permutation, and one that
-    moves a surviving term out of its magnitude class is not forced.  That
-    guard holds for the pattern sigma ``cp_realizable`` asks about, which maps
-    each term to its image under the antiunitary generator; ``check_z3z3``
-    asks about a swap.  The candidate's system must be solvable, or
-    RuntimeError is raised.  The invariance relations read R theta == -P psi
-    (mod 1); with u @ R @ v == diag(d) they are solvable exactly when
-    z @ P @ psi is an integer for each row z of u past the rank, so each
-    z @ P must be fixed by the candidate's system.  Only then is the system
-    solved: the witness phases are read from one particular solution's
-    coefficient phases.
+    plus surviving terms.  Each surviving term's (image, conjugated) under
+    ``perm`` is read from ``images``: the candidate's own map for sigma in
+    ``cp_realizable``, the swap's in ``check_z3z3``.  A ``perm`` that moves
+    a surviving term out of its magnitude class is not forced.  That guard
+    holds for sigma, whose images are those of the antiunitary generator.
+    The candidate's system must be solvable, or RuntimeError is raised.
+    The invariance relations read R theta == -P psi (mod 1); with
+    u @ R @ v == diag(d) they are solvable exactly when z @ P @ psi is an
+    integer for each row z of u past the rank, so each z @ P must be fixed
+    by the candidate's system.  Only then is the system solved: the witness
+    phases are read from one particular solution's coefficient phases.
     """
     if not candidate.system.solvable():
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
@@ -592,7 +601,7 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
     relations = []  # (entry coefficients, psi coefficients) per surviving term
     for m in candidate.surviving:
-        img, conjugated = m.permuted(perm)
+        img, conjugated = images[m]
         if klass.get(img) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
         relations.append(_invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
@@ -711,10 +720,11 @@ def check_z3z3() -> Z3Z3Report:
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
         pin.add([int(j == k) for j in range(len(unknowns))], phase)
     images = {m: m.permuted(b.perm) for m in psi_positions}
-    extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
+    extension = CpCandidate(base, b.perm, images, PhaseVector.identity(3), GroupSignature((3, 3)),
                             *_restrict(base, pin, images))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
-    inv_swap = _forced_symmetry(extension, swap.perm) == swap
+    swap_images = {m: m.permuted(swap.perm) for m in extension.surviving}
+    inv_swap = _forced_symmetry(extension, swap.perm, swap_images) == swap
     commutes = commutes_with_diagonal(swap, a)
     verdict = "not_realizable" if (inv_ab and inv_swap and not commutes) else "inconclusive"
     return Z3Z3Report(a, b, swap, inv_ab, inv_swap, commutes, verdict)

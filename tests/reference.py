@@ -12,10 +12,12 @@ congruences decided by a Smith form of the whole system for every orbit
 tried, the solution set as a particular solution with torsion generators
 and free directions, the forced unitary symmetry decided by testing that
 solution set against one Smith form, the forced unitary symmetries searched
-over every permutation that keeps the backbone classes, and the square
-classes keyed by the least center key over a coset of squares; the tests
-require the library to agree with them.  The generator-based pattern scan with sign -1 also stands
-in for the centralizer patterns, which no library code asks for.
+over every permutation that keeps the backbone classes, each with its term
+images read afresh, and the square classes keyed by the least center key
+over a coset of squares; the tests require the library to agree with them.
+The generator-based pattern scan tries all N! patterns, where the library
+lists only the involutions; with sign -1 it also stands in for the
+centralizer patterns, which no library code asks for.
 
 The helpers include every element of a base's finite part, of which the
 library reads one per square class, the square b b* of an antiunitary b J
@@ -531,6 +533,11 @@ def preserves_backbone(classes, perm) -> bool:
                for cls in classes.pair_classes)
 
 
+def term_images(candidate, perm) -> dict:
+    """Each surviving term's (image, conjugated) under ``perm``, read afresh."""
+    return {m: m.permuted(perm) for m in candidate.surviving}
+
+
 def forced_symmetries(candidate):
     """Each unitary generalized permutation forced on the candidate's potential,
     searched over every non-identity permutation, in sorted order, that keeps
@@ -538,7 +545,7 @@ def forced_symmetries(candidate):
     classes = backbone_classes(candidate.sigma)
     for perm in itertools.islice(itertools.permutations(range(candidate.base.n_doublets)), 1, None):
         if preserves_backbone(classes, perm):
-            forced = _forced_symmetry(candidate, perm)
+            forced = _forced_symmetry(candidate, perm, term_images(candidate, perm))
             if forced is not None:
                 yield forced
 

@@ -26,8 +26,8 @@ from nhdm.cpext import (
     backbone_classes,
     check_z3z3,
     classify_cp,
-    commutant_perms,
     commutant_support,
+    commuting_involutions,
     commutes_with_diagonal,
     cp_bases,
     cp_extensions,
@@ -131,6 +131,13 @@ class TestGenPermAlgebra:
         z4 = PhaseVector((F(3, 4), F(1, 4), F(0)))
         assert not commutes_with_diagonal(GenPermMatrix.permutation((0, 2, 1)), z4)
 
+    @pytest.mark.parametrize("phases", [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2), 0, 0)])
+    def test_commutation_needs_one_phase_per_doublet(self, phases):
+        # fewer phases than doublets raised IndexError, more a bare "length mismatch"
+        u = GenPermMatrix.permutation((1, 0, 2))
+        with pytest.raises(ValueError, match=f"3 doublets and {len(phases)} diagonal phases"):
+            commutes_with_diagonal(u, PhaseVector(phases))
+
 
 class TestCommutantAndCentralizer:
     def test_u11_support_pattern(self):
@@ -143,20 +150,21 @@ class TestCommutantAndCentralizer:
             base = AbelianBase.from_lattice(n, basis_rows)
             support = commutant_support(base)
             assert all(not x for row in support for x in row)
-            assert commutant_perms(base) == []
+            assert commuting_involutions(base) == reference.pattern_scan(base, 1) == []
 
     def test_two_doublet_torus_is_the_boundary_case(self):
         # with a single circle the two phases are opposite, so the doublet
         # swap does commute: the no-embedding property starts at three doublets
         base = AbelianBase.from_lattice(2, [])
         assert commutant_support(base) == ((False, True), (True, False))
-        assert commutant_perms(base) == [(1, 0)]
+        assert commuting_involutions(base) == reference.pattern_scan(base, 1) == [(1, 0)]
 
     def test_trivial_group_allows_everything(self):
         base = all_bases(3)[0]
         assert all(all(row) for row in commutant_support(base))
-        assert len(commutant_perms(base)) == 6
+        assert len(reference.pattern_scan(base, 1)) == 6
         assert len(reference.pattern_scan(base, -1)) == 6
+        assert commuting_involutions(base) == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
 
     def test_u11_centralizer_diagonal_only(self):
         assert reference.pattern_scan(base_u11(), -1) == [(0, 1, 2)]
@@ -201,8 +209,10 @@ class TestLatticeForms:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pattern_scans_match_the_generator_form(self, n):
+        # the library tries only the involutions, the oracle all N! patterns
         for base in all_bases(n):
-            assert commutant_perms(base) == reference.pattern_scan(base, 1)
+            assert commuting_involutions(base) == [
+                s for s in reference.pattern_scan(base, 1) if all(s[s[a]] == a for a in range(n))]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_support_matches_the_generator_form(self, n):
@@ -216,9 +226,7 @@ class TestLatticeForms:
         checked = 0
         for base in all_bases(n):
             invariant = base.invariant_monomials()
-            for sigma in commutant_perms(base):
-                if any(sigma[sigma[a]] != a for a in range(n)):
-                    continue
+            for sigma in commuting_involutions(base):
                 image = {m: Monomial(m.conjugate_factors()).permuted(sigma)[0]
                          for m in invariant}
                 assert (_cycles(invariant, image.__getitem__)
@@ -374,7 +382,7 @@ class TestSmithBudget:
             cp_extensions(base)
         involutive = classes = involution_classes = 0
         for base in bases:
-            involutions = sum(all(s[s[a]] == a for a in range(4)) for s in commutant_perms(base))
+            involutions = len(commuting_involutions(base))
             if involutions:
                 quotient = prod(gcd(2, d) for d in base.group.signature.finite)  # |G / G^2|
                 involutive += 1
@@ -385,8 +393,10 @@ class TestSmithBudget:
 
     def test_term_images_read_once_per_involution(self, monkeypatch):
         # one Monomial.permuted per invariant term and (base, involution)
-        # pair, 20 pairs at N=3; building the images per candidate made 129
-        # calls; the invariant terms are read once per base with an involution
+        # pair, 20 pairs at N=3, and none in the verdicts, which read the
+        # candidate's images; building the images per candidate made 129
+        # calls, and reading them again per verdict 189; the invariant terms
+        # are read once per base with an involution
         bases = cp_bases(3)
         permuted, invariant = [], []
         real_permuted, real_invariant = Monomial.permuted, AbelianBase.invariant_monomials
@@ -395,7 +405,8 @@ class TestSmithBudget:
         monkeypatch.setattr(AbelianBase, "invariant_monomials",
                             lambda base: invariant.append(base) or real_invariant(base))
         for base in bases:
-            cp_extensions(base)
+            for cand in cp_extensions(base):
+                cp_realizable(cand)
         assert (len(permuted), len(invariant)) == (105, 12)
 
 
@@ -645,9 +656,13 @@ class TestVerdicts:
         # the exchange 2 <-> 3 maps each surviving Z6* term to the other term
         # of its magnitude class; with singleton classes no term may move
         cand = next(c for c in cp_extensions(base_z3()) if c.sigma == (0, 2, 1))
-        assert str(_forced_symmetry(cand, (0, 2, 1))) == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]"
+        images = reference.term_images(cand, (0, 2, 1))
+        assert images == {m: cand.images[m] for m in cand.surviving}
+        assert (str(_forced_symmetry(cand, (0, 2, 1), images))
+                == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]")
         singletons = tuple((m,) for m in cand.surviving)
-        assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1)) is None
+        assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1),
+                                images) is None
 
     @staticmethod
     def searched_verdict_kinds(n):
@@ -673,12 +688,17 @@ class TestVerdicts:
         assert self.searched_verdict_kinds(4) == {"realizable": 157, "enlarged_unitary": 72}
 
     def test_a_verdict_asks_only_its_own_pattern(self, monkeypatch):
-        # one question per candidate past the lattice checks, about sigma,
-        # and none when sigma is the identity
+        # one question per candidate past the lattice checks, about sigma
+        # with the candidate's own images, and none when sigma is the identity
         asked = []
         real = cpext._forced_symmetry
-        monkeypatch.setattr(cpext, "_forced_symmetry",
-                            lambda cand, perm: asked.append(perm) or real(cand, perm))
+
+        def counted(cand, perm, images):
+            assert images is cand.images
+            asked.append(perm)
+            return real(cand, perm, images)
+
+        monkeypatch.setattr(cpext, "_forced_symmetry", counted)
         kinds = Counter()
         for base in cp_bases(3):
             for cand in cp_extensions(base):
@@ -694,10 +714,12 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_an_involution_s_backbone_is_kept_only_by_itself_and_the_identity(self, n):
-        # so the pattern sigma is the one permutation a verdict needs to ask
+        # so the pattern sigma is the one permutation a verdict needs to ask;
+        # the per-N list is the involutive part of the N! enumeration
         identity = tuple(range(n))
         involutions = [s for s in itertools.permutations(range(n))
                        if all(s[s[a]] == a for a in range(n))]
+        assert cpext._involutions(n) == tuple(involutions)
         for sigma in involutions:
             classes = backbone_classes(sigma)
             kept = {perm for perm in itertools.permutations(range(n))
@@ -761,7 +783,8 @@ class TestFullDetail:
 
     @pytest.mark.slow
     def test_five_doublet_sweep_digest(self):
-        # opt-in with `pytest -m slow`: the 2,462 candidates take about 30 s
+        # opt-in with `pytest -m slow`: the 2,462 candidates take about 13 s
+        # on a 2-core VM
         assert sweep_digest(5) == (
             2462, "333569afc5940f2c79eb566ef91e6f21bb481382e3f6a4ffe52a4257c01c129d")
 
@@ -844,8 +867,7 @@ class TestHermiteSolvability:
     def test_three_doublet_sweep_matches_the_refactoring_loop(self):
         for base in cp_bases(3):
             invariant = base.invariant_monomials()
-            involutions = [s for s in commutant_perms(base)
-                           if all(s[s[a]] == a for a in range(len(s)))]
+            involutions = commuting_involutions(base)
             for sigma, (_, f) in itertools.product(involutions, reference.finite_elements(base)):
                 pin = _pin_system(base, sigma, f)
                 assert pin.solvable() == reference.smith_solvable(pin)
@@ -916,8 +938,7 @@ class TestHermiteSolvability:
     def test_invariant_terms_read_only_with_an_involution(self, monkeypatch):
         # a base without an involutive commuting pattern has no candidate, and
         # its invariant terms are not read; reading them first made 19 calls
-        with_involution = sum(any(all(s[s[a]] == a for a in range(3)) for s in commutant_perms(b))
-                              for b in cp_bases(3))
+        with_involution = sum(bool(commuting_involutions(b)) for b in cp_bases(3))
         calls = []
         real = AbelianBase.invariant_monomials
 
@@ -938,7 +959,8 @@ class TestHermiteSolvability:
         system = cand.system.copy()
         system.add([0] * len(system.unknowns), F(1, 2))
         with pytest.raises(RuntimeError, match="have no solution"):
-            _forced_symmetry(replace(cand, system=system), cand.sigma)
+            _forced_symmetry(replace(cand, system=system), cand.sigma,
+                             reference.term_images(cand, cand.sigma))
 
 
 class TestLatticeReadings:
@@ -956,7 +978,7 @@ class TestLatticeReadings:
                 for perm in itertools.permutations(range(3)):
                     if perm == (0, 1, 2) or not reference.preserves_backbone(classes, perm):
                         continue
-                    got = _forced_symmetry(cand, perm)
+                    got = _forced_symmetry(cand, perm, reference.term_images(cand, perm))
                     assert got == reference.forced_symmetry(cand, perm, *oracle)
                     pairs += 1
                     forced += got is not None
@@ -983,9 +1005,7 @@ class TestLatticeReadings:
         # J -> J h moves the square by h^2, so every element pins exactly
         # when the first element of its coset of G^2 does
         for base, (_, keyed) in zip(all_bases(n), square_classes(n)):
-            for sigma in commutant_perms(base):
-                if any(sigma[sigma[a]] != a for a in range(n)):
-                    continue
+            for sigma in commuting_involutions(base):
                 solvable = {}
                 for key, f in keyed:
                     got = _pin_system(base, sigma, f).solvable()
@@ -1059,10 +1079,12 @@ class TestZ3Z3:
         asked = []
         real = cpext._forced_symmetry
         monkeypatch.setattr(cpext, "_forced_symmetry",
-                            lambda cand, perm: asked.append((cand, perm)) or real(cand, perm))
+                            lambda cand, perm, images: asked.append((cand, perm, images))
+                            or real(cand, perm, images))
         rep = check_z3z3()
-        ((extension, perm),) = asked
+        ((extension, perm, images),) = asked
         assert perm == rep.swap.perm
+        assert images == reference.term_images(extension, perm)
         assert extension.sigma == (1, 2, 0)
         assert extension.square == PhaseVector.identity(3)
         assert extension.signature == GroupSignature((3, 3))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nhdm.exactmath import IntMatrix, det
@@ -56,6 +58,20 @@ class TestEnumeration:
                 raw = tuple(sorted((perm[a - 1] + 1, perm[b - 1] + 1) for a, b in m.factors))
                 assert is_canonical(image)
                 assert (image.conjugate_factors() if conjugated else image.factors) == raw
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_conjugate_image_is_the_image_with_the_flag_flipped(self, n):
+        # the premise that lets one map of unitary images serve the
+        # antiunitary generator too: no enumerated term is its own conjugate;
+        # every permutation through N=4, the involutions at N=5
+        perms = [p for p in itertools.permutations(range(n))
+                 if n < 5 or all(p[p[a]] == a for a in range(n))]
+        for m in enumerate_monomials(n):
+            conj = Monomial(m.conjugate_factors())
+            assert conj != m
+            for perm in perms:
+                image, conjugated = m.permuted(perm)
+                assert conj.permuted(perm) == (image, not conjugated)
 
 
 class TestCharges:
