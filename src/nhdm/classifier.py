@@ -2,18 +2,20 @@
 
 The scan walks the closure of charge lattices under monomial additions,
 deduplicating lattices by their canonical Hermite basis.  Every subset of
-monomials spans one of the visited lattices, so the walk provably covers the
-fixed-size subset scan while also finding groups that would need more than
-N-1 terms (none are known to occur; the equality is tested, not assumed).
-From each lattice the walk builds one child per coset that is nonzero and
-that no earlier generator has, taken over the generators after the last one
-of its witness, instead of one per generator; the visited lattices, their
-order and their witnesses are the same either way (see ``_lattice_scan``).
-One ``hnf_residues`` pass per lattice gives the cosets of all generators at
-once.  A lattice's group is read off the Smith diagonal of the block its
-unit pivots leave (``hnf_unit_split``), one ``smith_columns`` per distinct
-block; only the first lattice of each reported group takes a full reading,
-whose v gives the generators of its entry.
+monomials spans one of the visited lattices, so the walk covers the
+fixed-size subset scan.  Groups that would need more than N-1 terms do not
+occur at N=2..6: walks without the full-rank skip below record none (the
+tests pin them).  From each lattice the walk builds one child per coset that
+is nonzero and that no earlier generator has, taken over the generators
+after the last one of its witness, instead of one per generator; the
+visited lattices, their order and their witnesses are the same either way
+(see ``_lattice_scan``).  One ``hnf_residues`` pass per lattice gives the
+cosets of all generators at once; a lattice of full rank takes none, as its
+children are all recorded already.  A lattice's group is read off the Smith
+diagonal of the block its unit pivots leave (``hnf_unit_split``), one
+``smith_columns`` per distinct block; only the first lattice of each
+reported group takes a full reading, whose v gives the generators of its
+entry.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -127,8 +129,8 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     in ``enumerate_monomials`` order.  Children enter in (parent, generator
     index) order, so each lattice is recorded with the lex-least shortest
     sequence of generators that spans it as its witness; reordering such a
-    sequence spans the same lattice, so the witness is sorted.  Two prunings
-    leave the insertion order and every witness as they are:
+    sequence spans the same lattice, so the witness is sorted.  Three
+    prunings leave the insertion order and every witness as they are:
 
     - A lattice L is extended only by the generators after the last one of
       its witness.  For an earlier generator g not in L, inserting g into
@@ -142,6 +144,14 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       then L + g = L + g'.  For g' in the same loop, that edge came first;
       for g' before the start, the first bullet shows that L + g' was
       recorded from a lattice popped before L.
+    - A lattice of full rank N-1 is not extended at all.  This rests on a
+      premise verified, not proved: every lattice of this walk has a witness
+      as long as its rank, for every lattice at N=2..6 (the tests check it).
+      A child L + g of a full-rank L has full rank too, so its parent has
+      depth N-2 and was popped before L, and L + g is already recorded.
+      Widening the range past N=6 needs the premise verified again there.
+      The premise is about the monomial charges: over other generators the
+      walk can go deeper than the rank, so only this scan asks for the skip.
     """
     if not 2 <= n_doublets <= 6:
         raise ValueError("doublet count out of supported range (2..6)")
@@ -152,18 +162,22 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
         if key not in seen_charges:
             seen_charges.add(key)
             generators.append((chg, m))
-    return _walk(generators)
+    return _walk(generators, skip_full_rank=True)
 
 
-def _walk(generators: Sequence[tuple[tuple[int, ...], T]]) -> dict[Rows, tuple[T, ...]]:
+def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
+          skip_full_rank: bool = False) -> dict[Rows, tuple[T, ...]]:
     """Breadth-first closure of the zero lattice under (vector, label)
     generators, mapping each lattice to the labels of its witness, with the
-    prunings described in ``_lattice_scan``."""
+    first two prunings described in ``_lattice_scan``; ``skip_full_rank``
+    adds the third, which holds only under that scan's premise."""
     columns = list(zip(*(chg for chg, _ in generators)))
     states: dict[Rows, tuple[T, ...]] = {(): ()}
     frontier: deque[tuple[Rows, int]] = deque([((), 0)])
     while frontier:
         lattice, start = frontier.popleft()
+        if skip_full_rank and len(lattice) == len(columns):
+            continue
         witness = states[lattice]
         residues = hnf_residues(lattice, columns)
         tried = {(0,) * len(columns), *residues[:start]}

@@ -56,7 +56,7 @@ class PhaseVector:
 
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
         if len(other) != len(self):
-            raise ValueError("length mismatch")
+            raise ValueError(f"adding phase vectors of lengths {len(self)} and {len(other)}")
         return PhaseVector(tuple(a + b for a, b in zip(self.phases, other.phases)))
 
     def __neg__(self) -> "PhaseVector":
@@ -159,7 +159,7 @@ def equal_mod_center(x: PhaseVector, y: PhaseVector) -> bool:
     are additionally identified along the hypercharge direction.
     """
     if len(x) != len(y):
-        raise ValueError("length mismatch")
+        raise ValueError(f"comparing phase vectors of lengths {len(x)} and {len(y)}")
     return x.center_key() == y.center_key()
 
 

@@ -208,6 +208,40 @@ class TestLatticeWalk:
         classifier._lattice_scan.__wrapped__(n)
         assert len(edges) == {3: 26, 4: 541}[n]
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_residue_budget(self, monkeypatch, n):
+        # one hnf_residues pass per lattice below full rank, in walk order: a
+        # full-rank lattice takes none, since its children are all recorded
+        passes = []
+        real = classifier.hnf_residues
+        monkeypatch.setattr(classifier, "hnf_residues",
+                            lambda basis, columns: passes.append(basis) or real(basis, columns))
+        states = classifier._lattice_scan.__wrapped__(n)
+        assert len(passes) == {2: 1, 3: 10, 4: 169}[n]
+        assert passes == [lattice for lattice in states if len(lattice) < n - 1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_depth_equals_rank(self, n):
+        # the premise of the full-rank skip: every lattice of the walk from
+        # zero over the monomial charges has a witness as long as its rank
+        assert all(len(witness) == len(lattice)
+                   for lattice, witness in classifier._lattice_scan(n).items())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_minimal_witness_has_one_term_per_lattice_rank(self, n):
+        # so every finite group has a minimal witness of exactly N-1 terms,
+        # and one with k U(1) factors has one of N-1-k terms
+        assert all(len(e.witness) == n - 1 - e.signature.torus_rank
+                   for e in classify(n).entries)
+
+    def test_full_rank_skip_needs_the_premise(self):
+        # Z needs all three generators, so the depth exceeds the rank; the
+        # skip stops at the rank-one lattices and never reaches Z
+        generators = [((6,), 0), ((10,), 1), ((15,), 2)]
+        assert ((1,),) in classifier._walk(generators)
+        skipped = classifier._walk(generators, skip_full_rank=True)
+        assert list(skipped) == [(), ((6,),), ((10,),), ((15,),)]
+
     def test_zero_generator_takes_no_edge(self, monkeypatch):
         edges = edges_of_walks(monkeypatch)
         classifier._walk([((0, 0), 0), ((2, 0), 1), ((0, 0), 2)])
@@ -228,6 +262,7 @@ class TestLatticeWalk:
         # 1 GiB at its peak
         states = classifier._lattice_scan(6)
         assert len(states) == 1051229
+        assert all(len(witness) == len(lattice) for lattice, witness in states.items())
         assert walk_digest(states) == (
             "a8292697b08da67aea60388e94b69e01b595d8104a7eb6f9dc61556840d199e8")
 

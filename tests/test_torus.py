@@ -72,6 +72,10 @@ class TestElements:
         with pytest.raises(ValueError):
             element_from_angles(torus_basis(3), [F(1, 3)])
 
+    def test_sum_of_different_lengths_names_both(self):
+        with pytest.raises(ValueError, match="lengths 3 and 2"):
+            PhaseVector.identity(3) + PhaseVector.identity(2)
+
     @pytest.mark.parametrize("angle", [0.1, "1/3"])
     def test_float_and_string_angles_rejected(self, angle):
         # Fraction(angle) read 0.1 at its binary value and "1/3" as 1/3
@@ -166,7 +170,7 @@ class TestCenterEquivalence:
         assert shifted.center_key() == x.center_key()
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lengths 1 and 2"):
             equal_mod_center(PhaseVector((F(0),)), PhaseVector((F(0), F(0))))
 
 
