@@ -40,7 +40,7 @@ from typing import Sequence, TypeVar
 
 from .exactmath import IntMatrix, Rows, hnf_add, hnf_residues, hnf_unit_split, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
-from .monomials import Monomial, build_x_matrix, monomial_charges
+from .monomials import Monomial, charge_rows, monomial_charges
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
 
 T = TypeVar("T")
@@ -66,17 +66,19 @@ def _canonical_generator(column: tuple[int, ...], d: int) -> tuple[Fraction, ...
 
     Any multiple k with gcd(k, d) = 1 generates the same cyclic factor; the
     smallest representative makes reports deterministic and matches hand
-    calculations.
+    calculations.  Every multiple has denominator d, so the minimum is taken
+    over the integer numerator tuples k*c mod d, and only the least one
+    becomes Fractions.
     """
     if d < 1:
         raise ValueError(f"cyclic order must be positive, got {d}")
-    return min(tuple(Fraction(k * c, d) % 1 for c in column)
-               for k in range(1, d + 1) if gcd(k, d) == 1)
+    least = min(tuple(k * c % d for c in column) for k in range(1, d + 1) if gcd(k, d) == 1)
+    return tuple(Fraction(x, d) for x in least)
 
 
 def symmetry_group_of_terms(terms, basis: TorusBasis) -> SymmetryGroup:
     """Torus subgroup leaving every term invariant, with solved generators."""
-    return _group_of_lattice(build_x_matrix(terms, basis).entries, basis)
+    return _group_of_lattice(charge_rows(terms, basis), basis)
 
 
 def _group_from_smith(d: tuple[int, ...], v: IntMatrix, basis: TorusBasis) -> SymmetryGroup:

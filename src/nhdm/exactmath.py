@@ -365,18 +365,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _check_width(basis: Sequence[Sequence[int]], width: int) -> None:
+    """Rows of ``basis`` and a vector or coordinate count of different lengths raise ValueError."""
+    if basis and len(basis[0]) != width:
+        raise ValueError(f"mismatched lengths: rows of {len(basis[0])} entries, vectors of {width}")
+
+
 def hnf_rows(rows: Iterable[Sequence[int]]) -> Rows:
-    """Canonical HNF basis (as a tuple of row tuples) of the given row span."""
+    """Canonical HNF basis (as a tuple of row tuples) of the given row span.
+
+    Rows of different lengths raise ValueError.
+    """
+    rows = list(rows)
     basis: list[Sequence[int]] = []
     pivots: list[int] = []
     for row in rows:
+        _check_width(rows, len(row))
         _insert_vector(basis, pivots, row)
     _reduce_above(basis, pivots)
     return tuple(tuple(row) for row in basis)
 
 
 def hnf_add(basis: Rows, vec: Sequence[int]) -> Rows:
-    """HNF basis of the lattice spanned by ``basis`` plus one new vector."""
+    """HNF basis of the lattice spanned by ``basis`` plus one new vector.
+
+    A vector whose length differs from the rows' raises ValueError.
+    """
+    _check_width(basis, len(vec))
     # the helpers replace rows and never write into one, so the row tuples
     # of ``basis`` can be shared
     work: list[Sequence[int]] = list(basis)
@@ -397,8 +412,10 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
     same residue exactly when they differ by an element of L, so a residue is
     all zeros exactly when its vector lies in L.  With no coordinates there
     are no vectors to return.  A row with pivot 1 takes no division: its
-    quotients are coordinate j itself, which it sets to zero.
+    quotients are coordinate j itself, which it sets to zero.  A coordinate
+    count that differs from the rows' length raises ValueError.
     """
+    _check_width(basis, len(columns))
     cols = list(columns)
     for row, j in zip(basis, _pivots(basis)):
         p = row[j]
@@ -420,8 +437,10 @@ def hnf_unit_split(basis: Rows, ncols: int) -> tuple[int, Rows, int]:
     is alone in its column; column operations then clear its row and touch no
     other row.  So the Smith diagonal of ``basis`` is one 1 per unit pivot,
     followed by the Smith diagonal of the block: the rows with other pivots,
-    on the columns that are not unit pivots.
+    on the columns that are not unit pivots.  Rows of another length than
+    ``ncols`` raise ValueError.
     """
+    _check_width(basis, ncols)
     rows = list(zip(basis, _pivots(basis)))
     units = {j for row, j in rows if row[j] == 1}
     keep = [c for c in range(ncols) if c not in units]
@@ -430,7 +449,10 @@ def hnf_unit_split(basis: Rows, ncols: int) -> tuple[int, Rows, int]:
 
 
 def hnf_contains(basis: Rows, vec: Sequence[int]) -> bool:
-    """Exact membership test of ``vec`` in the lattice with HNF basis ``basis``."""
+    """Exact membership test of ``vec`` in the lattice with HNF basis ``basis``.
+
+    A vector whose length differs from the rows' raises ValueError.
+    """
     return not any(map(any, hnf_residues(basis, [(x,) for x in vec])))
 
 

@@ -122,11 +122,18 @@ def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
 def charge_vector(m: Monomial, basis: TorusBasis) -> ChargeVector:
     """Integer coefficients of the monomial's phase change in the torus angles.
 
-    Each factor (phi_a^dagger phi_b) shifts the phase by psi_b - psi_a.
+    Each factor (phi_a^dagger phi_b) shifts the phase by psi_b - psi_a.  A
+    monomial's charge is summed over ``basis.differences`` on its first read
+    in a basis, after the range check, and kept in ``basis.charges``; later
+    reads take it from there.
     """
-    _check_range(m, basis.n_doublets)
-    table = basis.differences
-    return tuple(map(sum, zip(*(table[b - 1][a - 1] for a, b in m.factors))))
+    table = basis.charges
+    chg = table.get(m)
+    if chg is None:
+        _check_range(m, basis.n_doublets)
+        diff = basis.differences
+        chg = table[m] = tuple(map(sum, zip(*(diff[b - 1][a - 1] for a, b in m.factors))))
+    return chg
 
 
 @lru_cache(maxsize=None)
@@ -145,12 +152,17 @@ def phase_shift(m: Monomial, element: PhaseVector) -> Fraction:
     return total % 1
 
 
+def charge_rows(terms, basis: TorusBasis) -> list[ChargeVector]:
+    """The charge vector of each term, in order; an empty term list raises ValueError."""
+    rows = [charge_vector(m, basis) for m in terms]
+    if not rows:
+        raise ValueError("empty term list")
+    return rows
+
+
 def build_x_matrix(terms, basis: TorusBasis) -> IntMatrix:
     """Charge matrix of a term list: row i is the charge vector of terms[i]."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty term list")
-    return IntMatrix.from_rows([charge_vector(m, basis) for m in terms])
+    return IntMatrix.from_rows(charge_rows(terms, basis))
 
 
 def c_row(m: Monomial, n_doublets: int) -> tuple[int, ...]:

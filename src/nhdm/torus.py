@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Rational = Fraction | int
@@ -100,8 +100,24 @@ class TorusBasis:
 
     @cached_property
     def scaled_weights(self) -> tuple[tuple[int, ...], ...]:
-        """``n_doublets`` times ``weights``: the same circles as integers."""
+        """``n_doublets`` times ``weights``: the same circles as integers.
+
+        A weight whose denominator does not divide N raises ValueError.
+        """
+        for weight in self.weights:
+            for w in weight:
+                if self.n_doublets % w.denominator:
+                    raise ValueError(f"weight {w} is not a multiple of 1/{self.n_doublets}")
         return tuple(tuple(int(self.n_doublets * w) for w in weight) for weight in self.weights)
+
+    @cached_property
+    def common_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The least common denominator D of ``weights``, and D times ``weights``.
+
+        D is N for ``torus_basis``; any weights have one.
+        """
+        d = lcm(*(w.denominator for weight in self.weights for w in weight))
+        return d, tuple(tuple(int(d * w) for w in weight) for weight in self.weights)
 
     @cached_property
     def differences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -114,6 +130,11 @@ class TorusBasis:
 
         doublets = range(self.n_doublets)
         return tuple(tuple(charge(a, b) for b in doublets) for a in doublets)
+
+    @cached_property
+    def charges(self) -> dict:
+        """Memo of monomial charges in this basis, filled by ``monomials.charge_vector``."""
+        return {}
 
 
 @lru_cache(maxsize=None)
@@ -137,18 +158,26 @@ def element_from_angles(basis: TorusBasis, angles: Sequence[Rational]) -> PhaseV
 
     The decomposition of a torus element over the basis circles is unique, and
     the map is a homomorphism: adding angle vectors adds phases mod 1.  Angles
-    are ints or Fractions, and are not reduced mod 1.
+    are ints or Fractions, and are not reduced mod 1.  The sum runs in
+    integers: the angles' numerators over their common denominator L, times
+    ``common_weights`` over theirs, D; each phase is then one Fraction over
+    L * D.
     """
     if len(angles) != basis.n:
         raise ValueError(f"expected {basis.n} angles, got {len(angles)}")
-    phases = [Fraction(0)] * basis.n_doublets
-    for angle, weight in zip(angles, basis.weights):
+    for angle in angles:
         if not isinstance(angle, (int, Fraction)):
             raise ValueError(f"angles must be int or Fraction, got {angle!r}")
+    denominator, weights = basis.common_weights
+    common = lcm(*(angle.denominator for angle in angles))
+    totals = [0] * basis.n_doublets
+    for angle, weight in zip(angles, weights):
         if angle:
-            for a in range(basis.n_doublets):
-                phases[a] += angle * weight[a]
-    return PhaseVector(tuple(phases))
+            k = angle.numerator * (common // angle.denominator)
+            for a, w in enumerate(weight):
+                totals[a] += k * w
+    common *= denominator
+    return PhaseVector(tuple(Fraction(t % common, common) for t in totals))
 
 
 def equal_mod_center(x: PhaseVector, y: PhaseVector) -> bool:

@@ -13,8 +13,9 @@ tried, the solution set as a particular solution with torsion generators
 and free directions, the forced unitary symmetry decided by testing that
 solution set against one Smith form, the forced unitary symmetries searched
 over every permutation that keeps the backbone classes, each with its term
-images read afresh, and the square classes keyed by the least center key
-over a coset of squares; the tests require the library to agree with them.
+images read afresh, the square classes keyed by the least center key
+over a coset of squares, and the canonical generators and their phases
+summed in Fractions; the tests require the library to agree with them.
 The generator-based pattern scan tries all N! patterns, where the library
 lists only the involutions; with sign -1 it also stands in for the
 centralizer patterns, which no library code asks for.
@@ -28,11 +29,12 @@ form, and the bilinear charge basis read straight off the circle weights.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from nhdm.classifier import SymmetryGroup
 from nhdm.cpext import (GenPermMatrix, _cycles, _forced_symmetry, _invariance_relation,
                          backbone_classes)
-from nhdm.exactmath import IntMatrix, hnf_rows, snf, snf_rows
+from nhdm.exactmath import IntMatrix, hnf_rows, smith_columns, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
 from nhdm.torus import PhaseVector, torus_basis
@@ -230,6 +232,32 @@ def fraction_charge_vector(m, basis) -> tuple:
             raise ValueError(f"non-integer charge for {m}")
         out.append(int(total))
     return tuple(out)
+
+
+def fraction_canonical_generator(column, d) -> tuple:
+    """Lex-least coprime multiple of column/d, each multiple built from Fractions."""
+    return min(tuple(Fraction(k * c, d) % 1 for c in column)
+               for k in range(1, d + 1) if gcd(k, d) == 1)
+
+
+def fraction_element_from_angles(basis, angles) -> PhaseVector:
+    """Torus element with the given circle angles, summed in Fraction products."""
+    phases = [Fraction(0)] * basis.n_doublets
+    for angle, weight in zip(angles, basis.weights):
+        for a in range(basis.n_doublets):
+            phases[a] += angle * weight[a]
+    return PhaseVector(tuple(phases))
+
+
+def fraction_group_of_terms(terms, basis) -> SymmetryGroup:
+    """``symmetry_group_of_terms`` from Fraction charges and the Fraction generators."""
+    d, v = smith_columns([fraction_charge_vector(m, basis) for m in terms], basis.n)
+    angles = tuple(fraction_canonical_generator(v.column(i), di)
+                   for i, di in enumerate(d) if di > 1)
+    rank = sum(1 for x in d if x)
+    return SymmetryGroup(group_from_snf(d, basis.n), angles,
+                         tuple(fraction_element_from_angles(basis, a) for a in angles),
+                         tuple(v.column(i) for i in range(rank, basis.n)))
 
 
 # -- oracles: the Smith form with separate transforms, c-rows by sign loop ------

@@ -21,9 +21,9 @@ from nhdm.classifier import (
 )
 from nhdm.exactmath import IntMatrix, hnf_add, hnf_unit_split, snf, snf_rows
 from nhdm.groups import GroupSignature
-from nhdm.monomials import Monomial, charge_vector, enumerate_monomials
-from nhdm.torus import PhaseVector, equal_mod_center, torus_basis
-from reference import all_realized, finite_groups_by_subset_scan
+from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, monomial_charges
+from nhdm.torus import PhaseVector, TorusBasis, equal_mod_center, torus_basis
+from reference import all_realized, finite_groups_by_subset_scan, fraction_group_of_terms
 
 
 def names(sigs):
@@ -335,6 +335,63 @@ class TestGroupExtraction:
         for factors in (((1, 4),), ((0, 2),)):
             with pytest.raises(ValueError, match="outside 1..3"):
                 symmetry_group_of_terms([Monomial(factors)], basis)
+
+
+def random_term(rng, n):
+    """One or two random off-diagonal bilinears; about one in six is neutral, (a,b)(b,a)."""
+    a, b = rng.sample(range(1, n + 1), 2)
+    if rng.random() < 0.15:
+        return Monomial.canonical(((a, b), (b, a)))
+    factors = [(a, b)]
+    if rng.random() < 0.5:
+        factors.append(tuple(rng.sample(range(1, n + 1), 2)))
+    return Monomial.canonical(factors)
+
+
+class TestTermQueryPath:
+    def test_matches_the_fraction_path(self):
+        # integer generators and memoized charges against the Fraction forms
+        rng = random.Random(28)
+        cases = [(n, [random_term(rng, n) for _ in range(rng.randint(1, n + 1))])
+                 for n in (rng.randint(3, 6) for _ in range(300))]
+        # every classify entry at N=3 and 4, its witness with a neutral term added
+        cases += [(n, [*e.witness, Monomial.canonical(((1, n), (n, 1)))])
+                  for n in (3, 4) for e in classify(n).entries]
+        generators = 0
+        for n, terms in cases:
+            basis = torus_basis(n)
+            group = symmetry_group_of_terms(terms, basis)
+            assert group == fraction_group_of_terms(terms, basis)
+            generators += len(group.finite_generators)
+        assert sum(any(m not in monomial_charges(n) for m in terms) for n, terms in cases) > 100
+        assert generators > 50
+
+    def test_each_charge_is_summed_once_per_basis(self):
+        class CountingBasis(TorusBasis):
+            reads = 0
+
+            @property
+            def differences(self):
+                CountingBasis.reads += 1
+                return torus_basis(self.n_doublets).differences
+
+        basis = CountingBasis(4, torus_basis(4).weights)
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(3):
+            for _ in range(100):
+                terms = [random_term(rng, 4) for _ in range(rng.randint(1, 5))]
+                seen.update(terms)
+                symmetry_group_of_terms(terms, basis)
+            assert CountingBasis.reads == len(seen) == len(basis.charges)
+
+    def test_builds_no_validated_matrix(self, monkeypatch):
+        def no_matrix(self):
+            raise AssertionError("an IntMatrix was validated")
+
+        monkeypatch.setattr(IntMatrix, "__post_init__", no_matrix)
+        terms = [Monomial(((1, 2), (1, 3))), Monomial(((2, 1), (2, 3)))]
+        assert symmetry_group_of_terms(terms, torus_basis(3)).signature == GroupSignature((3,))
 
 
 class TestMonotonicity:

@@ -279,13 +279,22 @@ class TestHnf:
 
 @st.composite
 def rows_and_vector(draw, max_rows=5):
-    """Small integer rows A, a vector v and integer coefficients for A."""
+    """Small integer rows A, a vector v and integer coefficients for A.
+
+    The shape is drawn first, then every entry of A, v and the coefficients
+    as one byte string, cut into rows.  A byte b is the entry (b + 6) % 13 - 6
+    in [-6, 6] or the coefficient (b + 3) % 7 - 3 in [-3, 3]; byte 0 reads
+    0, so hypothesis shrinks toward zero entries.  One draw per example costs
+    far less than one draw per entry.
+    """
     cols = draw(st.integers(1, 4))
-    entry = st.integers(-6, 6)
-    vec = st.lists(entry, min_size=cols, max_size=cols)
-    rows = draw(st.lists(vec, max_size=max_rows))
-    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    return rows, draw(vec), coeffs
+    nrows = draw(st.integers(0, max_rows))
+    size = (nrows + 1) * cols
+    raw = draw(st.binary(min_size=size + nrows, max_size=size + nrows))
+    flat = [(b + 6) % 13 - 6 for b in raw[:size]]
+    coeffs = [(b + 3) % 7 - 3 for b in raw[size:]]
+    rows = [flat[i:i + cols] for i in range(0, size, cols)]
+    return rows[:-1], rows[-1], coeffs
 
 
 def combination(rows, coeffs, cols):
@@ -343,8 +352,8 @@ class TestHnfProperties:
             assert is_zero == (hnf_add(basis, vec) == basis)
             assert is_zero == (hnf_rows(rows + [vec]) == basis)
 
-    # fewer examples than its neighbours: each one costs hypothesis about
-    # 3 ms to draw, and tier-1 is at its time budget
+    # fewer examples than its neighbours, a count set when each one cost
+    # hypothesis about 3 ms to draw, with tier-1 at its time budget
     @settings(max_examples=120, deadline=None, database=None)
     @given(rows_and_vector())
     def test_unit_split_keeps_the_smith_diagonal(self, case):
@@ -354,6 +363,18 @@ class TestHnfProperties:
         units, block, width = hnf_unit_split(basis, ncols)
         assert width == ncols - units
         assert (1,) * units + smith_columns(block, width)[0] == smith_columns(basis, ncols)[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hnf_contains(((2, 0, 0),), (2, 0)),
+    lambda: hnf_add(((1, 0, 0),), (0, 1)),
+    lambda: hnf_rows([(1, 0, 0), (0, 1)]),
+    lambda: hnf_residues(((1, 0, 0),), [(0,), (0,)]),
+    lambda: hnf_unit_split(((1, 0, 0),), 2),
+], ids=["contains", "add", "rows", "residues", "unit_split"])
+def test_hermite_helpers_reject_mismatched_lengths(call):
+    with pytest.raises(ValueError, match="rows of 3 entries, vectors of 2"):
+        call()
 
 
 def test_matrix_entries_must_be_integers():

@@ -14,7 +14,7 @@ from nhdm.torus import (
     equal_mod_center,
     torus_basis,
 )
-from reference import charge_basis
+from reference import charge_basis, fraction_element_from_angles
 
 
 class TestBasis:
@@ -119,6 +119,34 @@ class TestElements:
         terms = [Monomial(((1, 3), (1, 4))), Monomial(((2, 1), (2, 4))),
                  Monomial(((3, 2), (3, 4)))]
         assert all(phase_shift(m, pv) == 0 for m in terms)
+
+
+class TestOtherDenominators:
+    # a hand-built basis whose weight denominators need not divide N
+    def test_scaled_weights_name_the_weight(self):
+        basis = TorusBasis(2, ((F(1, 3), F(0)),))
+        with pytest.raises(ValueError, match="weight 1/3"):
+            basis.scaled_weights
+        with pytest.raises(ValueError, match="weight 1/3"):
+            direction_weights(basis, (1,))
+
+    def test_elements_take_the_common_denominator(self):
+        basis = TorusBasis(2, ((F(1, 3), F(0)),))
+        assert basis.common_weights == (3, ((1, 0),))
+        assert element_from_angles(basis, (F(1, 2),)).render() == "2π·(1/6, 0)"
+
+    def test_elements_match_fraction_arithmetic(self):
+        rng = random.Random(11)
+        for n in (2, 3, 4):
+            weights = tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+                            for _ in range(n - 1))
+            for basis in (TorusBasis(n, weights), torus_basis(n)):
+                for _ in range(20):
+                    angles = [rng.choice((rng.randint(-3, 3),
+                                          F(rng.randint(-9, 9), rng.randint(1, 10))))
+                              for _ in range(n - 1)]
+                    expected = fraction_element_from_angles(basis, angles)
+                    assert element_from_angles(basis, angles) == expected
 
 
 class TestPhaseTypes:
