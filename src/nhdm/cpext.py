@@ -24,8 +24,8 @@ trivial on the whole group, continuous part included, exactly when its
 charge lies in that lattice.
 Invariant terms, commuting involutive patterns and the support of a
 commuting antiunitary are each read off the cosets modulo that lattice
-(``AbelianBase.cosets``) of charges built from the phase differences
-psi_a - psi_b (``TorusBasis.differences``): a zero coset is a trivial
+(``AbelianBase.cosets``) of charges built from the charges of
+psi_a - psi_1 (``TorusBasis.bilinear_charges``): a zero coset is a trivial
 character, and two equal cosets are characters that agree on the group.
 The phase congruences of steps 3 to 5 are read through the one lattice of a
 ``PhaseConstraintSystem``: a term orbit survives while the system stays
@@ -314,14 +314,15 @@ def commuting_involutions(base: AbelianBase) -> list[Perm]:
     """Involutive patterns sigma with psi_a + psi_{sigma(a)} constant on the group.
 
     That is, every s(a, sigma(a)) lies in one coset, with s(i, j) the charge
-    of psi_i + psi_j - 2 psi_0, since s(a, sigma(a)) - s(0, sigma(0)) is
-    (psi_a - psi_0) + (psi_sigma(a) - psi_sigma(0)).  A matrix b supported on
-    such a pattern makes b J commute with the whole group; no other
-    generalized permutation can.  Only an involution keeps (b J)^2 diagonal.
+    of psi_i + psi_j - 2 psi_0, rows i and j of ``bilinear_charges`` summed:
+    s(a, sigma(a)) - s(0, sigma(0)) is (psi_a - psi_0) + (psi_sigma(a) -
+    psi_sigma(0)).  A matrix b supported on such a pattern makes b J commute
+    with the whole group; no other generalized permutation can.  Only an
+    involution keeps (b J)^2 diagonal.
     """
     n = base.n_doublets
-    diff = torus_basis(n).differences
-    coset = base.cosets({(i, j): tuple(x + y for x, y in zip(diff[i][0], diff[j][0]))
+    rows = torus_basis(n).bilinear_charges
+    coset = base.cosets({(i, j): tuple(x + y for x, y in zip(rows[i], rows[j]))
                          for i in range(n) for j in range(n)})
     return [sigma for sigma in _involutions(n)
             if len({coset[a, sigma[a]] for a in range(n)}) == 1]
@@ -331,13 +332,15 @@ def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
     """Entry pattern (i, j) where an antiunitary b J may have support.
 
     An entry is allowed when psi_i + psi_j is a center phase on the whole
-    group, that is when N (psi_i + psi_j) - 2 sum_c psi_c, the sum over c of
-    (psi_i - psi_c) + (psi_j - psi_c), has a zero coset.  The N^2 cosets are
-    read in one pass.
+    group, that is when N (psi_i + psi_j) - 2 sum_c psi_c, read as
+    N (row i + row j) - 2 sum_c row c of ``bilinear_charges``, has a zero
+    coset.  The N^2 cosets are read in one pass.
     """
     n = base.n_doublets
-    diff = torus_basis(n).differences
-    coset = base.cosets({(i, j): tuple(map(sum, zip(*diff[i], *diff[j])))
+    rows = torus_basis(n).bilinear_charges
+    total = [sum(column) for column in zip(*rows)]
+    coset = base.cosets({(i, j): tuple(n * (x + y) - 2 * t
+                                       for x, y, t in zip(rows[i], rows[j], total))
                          for i in range(n) for j in range(n)})
     return tuple(tuple(not any(coset[i, j]) for j in range(n)) for i in range(n))
 

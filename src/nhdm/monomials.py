@@ -104,14 +104,10 @@ def enumerate_monomials(n_doublets: int) -> tuple[Monomial, ...]:
     return tuple(sorted(seen, key=lambda m: (len(m.factors), m.factors)))
 
 
-def _check_range(m: Monomial, n_doublets: int) -> None:
-    if not all(1 <= x <= n_doublets for x in _flat(m.factors)):
-        raise ValueError(f"{m} names a doublet outside 1..{n_doublets}")
-
-
 def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
     """Net per-doublet exponent vector (count of phi_a minus phi_a^dagger)."""
-    _check_range(m, n_doublets)
+    if not all(1 <= x <= n_doublets for x in _flat(m.factors)):
+        raise ValueError(f"{m} names a doublet outside 1..{n_doublets}")
     out = [0] * n_doublets
     for a, b in m.factors:
         out[a - 1] -= 1
@@ -122,17 +118,16 @@ def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
 def charge_vector(m: Monomial, basis: TorusBasis) -> ChargeVector:
     """Integer coefficients of the monomial's phase change in the torus angles.
 
-    Each factor (phi_a^dagger phi_b) shifts the phase by psi_b - psi_a.  A
-    monomial's charge is summed over ``basis.differences`` on its first read
-    in a basis, after the range check, and kept in ``basis.charges``; later
-    reads take it from there.
+    The charge is ``raw_exponents`` times ``basis.bilinear_charges``, the
+    rule of the module note.  It is computed on a monomial's first read in a
+    basis and kept in ``basis.charges``; later reads take it from there.
     """
     table = basis.charges
     chg = table.get(m)
     if chg is None:
-        _check_range(m, basis.n_doublets)
-        diff = basis.differences
-        chg = table[m] = tuple(map(sum, zip(*(diff[b - 1][a - 1] for a, b in m.factors))))
+        exponents = raw_exponents(m, basis.n_doublets)
+        chg = table[m] = tuple(sum(e * c for e, c in zip(exponents, column))
+                               for column in zip(*basis.bilinear_charges))
     return chg
 
 
@@ -145,11 +140,8 @@ def monomial_charges(n_doublets: int) -> MappingProxyType[Monomial, ChargeVector
 
 def phase_shift(m: Monomial, element: PhaseVector) -> Fraction:
     """Phase (units of 2*pi, mod 1) the monomial picks up under a diagonal element."""
-    _check_range(m, len(element))
-    total = Fraction(0)
-    for a, b in m.factors:
-        total += element.phases[b - 1] - element.phases[a - 1]
-    return total % 1
+    exponents = raw_exponents(m, len(element))
+    return sum((e * p for e, p in zip(exponents, element.phases)), Fraction(0)) % 1
 
 
 def charge_rows(terms, basis: TorusBasis) -> list[ChargeVector]:

@@ -88,27 +88,30 @@ class TorusBasis:
     ``weights[i]`` holds the per-doublet phase coefficients of the running
     angle of circle i.  Circle i < N-2 rotates the first doublet by -(i+1)
     units and the next i+1 doublets by one unit each; the last circle carries
-    the 1/N denominators that reduce it by the center of SU(N).
+    the 1/N denominators that reduce it by the center of SU(N).  A basis
+    needs N >= 2 and N-1 rows of N int or Fraction weights, or raises
+    ValueError.  They are read as integers once per direction of the pairing:
+    ``common_weights`` takes angles to phases, ``bilinear_charges`` takes
+    doublet exponents to charges.
     """
 
     n_doublets: int
     weights: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self):
+        big_n = self.n_doublets
+        if not isinstance(big_n, int) or big_n < 2:
+            raise ValueError("need at least 2 doublets")
+        if len(self.weights) != big_n - 1 or any(len(weight) != big_n for weight in self.weights):
+            raise ValueError(f"weights must be {big_n - 1} x {big_n} for {big_n} doublets")
+        for weight in self.weights:
+            for w in weight:
+                if not isinstance(w, (int, Fraction)):
+                    raise ValueError(f"weights must be int or Fraction, got {w!r}")
+
     @property
     def n(self) -> int:
         return self.n_doublets - 1
-
-    @cached_property
-    def scaled_weights(self) -> tuple[tuple[int, ...], ...]:
-        """``n_doublets`` times ``weights``: the same circles as integers.
-
-        A weight whose denominator does not divide N raises ValueError.
-        """
-        for weight in self.weights:
-            for w in weight:
-                if self.n_doublets % w.denominator:
-                    raise ValueError(f"weight {w} is not a multiple of 1/{self.n_doublets}")
-        return tuple(tuple(int(self.n_doublets * w) for w in weight) for weight in self.weights)
 
     @cached_property
     def common_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -120,16 +123,16 @@ class TorusBasis:
         return d, tuple(tuple(int(d * w) for w in weight) for weight in self.weights)
 
     @cached_property
-    def differences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``differences[a][b]``: the integer charge of psi_a - psi_b (0-based doublets)."""
-        def charge(a: int, b: int) -> tuple[int, ...]:
-            diff = [w[a] - w[b] for w in self.weights]
+    def bilinear_charges(self) -> tuple[tuple[int, ...], ...]:
+        """Row a: the integer charge of psi_{a+1} - psi_1, that of (phi_1^dagger
+        phi_{a+1}), so row 0 is zero; a non-integer charge raises ValueError."""
+        def charge(a: int) -> tuple[int, ...]:
+            diff = [w[a] - w[0] for w in self.weights]
             if any(d.denominator != 1 for d in diff):
-                raise ValueError(f"non-integer charge of psi_{a + 1} - psi_{b + 1}")
+                raise ValueError(f"non-integer charge of psi_{a + 1} - psi_1")
             return tuple(d.numerator for d in diff)
 
-        doublets = range(self.n_doublets)
-        return tuple(tuple(charge(a, b) for b in doublets) for a in doublets)
+        return tuple(charge(a) for a in range(self.n_doublets))
 
     @cached_property
     def charges(self) -> dict:
@@ -140,8 +143,6 @@ class TorusBasis:
 @lru_cache(maxsize=None)
 def torus_basis(n_doublets: int) -> TorusBasis:
     """Standard torus basis for ``n_doublets`` doublets (at least 2), one shared instance per N."""
-    if n_doublets < 2:
-        raise ValueError("need at least 2 doublets")
     big_n = n_doublets
     n = big_n - 1
     weights = []
@@ -197,13 +198,13 @@ def direction_weights(basis: TorusBasis, angle_direction: Sequence[int]) -> tupl
 
     ``angle_direction`` is an integer combination of basis circles; the result
     is the corresponding doublet weight vector, divided by its content.  The
-    basis weights have denominators dividing N, so the sum is taken over N
-    times the weights, in integers.  The weight sum is always zero.
+    sum is taken in integers over ``common_weights``, whose common scale the
+    content divides out.  The weight sum is always zero.
     """
     if len(angle_direction) != basis.n:
         raise ValueError(f"expected {basis.n} components, got {len(angle_direction)}")
     raw = [0] * basis.n_doublets
-    for coeff, weight in zip(angle_direction, basis.scaled_weights):
+    for coeff, weight in zip(angle_direction, basis.common_weights[1]):
         if coeff:
             for a, w in enumerate(weight):
                 raw[a] += coeff * w

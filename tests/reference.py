@@ -64,7 +64,7 @@ def finite_groups_by_subset_scan(n_doublets: int) -> set[GroupSignature]:
 def charge_basis(n_doublets: int) -> IntMatrix:
     """A: row a - 1 is the charge of (phi_1^dagger phi_a), a = 2..N, taken on
     each circle as the weight of doublet a minus that of doublet 1, without
-    ``differences`` or ``charge_vector``."""
+    ``bilinear_charges`` or ``charge_vector``."""
     weights = torus_basis(n_doublets).weights
     rows = [[w[a] - w[0] for w in weights] for a in range(1, n_doublets)]
     assert all(x.denominator == 1 for row in rows for x in row)

@@ -371,9 +371,9 @@ class TestTermQueryPath:
             reads = 0
 
             @property
-            def differences(self):
+            def bilinear_charges(self):
                 CountingBasis.reads += 1
-                return torus_basis(self.n_doublets).differences
+                return torus_basis(self.n_doublets).bilinear_charges
 
         basis = CountingBasis(4, torus_basis(4).weights)
         rng = random.Random(7)

@@ -119,25 +119,55 @@ class TestSnfRows:
         assert snf_rows(rows, 2) == snf(IntMatrix.from_rows(rows))
 
 
+BIG = 10**40
+ENTRY_BYTES = 19  # a kind byte, a length byte, then up to 17 bytes: 2^135 > BIG
+PLANT_BYTES = 7
+
+
+def smith_entry(raw: bytes) -> int:
+    """One entry from ``ENTRY_BYTES`` bytes; zero bytes read 0.
+
+    An even kind byte reads the next byte as an entry in [-9, 9].  An odd
+    one reads the next (length byte mod 18) bytes as a number whose low bit
+    is the sign and whose rest, mod BIG + 1, is the size, so large entries of
+    every length up to 40 digits occur.
+    """
+    if raw[0] % 2 == 0:
+        return (raw[1] + 9) % 19 - 9
+    x = int.from_bytes(raw[2:2 + raw[1] % 18], "big")
+    return (-1) ** (x & 1) * ((x >> 1) % (BIG + 1))
+
+
 @st.composite
 def smith_inputs(draw):
     """Rows of an up to 6x6 integer matrix, empty shapes included, and its width.
 
     Entries are small or up to 40 digits, of either sign; a zero row, a zero
     column and a row that combines two others are each mixed in at random.
+    The shape is drawn first, then every entry and, for a nonempty shape, the
+    plants as one byte string: each entry reads ``ENTRY_BYTES`` bytes through
+    ``smith_entry``, and the last ``PLANT_BYTES`` bytes pick the plants.  Zero
+    bytes read 0 and plant nothing, so hypothesis shrinks toward zero
+    entries.  One draw per example costs far less than one draw per entry; a
+    second byte string for the plants made hypothesis read about half the
+    examples' entries as zero bytes.
     """
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    entry = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
-    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
-    if nrows and ncols:
-        if draw(st.booleans()):
-            rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
-        if draw(st.booleans()):
-            j = draw(st.integers(0, ncols - 1))
+    size = nrows * ncols * ENTRY_BYTES
+    raw = draw(st.binary(min_size=size + PLANT_BYTES * (size > 0),
+                         max_size=size + PLANT_BYTES * (size > 0)))
+    flat = [smith_entry(raw[k:k + ENTRY_BYTES]) for k in range(0, size, ENTRY_BYTES)]
+    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    if size:
+        plants = raw[size:]
+        if plants[0] % 2:
+            rows[plants[1] % nrows] = [0] * ncols
+        if plants[2] % 2:
+            j = plants[3] % ncols
             for row in rows:
                 row[j] = 0
-        if nrows > 1 and draw(st.booleans()):
-            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        if nrows > 1 and plants[4] % 2:
+            a, b = (plants[5] + 3) % 7 - 3, (plants[6] + 3) % 7 - 3
             rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
     return rows, ncols
 

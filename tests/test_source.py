@@ -70,3 +70,17 @@ def test_every_definition_is_reached():
             traced.update(node.value.split("."))
     assert [f"{where} {name}" for where, name, method in defs
             if name not in attrs | traced | (set() if method else names)] == []
+
+
+def test_only_torus_reads_the_circle_weights():
+    # the pairing of circles and doublets is read through torus.py: elsewhere
+    # a charge comes from bilinear_charges and a phase from element_from_angles
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "torus.py":
+            continue
+        found += [f"{path.relative_to(SRC)}:{node.lineno} {node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in {"weights", "common_weights"}]
+    assert found == []

@@ -31,26 +31,55 @@ class TestBasis:
         assert torus_basis(2).weights == ((F(-1, 2), F(1, 2)),)
 
     def test_rejects_single_doublet(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 doublets"):
             torus_basis(1)
+
+
+class TestMalformedBasis:
+    # a hand-built basis is checked when it is made, not when a reading fails
+    def test_too_few_circles(self):
+        with pytest.raises(ValueError, match="weights must be 2 x 3 for 3 doublets"):
+            TorusBasis(3, ((F(1), F(0)),))
+
+    def test_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="weights must be 1 x 2 for 2 doublets"):
+            TorusBasis(2, ((F(1), F(0), F(0)),))
+
+    @pytest.mark.parametrize("weight", [0.5, "1/2", None])
+    def test_weights_must_be_exact(self, weight):
+        with pytest.raises(ValueError, match="weights must be int or Fraction"):
+            TorusBasis(2, ((weight, F(-1, 2)),))
+
+    @pytest.mark.parametrize("n", [1, 0, 2.0])
+    def test_needs_two_doublets(self, n):
+        with pytest.raises(ValueError, match="need at least 2 doublets"):
+            TorusBasis(n, ())
+
+    def test_int_weights_are_accepted(self):
+        basis = TorusBasis(2, ((-1, 1),))
+        assert basis.bilinear_charges == ((0,), (2,))
+        assert element_from_angles(basis, (F(1, 4),)).render() == "2π·(3/4, 1/4)"
 
 
 class TestDifferences:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_entries_are_the_bilinear_charges(self, n):
-        # psi_a - psi_b is the phase of the bilinear (phi_b^dagger phi_a)
+        # row a is the charge of psi_{a+1} - psi_1, so row a - row b is the
+        # charge of psi_{a+1} - psi_{b+1}, the phase of (phi_{b+1}^dagger phi_{a+1})
         basis = torus_basis(n)
+        rows = basis.bilinear_charges
+        assert len(rows) == n
+        assert rows[0] == (0,) * basis.n
+        assert all(isinstance(c, int) for row in rows for c in row)
         for a in range(n):
-            assert basis.differences[a][a] == (0,) * basis.n
             for b in range(n):
                 expected = tuple(w[a] - w[b] for w in basis.weights)
-                assert basis.differences[a][b] == expected
-                assert all(isinstance(c, int) for c in basis.differences[a][b])
+                assert tuple(x - y for x, y in zip(rows[a], rows[b])) == expected
 
     def test_non_integer_entry_raises(self):
         basis = TorusBasis(2, ((F(1, 2), F(0)),))
-        with pytest.raises(ValueError):
-            basis.differences
+        with pytest.raises(ValueError, match="non-integer charge of psi_2 - psi_1"):
+            basis.bilinear_charges
 
     def test_basis_is_shared_per_doublet_count(self):
         assert torus_basis(4) is torus_basis(4)
@@ -124,11 +153,12 @@ class TestElements:
 class TestOtherDenominators:
     # a hand-built basis whose weight denominators need not divide N
     def test_scaled_weights_name_the_weight(self):
+        # direction_weights reads the weights over their common denominator,
+        # so a denominator that does not divide N is not truncated away
         basis = TorusBasis(2, ((F(1, 3), F(0)),))
-        with pytest.raises(ValueError, match="weight 1/3"):
-            basis.scaled_weights
-        with pytest.raises(ValueError, match="weight 1/3"):
-            direction_weights(basis, (1,))
+        for d in [(1,), (-2,), (0,)]:
+            assert direction_weights(basis, d) == fraction_direction_weights(basis, d)
+        assert direction_weights(basis, (1,)) == (1, 0)
 
     def test_elements_take_the_common_denominator(self):
         basis = TorusBasis(2, ((F(1, 3), F(0)),))
