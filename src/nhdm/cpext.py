@@ -27,10 +27,15 @@ commuting antiunitary are each read off the cosets modulo that lattice
 (``AbelianBase.cosets``) of charges built from the charges of
 psi_a - psi_1 (``TorusBasis.bilinear_charges``): a zero coset is a trivial
 character, and two equal cosets are characters that agree on the group.
-The phase congruences of steps 3 to 5 are read through the one lattice of a
-``PhaseConstraintSystem``: a term orbit survives while the system stays
-solvable, and a unitary symmetry is forced when the system fixes each
-relation its invariance needs.  A Smith form only writes witness phases.
+The phase congruences of steps 3 to 5 are read through the lattice of a
+``PhaseConstraintSystem``, kept as a Hermite basis over the head unknowns
+(the entry phases, c0 and the torus angles) and one small block per term
+orbit.  The structural-phase pins carry no coefficient phase psi, and an
+orbit's invariance relations carry only the psi of its own terms, so each
+orbit's rows make their own block and only their psi-free combinations reach
+the head basis.  A term orbit survives while the head basis stays solvable,
+and a unitary symmetry is forced when the system fixes each relation its
+invariance needs.  A Smith form only writes witness phases.
 
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
@@ -54,6 +59,7 @@ from .torus import (PhaseVector, direction_weights, equal_mod_center, rational_p
                     torus_basis)
 
 Perm = tuple[int, ...]  # 0-based images: a -> perm[a]
+_ZERO = Fraction(0)
 
 
 # -- generalized permutation matrices -----------------------------------------
@@ -120,10 +126,12 @@ def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doubl
     (mod 1).  The entry phases of the transformation enter with the net
     exponents of m; coefficient matching adds psi_m, plus psi_image for a
     conjugated image or minus psi_image for a direct one.  Returns the entry
-    coefficients and the psi coefficients keyed by position.
+    coefficients and the nonzero psi coefficients keyed by position.
     """
-    psi = {psi_positions[image]: 1 if conjugated else -1}
-    psi[psi_positions[m]] = psi.get(psi_positions[m], 0) + 1
+    if image != m:
+        psi = {psi_positions[m]: 1, psi_positions[image]: 1 if conjugated else -1}
+    else:
+        psi = {psi_positions[m]: 2} if conjugated else {}
     return raw_exponents(m, n_doublets), psi
 
 
@@ -152,15 +160,16 @@ def _particular(res: SnfResult, rhs) -> list[Fraction]:
 class PhaseConstraintSystem:
     """Linear congruences A x == b (mod 1) over rational unknowns indexed by position.
 
-    ``unknowns`` labels the positions for ``render``.  The system is read
-    through one integer lattice L: with D the lcm of the denominators of b,
-    L is spanned by the rows [A_i | D b_i] and (0, ..., 0, D), and ``basis``
-    is its Hermite basis, grown by ``add`` one equation at a time.
+    ``unknowns`` labels the positions for ``render``.  The first ``head`` of
+    them are the head unknowns, by default all of them; the rest are
+    coefficient phases psi.  The system is read through one integer lattice
+    L: with D the lcm of the denominators of b, L is spanned by the rows
+    [A_i | D b_i] and (0, ..., 0, D).
 
     - Its elements with zero A-part are (0, y D b + k D) for integer y with
-      y A == 0, so the basis ends in a row (0, ..., 0, t) with t dividing D,
-      and the congruences are solvable exactly when t == D, that is when
-      y b is an integer for every such y (``solvable``).
+      y A == 0, so the Hermite basis of L ends in a row (0, ..., 0, t) with t
+      dividing D, and the congruences are solvable exactly when t == D, that
+      is when y b is an integer for every such y (``solvable``).
     - For a solvable system, an integer row w has w x an integer on every
       solution x exactly when (w, 0) lies in L (``fixes``).  The solutions
       are x0 + S with S = {s : A s integral}, the dual of the row lattice of
@@ -168,50 +177,123 @@ class PhaseConstraintSystem:
       exactly when w == y A for an integer y, and then w x0 == y b (mod 1),
       which is an integer exactly when (w, 0) == y [A | D b] - (y b)(0, D)
       lies in L.
+
+    L is never written out over all unknowns.  Rows linked through shared
+    psi columns make a block, a Hermite basis over the block's psi columns,
+    then the head and the scaled right-hand side, whose rows all have psi
+    pivots; ``blocks`` maps each psi column to its block (columns, rows).
+    ``basis`` is the Hermite basis of the elements of L with zero psi part,
+    over the head and the scaled right-hand side.  A row with psi entries
+    joins the blocks of its columns, merging them, and each block row whose
+    psi part reduces to zero moves into ``basis``.  Distinct blocks have
+    disjoint psi columns, so the Hermite basis of L with the psi columns
+    first is block-diagonal in psi and its zero-psi rows span exactly the
+    lattice of ``basis``, whose last row is that of L.
     """
 
-    def __init__(self, unknowns):
+    def __init__(self, unknowns, *, head: int | None = None):
         self.unknowns: tuple[str, ...] = tuple(unknowns)
-        self.equations: list[tuple[tuple[int, ...], Fraction]] = []
+        self.head = len(self.unknowns) if head is None else head
+        if not 0 <= self.head <= len(self.unknowns):
+            raise ValueError(f"a head of {self.head} of {len(self.unknowns)} unknowns")
         self.scale = 1
-        self.basis: Rows = ((0,) * len(self.unknowns) + (1,),)
+        self.basis: Rows = ((0,) * self.head + (1,),)
+        self.blocks: dict[int, tuple[tuple[int, ...], Rows]] = {}
+        self._equations: list[tuple[tuple[int, ...], dict[int, int], Fraction]] = []
 
     def copy(self) -> "PhaseConstraintSystem":
-        other = PhaseConstraintSystem(self.unknowns)
-        other.equations = list(self.equations)
-        other.scale, other.basis = self.scale, self.basis
+        # one copy per term orbit tried: no constructor, and the row tuples are shared
+        other = object.__new__(PhaseConstraintSystem)
+        other.__dict__.update(self.__dict__, blocks=dict(self.blocks),
+                              _equations=list(self._equations))
         return other
 
-    def _row(self, row) -> tuple[int, ...]:
+    def _split(self, row) -> tuple[tuple[int, ...], dict[int, int]]:
+        """The head part of a row over every unknown, and its nonzero psi entries by column."""
         if len(row) != len(self.unknowns):
             raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
-        return integers(row, "coefficients")
+        row = integers(row, "coefficients")
+        return row[:self.head], {j: c for j, c in enumerate(row[self.head:], self.head) if c}
+
+    @property
+    def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Each congruence as (coefficients over every unknown, right-hand side)."""
+        out = []
+        for head, psi, rhs in self._equations:
+            row = list(head) + [0] * (len(self.unknowns) - self.head)
+            for j, c in psi.items():
+                row[j] = c
+            out.append((tuple(row), rhs))
+        return out
 
     def add(self, row, rhs) -> None:
         """Append  sum row[j] * unknowns[j] == rhs (mod 1): int coefficients, int or Fraction rhs."""
-        row, (rhs,) = self._row(row), rational_phases((rhs,))
-        self.equations.append((row, rhs))
-        scale = lcm(self.scale, rhs.denominator)
-        if scale > self.scale:
-            # scaling the last column keeps the basis in Hermite form
-            self.basis = tuple(r[:-1] + (r[-1] * scale // self.scale,) for r in self.basis)
-            self.scale = scale
-        self.basis = hnf_add(self.basis, row + (rhs.numerator * (scale // rhs.denominator),))
+        head, psi = self._split(row)
+        (rhs,) = rational_phases((rhs,))
+        self._add(head, psi, rhs)
+
+    def _add(self, head: tuple[int, ...], psi: dict[int, int], rhs: Fraction) -> None:
+        """``add`` of a row given as its head part and its nonzero psi entries by column."""
+        self._equations.append((head, psi, rhs))
+        if self.scale % rhs.denominator:
+            # scaling the last column keeps every basis in Hermite form: it is
+            # a pivot column only in the last row of ``basis``
+            k = lcm(self.scale, rhs.denominator) // self.scale
+            self.basis = tuple(r[:-1] + (r[-1] * k,) for r in self.basis)
+            for cols, rows in set(self.blocks.values()):
+                self.blocks.update(dict.fromkeys(cols, (cols, tuple(r[:-1] + (r[-1] * k,)
+                                                                    for r in rows))))
+            self.scale *= k
+        vec = head + (rhs.numerator * (self.scale // rhs.denominator),)
+        if not psi:
+            self.basis = hnf_add(self.basis, vec)
+            return
+        joined = dict(self.blocks[j] for j in psi if j in self.blocks)  # columns: rows
+        cols = tuple(sorted(set(psi).union(*joined)))
+        row = tuple(psi.get(j, 0) for j in cols) + vec
+        if list(joined) == [cols]:
+            rows = hnf_add(joined[cols], row)
+        else:  # a new block, or blocks merged: each row relabelled onto the merged columns
+            rows = hnf_rows([tuple(dict(zip(old, r)).get(j, 0) for j in cols) + r[len(old):]
+                             for old, block in joined.items() for r in block] + [row])
+        kept = sum(1 for r in rows if any(r[:len(cols)]))  # the psi pivots come first
+        for r in rows[kept:]:
+            self.basis = hnf_add(self.basis, r[len(cols):])
+        self.blocks.update(dict.fromkeys(cols, (cols, rows[:kept])))
 
     def solvable(self) -> bool:
         """The congruences have a solution: the last pivot of ``basis`` is D."""
         return self.basis[-1][-1] == self.scale
 
     def fixes(self, row) -> bool:
-        """sum row[j] * x_j is an integer on every solution x: (row, 0) lies in the lattice."""
-        return hnf_contains(self.basis, self._row(row) + (0,)) or not self.solvable()
+        """sum row[j] * x_j is an integer on every solution x: (row, 0) lies in the lattice.
+
+        The psi part of the row is divided exactly through the pivot rows of
+        each block it meets; a remainder, or a psi entry in no block, leaves
+        (row, 0) outside L.  The head vector left over must lie in ``basis``.
+        """
+        head, psi = self._split(row)
+        if not self.solvable():
+            return True
+        vec = head + (0,)
+        while psi:
+            block = self.blocks.get(next(iter(psi)))
+            if block is None:
+                return False
+            cols, rows = block
+            residue = hnf_residues(rows, [(psi.pop(j, 0),) for j in cols] + [(x,) for x in vec])[0]
+            if any(residue[:len(cols)]):
+                return False
+            vec = residue[len(cols):]
+        return hnf_contains(self.basis, vec)
 
     def solve(self) -> list[Fraction] | None:
         """One solution, indexed like ``unknowns``, read from a Smith form of A, or None."""
         if not self.solvable():
             return None
-        res = snf_rows([row for row, _ in self.equations], len(self.unknowns))
-        return _particular(res, [rhs for _, rhs in self.equations])
+        equations = self.equations
+        res = snf_rows([row for row, _ in equations], len(self.unknowns))
+        return _particular(res, [rhs for _, rhs in equations])
 
     def render(self) -> list[str]:
         out = []
@@ -271,6 +353,7 @@ class AbelianBase:
         The columns are the entry phases xi_1..xi_N of the generator, the
         overall phase c0, one angle t_i per continuous direction, then one
         psi per invariant monomial, in order: the keys of the positions map.
+        The columns before the first psi are the head of ``phase_system``.
         """
         invariant = self.invariant_monomials()
         names = [f"xi{a}" for a in range(1, self.n_doublets + 1)]
@@ -278,6 +361,11 @@ class AbelianBase:
         positions = {m: len(names) + i for i, m in enumerate(invariant)}
         names += [f"psi[{m.render()}]" for m in invariant]
         return tuple(names), positions
+
+    def phase_system(self) -> PhaseConstraintSystem:
+        """An empty phase system over ``layout``, whose head is the unknowns before the psi."""
+        unknowns, positions = self.layout
+        return PhaseConstraintSystem(unknowns, head=len(unknowns) - len(positions))
 
     def cosets(self, charges: dict) -> dict:
         """Each key's charge modulo ``lattice``, from one ``hnf_residues`` pass.
@@ -463,11 +551,10 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
     Row a reads  xi_a - xi_sigma(a) - c0 - sum_i w_i[a] t_i == f_a (mod 1).
     """
     n = base.n_doublets
-    system = PhaseConstraintSystem(base.layout[0])
+    system = base.phase_system()
     for a in range(n):
         head = [int(x == a) - int(x == sigma[a]) for x in range(n)]
-        head += [-1] + [-w[a] for w in base.doublet_weights]
-        system.add(head + [0] * (len(system.unknowns) - len(head)), f.phases[a])
+        system._add(tuple(head + [-1] + [-w[a] for w in base.doublet_weights]), {}, f.phases[a])
     return system
 
 
@@ -475,21 +562,20 @@ def _restrict(base: AbelianBase, system: PhaseConstraintSystem, images: dict) ->
     """Restrict the terms of ``base`` orbit by orbit, keeping each orbit that stays solvable.
 
     ``images`` maps each term, in order, to its (image, conjugated) under the
-    generator.  Returns the grown system, the surviving and the killed terms
-    and the magnitude classes: surviving terms linked by the action, which
-    are exactly the surviving orbits.
+    generator.  An orbit's psi columns appear in no other orbit's rows, so
+    its rows make one new block of ``system``.  Returns the grown system, the
+    surviving and the killed terms and the magnitude classes: surviving terms
+    linked by the action, which are exactly the surviving orbits.
     """
     surviving: list[Monomial] = []
     killed: list[Monomial] = []
     classes: list[tuple[Monomial, ...]] = []
+    pad = (0,) * (system.head - base.n_doublets)  # c0 and the t_i
     for orbit in _cycles(images, lambda m: images[m][0]):
         trial = system.copy()
         for m in orbit:
             xi, psi = _invariance_relation(m, *images[m], base.n_doublets, base.layout[1])
-            row = list(xi) + [0] * (len(system.unknowns) - base.n_doublets)
-            for j, c in psi.items():
-                row[j] += c
-            trial.add(row, 0)
+            trial._add(xi + pad, psi, _ZERO)
         if trial.solvable():
             system = trial
             surviving.extend(orbit)
@@ -718,11 +804,10 @@ def check_z3z3() -> Z3Z3Report:
     swap = GenPermMatrix.permutation((1, 0, 2))
     base = AbelianBase.from_lattice(3, [chg for m, chg in monomial_charges(3).items()
                                         if phase_shift(m, a) == 0])
-    unknowns, psi_positions = base.layout
-    pin = PhaseConstraintSystem(unknowns)
+    pin = base.phase_system()
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
-        pin.add([int(j == k) for j in range(len(unknowns))], phase)
-    images = {m: m.permuted(b.perm) for m in psi_positions}
+        pin._add(tuple(int(j == k) for j in range(pin.head)), {}, phase)
+    images = {m: m.permuted(b.perm) for m in base.layout[1]}
     extension = CpCandidate(base, b.perm, images, PhaseVector.identity(3), GroupSignature((3, 3)),
                             *_restrict(base, pin, images))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)

@@ -43,6 +43,15 @@ class GroupSignature:
         if self.star is not None:
             object.__setattr__(self, "star", star)
 
+    @classmethod
+    def _trusted(cls, finite: tuple[int, ...], torus_rank: int) -> "GroupSignature":
+        """An unstarred signature of ints this module checked itself, stored without re-checking."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "finite", finite)
+        object.__setattr__(sig, "torus_rank", torus_rank)
+        object.__setattr__(sig, "star", None)
+        return sig
+
     @property
     def is_trivial(self) -> bool:
         return not self.finite and self.torus_rank == 0 and self.star is None
@@ -103,15 +112,19 @@ def group_from_snf(d: Sequence[int], n: int) -> GroupSignature:
     A Smith diagonal is already an invariant-factor chain, so no factoring
     is needed: entries above one are the cyclic factors and the rank deficit
     contributes U(1) factors.  Raises ValueError if ``d`` is not such a
-    chain (non-negative, each entry dividing the next, zeros last).
+    chain (non-negative, each entry dividing the next, zeros last).  One
+    pass checks the chain and counts the rank, so the signature is built
+    without checking it again.
     """
     d = tuple(d)
-    if any(x < 0 for x in d) or any(b % a if a else b for a, b in zip(d, d[1:])):
-        raise ValueError(f"not a Smith diagonal: {d}")
-    rank = sum(1 for x in d if x != 0)
+    prev, rank = 1, 0
+    for x in d:
+        if x < 0 or (x % prev if prev else x):
+            raise ValueError(f"not a Smith diagonal: {d}")
+        prev, rank = x, rank + (x != 0)
     if rank > n:
         raise ValueError("rank exceeds the number of angles")
-    return GroupSignature(tuple(x for x in d if x > 1), torus_rank=n - rank)
+    return GroupSignature._trusted(tuple(x for x in d if x > 1), n - rank)
 
 
 def _chains(m: int, least: int):

@@ -33,7 +33,7 @@ from nhdm.cpext import (
     cp_extensions,
     cp_realizable,
 )
-from nhdm.exactmath import hnf_rows, snf_rows
+from nhdm.exactmath import hnf_contains, hnf_rows, snf_rows
 from nhdm.groups import GroupSignature
 from nhdm.monomials import (Monomial, enumerate_monomials, monomial_charges, phase_shift,
                             raw_exponents)
@@ -510,6 +510,11 @@ class TestConstraintSystems:
         with pytest.raises(ValueError):
             system.add([F(5, 2), 1], 0)
 
+    @pytest.mark.parametrize("head", [-1, 3])
+    def test_head_lies_within_the_unknowns(self, head):
+        with pytest.raises(ValueError, match="a head of"):
+            PhaseConstraintSystem(["x", "y"], head=head)
+
     @pytest.mark.parametrize("rhs", [0.1, "1/3"])
     def test_float_and_string_right_hand_sides_rejected(self, rhs):
         # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
@@ -807,9 +812,84 @@ def wide_congruences(draw):
     return rows, rhs
 
 
+@st.composite
+def blocked_congruences(draw):
+    """A head of 1-3 unknowns, 2-4 coefficient phases psi and rows in random order.
+
+    The rows are head rows, blocks of 1-3 terms whose rows each link a term
+    to the next in a cycle, psi_t +- psi_next (2 psi_t or 0 for one term), as
+    an orbit's invariance relations do, and pinned psi values as
+    ``fix_and_check`` adds them.  Blocks draw their terms from the same psi
+    columns, so later rows can merge blocks, and the right-hand sides have
+    denominators 1..12, so the scale grows at random steps.
+    """
+    head, npsi = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    heads = st.lists(st.integers(-3, 3), min_size=head, max_size=head)
+    rhs = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(3, 6))):
+        kind = draw(st.sampled_from(["head", "block", "pin"]))
+        if kind == "head":
+            rows.append((draw(heads) + [0] * npsi, draw(rhs)))
+        elif kind == "pin":
+            row = [0] * (head + npsi)
+            row[head + draw(st.integers(0, npsi - 1))] = 1
+            rows.append((row, draw(rhs)))
+        else:
+            terms = draw(st.lists(st.integers(0, npsi - 1), min_size=1, max_size=3, unique=True))
+            for t, nxt in zip(terms, terms[1:] + terms[:1]):
+                row = draw(heads) + [0] * npsi
+                row[head + t] += 1
+                row[head + nxt] += draw(st.sampled_from([1, -1]))
+                rows.append((row, draw(st.sampled_from([F(0), draw(rhs)]))))
+    order = draw(st.permutations(range(len(rows))))
+    return head, npsi, [rows[i] for i in order]
+
+
 class TestHermiteSolvability:
     """The augmented Hermite test and the orbit-by-orbit basis against the
     Smith readings they replace."""
+
+    def test_a_row_across_two_blocks_merges_them(self):
+        # the pins psi0 = 1/2 and psi1 = 1/3 make two blocks, and x0 = psi0 +
+        # psi1 joins them, which fixes x0 = 5/6: 6 x0 is integral, x0 is not
+        system = PhaseConstraintSystem(["x0", "psi0", "psi1"], head=1)
+        system.add([0, 1, 0], F(1, 2))
+        system.add([0, 0, 1], F(1, 3))
+        assert len(set(system.blocks.values())) == 2
+        system.add([-1, 1, 1], 0)
+        assert set(system.blocks.values()) == {((1, 2), ((1, 0, 0, 3), (0, 1, 0, 2)))}
+        wide, scale = reference.hnf_lattice(system)
+        assert system.solvable() and wide[-1][-1] == scale
+        for w in itertools.product(range(-6, 7), range(-2, 3), range(-2, 3)):
+            assert system.fixes(w) == hnf_contains(wide, w + (0,))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(blocked_congruences(), st.data())
+    def test_blocks_answer_as_the_wide_lattice(self, case, data):
+        # the head basis is exactly the zero-psi part of the Hermite basis of
+        # every row with the psi columns first, and solvable and fixes answer
+        # as that wide lattice does; w is arbitrary or k y A for integer y
+        head, npsi, rows = case
+        system = PhaseConstraintSystem([f"x{j}" for j in range(head)] +
+                                       [f"psi{j}" for j in range(npsi)], head=head)
+        for row, b in rows:
+            system.add(row, b)
+        assert system.equations == [(tuple(row), b % 1) for row, b in rows]
+        wide, scale = reference.hnf_lattice(system)
+        psi_first = hnf_rows(r[head:-1] + r[:head] + r[-1:] for r in wide)
+        assert system.scale == scale
+        assert system.basis == tuple(r[npsi:] for r in psi_first if not any(r[:npsi]))
+        assert system.solvable() == (wide[-1][-1] == scale)
+        for _ in range(4):
+            if data.draw(st.booleans()):
+                w = data.draw(st.lists(st.integers(-4, 4), min_size=head + npsi,
+                                       max_size=head + npsi))
+            else:
+                y = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+                k = data.draw(st.integers(1, 12))
+                w = [k * sum(c * r[j] for c, (r, _) in zip(y, rows)) for j in range(head + npsi)]
+            assert system.fixes(w) == (not system.solvable() or hnf_contains(wide, w + [0]))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(wide_congruences())
@@ -919,7 +999,11 @@ class TestHermiteSolvability:
         # the bases' coset questions and the surviving-lattice check each take
         # one hnf_residues pass, so hnf_contains serves only the forced-symmetry
         # search's fixes; asking them one charge at a time made 407 calls, and
-        # checking the 9 killed charges one at a time would add 9
+        # checking the 9 killed charges one at a time would add 9.  Of the 13
+        # rows fixes is asked, 9 are decided by their psi part: 7 name the
+        # phase of a term whose relation has none, so no equation holds it,
+        # and 2 leave a remainder in a block; the 4 with no psi part left
+        # take one hnf_contains each, where the wide lattice took 13
         cp_bases(3)
         calls = []
         real = exactmath.hnf_contains
@@ -933,7 +1017,7 @@ class TestHermiteSolvability:
         for base in cp_bases(3):
             for cand in cp_extensions(base):
                 cp_realizable(cand)
-        assert len(calls) == 13
+        assert len(calls) == 4
 
     def test_invariant_terms_read_only_with_an_involution(self, monkeypatch):
         # a base without an involutive commuting pattern has no candidate, and
@@ -1071,6 +1155,21 @@ class TestZ3Z3:
         assert rep.phase_generator.phases == (F(0), F(1, 3), F(2, 3))
         assert rep.cyclic_generator.perm == (1, 2, 0)
         assert rep.swap.perm == (1, 0, 2)
+
+    def test_cycle_orbit_runs_the_merge_path(self, monkeypatch):
+        # each row of the 3-cycle's orbit links a term's psi to the next one's,
+        # so the second row adds a column to the first row's block and the
+        # third closes the cycle; the merged block answers as the wide lattice
+        grown = []
+        real = cpext._restrict
+        monkeypatch.setattr(cpext, "_restrict", lambda *args: grown.append(real(*args)) or grown[-1])
+        assert check_z3z3().verdict == "not_realizable"
+        ((system, *_),) = grown
+        assert [cols for cols, _ in set(system.blocks.values())] == [(4, 5, 6)]
+        wide, scale = reference.hnf_lattice(system)
+        assert system.solvable() == (wide[-1][-1] == scale)
+        for w in itertools.product(range(-1, 2), repeat=len(system.unknowns)):
+            assert system.fixes(w) == hnf_contains(wide, w + (0,))
 
     def test_search_yields_the_five_forced_permutations(self, monkeypatch):
         # the Z3 potential restricted by the 3-cycle is forced to admit every
