@@ -37,6 +37,14 @@ the head basis.  A term orbit survives while the head basis stays solvable,
 and a unitary symmetry is forced when the system fixes each relation its
 invariance needs.  A Smith form only writes witness phases.
 
+Each fact is read at the level it depends on.  Per N and pattern, b or
+b J, ``_term_action`` reads each term's image and invariance relation and
+reduces each term orbit's rows once: none of it depends on the base, whose
+invariant terms are a union of whole orbits.  Per (base, sigma) the orbits
+among the invariant terms are relabelled onto the base's columns and
+shared by its square classes; per candidate only each orbit's psi-free
+rows join the pinned head basis.
+
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
 boundary (a "realizable" verdict is then best-effort).
@@ -45,7 +53,7 @@ boundary (a "realizable" verdict is then best-effort).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -201,13 +209,6 @@ class PhaseConstraintSystem:
         self.blocks: dict[int, tuple[tuple[int, ...], Rows]] = {}
         self._equations: list[tuple[tuple[int, ...], dict[int, int], Fraction]] = []
 
-    def copy(self) -> "PhaseConstraintSystem":
-        # one copy per term orbit tried: no constructor, and the row tuples are shared
-        other = object.__new__(PhaseConstraintSystem)
-        other.__dict__.update(self.__dict__, blocks=dict(self.blocks),
-                              _equations=list(self._equations))
-        return other
-
     def _split(self, row) -> tuple[tuple[int, ...], dict[int, int]]:
         """The head part of a row over every unknown, and its nonzero psi entries by column."""
         if len(row) != len(self.unknowns):
@@ -260,6 +261,28 @@ class PhaseConstraintSystem:
         for r in rows[kept:]:
             self.basis = hnf_add(self.basis, r[len(cols):])
         self.blocks.update(dict.fromkeys(cols, (cols, rows[:kept])))
+
+    def _join(self, equations, blocks, free: Rows) -> bool:
+        """Add rows whose psi columns lie in no block, unless the system would become unsolvable.
+
+        The rows come as ``_add`` stores them, each with right-hand side 0,
+        together with what ``_add`` would make of them alone: their
+        ``blocks`` (columns, rows) and ``free``, the Hermite rows of their
+        psi-free combinations over the head and the right-hand side.  Their
+        blocks meet no block of the system, so only ``free`` reaches
+        ``basis``; the system is left as it was when the grown basis is
+        unsolvable, and False comes back.
+        """
+        basis = self.basis
+        for row in free:
+            basis = hnf_add(basis, row)
+        if basis[-1][-1] != self.scale:
+            return False
+        self.basis = basis
+        self._equations.extend(equations)
+        for block in blocks:
+            self.blocks.update(dict.fromkeys(block[0], block))
+        return True
 
     def solvable(self) -> bool:
         """The congruences have a solution: the last pivot of ``basis`` is D."""
@@ -452,6 +475,103 @@ def _cycles(items, image) -> tuple[tuple, ...]:
 
 
 @dataclass(frozen=True)
+class TermOrbit:
+    """One orbit of terms under a generalized permutation, with its invariance rows.
+
+    ``equations`` are the rows as ``PhaseConstraintSystem`` stores them, one
+    per term, each with right-hand side 0; ``blocks`` and ``free`` are what
+    the system makes of these rows alone: their blocks, and the Hermite rows
+    of their psi-free combinations over the head and the right-hand side.
+    """
+
+    terms: tuple[Monomial, ...]
+    equations: tuple[tuple[tuple[int, ...], dict[int, int], Fraction], ...]
+    blocks: tuple[tuple[tuple[int, ...], Rows], ...]
+    free: Rows
+
+
+@dataclass(frozen=True)
+class TermAction:
+    """The action of a generalized permutation with pattern ``perm`` on the terms of N doublets.
+
+    ``images`` maps each term of ``terms`` (``enumerate_monomials``) to its
+    (image, conjugated) and ``relations`` to its ``_invariance_relation``.
+    The unknowns are the entry phases xi_1..xi_N, then one psi per term of
+    ``terms``, in order.  ``orbits``, taken on first use, lists the orbits
+    in ``_cycles`` order, each orbit's rows reduced once in a system of its
+    own; a verdict reads only the images and relations.
+    """
+
+    perm: Perm
+    terms: tuple[Monomial, ...]
+    images: dict[Monomial, tuple[Monomial, bool]]
+    relations: dict[Monomial, tuple[tuple[int, ...], dict[int, int]]]
+
+    @cached_property
+    def orbits(self) -> tuple[TermOrbit, ...]:
+        n = len(self.perm)
+        unknowns = [f"xi{a}" for a in range(1, n + 1)] + [f"psi[{m.render()}]" for m in self.terms]
+        orbits = []
+        for orbit in _cycles(self.terms, lambda m: self.images[m][0]):
+            system = PhaseConstraintSystem(unknowns, head=n)
+            equations = tuple((*self.relations[m], _ZERO) for m in orbit)
+            for equation in equations:
+                system._add(*equation)
+            orbits.append(TermOrbit(orbit, equations, tuple(dict.fromkeys(system.blocks.values())),
+                                    system.basis[:-1]))
+        return tuple(orbits)
+
+
+@lru_cache(maxsize=None)
+def _term_action(perm: Perm, conjugating: bool) -> TermAction:
+    """The action of b, or of b J when ``conjugating``, for b supported on the pattern ``perm``.
+
+    None of it depends on a base: a pattern that commutes with the group
+    maps invariant terms to invariant terms, so the invariant terms are a
+    union of whole orbits, and each orbit's rows, right-hand sides 0, meet
+    no other orbit's psi.  The images under b J are those under b with the
+    flag flipped, since no term is its own conjugate: b J conjugates, then
+    permutes.
+    """
+    n = len(perm)
+    if conjugating:
+        unitary = _term_action(perm, False)
+        terms = unitary.terms
+        images = {m: (img, not conjugated) for m, (img, conjugated) in unitary.images.items()}
+    else:
+        terms = tuple(monomial_charges(n))
+        images = {m: m.permuted(perm) for m in terms}
+    columns = {m: n + i for i, m in enumerate(terms)}
+    return TermAction(perm, terms, images,
+                      {m: _invariance_relation(m, *images[m], n, columns) for m in terms})
+
+
+def _base_orbits(base: AbelianBase, action: TermAction) -> tuple[TermOrbit, ...]:
+    """The orbits of ``action`` among the invariant terms of ``base``, on ``base.layout``.
+
+    Each psi column moves to its term's column, in the same order, and the
+    zero columns of c0 and the t_i go in after the entry phases; the Hermite
+    form of rows does not change under either.
+    """
+    n = base.n_doublets
+    unknowns, positions = base.layout
+    pad = (0,) * (len(unknowns) - len(positions) - n)
+    column = {n + i: positions.get(m) for i, m in enumerate(action.terms)}
+    out = []
+    for orbit in action.orbits:
+        if orbit.terms[0] not in positions:
+            continue
+        equations = tuple((xi + pad, {column[j]: c for j, c in psi.items()}, rhs)
+                          for xi, psi, rhs in orbit.equations)
+        blocks = tuple((tuple(column[j] for j in cols),
+                        tuple(r[:len(cols) + n] + pad + r[len(cols) + n:] for r in rows))
+                       for cols, rows in orbit.blocks)
+        out.append(TermOrbit(orbit.terms, equations, blocks,
+                             tuple(r[:n] + pad + r[n:] for r in orbit.free)))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
 class BackboneClasses:
     """Coefficient identifications forced on the torus-symmetric backbone.
 
@@ -500,7 +620,6 @@ class CpCandidate:
 
     base: AbelianBase
     sigma: Perm
-    images: dict = field(compare=False, repr=False)  # term: (image, conjugated) under sigma
     square: PhaseVector
     signature: GroupSignature
     system: PhaseConstraintSystem
@@ -516,11 +635,12 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     of the generator's square in G / G^2, pinned to its element with
     exponents 0 or 1 on the even cyclic factors and 0 on the odd ones.  With
     none the empty list comes back before the invariant terms and group
-    facts are read.  The layout, square classes and starred signatures are
-    read once per base, the term images under sigma once per involution and
-    shared by its candidates, the pinned system once per involution and
-    square class, and the restriction once per candidate.  No term is its
-    own conjugate, so b J maps it to its image with the flag flipped.
+    facts are read.  The term images, invariance relations and reduced
+    orbits of each pattern are read once per N (``_term_action``), the
+    starred signatures once per unitary signature and square exponents.
+    Per base the layout and square classes are read once, per (base, sigma)
+    the orbits among the invariant terms, shared by the square classes, and
+    per candidate the pinned system and its restriction.
     """
     involutions = commuting_involutions(base)
     if not involutions:
@@ -528,21 +648,24 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     # J -> J h (h in G) turns J^2 into J^2 h^2, so a pin's solvability and the
     # starred group depend only on the class of the square in G / G^2
     gens = base.group.finite_generators
-    classes = [(extend_by_antiunitary(base.group.signature, expts),
+    classes = [(_starred(base.group.signature, expts),
                 sum((e * g for e, g in zip(expts, gens)), PhaseVector.identity(base.n_doublets)))
                for expts in itertools.product(*(range(gcd(2, d))
                                                 for d in base.group.signature.finite))]
     candidates: list[CpCandidate] = []
     for sigma in involutions:
-        images = {m: m.permuted(sigma) for m in base.layout[1]}
-        # b J with b the bare permutation conjugates, then permutes: same image, flag flipped
-        antiunitary = {m: (img, not conjugated) for m, (img, conjugated) in images.items()}
+        orbits = _base_orbits(base, _term_action(sigma, True))
         for signature, f in classes:
             pin = _pin_system(base, sigma, f)
             if pin.solvable():
-                candidates.append(CpCandidate(base, sigma, images, f, signature,
-                                              *_restrict(base, pin, antiunitary)))
+                candidates.append(CpCandidate(base, sigma, f, signature, *_restrict(pin, orbits)))
     return candidates
+
+
+@lru_cache(maxsize=None)
+def _starred(signature: GroupSignature, square_exponents: tuple[int, ...]) -> GroupSignature:
+    """``extend_by_antiunitary``, taken once per unitary signature and square exponents."""
+    return extend_by_antiunitary(signature, square_exponents)
 
 
 def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstraintSystem:
@@ -558,30 +681,25 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
     return system
 
 
-def _restrict(base: AbelianBase, system: PhaseConstraintSystem, images: dict) -> tuple:
-    """Restrict the terms of ``base`` orbit by orbit, keeping each orbit that stays solvable.
+def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> tuple:
+    """Restrict the terms orbit by orbit, keeping each orbit that leaves ``system`` solvable.
 
-    ``images`` maps each term, in order, to its (image, conjugated) under the
-    generator.  An orbit's psi columns appear in no other orbit's rows, so
-    its rows make one new block of ``system``.  Returns the grown system, the
-    surviving and the killed terms and the magnitude classes: surviving terms
-    linked by the action, which are exactly the surviving orbits.
+    ``orbits`` come from ``_base_orbits``, already reduced, so per orbit
+    only its psi-free rows are added to the head basis; a kept orbit's
+    blocks and equations join ``system`` as they are.  Returns the grown
+    system, the surviving and the killed terms and the magnitude classes:
+    surviving terms linked by the action, which are exactly the surviving
+    orbits.
     """
     surviving: list[Monomial] = []
     killed: list[Monomial] = []
     classes: list[tuple[Monomial, ...]] = []
-    pad = (0,) * (system.head - base.n_doublets)  # c0 and the t_i
-    for orbit in _cycles(images, lambda m: images[m][0]):
-        trial = system.copy()
-        for m in orbit:
-            xi, psi = _invariance_relation(m, *images[m], base.n_doublets, base.layout[1])
-            trial._add(xi + pad, psi, _ZERO)
-        if trial.solvable():
-            system = trial
-            surviving.extend(orbit)
-            classes.append(orbit)
+    for orbit in orbits:
+        if system._join(orbit.equations, orbit.blocks, orbit.free):
+            surviving.extend(orbit.terms)
+            classes.append(orbit.terms)
         else:
-            killed.extend(orbit)
+            killed.extend(orbit.terms)
     return system, tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes)
 
 
@@ -639,8 +757,7 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
             GenPermMatrix.diagonal(witness_gen))
 
     sigma = candidate.sigma
-    forced = (None if sigma == tuple(range(base.n_doublets))
-              else _forced_symmetry(candidate, sigma, candidate.images))
+    forced = None if sigma == tuple(range(base.n_doublets)) else _forced_symmetry(candidate, sigma)
     if forced is None:
         return CpVerdict("realizable", "no further unitary symmetry is forced")
     noncomm = _noncommuting_generator(base, forced)
@@ -666,16 +783,16 @@ def _noncommuting_generator(base: AbelianBase, u: GenPermMatrix) -> PhaseVector 
     return None
 
 
-def _forced_symmetry(candidate: CpCandidate, perm: Perm, images: dict) -> GenPermMatrix | None:
+def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None:
     """Unitary witness with permutation ``perm`` if one is forced, else None.
 
     Forced means: for every admissible coefficient assignment there are
     entry phases making the generalized permutation a symmetry of backbone
     plus surviving terms.  Each surviving term's (image, conjugated) under
-    ``perm`` is read from ``images``: the candidate's own map for sigma in
-    ``cp_realizable``, the swap's in ``check_z3z3``.  A ``perm`` that moves
-    a surviving term out of its magnitude class is not forced.  That guard
-    holds for sigma, whose images are those of the antiunitary generator.
+    ``perm`` and its invariance relation are read from
+    ``_term_action(perm, False)``, once per N, and the relation is
+    relabelled onto the candidate's columns.  A ``perm`` that moves a
+    surviving term out of its magnitude class is not forced.
     The candidate's system must be solvable, or RuntimeError is raised.
     The invariance relations read R theta == -P psi (mod 1); with
     u @ R @ v == diag(d) they are solvable exactly when z @ P @ psi is an
@@ -687,13 +804,15 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm, images: dict) -> GenPer
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
     n = candidate.base.n_doublets
+    action = _term_action(perm, False)
+    positions = candidate.base.layout[1]
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
     relations = []  # (entry coefficients, psi coefficients) per surviving term
     for m in candidate.surviving:
-        img, conjugated = images[m]
-        if klass.get(img) != klass[m]:
+        if klass.get(action.images[m][0]) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
-        relations.append(_invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
+        xi, psi = action.relations[m]
+        relations.append((xi, {positions[action.terms[j - n]]: c for j, c in psi.items()}))
 
     res = snf_rows([theta for theta, _ in relations], n)
     for z in res.u.entries[res.rank:]:
@@ -807,12 +926,10 @@ def check_z3z3() -> Z3Z3Report:
     pin = base.phase_system()
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
         pin._add(tuple(int(j == k) for j in range(pin.head)), {}, phase)
-    images = {m: m.permuted(b.perm) for m in base.layout[1]}
-    extension = CpCandidate(base, b.perm, images, PhaseVector.identity(3), GroupSignature((3, 3)),
-                            *_restrict(base, pin, images))
+    extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
+                            *_restrict(pin, _base_orbits(base, _term_action(b.perm, False))))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
-    swap_images = {m: m.permuted(swap.perm) for m in extension.surviving}
-    inv_swap = _forced_symmetry(extension, swap.perm, swap_images) == swap
+    inv_swap = _forced_symmetry(extension, swap.perm) == swap
     commutes = commutes_with_diagonal(swap, a)
     verdict = "not_realizable" if (inv_ab and inv_swap and not commutes) else "inconclusive"
     return Z3Z3Report(a, b, swap, inv_ab, inv_swap, commutes, verdict)

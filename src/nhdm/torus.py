@@ -48,6 +48,13 @@ class PhaseVector:
         object.__setattr__(self, "phases", rational_phases(self.phases))
 
     @classmethod
+    def _trusted(cls, phases: tuple[Fraction, ...]) -> "PhaseVector":
+        """Fractions this module already reduced to [0, 1), stored without reducing them again."""
+        pv = object.__new__(cls)
+        object.__setattr__(pv, "phases", phases)
+        return pv
+
+    @classmethod
     def identity(cls, n_doublets: int) -> "PhaseVector":
         return cls((Fraction(0),) * n_doublets)
 
@@ -178,7 +185,7 @@ def element_from_angles(basis: TorusBasis, angles: Sequence[Rational]) -> PhaseV
             for a, w in enumerate(weight):
                 totals[a] += k * w
     common *= denominator
-    return PhaseVector(tuple(Fraction(t % common, common) for t in totals))
+    return PhaseVector._trusted(tuple(Fraction(t % common, common) for t in totals))
 
 
 def equal_mod_center(x: PhaseVector, y: PhaseVector) -> bool:

@@ -9,8 +9,10 @@ factor read from the inverse of the Smith column transform, the
 invariant factors merged from the prime powers of each cyclic order, the
 abelian groups of each order assembled from per-prime partitions, the phase
 congruences decided by a Smith form of the whole system for every orbit
-tried, the solution set as a particular solution with torsion generators
-and free directions, the forced unitary symmetry decided by testing that
+tried, each candidate's system grown orbit by orbit from term images and
+invariance relations read afresh, the solution set as a particular
+solution with torsion generators and free directions, the forced unitary
+symmetry decided by testing that
 solution set against one Smith form, the forced unitary symmetries searched
 over every permutation that keeps the backbone classes, each with its term
 images read afresh, the square classes keyed by the least center key
@@ -32,8 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from nhdm.classifier import SymmetryGroup
-from nhdm.cpext import (GenPermMatrix, _cycles, _forced_symmetry, _invariance_relation,
-                         backbone_classes)
+from nhdm.cpext import (GenPermMatrix, PhaseConstraintSystem, _cycles, _forced_symmetry,
+                         _invariance_relation, backbone_classes)
 from nhdm.exactmath import IntMatrix, hnf_rows, smith_columns, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
@@ -573,7 +575,7 @@ def forced_symmetries(candidate):
     classes = backbone_classes(candidate.sigma)
     for perm in itertools.islice(itertools.permutations(range(candidate.base.n_doublets)), 1, None):
         if preserves_backbone(classes, perm):
-            forced = _forced_symmetry(candidate, perm, term_images(candidate, perm))
+            forced = _forced_symmetry(candidate, perm)
             if forced is not None:
                 yield forced
 
@@ -612,27 +614,61 @@ def fraction_particular(res, rhs) -> list:
             for j in range(res.v.rows)]
 
 
+def rebuilt(system):
+    """A new system over the unknowns and head of ``system``, with its equations
+    added through ``add``."""
+    out = PhaseConstraintSystem(system.unknowns, head=system.head)
+    for row, rhs in system.equations:
+        out.add(row, rhs)
+    return out
+
+
 def refactoring_restriction(base, sigma, pin, invariant, psi_positions) -> tuple:
     """(surviving, killed, magnitude classes, rendered system) of a candidate,
-    with each orbit kept when ``smith_solvable`` of a copy of the whole system
-    plus the orbit's rows holds."""
+    with each orbit kept when ``smith_solvable`` of the whole system plus the
+    orbit's rows, rebuilt through ``add``, holds."""
     n = base.n_doublets
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
-    system = pin
+    kept = pin.equations
     surviving, killed, classes = [], [], []
     for orbit in _cycles(invariant, lambda m: images[m][0]):
-        trial = system.copy()
+        rows = []
         for m in orbit:
             img, conjugated = images[m]
             xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
-            row = list(xi) + [0] * (len(system.unknowns) - n)
+            row = list(xi) + [0] * (len(pin.unknowns) - n)
             for j, c in psi.items():
                 row[j] += c
-            trial.add(row, 0)
+            rows.append((tuple(row), Fraction(0)))
+        trial = PhaseConstraintSystem(pin.unknowns, head=pin.head)
+        for row, rhs in kept + rows:
+            trial.add(row, rhs)
         if smith_solvable(trial):
-            system = trial
+            kept += rows
             surviving.extend(orbit)
             classes.append(orbit)
         else:
             killed.extend(orbit)
+    system = PhaseConstraintSystem(pin.unknowns, head=pin.head)
+    for row, rhs in kept:
+        system.add(row, rhs)
     return tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes), system.render()
+
+
+def orbitwise_restriction(base, sigma, pin):
+    """``pin`` grown orbit by orbit as each candidate's system once was: every
+    orbit's invariance relations, read afresh, through ``_add``, and the
+    basis, blocks and equations put back when the system becomes unsolvable."""
+    n = base.n_doublets
+    positions = base.layout[1]
+    images = {m: m.permuted(sigma) for m in positions}
+    pad = (0,) * (pin.head - n)
+    for orbit in _cycles(positions, lambda m: images[m][0]):
+        saved = pin.basis, dict(pin.blocks), list(pin._equations)
+        for m in orbit:
+            img, conjugated = images[m]
+            xi, psi = _invariance_relation(m, img, not conjugated, n, positions)
+            pin._add(xi + pad, psi, Fraction(0))
+        if not pin.solvable():
+            pin.basis, pin.blocks, pin._equations = saved
+    return pin

@@ -365,8 +365,10 @@ class TestContainsDiagonal:
 class TestSmithBudget:
     def test_bases_take_no_smith_form_and_extensions_one_per_involutive_base(self, monkeypatch):
         # and one pinned system per (involution, class of G / G^2) and one
-        # starred signature per class; pinning every element until its class
-        # solved made 411 and 274
+        # starred signature per (unitary signature, square exponents);
+        # pinning every element until its class solved made 411 pins and 274
+        # starred signatures, and one starred signature per class 219
+        cpext._starred.cache_clear()
         calls, pins, starred = [], [], []
         real = classifier.smith_columns
         real_pin, real_starred = cpext._pin_system, cpext.extend_by_antiunitary
@@ -389,14 +391,16 @@ class TestSmithBudget:
                 classes += quotient
                 involution_classes += involutions * quotient
         assert len(calls) == involutive == 109
-        assert (len(pins), len(starred)) == (involution_classes, classes) == (369, 219)
+        assert (len(pins), involution_classes, classes) == (369, 369, 219)
+        assert len(starred) == len(set(starred)) == 29
 
     def test_term_images_read_once_per_involution(self, monkeypatch):
-        # one Monomial.permuted per invariant term and (base, involution)
-        # pair, 20 pairs at N=3, and none in the verdicts, which read the
-        # candidate's images; building the images per candidate made 129
-        # calls, and reading them again per verdict 189; the invariant terms
-        # are read once per base with an involution
+        # one Monomial.permuted per term of three doublets and involution, 4
+        # involutions, and none in the verdicts, which read the same images;
+        # reading them per (base, involution) made 105 calls, building them
+        # per candidate 129, and reading them again per verdict 189; the
+        # invariant terms are read once per base with an involution
+        cpext._term_action.cache_clear()
         bases = cp_bases(3)
         permuted, invariant = [], []
         real_permuted, real_invariant = Monomial.permuted, AbelianBase.invariant_monomials
@@ -407,7 +411,63 @@ class TestSmithBudget:
         for base in bases:
             for cand in cp_extensions(base):
                 cp_realizable(cand)
-        assert (len(permuted), len(invariant)) == (105, 12)
+        assert (len(permuted), len(invariant)) == (4 * 12, 12)
+
+
+class TestTermActions:
+    """Each pattern's term images, invariance relations and orbit reductions,
+    read once per N and shared by every base, square class and verdict."""
+
+    @staticmethod
+    def sweep(n):
+        for base in cp_bases(n):
+            for cand in cp_extensions(base):
+                cp_realizable(cand)
+
+    def test_four_doublet_sweep_reads_each_action_once(self, monkeypatch):
+        # one Monomial.permuted per term of four doublets and involution, 10
+        # involutions, where reading the images per (base, involution) made
+        # 2,196 calls; one invariance relation per term, involution and
+        # conjugation flag, where relating every orbit tried per candidate
+        # made 5,427; no Hermite form of whole rows in ``_restrict``; and a
+        # second sweep reads none of these again
+        cp_bases(4)
+        cpext._term_action.cache_clear()
+        permuted, relations, rows, restricting = [], [], [], []
+        real_permuted, real_relation = Monomial.permuted, cpext._invariance_relation
+        real_rows, real_restrict = cpext.hnf_rows, cpext._restrict
+        monkeypatch.setattr(Monomial, "permuted",
+                            lambda m, perm: permuted.append((m, perm)) or real_permuted(m, perm))
+        monkeypatch.setattr(cpext, "_invariance_relation",
+                            lambda *args: relations.append(args) or real_relation(*args))
+        monkeypatch.setattr(cpext, "hnf_rows",
+                            lambda r: rows.append(bool(restricting)) or real_rows(r))
+
+        def restrict(*args):
+            restricting.append(True)
+            try:
+                return real_restrict(*args)
+            finally:
+                restricting.pop()
+
+        monkeypatch.setattr(cpext, "_restrict", restrict)
+        self.sweep(4)
+        assert len(permuted) == len(set(permuted)) == 10 * 42
+        assert len(relations) == 2 * len(permuted)
+        assert rows and not any(rows)  # the verdicts' surviving lattices take some
+        permuted.clear(), relations.clear(), rows.clear()
+        self.sweep(4)
+        assert (permuted, relations) == ([], []) and not any(rows)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_systems_match_the_orbit_by_orbit_build(self, n):
+        for base in cp_bases(n):
+            for cand in cp_extensions(base):
+                old = reference.orbitwise_restriction(base, cand.sigma,
+                                                      _pin_system(base, cand.sigma, cand.square))
+                new = cand.system
+                assert (new.basis, new.scale, new.blocks, new.equations) == (
+                    old.basis, old.scale, old.blocks, old.equations)
 
 
 class TestCandidates:
@@ -454,7 +514,7 @@ class TestCandidates:
 
 class TestConstraintSystems:
     def fix_and_check(self, cand, assignments):
-        trial = cand.system.copy()
+        trial = reference.rebuilt(cand.system)
         for m, value in assignments.items():
             trial.add(row_of(trial, {f"psi[{m}]": 1}), value)
         return trial.solvable()
@@ -483,13 +543,13 @@ class TestConstraintSystems:
         mags = {frozenset(str(m) for m in cls) for cls in cand.magnitude_classes}
         assert frozenset({l8, l9}) in mags
         # the structural phase is pinned by the coefficient phases
-        trial = cand.system.copy()
+        trial = reference.rebuilt(cand.system)
         for m, v in {l7: 0, l8: F(1, 4), l9: F(1, 4)}.items():
             trial.add(row_of(trial, {f"psi[{m}]": 1}), v)
-        pinned = trial.copy()
+        pinned = reference.rebuilt(trial)
         pinned.add(row_of(pinned, {"xi1": 1, "xi3": -1}), F(1, 4))
         assert pinned.solvable()
-        pinned_bad = trial.copy()
+        pinned_bad = reference.rebuilt(trial)
         pinned_bad.add(row_of(pinned_bad, {"xi1": 1, "xi3": -1}), 0)
         assert not pinned_bad.solvable()
 
@@ -525,7 +585,6 @@ class TestConstraintSystems:
 
     def test_a_fraction_coefficient_enters_by_no_path(self):
         # equations enter only through ``add``; the constructor takes none
-        # and ``copy`` copies only what ``add`` let in
         with pytest.raises(TypeError):
             PhaseConstraintSystem(["x"], [((F(5, 2),), F(1, 2))])
         system = PhaseConstraintSystem(["x"])
@@ -534,7 +593,7 @@ class TestConstraintSystems:
                 system.add(row, F(1, 2))
             with pytest.raises(ValueError):
                 system.fixes(row)
-        assert system.equations == [] and system.copy().equations == []
+        assert system.equations == []
         assert system.basis == ((0, 1),) and system.solve() == [F(0)]
 
     def test_u11_backbone_equalities(self):
@@ -662,12 +721,11 @@ class TestVerdicts:
         # of its magnitude class; with singleton classes no term may move
         cand = next(c for c in cp_extensions(base_z3()) if c.sigma == (0, 2, 1))
         images = reference.term_images(cand, (0, 2, 1))
-        assert images == {m: cand.images[m] for m in cand.surviving}
-        assert (str(_forced_symmetry(cand, (0, 2, 1), images))
-                == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]")
+        assert images == {m: cpext._term_action((0, 2, 1), False).images[m]
+                          for m in cand.surviving}
+        assert str(_forced_symmetry(cand, (0, 2, 1))) == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]"
         singletons = tuple((m,) for m in cand.surviving)
-        assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1),
-                                images) is None
+        assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1)) is None
 
     @staticmethod
     def searched_verdict_kinds(n):
@@ -693,15 +751,14 @@ class TestVerdicts:
         assert self.searched_verdict_kinds(4) == {"realizable": 157, "enlarged_unitary": 72}
 
     def test_a_verdict_asks_only_its_own_pattern(self, monkeypatch):
-        # one question per candidate past the lattice checks, about sigma
-        # with the candidate's own images, and none when sigma is the identity
+        # one question per candidate past the lattice checks, about sigma,
+        # and none when sigma is the identity
         asked = []
         real = cpext._forced_symmetry
 
-        def counted(cand, perm, images):
-            assert images is cand.images
+        def counted(cand, perm):
             asked.append(perm)
-            return real(cand, perm, images)
+            return real(cand, perm)
 
         monkeypatch.setattr(cpext, "_forced_symmetry", counted)
         kinds = Counter()
@@ -1040,11 +1097,10 @@ class TestHermiteSolvability:
         # a pattern other than the identity, which ``cp_realizable`` asks about
         cand = next(c for base in cp_bases(3) for c in cp_extensions(base)
                     if c.sigma != (0, 1, 2))
-        system = cand.system.copy()
+        system = reference.rebuilt(cand.system)
         system.add([0] * len(system.unknowns), F(1, 2))
         with pytest.raises(RuntimeError, match="have no solution"):
-            _forced_symmetry(replace(cand, system=system), cand.sigma,
-                             reference.term_images(cand, cand.sigma))
+            _forced_symmetry(replace(cand, system=system), cand.sigma)
 
 
 class TestLatticeReadings:
@@ -1062,7 +1118,7 @@ class TestLatticeReadings:
                 for perm in itertools.permutations(range(3)):
                     if perm == (0, 1, 2) or not reference.preserves_backbone(classes, perm):
                         continue
-                    got = _forced_symmetry(cand, perm, reference.term_images(cand, perm))
+                    got = _forced_symmetry(cand, perm)
                     assert got == reference.forced_symmetry(cand, perm, *oracle)
                     pairs += 1
                     forced += got is not None
@@ -1076,7 +1132,7 @@ class TestLatticeReadings:
         real = cpext._pin_system
         monkeypatch.setattr(cpext, "_pin_system",
                             lambda base, sigma, f: pins.append((sigma, f)) or real(base, sigma, f))
-        monkeypatch.setattr(cpext, "_restrict", lambda base, pin, images: (pin, (), (), ()))
+        monkeypatch.setattr(cpext, "_restrict", lambda pin, orbits: (pin, (), (), ()))
         for base, (squares, keyed) in zip(all_bases(n), square_classes(n)):
             pins.clear()
             cp_extensions(base)
@@ -1178,12 +1234,12 @@ class TestZ3Z3:
         asked = []
         real = cpext._forced_symmetry
         monkeypatch.setattr(cpext, "_forced_symmetry",
-                            lambda cand, perm, images: asked.append((cand, perm, images))
-                            or real(cand, perm, images))
+                            lambda cand, perm: asked.append((cand, perm)) or real(cand, perm))
         rep = check_z3z3()
-        ((extension, perm, images),) = asked
+        ((extension, perm),) = asked
         assert perm == rep.swap.perm
-        assert images == reference.term_images(extension, perm)
+        images = cpext._term_action(perm, False).images
+        assert {m: images[m] for m in extension.surviving} == reference.term_images(extension, perm)
         assert extension.sigma == (1, 2, 0)
         assert extension.square == PhaseVector.identity(3)
         assert extension.signature == GroupSignature((3, 3))

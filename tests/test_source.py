@@ -84,3 +84,18 @@ def test_only_torus_reads_the_circle_weights():
                   if isinstance(node, ast.Attribute)
                   and node.attr in {"weights", "common_weights"}]
     assert found == []
+
+
+def test_only_the_term_action_permutes_terms():
+    # a term's image under a pattern is read once per N in cpext._term_action;
+    # every other reader takes it from there
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name == "_term_action"
+                   and path.name == "cpext.py" for node in ast.walk(func)}
+        found += [f"{path.relative_to(SRC)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "permuted" and id(node) not in allowed]
+    assert found == []

@@ -179,6 +179,19 @@ class TestOtherDenominators:
                     assert element_from_angles(basis, angles) == expected
 
 
+    def test_elements_are_stored_as_the_checked_constructor_stores_them(self):
+        # element_from_angles reduces each phase itself and skips the second
+        # reduction of PhaseVector's constructor
+        rng = random.Random(6)
+        sixth = TorusBasis(3, ((F(1, 6), F(-1, 6), F(0)), (F(1, 2), F(1, 3), F(-5, 6))))
+        for basis in [torus_basis(n) for n in range(3, 7)] + [sixth]:
+            for _ in range(20):
+                angles = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(basis.n)]
+                pv = element_from_angles(basis, angles)
+                assert pv == PhaseVector(pv.phases) == fraction_element_from_angles(basis, angles)
+                assert all(type(p) is F and 0 <= p < 1 for p in pv.phases)
+
+
 class TestPhaseTypes:
     # Fraction(p) would take a float at its binary value and a string as a
     # rational; only int and Fraction phases are accepted
