@@ -30,20 +30,20 @@ character, and two equal cosets are characters that agree on the group.
 The phase congruences of steps 3 to 5 are read through the lattice of a
 ``PhaseConstraintSystem``, kept as a Hermite basis over the head unknowns
 (the entry phases, c0 and the torus angles) and one small block per term
-orbit.  The structural-phase pins carry no coefficient phase psi, and an
-orbit's invariance relations carry only the psi of its own terms, so each
-orbit's rows make their own block and only their psi-free combinations reach
-the head basis.  A term orbit survives while the head basis stays solvable,
-and a unitary symmetry is forced when the system fixes each relation its
-invariance needs.  A Smith form only writes witness phases.
+orbit.  The structural-phase pins are head rows, free of coefficient phases
+psi, and an orbit's invariance relations carry only its own terms' psi, so
+each orbit's rows, reduced once, make their own block and only their
+psi-free combinations reach the head basis.  An orbit survives while the
+head basis stays solvable, and a unitary symmetry is forced when the system
+fixes each relation its invariance needs; a Smith form only writes phases.
 
 Each fact is read at the level it depends on.  Per N and pattern, b or
 b J, ``_term_action`` reads each term's image and invariance relation and
-reduces each term orbit's rows once: none of it depends on the base, whose
-invariant terms are a union of whole orbits.  Per (base, sigma) the orbits
-among the invariant terms are relabelled onto the base's columns and
-shared by its square classes; per candidate only each orbit's psi-free
-rows join the pinned head basis.
+reduces each term orbit's rows by one Hermite form: none of it depends on
+the base, whose invariant terms are a union of whole orbits.  Per (base,
+sigma) the orbits among the invariant terms are relabelled onto the base's
+columns and shared by its square classes; per candidate only each orbit's
+psi-free rows join the pinned head basis.
 
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
@@ -186,17 +186,15 @@ class PhaseConstraintSystem:
       which is an integer exactly when (w, 0) == y [A | D b] - (y b)(0, D)
       lies in L.
 
-    L is never written out over all unknowns.  Rows linked through shared
-    psi columns make a block, a Hermite basis over the block's psi columns,
-    then the head and the scaled right-hand side, whose rows all have psi
-    pivots; ``blocks`` maps each psi column to its block (columns, rows).
-    ``basis`` is the Hermite basis of the elements of L with zero psi part,
-    over the head and the scaled right-hand side.  A row with psi entries
-    joins the blocks of its columns, merging them, and each block row whose
-    psi part reduces to zero moves into ``basis``.  Distinct blocks have
-    disjoint psi columns, so the Hermite basis of L with the psi columns
-    first is block-diagonal in psi and its zero-psi rows span exactly the
-    lattice of ``basis``, whose last row is that of L.
+    L is never written out over all unknowns.  Head rows carry no psi
+    (``add``); whole term orbits (``_join``) carry psi columns that no other
+    orbit carries, with right-hand side 0.  ``basis`` is the Hermite basis
+    of the elements of L with zero psi part, over the head and the scaled
+    right-hand side, and ``blocks`` maps each psi column to its orbit's
+    block (``TermOrbit``).  Distinct blocks have disjoint psi columns, so
+    the Hermite basis of L with the psi columns first is block-diagonal in
+    psi and its zero-psi rows span exactly the lattice of ``basis``, whose
+    last row is that of L.
     """
 
     def __init__(self, unknowns, *, head: int | None = None):
@@ -228,60 +226,42 @@ class PhaseConstraintSystem:
         return out
 
     def add(self, row, rhs) -> None:
-        """Append  sum row[j] * unknowns[j] == rhs (mod 1): int coefficients, int or Fraction rhs."""
+        """Append  sum row[j] * unknowns[j] == rhs (mod 1): int coefficients, int or Fraction rhs.
+        A psi entry raises ValueError: coefficient phases enter only with a term orbit."""
         head, psi = self._split(row)
+        if psi:
+            raise ValueError(f"{self.unknowns[min(psi)]} is a coefficient phase, "
+                             "which enters only with a term orbit")
         (rhs,) = rational_phases((rhs,))
-        self._add(head, psi, rhs)
+        self._add(head, rhs)
 
-    def _add(self, head: tuple[int, ...], psi: dict[int, int], rhs: Fraction) -> None:
-        """``add`` of a row given as its head part and its nonzero psi entries by column."""
-        self._equations.append((head, psi, rhs))
+    def _add(self, head: tuple[int, ...], rhs: Fraction) -> None:
+        """``add`` of a head row given as its head part."""
+        self._equations.append((head, {}, rhs))
         if self.scale % rhs.denominator:
-            # scaling the last column keeps every basis in Hermite form: it is
-            # a pivot column only in the last row of ``basis``
+            # scaling the last column keeps ``basis`` in Hermite form: it is a
+            # pivot column only in the last row; block rows end in 0
             k = lcm(self.scale, rhs.denominator) // self.scale
             self.basis = tuple(r[:-1] + (r[-1] * k,) for r in self.basis)
-            for cols, rows in set(self.blocks.values()):
-                self.blocks.update(dict.fromkeys(cols, (cols, tuple(r[:-1] + (r[-1] * k,)
-                                                                    for r in rows))))
             self.scale *= k
-        vec = head + (rhs.numerator * (self.scale // rhs.denominator),)
-        if not psi:
-            self.basis = hnf_add(self.basis, vec)
-            return
-        joined = dict(self.blocks[j] for j in psi if j in self.blocks)  # columns: rows
-        cols = tuple(sorted(set(psi).union(*joined)))
-        row = tuple(psi.get(j, 0) for j in cols) + vec
-        if list(joined) == [cols]:
-            rows = hnf_add(joined[cols], row)
-        else:  # a new block, or blocks merged: each row relabelled onto the merged columns
-            rows = hnf_rows([tuple(dict(zip(old, r)).get(j, 0) for j in cols) + r[len(old):]
-                             for old, block in joined.items() for r in block] + [row])
-        kept = sum(1 for r in rows if any(r[:len(cols)]))  # the psi pivots come first
-        for r in rows[kept:]:
-            self.basis = hnf_add(self.basis, r[len(cols):])
-        self.blocks.update(dict.fromkeys(cols, (cols, rows[:kept])))
+        self.basis = hnf_add(self.basis, head + (rhs.numerator * (self.scale // rhs.denominator),))
 
-    def _join(self, equations, blocks, free: Rows) -> bool:
-        """Add rows whose psi columns lie in no block, unless the system would become unsolvable.
+    def _join(self, orbit: TermOrbit) -> bool:
+        """Add a term orbit from ``_base_orbits``, unless the system would become unsolvable.
 
-        The rows come as ``_add`` stores them, each with right-hand side 0,
-        together with what ``_add`` would make of them alone: their
-        ``blocks`` (columns, rows) and ``free``, the Hermite rows of their
-        psi-free combinations over the head and the right-hand side.  Their
-        blocks meet no block of the system, so only ``free`` reaches
-        ``basis``; the system is left as it was when the grown basis is
-        unsolvable, and False comes back.
+        Its psi columns lie in no block, so only its ``free`` rows reach
+        ``basis``.  When the grown basis is unsolvable nothing changes and
+        False comes back; otherwise the orbit's equations and block join.
         """
         basis = self.basis
-        for row in free:
+        for row in orbit.free:
             basis = hnf_add(basis, row)
         if basis[-1][-1] != self.scale:
             return False
         self.basis = basis
-        self._equations.extend(equations)
-        for block in blocks:
-            self.blocks.update(dict.fromkeys(block[0], block))
+        self._equations.extend((head, psi, _ZERO) for head, psi in orbit.equations)
+        if orbit.block:
+            self.blocks.update(dict.fromkeys(orbit.block[0], orbit.block))
         return True
 
     def solvable(self) -> bool:
@@ -476,18 +456,30 @@ def _cycles(items, image) -> tuple[tuple, ...]:
 
 @dataclass(frozen=True)
 class TermOrbit:
-    """One orbit of terms under a generalized permutation, with its invariance rows.
+    """One orbit of terms under a generalized permutation, with its invariance rows reduced once.
 
-    ``equations`` are the rows as ``PhaseConstraintSystem`` stores them, one
-    per term, each with right-hand side 0; ``blocks`` and ``free`` are what
-    the system makes of these rows alone: their blocks, and the Hermite rows
-    of their psi-free combinations over the head and the right-hand side.
+    ``equations`` holds one row per term, (head part, nonzero psi entries by
+    column), with right-hand side 0.  Of their Hermite basis with the psi
+    columns first, ``block`` holds the psi columns and the rows with psi
+    pivots, or is None without psi, and ``free`` the rest without their psi
+    part.  Rows leave out the right-hand side, always 0, in
+    ``TermAction.orbits``; ``_base_orbits`` appends the base's zero columns.
     """
 
     terms: tuple[Monomial, ...]
-    equations: tuple[tuple[tuple[int, ...], dict[int, int], Fraction], ...]
-    blocks: tuple[tuple[tuple[int, ...], Rows], ...]
+    equations: tuple[tuple[tuple[int, ...], dict[int, int]], ...]
+    block: tuple[tuple[int, ...], Rows] | None
     free: Rows
+
+    @classmethod
+    def reduced(cls, terms, equations) -> "TermOrbit":
+        """The orbit of ``terms`` with the rows ``equations``, reduced by one ``hnf_rows``."""
+        equations = tuple(equations)
+        cols = tuple(sorted({j for _, psi in equations for j in psi}))
+        rows = hnf_rows([tuple(psi.get(j, 0) for j in cols) + head for head, psi in equations])
+        kept = sum(1 for r in rows if any(r[:len(cols)]))  # the psi pivots come first
+        return cls(tuple(terms), equations, (cols, rows[:kept]) if cols else None,
+                   tuple(r[len(cols):] for r in rows[kept:]))
 
 
 @dataclass(frozen=True)
@@ -498,8 +490,8 @@ class TermAction:
     (image, conjugated) and ``relations`` to its ``_invariance_relation``.
     The unknowns are the entry phases xi_1..xi_N, then one psi per term of
     ``terms``, in order.  ``orbits``, taken on first use, lists the orbits
-    in ``_cycles`` order, each orbit's rows reduced once in a system of its
-    own; a verdict reads only the images and relations.
+    in ``_cycles`` order, each reduced once (``TermOrbit.reduced``); a
+    verdict reads only the images and relations.
     """
 
     perm: Perm
@@ -509,17 +501,8 @@ class TermAction:
 
     @cached_property
     def orbits(self) -> tuple[TermOrbit, ...]:
-        n = len(self.perm)
-        unknowns = [f"xi{a}" for a in range(1, n + 1)] + [f"psi[{m.render()}]" for m in self.terms]
-        orbits = []
-        for orbit in _cycles(self.terms, lambda m: self.images[m][0]):
-            system = PhaseConstraintSystem(unknowns, head=n)
-            equations = tuple((*self.relations[m], _ZERO) for m in orbit)
-            for equation in equations:
-                system._add(*equation)
-            orbits.append(TermOrbit(orbit, equations, tuple(dict.fromkeys(system.blocks.values())),
-                                    system.basis[:-1]))
-        return tuple(orbits)
+        return tuple(TermOrbit.reduced(terms, (self.relations[m] for m in terms))
+                     for terms in _cycles(self.terms, lambda m: self.images[m][0]))
 
 
 @lru_cache(maxsize=None)
@@ -550,8 +533,8 @@ def _base_orbits(base: AbelianBase, action: TermAction) -> tuple[TermOrbit, ...]
     """The orbits of ``action`` among the invariant terms of ``base``, on ``base.layout``.
 
     Each psi column moves to its term's column, in the same order, and the
-    zero columns of c0 and the t_i go in after the entry phases; the Hermite
-    form of rows does not change under either.
+    zero columns of c0, the t_i and the right-hand side are appended to
+    each block and free row; neither changes the Hermite form of rows.
     """
     n = base.n_doublets
     unknowns, positions = base.layout
@@ -561,13 +544,12 @@ def _base_orbits(base: AbelianBase, action: TermAction) -> tuple[TermOrbit, ...]
     for orbit in action.orbits:
         if orbit.terms[0] not in positions:
             continue
-        equations = tuple((xi + pad, {column[j]: c for j, c in psi.items()}, rhs)
-                          for xi, psi, rhs in orbit.equations)
-        blocks = tuple((tuple(column[j] for j in cols),
-                        tuple(r[:len(cols) + n] + pad + r[len(cols) + n:] for r in rows))
-                       for cols, rows in orbit.blocks)
-        out.append(TermOrbit(orbit.terms, equations, blocks,
-                             tuple(r[:n] + pad + r[n:] for r in orbit.free)))
+        equations = tuple((xi + pad, {column[j]: c for j, c in psi.items()})
+                          for xi, psi in orbit.equations)
+        block = None if orbit.block is None else (tuple(column[j] for j in orbit.block[0]),
+                                                  tuple(r + pad + (0,) for r in orbit.block[1]))
+        out.append(TermOrbit(orbit.terms, equations, block,
+                             tuple(r + pad + (0,) for r in orbit.free)))
     return tuple(out)
 
 
@@ -677,7 +659,7 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
     system = base.phase_system()
     for a in range(n):
         head = [int(x == a) - int(x == sigma[a]) for x in range(n)]
-        system._add(tuple(head + [-1] + [-w[a] for w in base.doublet_weights]), {}, f.phases[a])
+        system._add(tuple(head + [-1] + [-w[a] for w in base.doublet_weights]), f.phases[a])
     return system
 
 
@@ -686,16 +668,16 @@ def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> t
 
     ``orbits`` come from ``_base_orbits``, already reduced, so per orbit
     only its psi-free rows are added to the head basis; a kept orbit's
-    blocks and equations join ``system`` as they are.  Returns the grown
-    system, the surviving and the killed terms and the magnitude classes:
-    surviving terms linked by the action, which are exactly the surviving
-    orbits.
+    block and equations join ``system`` as they are (``_join``).  Returns
+    the grown system, the surviving and the killed terms and the magnitude
+    classes: surviving terms linked by the action, which are exactly the
+    surviving orbits.
     """
     surviving: list[Monomial] = []
     killed: list[Monomial] = []
     classes: list[tuple[Monomial, ...]] = []
     for orbit in orbits:
-        if system._join(orbit.equations, orbit.blocks, orbit.free):
+        if system._join(orbit):
             surviving.extend(orbit.terms)
             classes.append(orbit.terms)
         else:
@@ -925,7 +907,7 @@ def check_z3z3() -> Z3Z3Report:
                                         if phase_shift(m, a) == 0])
     pin = base.phase_system()
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
-        pin._add(tuple(int(j == k) for j in range(pin.head)), {}, phase)
+        pin._add(tuple(int(j == k) for j in range(pin.head)), phase)
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
                             *_restrict(pin, _base_orbits(base, _term_action(b.perm, False))))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)

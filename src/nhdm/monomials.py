@@ -104,8 +104,9 @@ def enumerate_monomials(n_doublets: int) -> tuple[Monomial, ...]:
     return tuple(sorted(seen, key=lambda m: (len(m.factors), m.factors)))
 
 
+@lru_cache(maxsize=None)
 def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
-    """Net per-doublet exponent vector (count of phi_a minus phi_a^dagger)."""
+    """Net per-doublet exponent vector (count of phi_a minus phi_a^dagger), kept per term and N."""
     if not all(1 <= x <= n_doublets for x in _flat(m.factors)):
         raise ValueError(f"{m} names a doublet outside 1..{n_doublets}")
     out = [0] * n_doublets

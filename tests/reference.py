@@ -9,7 +9,7 @@ factor read from the inverse of the Smith column transform, the
 invariant factors merged from the prime powers of each cyclic order, the
 abelian groups of each order assembled from per-prime partitions, the phase
 congruences decided by a Smith form of the whole system for every orbit
-tried, each candidate's system grown orbit by orbit from term images and
+tried, each candidate's equations grown orbit by orbit from term images and
 invariance relations read afresh, the solution set as a particular
 solution with torsion generators and free directions, the forced unitary
 symmetry decided by testing that
@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from nhdm.classifier import SymmetryGroup
-from nhdm.cpext import (GenPermMatrix, PhaseConstraintSystem, _cycles, _forced_symmetry,
-                         _invariance_relation, backbone_classes)
+from nhdm.cpext import (GenPermMatrix, _cycles, _forced_symmetry, _invariance_relation,
+                         backbone_classes)
 from nhdm.exactmath import IntMatrix, hnf_rows, smith_columns, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
@@ -501,13 +501,12 @@ def _in_span(res, rhs) -> bool:
     return not any(t)
 
 
-def hnf_lattice(system) -> tuple:
-    """The Hermite basis of the rows [A_i | D b_i] and (0, ..., 0, D), taken at
-    once from all equations, and D."""
-    scale = lcm(*(rhs.denominator for _, rhs in system.equations))
-    rows = [row + (rhs.numerator * (scale // rhs.denominator),)
-            for row, rhs in system.equations]
-    rows.append((0,) * len(system.unknowns) + (scale,))
+def hnf_lattice(equations, ncols) -> tuple:
+    """The Hermite basis of the rows [A_i | D b_i] and (0, ..., 0, D) of the
+    congruences (row, b) over ``ncols`` unknowns, taken at once, and D."""
+    scale = lcm(*(rhs.denominator for _, rhs in equations))
+    rows = [tuple(row) + (rhs.numerator * (scale // rhs.denominator),) for row, rhs in equations]
+    rows.append((0,) * ncols + (scale,))
     return hnf_rows(rows), scale
 
 
@@ -599,11 +598,11 @@ def square_class_key(squares, f) -> tuple:
     return min((f + s).center_key() for s in squares)
 
 
-def smith_solvable(system) -> bool:
-    """Solvability from one Smith form of the whole system: each row of
-    u @ (D b) past the rank is divisible by D."""
-    return _solvable(snf_rows([row for row, _ in system.equations], len(system.unknowns)),
-                     [rhs for _, rhs in system.equations])
+def smith_solvable(equations, ncols) -> bool:
+    """Solvability of the congruences (row, b) over ``ncols`` unknowns from one
+    Smith form of them all: each row of u @ (D b) past the rank is divisible by D."""
+    return _solvable(snf_rows([row for row, _ in equations], ncols),
+                     [rhs for _, rhs in equations])
 
 
 def fraction_particular(res, rhs) -> list:
@@ -614,61 +613,36 @@ def fraction_particular(res, rhs) -> list:
             for j in range(res.v.rows)]
 
 
-def rebuilt(system):
-    """A new system over the unknowns and head of ``system``, with its equations
-    added through ``add``."""
-    out = PhaseConstraintSystem(system.unknowns, head=system.head)
-    for row, rhs in system.equations:
-        out.add(row, rhs)
-    return out
-
-
-def refactoring_restriction(base, sigma, pin, invariant, psi_positions) -> tuple:
-    """(surviving, killed, magnitude classes, rendered system) of a candidate,
-    with each orbit kept when ``smith_solvable`` of the whole system plus the
-    orbit's rows, rebuilt through ``add``, holds."""
+def orbit_rows(base, sigma, orbit) -> list:
+    """The invariance relations of the terms of ``orbit`` under b J, for b on
+    the pattern ``sigma``, as (row over ``base.layout``, 0): each image read
+    afresh by conjugating the term, then permuting it."""
     n = base.n_doublets
+    unknowns, positions = base.layout
+    rows = []
+    for m in orbit:
+        img, conjugated = Monomial(m.conjugate_factors()).permuted(sigma)
+        xi, psi = _invariance_relation(m, img, conjugated, n, positions)
+        row = list(xi) + [0] * (len(unknowns) - n)
+        for j, c in psi.items():
+            row[j] += c
+        rows.append((tuple(row), Fraction(0)))
+    return rows
+
+
+def refactoring_restriction(base, sigma, pin, invariant) -> tuple:
+    """(surviving, killed, magnitude classes, equations) of a candidate, with
+    each orbit's ``orbit_rows`` kept when ``smith_solvable`` holds for the
+    equations kept so far, the pins first, plus those rows."""
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}
     kept = pin.equations
     surviving, killed, classes = [], [], []
     for orbit in _cycles(invariant, lambda m: images[m][0]):
-        rows = []
-        for m in orbit:
-            img, conjugated = images[m]
-            xi, psi = _invariance_relation(m, img, conjugated, n, psi_positions)
-            row = list(xi) + [0] * (len(pin.unknowns) - n)
-            for j, c in psi.items():
-                row[j] += c
-            rows.append((tuple(row), Fraction(0)))
-        trial = PhaseConstraintSystem(pin.unknowns, head=pin.head)
-        for row, rhs in kept + rows:
-            trial.add(row, rhs)
-        if smith_solvable(trial):
+        rows = orbit_rows(base, sigma, orbit)
+        if smith_solvable(kept + rows, len(pin.unknowns)):
             kept += rows
             surviving.extend(orbit)
             classes.append(orbit)
         else:
             killed.extend(orbit)
-    system = PhaseConstraintSystem(pin.unknowns, head=pin.head)
-    for row, rhs in kept:
-        system.add(row, rhs)
-    return tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes), system.render()
-
-
-def orbitwise_restriction(base, sigma, pin):
-    """``pin`` grown orbit by orbit as each candidate's system once was: every
-    orbit's invariance relations, read afresh, through ``_add``, and the
-    basis, blocks and equations put back when the system becomes unsolvable."""
-    n = base.n_doublets
-    positions = base.layout[1]
-    images = {m: m.permuted(sigma) for m in positions}
-    pad = (0,) * (pin.head - n)
-    for orbit in _cycles(positions, lambda m: images[m][0]):
-        saved = pin.basis, dict(pin.blocks), list(pin._equations)
-        for m in orbit:
-            img, conjugated = images[m]
-            xi, psi = _invariance_relation(m, img, not conjugated, n, positions)
-            pin._add(xi + pad, psi, Fraction(0))
-        if not pin.solvable():
-            pin.basis, pin.blocks, pin._equations = saved
-    return pin
+    return tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes), kept

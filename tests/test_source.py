@@ -99,3 +99,50 @@ def test_only_the_term_action_permutes_terms():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "permuted" and id(node) not in allowed]
     assert found == []
+
+
+def _enclosing_functions(tree):
+    """Each node of ``tree`` mapped to the names of the class and function defs around it."""
+    out = {}
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            inner = names + (child.name,) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else names
+            out[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_a_phase_system_takes_one_shape():
+    # a PhaseConstraintSystem is made only empty over a base's layout, by
+    # AbelianBase.phase_system; head rows enter through add, and coefficient
+    # phases only with a whole term orbit, so _join is the one writer of
+    # ``blocks`` after the constructor sets it to an empty dict
+    mutators = {"update", "setdefault", "pop", "popitem", "clear"}
+    made, written = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = _enclosing_functions(tree)
+        emptied = {id(node.target) for node in ast.walk(tree)
+                   if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Dict)
+                   and not node.value.keys
+                   and where[id(node)][-2:] == ("PhaseConstraintSystem", "__init__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "PhaseConstraintSystem":
+                made.append(where[id(node)])
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in mutators:
+                stored, target = True, node.value  # blocks.update(...) and the like
+            elif isinstance(node, (ast.Attribute, ast.Subscript)):
+                stored = isinstance(node.ctx, (ast.Store, ast.Del)) and id(node) not in emptied
+                target = node if isinstance(node, ast.Attribute) else node.value
+            else:
+                continue
+            if stored and isinstance(target, ast.Attribute) and target.attr == "blocks":
+                written.append(f"{path.relative_to(SRC)}:{node.lineno} {where[id(node)]}")
+    assert made == [("AbelianBase", "phase_system")]
+    assert written and all(w.endswith("'_join')") for w in written), written
