@@ -40,10 +40,9 @@ fixes each relation its invariance needs; a Smith form only writes phases.
 Each fact is read at the level it depends on.  Per N and pattern, b or
 b J, ``_term_action`` reads each term's image and invariance relation and
 reduces each term orbit's rows by one Hermite form: none of it depends on
-the base, whose invariant terms are a union of whole orbits.  Per (base,
-sigma) the orbits among the invariant terms are relabelled onto the base's
-columns and shared by its square classes; per candidate only each orbit's
-psi-free rows join the pinned head basis.
+the base, whose invariant terms are a union of whole orbits.  Per
+candidate only the psi-free rows of each orbit of invariant terms join the
+pinned head basis.
 
 Verdicts are exact for three doublets, where all cases are worked out; for
 more doublets the generalized-permutation ansatz is a documented soundness
@@ -125,21 +124,20 @@ def commutes_with_diagonal(u: GenPermMatrix, pv: PhaseVector) -> bool:
 # -- the action of transformations on monomials -------------------------------
 
 
-def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doublets: int,
-                         psi_positions: dict[Monomial, int]
-                         ) -> tuple[tuple[int, ...], dict[int, int]]:
+def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doublets: int
+                         ) -> tuple[tuple[int, ...], dict[Monomial, int]]:
     """Invariance of the term m under a generalized permutation mapping it to image.
 
     The relation reads  entry-phase part + coefficient-phase part == 0
     (mod 1).  The entry phases of the transformation enter with the net
     exponents of m; coefficient matching adds psi_m, plus psi_image for a
     conjugated image or minus psi_image for a direct one.  Returns the entry
-    coefficients and the nonzero psi coefficients keyed by position.
+    coefficients and the nonzero psi coefficients keyed by term.
     """
     if image != m:
-        psi = {psi_positions[m]: 1, psi_positions[image]: 1 if conjugated else -1}
+        psi = {m: 1, image: 1 if conjugated else -1}
     else:
-        psi = {psi_positions[m]: 2} if conjugated else {}
+        psi = {m: 2} if conjugated else {}
     return raw_exponents(m, n_doublets), psi
 
 
@@ -168,11 +166,13 @@ def _particular(res: SnfResult, rhs) -> list[Fraction]:
 class PhaseConstraintSystem:
     """Linear congruences A x == b (mod 1) over rational unknowns indexed by position.
 
-    ``unknowns`` labels the positions for ``render``.  The first ``head`` of
-    them are the head unknowns, by default all of them; the rest are
-    coefficient phases psi.  The system is read through one integer lattice
-    L: with D the lcm of the denominators of b, L is spanned by the rows
-    [A_i | D b_i] and (0, ..., 0, D).
+    ``unknowns`` labels the positions for ``render``.  ``column`` maps the
+    term of each coefficient phase psi to its position, which must be one of
+    the trailing unknowns, in order, or ValueError is raised; the unknowns
+    before them are the ``head``.  Inside the system a psi is keyed by its
+    term, and rows over every unknown are translated through ``column``.
+    The system is read through one integer lattice L: with D the lcm of the
+    denominators of b, L is spanned by the rows [A_i | D b_i] and (0, ..., 0, D).
 
     - Its elements with zero A-part are (0, y D b + k D) for integer y with
       y A == 0, so the Hermite basis of L ends in a row (0, ..., 0, t) with t
@@ -187,41 +187,43 @@ class PhaseConstraintSystem:
       lies in L.
 
     L is never written out over all unknowns.  Head rows carry no psi
-    (``add``); whole term orbits (``_join``) carry psi columns that no other
-    orbit carries, with right-hand side 0.  ``basis`` is the Hermite basis
-    of the elements of L with zero psi part, over the head and the scaled
-    right-hand side, and ``blocks`` maps each psi column to its orbit's
-    block (``TermOrbit``).  Distinct blocks have disjoint psi columns, so
-    the Hermite basis of L with the psi columns first is block-diagonal in
-    psi and its zero-psi rows span exactly the lattice of ``basis``, whose
-    last row is that of L.
+    (``add``); whole term orbits (``_join``) carry the psi of their own
+    terms, which no other orbit carries, with right-hand side 0.  ``basis``
+    is the Hermite basis of the elements of L with zero psi part, over the
+    head and the scaled right-hand side, and ``blocks`` maps each psi term
+    to its orbit (``TermOrbit``), whose block rows span the rest.  Distinct
+    blocks have disjoint psi, so the Hermite basis of L with the psi columns
+    first is block-diagonal in psi and its zero-psi rows span exactly the
+    lattice of ``basis``, whose last row is that of L.
     """
 
-    def __init__(self, unknowns, *, head: int | None = None):
+    def __init__(self, unknowns, *, column: dict[Monomial, int] | None = None):
         self.unknowns: tuple[str, ...] = tuple(unknowns)
-        self.head = len(self.unknowns) if head is None else head
-        if not 0 <= self.head <= len(self.unknowns):
-            raise ValueError(f"a head of {self.head} of {len(self.unknowns)} unknowns")
+        self.column: dict[Monomial, int] = {} if column is None else column
+        self.head = len(self.unknowns) - len(self.column)
+        if list(self.column.values()) != list(range(self.head, len(self.unknowns))):
+            raise ValueError(f"coefficient phases at {list(self.column.values())} are not "
+                             f"the last {len(self.column)} of {len(self.unknowns)} unknowns")
         self.scale = 1
         self.basis: Rows = ((0,) * self.head + (1,),)
-        self.blocks: dict[int, tuple[tuple[int, ...], Rows]] = {}
-        self._equations: list[tuple[tuple[int, ...], dict[int, int], Fraction]] = []
+        self.blocks: dict[Monomial, TermOrbit] = {}
+        self._equations: list[tuple[tuple[int, ...], dict[Monomial, int], Fraction]] = []
 
-    def _split(self, row) -> tuple[tuple[int, ...], dict[int, int]]:
-        """The head part of a row over every unknown, and its nonzero psi entries by column."""
+    def _split(self, row) -> tuple[tuple[int, ...], dict[Monomial, int]]:
+        """The head part of a row over every unknown, and its nonzero psi entries by term."""
         if len(row) != len(self.unknowns):
             raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
         row = integers(row, "coefficients")
-        return row[:self.head], {j: c for j, c in enumerate(row[self.head:], self.head) if c}
+        return row[:self.head], {m: c for m, c in zip(self.column, row[self.head:]) if c}
 
     @property
     def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Each congruence as (coefficients over every unknown, right-hand side)."""
         out = []
-        for head, psi, rhs in self._equations:
-            row = list(head) + [0] * (len(self.unknowns) - self.head)
-            for j, c in psi.items():
-                row[j] = c
+        for head, psi, rhs in self._equations:  # an orbit's rows end after the entry phases
+            row = list(head) + [0] * (len(self.unknowns) - len(head))
+            for m, c in psi.items():
+                row[self.column[m]] = c
             out.append((tuple(row), rhs))
         return out
 
@@ -230,8 +232,8 @@ class PhaseConstraintSystem:
         A psi entry raises ValueError: coefficient phases enter only with a term orbit."""
         head, psi = self._split(row)
         if psi:
-            raise ValueError(f"{self.unknowns[min(psi)]} is a coefficient phase, "
-                             "which enters only with a term orbit")
+            raise ValueError(f"{self.unknowns[self.column[next(iter(psi))]]} is a coefficient "
+                             "phase, which enters only with a term orbit")
         (rhs,) = rational_phases((rhs,))
         self._add(head, rhs)
 
@@ -240,28 +242,29 @@ class PhaseConstraintSystem:
         self._equations.append((head, {}, rhs))
         if self.scale % rhs.denominator:
             # scaling the last column keeps ``basis`` in Hermite form: it is a
-            # pivot column only in the last row; block rows end in 0
+            # pivot column only in the last row
             k = lcm(self.scale, rhs.denominator) // self.scale
             self.basis = tuple(r[:-1] + (r[-1] * k,) for r in self.basis)
             self.scale *= k
         self.basis = hnf_add(self.basis, head + (rhs.numerator * (self.scale // rhs.denominator),))
 
     def _join(self, orbit: TermOrbit) -> bool:
-        """Add a term orbit from ``_base_orbits``, unless the system would become unsolvable.
+        """Add a term orbit of ``TermAction.orbits``, unless the system would become unsolvable.
 
-        Its psi columns lie in no block, so only its ``free`` rows reach
-        ``basis``.  When the grown basis is unsolvable nothing changes and
-        False comes back; otherwise the orbit's equations and block join.
+        Its terms are in no block, so only its ``free`` rows reach ``basis``,
+        padded with zeros past the entry phases.  When the grown basis is
+        unsolvable nothing changes and False comes back; otherwise the
+        orbit's equations join, and it becomes the block of its terms.
         """
         basis = self.basis
         for row in orbit.free:
-            basis = hnf_add(basis, row)
+            basis = hnf_add(basis, row + (0,) * (self.head + 1 - len(row)))
         if basis[-1][-1] != self.scale:
             return False
         self.basis = basis
-        self._equations.extend((head, psi, _ZERO) for head, psi in orbit.equations)
+        self._equations.extend((xi, psi, _ZERO) for xi, psi in orbit.equations)
         if orbit.block:
-            self.blocks.update(dict.fromkeys(orbit.block[0], orbit.block))
+            self.blocks.update(dict.fromkeys(orbit.terms, orbit))
         return True
 
     def solvable(self) -> bool:
@@ -271,23 +274,26 @@ class PhaseConstraintSystem:
     def fixes(self, row) -> bool:
         """sum row[j] * x_j is an integer on every solution x: (row, 0) lies in the lattice.
 
-        The psi part of the row is divided exactly through the pivot rows of
-        each block it meets; a remainder, or a psi entry in no block, leaves
-        (row, 0) outside L.  The head vector left over must lie in ``basis``.
+        The psi part of the row on an orbit's terms, with the entry-phase
+        prefix of the head vector, is reduced against the orbit's block; a
+        psi remainder, or a psi entry in no block, leaves (row, 0) outside L.
+        The head vector left over must lie in ``basis``.
         """
         head, psi = self._split(row)
         if not self.solvable():
             return True
         vec = head + (0,)
         while psi:
-            block = self.blocks.get(next(iter(psi)))
-            if block is None:
+            orbit = self.blocks.get(next(iter(psi)))
+            if orbit is None:
                 return False
-            cols, rows = block
-            residue = hnf_residues(rows, [(psi.pop(j, 0),) for j in cols] + [(x,) for x in vec])[0]
-            if any(residue[:len(cols)]):
+            k = len(orbit.terms)
+            n = len(orbit.block[0]) - k
+            residue = hnf_residues(orbit.block, [(psi.pop(m, 0),) for m in orbit.terms] +
+                                   [(x,) for x in vec[:n]])[0]
+            if any(residue[:k]):
                 return False
-            vec = residue[len(cols):]
+            vec = residue[k:] + vec[n:]
         return hnf_contains(self.basis, vec)
 
     def solve(self) -> list[Fraction] | None:
@@ -367,8 +373,8 @@ class AbelianBase:
 
     def phase_system(self) -> PhaseConstraintSystem:
         """An empty phase system over ``layout``, whose head is the unknowns before the psi."""
-        unknowns, positions = self.layout
-        return PhaseConstraintSystem(unknowns, head=len(unknowns) - len(positions))
+        unknowns, column = self.layout
+        return PhaseConstraintSystem(unknowns, column=column)
 
     def cosets(self, charges: dict) -> dict:
         """Each key's charge modulo ``lattice``, from one ``hnf_residues`` pass.
@@ -458,28 +464,27 @@ def _cycles(items, image) -> tuple[tuple, ...]:
 class TermOrbit:
     """One orbit of terms under a generalized permutation, with its invariance rows reduced once.
 
-    ``equations`` holds one row per term, (head part, nonzero psi entries by
-    column), with right-hand side 0.  Of their Hermite basis with the psi
-    columns first, ``block`` holds the psi columns and the rows with psi
-    pivots, or is None without psi, and ``free`` the rest without their psi
-    part.  Rows leave out the right-hand side, always 0, in
-    ``TermAction.orbits``; ``_base_orbits`` appends the base's zero columns.
+    ``equations`` holds one row per term, (entry-phase part, nonzero psi
+    entries by term), with right-hand side 0.  Of their Hermite basis over
+    the psi of ``terms`` then the entry phases, ``block`` holds the rows with
+    psi pivots, or is None without psi, and ``free`` the rest without their
+    psi part.  ``_cycles`` sorts the terms, all of one factor count, so they
+    keep the order of their columns in any phase system.
     """
 
     terms: tuple[Monomial, ...]
-    equations: tuple[tuple[tuple[int, ...], dict[int, int]], ...]
-    block: tuple[tuple[int, ...], Rows] | None
+    equations: tuple[tuple[tuple[int, ...], dict[Monomial, int]], ...]
+    block: Rows | None
     free: Rows
 
     @classmethod
     def reduced(cls, terms, equations) -> "TermOrbit":
         """The orbit of ``terms`` with the rows ``equations``, reduced by one ``hnf_rows``."""
-        equations = tuple(equations)
-        cols = tuple(sorted({j for _, psi in equations for j in psi}))
-        rows = hnf_rows([tuple(psi.get(j, 0) for j in cols) + head for head, psi in equations])
-        kept = sum(1 for r in rows if any(r[:len(cols)]))  # the psi pivots come first
-        return cls(tuple(terms), equations, (cols, rows[:kept]) if cols else None,
-                   tuple(r[len(cols):] for r in rows[kept:]))
+        terms, equations = tuple(terms), tuple(equations)
+        rows = hnf_rows([tuple(psi.get(m, 0) for m in terms) + xi for xi, psi in equations])
+        kept = sum(1 for r in rows if any(r[:len(terms)]))  # the psi pivots come first
+        return cls(terms, equations, rows[:kept] or None,
+                   tuple(r[len(terms):] for r in rows[kept:]))
 
 
 @dataclass(frozen=True)
@@ -487,17 +492,17 @@ class TermAction:
     """The action of a generalized permutation with pattern ``perm`` on the terms of N doublets.
 
     ``images`` maps each term of ``terms`` (``enumerate_monomials``) to its
-    (image, conjugated) and ``relations`` to its ``_invariance_relation``.
-    The unknowns are the entry phases xi_1..xi_N, then one psi per term of
-    ``terms``, in order.  ``orbits``, taken on first use, lists the orbits
-    in ``_cycles`` order, each reduced once (``TermOrbit.reduced``); a
-    verdict reads only the images and relations.
+    (image, conjugated) and ``relations`` to its ``_invariance_relation``,
+    over the entry phases xi_1..xi_N and the psi of the terms.  ``orbits``,
+    taken on first use, lists the orbits in ``_cycles`` order, each reduced
+    once (``TermOrbit.reduced``); a verdict reads only the images and
+    relations.
     """
 
     perm: Perm
     terms: tuple[Monomial, ...]
     images: dict[Monomial, tuple[Monomial, bool]]
-    relations: dict[Monomial, tuple[tuple[int, ...], dict[int, int]]]
+    relations: dict[Monomial, tuple[tuple[int, ...], dict[Monomial, int]]]
 
     @cached_property
     def orbits(self) -> tuple[TermOrbit, ...]:
@@ -524,33 +529,8 @@ def _term_action(perm: Perm, conjugating: bool) -> TermAction:
     else:
         terms = tuple(monomial_charges(n))
         images = {m: m.permuted(perm) for m in terms}
-    columns = {m: n + i for i, m in enumerate(terms)}
     return TermAction(perm, terms, images,
-                      {m: _invariance_relation(m, *images[m], n, columns) for m in terms})
-
-
-def _base_orbits(base: AbelianBase, action: TermAction) -> tuple[TermOrbit, ...]:
-    """The orbits of ``action`` among the invariant terms of ``base``, on ``base.layout``.
-
-    Each psi column moves to its term's column, in the same order, and the
-    zero columns of c0, the t_i and the right-hand side are appended to
-    each block and free row; neither changes the Hermite form of rows.
-    """
-    n = base.n_doublets
-    unknowns, positions = base.layout
-    pad = (0,) * (len(unknowns) - len(positions) - n)
-    column = {n + i: positions.get(m) for i, m in enumerate(action.terms)}
-    out = []
-    for orbit in action.orbits:
-        if orbit.terms[0] not in positions:
-            continue
-        equations = tuple((xi + pad, {column[j]: c for j, c in psi.items()})
-                          for xi, psi in orbit.equations)
-        block = None if orbit.block is None else (tuple(column[j] for j in orbit.block[0]),
-                                                  tuple(r + pad + (0,) for r in orbit.block[1]))
-        out.append(TermOrbit(orbit.terms, equations, block,
-                             tuple(r + pad + (0,) for r in orbit.free)))
-    return tuple(out)
+                      {m: _invariance_relation(m, *images[m], n) for m in terms})
 
 
 @dataclass(frozen=True)
@@ -596,8 +576,8 @@ class CpCandidate:
     lands in the base: the unitary part of (b J)^2, or b^3 for the Z3 x Z3
     cycle.  The constraint system collects the structural-phase pinning and
     the coefficient conditions required for invariance of the surviving terms.
-    Its columns are ``base.layout``; the backbone classes are
-    ``backbone_classes(sigma)``.
+    Its unknowns and psi columns are ``base.layout``, and it keys each psi
+    by its term; the backbone classes are ``backbone_classes(sigma)``.
     """
 
     base: AbelianBase
@@ -620,9 +600,9 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
     facts are read.  The term images, invariance relations and reduced
     orbits of each pattern are read once per N (``_term_action``), the
     starred signatures once per unitary signature and square exponents.
-    Per base the layout and square classes are read once, per (base, sigma)
-    the orbits among the invariant terms, shared by the square classes, and
-    per candidate the pinned system and its restriction.
+    Per base the layout and square classes are read once, and per candidate
+    the pinned system and its restriction, which joins the pattern's orbits
+    of invariant terms as they are.
     """
     involutions = commuting_involutions(base)
     if not involutions:
@@ -636,7 +616,7 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
                                                 for d in base.group.signature.finite))]
     candidates: list[CpCandidate] = []
     for sigma in involutions:
-        orbits = _base_orbits(base, _term_action(sigma, True))
+        orbits = _term_action(sigma, True).orbits
         for signature, f in classes:
             pin = _pin_system(base, sigma, f)
             if pin.solvable():
@@ -666,9 +646,10 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
 def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> tuple:
     """Restrict the terms orbit by orbit, keeping each orbit that leaves ``system`` solvable.
 
-    ``orbits`` come from ``_base_orbits``, already reduced, so per orbit
-    only its psi-free rows are added to the head basis; a kept orbit's
-    block and equations join ``system`` as they are (``_join``).  Returns
+    ``orbits`` come from ``TermAction.orbits``, already reduced; orbits of
+    terms that are not psi of ``system`` are skipped.  Per orbit only its
+    psi-free rows are added to the head basis; a kept orbit's block and
+    equations join ``system`` as they are (``_join``).  Returns
     the grown system, the surviving and the killed terms and the magnitude
     classes: surviving terms linked by the action, which are exactly the
     surviving orbits.
@@ -677,6 +658,8 @@ def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> t
     killed: list[Monomial] = []
     classes: list[tuple[Monomial, ...]] = []
     for orbit in orbits:
+        if orbit.terms[0] not in system.column:
+            continue
         if system._join(orbit):
             surviving.extend(orbit.terms)
             classes.append(orbit.terms)
@@ -772,9 +755,9 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
     entry phases making the generalized permutation a symmetry of backbone
     plus surviving terms.  Each surviving term's (image, conjugated) under
     ``perm`` and its invariance relation are read from
-    ``_term_action(perm, False)``, once per N, and the relation is
-    relabelled onto the candidate's columns.  A ``perm`` that moves a
-    surviving term out of its magnitude class is not forced.
+    ``_term_action(perm, False)``, once per N, with psi keyed by term as in
+    the candidate's system.  A ``perm`` that moves a surviving term out of
+    its magnitude class is not forced.
     The candidate's system must be solvable, or RuntimeError is raised.
     The invariance relations read R theta == -P psi (mod 1); with
     u @ R @ v == diag(d) they are solvable exactly when z @ P @ psi is an
@@ -785,27 +768,25 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
     if not candidate.system.solvable():
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
-    n = candidate.base.n_doublets
     action = _term_action(perm, False)
-    positions = candidate.base.layout[1]
+    column = candidate.system.column
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
     relations = []  # (entry coefficients, psi coefficients) per surviving term
     for m in candidate.surviving:
         if klass.get(action.images[m][0]) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
-        xi, psi = action.relations[m]
-        relations.append((xi, {positions[action.terms[j - n]]: c for j, c in psi.items()}))
+        relations.append(action.relations[m])
 
-    res = snf_rows([theta for theta, _ in relations], n)
+    res = snf_rows([theta for theta, _ in relations], candidate.base.n_doublets)
     for z in res.u.entries[res.rank:]:
         w = [0] * len(candidate.system.unknowns)
         for zk, (_, psi) in zip(z, relations):
-            for j, c in psi.items():
-                w[j] += zk * c
+            for m, c in psi.items():
+                w[column[m]] += zk * c
         if not candidate.system.fixes(w):
             return None
     particular = candidate.system.solve()
-    target = [-sum((c * particular[j] for j, c in psi.items()), Fraction(0))
+    target = [-sum((c * particular[column[m]] for m, c in psi.items()), Fraction(0))
               for _, psi in relations]
     return GenPermMatrix(perm, tuple(_particular(res, target)))
 
@@ -909,7 +890,7 @@ def check_z3z3() -> Z3Z3Report:
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
         pin._add(tuple(int(j == k) for j in range(pin.head)), phase)
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
-                            *_restrict(pin, _base_orbits(base, _term_action(b.perm, False))))
+                            *_restrict(pin, _term_action(b.perm, False).orbits))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
     inv_swap = _forced_symmetry(extension, swap.perm) == swap
     commutes = commutes_with_diagonal(swap, a)

@@ -30,12 +30,12 @@ form, and the bilinear charge basis read straight off the circle weights.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from nhdm.classifier import SymmetryGroup
-from nhdm.cpext import (GenPermMatrix, _cycles, _forced_symmetry, _invariance_relation,
-                         backbone_classes)
+from nhdm.cpext import GenPermMatrix, _cycles, _forced_symmetry, backbone_classes
 from nhdm.exactmath import IntMatrix, hnf_rows, smith_columns, snf, snf_rows
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
@@ -539,7 +539,7 @@ def forced_symmetry(candidate, perm, particular, torsion, free):
         img, conjugated = m.permuted(perm)
         if klass.get(img) != klass[m]:
             return None
-        relations.append(_invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
+        relations.append(invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
 
     def rhs(assign):
         return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))
@@ -613,6 +613,22 @@ def fraction_particular(res, rhs) -> list:
             for j in range(res.v.rows)]
 
 
+def invariance_relation(m, img, conjugated, n_doublets, positions) -> tuple:
+    """The invariance relation of the term m under a map sending it to ``img``,
+    written from the rule: on each entry phase the net exponent of its
+    doublet in m, phi less phi^dagger, read off the factors; on psi_m 1, and
+    on psi_img 1 more for a conjugated image or 1 less for a direct one.
+    Returns the entry coefficients and the nonzero psi coefficients keyed by
+    ``positions``."""
+    xi = [0] * n_doublets
+    for a, b in m.factors:
+        xi[a - 1] -= 1
+        xi[b - 1] += 1
+    psi = Counter({positions[m]: 1})
+    psi[positions[img]] += 1 if conjugated else -1
+    return tuple(xi), {j: c for j, c in psi.items() if c}
+
+
 def orbit_rows(base, sigma, orbit) -> list:
     """The invariance relations of the terms of ``orbit`` under b J, for b on
     the pattern ``sigma``, as (row over ``base.layout``, 0): each image read
@@ -622,7 +638,7 @@ def orbit_rows(base, sigma, orbit) -> list:
     rows = []
     for m in orbit:
         img, conjugated = Monomial(m.conjugate_factors()).permuted(sigma)
-        xi, psi = _invariance_relation(m, img, conjugated, n, positions)
+        xi, psi = invariance_relation(m, img, conjugated, n, positions)
         row = list(xi) + [0] * (len(unknowns) - n)
         for j, c in psi.items():
             row[j] += c

@@ -493,15 +493,19 @@ class TestTermActions:
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_block_per_surviving_orbit_with_a_psi_part(self, n):
         # an orbit's rows carry no psi only for a single term that b maps to
-        # itself unconjugated, whose relation under b J is then psi-free
+        # itself unconjugated, whose relation under b J is then psi-free; each
+        # term of every other surviving orbit maps to that orbit, one object
+        # per orbit, whose block rows span its terms' psi columns
         for base in cp_bases(n):
-            positions = base.layout[1]
             for cand in cp_extensions(base):
-                blocks = set(cand.system.blocks.values())
-                expected = {tuple(positions[m] for m in orbit) for orbit in cand.magnitude_classes
-                            if len(orbit) > 1 or orbit[0].permuted(cand.sigma) == (orbit[0], False)}
-                assert len(blocks) == len(expected)
-                assert {cols for cols, _ in blocks} == expected
+                blocks = cand.system.blocks
+                expected = [orbit for orbit in cand.magnitude_classes
+                            if len(orbit) > 1 or orbit[0].permuted(cand.sigma) == (orbit[0], False)]
+                assert {m: orbit.terms for m, orbit in blocks.items()} == {
+                    m: orbit for orbit in expected for m in orbit}
+                distinct = {id(orbit): orbit for orbit in blocks.values()}.values()
+                assert len(distinct) == len(expected)
+                assert all(len(orbit.block[0]) == len(orbit.terms) + n for orbit in distinct)
 
 
 def head_basis(wide, head):
@@ -614,17 +618,22 @@ class TestConstraintSystems:
             system.add([F(5, 2), 1], 0)
 
     def test_a_psi_row_is_not_added(self):
-        # coefficient phases enter only with a whole term orbit, through _join
-        system = PhaseConstraintSystem(["x", "psi0", "psi1"], head=1)
+        # coefficient phases enter only with a whole term orbit, through _join;
+        # the column map names their positions, after the head
+        system = PhaseConstraintSystem(["x", "psi0", "psi1"], column={"t0": 1, "t1": 2})
+        assert system.head == 1
         with pytest.raises(ValueError, match=r"psi1 is a coefficient phase"):
             system.add([1, 0, 2], F(1, 2))
         system.add([1, 0, 0], F(1, 2))
         assert system.equations == [((1, 0, 0), F(1, 2))] and system.blocks == {}
 
-    @pytest.mark.parametrize("head", [-1, 3])
-    def test_head_lies_within_the_unknowns(self, head):
-        with pytest.raises(ValueError, match="a head of"):
-            PhaseConstraintSystem(["x", "y"], head=head)
+    @pytest.mark.parametrize("positions", [(-1,), (3,), (0,), (1, 0), (0, 1, 2)],
+                             ids=lambda p: ",".join(map(str, p)))
+    def test_psi_positions_are_the_trailing_unknowns(self, positions):
+        # outside the unknowns, before the last, out of order, or too many
+        column = {f"t{i}": j for i, j in enumerate(positions)}
+        with pytest.raises(ValueError, match="are not the last"):
+            PhaseConstraintSystem(["x", "y"], column=column)
 
     @pytest.mark.parametrize("rhs", [0.1, "1/3"])
     def test_float_and_string_right_hand_sides_rejected(self, rhs):
@@ -936,19 +945,24 @@ def wide_congruences(draw):
 
 @st.composite
 def orbit_congruences(draw):
-    """A head of 1-3 unknowns, then 3-6 head rows and term orbits in random order.
+    """A head of 1-3 unknowns, the first 1-head of them entry phases, then
+    3-6 head rows and term orbits in random order.
 
     A head row has a right-hand side with denominators 1..12, so the scale
-    grows at random steps.  An orbit of 1-3 terms has one psi column per
-    term, which no other orbit has, and its rows each link a term to the
-    next in a cycle, psi_t +- psi_next (2 psi_t or 0 for one term), with
-    right-hand side 0, as an orbit's invariance relations do.  The psi
-    columns are dealt to the orbits in a random order.  Returns the head,
-    the number of psi columns and the items, each ("head", row, b) or
-    ("orbit", rows as (head part, nonzero psi entries by column)).
+    grows at random steps.  An orbit of 1-3 terms has one psi per term,
+    which no other orbit has, and its rows each link a term to the next in a
+    cycle, psi_t +- psi_next (2 psi_t or 0 for one term), over the entry
+    phases only, with right-hand side 0, as an orbit's invariance relations
+    do.  The terms are labelled 0, 1, ... and the psi columns after the head
+    are dealt to them in a random order.  Returns the head, the column of
+    each term, in column order, and the items, each ("head", row, b) or
+    ("orbit", terms in column order, rows as (entry part, nonzero psi
+    entries by term)).
     """
     head = draw(st.integers(1, 3))
+    entry = draw(st.integers(1, head))
     heads = st.lists(st.integers(-3, 3), min_size=head, max_size=head).map(tuple)
+    entries = st.lists(st.integers(-3, 3), min_size=entry, max_size=entry).map(tuple)
     rhs = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
     items, npsi = [], 0
     for _ in range(draw(st.integers(3, 6))):
@@ -961,28 +975,20 @@ def orbit_congruences(draw):
         for t, nxt in zip(terms, [*terms[1:], terms[0]]):
             psi = Counter({t: 1})
             psi[nxt] += draw(st.sampled_from([1, -1]))
-            rows.append((draw(heads), psi))
-        items.append(("orbit", rows))
-    column = [head + j for j in draw(st.permutations(range(npsi)))]
+            rows.append((draw(entries), {u: c for u, c in psi.items() if c}))
+        items.append(("orbit", terms, rows))
+    column = {t: head + j for j, t in enumerate(draw(st.permutations(range(npsi))))}
     items = [item if item[0] == "head" else
-             ("orbit", [(xi, {column[t]: c for t, c in psi.items() if c}) for xi, psi in item[1]])
-             for item in items]
-    return head, npsi, items
+             ("orbit", tuple(sorted(item[1], key=column.get)), item[2]) for item in items]
+    return head, column, items
 
 
-def dense(head_part, psi, ncols):
-    """A row over ``ncols`` unknowns from its head part and its psi entries by column."""
+def dense(head_part, psi, column, ncols):
+    """A row over ``ncols`` unknowns from its head part and its psi entries by term."""
     row = list(head_part) + [0] * (ncols - len(head_part))
-    for j, c in psi.items():
-        row[j] = c
+    for t, c in psi.items():
+        row[column[t]] = c
     return tuple(row)
-
-
-def with_zero_rhs(orbit):
-    """``orbit`` with the zero right-hand-side column appended to its rows,
-    as ``_base_orbits`` appends it."""
-    block = orbit.block and (orbit.block[0], tuple(r + (0,) for r in orbit.block[1]))
-    return replace(orbit, block=block, free=tuple(r + (0,) for r in orbit.free))
 
 
 class TestHermiteSolvability:
@@ -997,21 +1003,22 @@ class TestHermiteSolvability:
         # zero-psi part of the Hermite basis of every kept row with the psi
         # columns first, and solvable and fixes answer as that wide lattice
         # does; w is arbitrary or k y A for integer y
-        head, npsi, items = case
-        ncols = head + npsi
+        head, column, items = case
+        ncols = head + len(column)
         system = PhaseConstraintSystem([f"x{j}" for j in range(head)] +
-                                       [f"psi{j}" for j in range(npsi)], head=head)
+                                       [f"psi{t}" for t in column], column=column)
         kept = []
         for item in items:
             if item[0] == "head":
                 _, row, b = item
-                system.add(dense(row, {}, ncols), b)
-                kept.append((dense(row, {}, ncols), b % 1))
+                system.add(dense(row, {}, column, ncols), b)
+                kept.append((dense(row, {}, column, ncols), b % 1))
                 continue
-            rows = [(dense(xi, psi, ncols), F(0)) for xi, psi in item[1]]
+            _, terms, relations = item
+            rows = [(dense(xi, psi, column, ncols), F(0)) for xi, psi in relations]
             wide, scale = reference.hnf_lattice(kept + rows, ncols)
-            orbit = TermOrbit.reduced(range(len(rows)), item[1])
-            assert system._join(with_zero_rhs(orbit)) == (wide[-1][-1] == scale)
+            orbit = TermOrbit.reduced(terms, relations)
+            assert system._join(orbit) == (wide[-1][-1] == scale)
             if wide[-1][-1] == scale:
                 kept += rows
         assert system.equations == kept
@@ -1299,7 +1306,8 @@ class TestZ3Z3:
         monkeypatch.setattr(cpext, "_restrict", lambda *args: grown.append(real(*args)) or grown[-1])
         assert check_z3z3().verdict == "not_realizable"
         ((system, *_),) = grown
-        assert [cols for cols, _ in set(system.blocks.values())] == [(4, 5, 6)]
+        blocks = {id(orbit): orbit for orbit in system.blocks.values()}.values()
+        assert [[system.column[m] for m in orbit.terms] for orbit in blocks] == [[4, 5, 6]]
         wide, scale = reference.hnf_lattice(system.equations, len(system.unknowns))
         assert system.solvable() == (wide[-1][-1] == scale)
         for w in itertools.product(range(-1, 2), repeat=len(system.unknowns)):

@@ -146,3 +146,22 @@ def test_a_phase_system_takes_one_shape():
                 written.append(f"{path.relative_to(SRC)}:{node.lineno} {where[id(node)]}")
     assert made == [("AbelianBase", "phase_system")]
     assert written and all(w.endswith("'_join')") for w in written), written
+
+
+def test_a_term_orbit_is_made_one_way_and_the_layout_read_once():
+    # a TermOrbit is built only by TermOrbit.reduced, from one pattern's
+    # relations, and joins every base as it is; the psi columns of a base are
+    # read from its layout only by AbelianBase.phase_system, and every other
+    # reader keys a psi by its term
+    made, read = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "TermOrbit":
+                made.append(where[id(node)])
+            elif isinstance(node, ast.Attribute) and node.attr == "layout":
+                read.append(where[id(node)])
+    assert all(w[-2:] == ("TermOrbit", "reduced") for w in made), made
+    assert read == [("AbelianBase", "phase_system")]
