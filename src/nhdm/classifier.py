@@ -32,12 +32,12 @@ the lattice walk is exact.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Sequence, TypeVar
 
+from ._record import record
 from .exactmath import IntMatrix, Rows, hnf_add, hnf_residues, hnf_unit_split, smith_columns
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, charge_rows, monomial_charges
@@ -46,7 +46,7 @@ from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryGroup:
     """Symmetry group of a term set: signature plus explicit generators.
 
@@ -99,7 +99,7 @@ def _group_of_lattice(rows: Rows, basis: TorusBasis) -> SymmetryGroup:
     return _group_from_smith(*smith_columns(rows, basis.n), basis)
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationEntry:
     """One realizable group with a minimal witness term set."""
 
@@ -109,7 +109,7 @@ class ClassificationEntry:
     n_lattices: int
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationResult:
     entries: tuple[ClassificationEntry, ...]
     max_finite_order: int
@@ -242,7 +242,7 @@ def classify(n_doublets: int) -> ClassificationResult:
     return ClassificationResult(tuple(entries), max_order)
 
 
-@dataclass(frozen=True)
+@record
 class OrderBoundReport:
     max_order: int
     bound: int
@@ -259,7 +259,7 @@ def verify_order_bound(n_doublets: int) -> OrderBoundReport:
     return OrderBoundReport(result.max_finite_order, bound, result.max_finite_order == bound)
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureProbe:
     """Realization status of every abelian group within the order bound.
 
@@ -303,7 +303,7 @@ def backbone_terms(n_doublets: int, pretty: bool = False) -> list[str]:
     return terms
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     n_doublets: int
     signature: GroupSignature

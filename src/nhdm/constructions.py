@@ -14,14 +14,14 @@ comes with an explicit witness potential.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .exactmath import IntMatrix, integers, smith_columns
 from .groups import GroupSignature, group_from_snf
 from .monomials import Monomial, row_type
 
 
-@dataclass(frozen=True)
+@record
 class ConstructedMatrix:
     """A c-matrix together with its verification data and witness terms."""
 

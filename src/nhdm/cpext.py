@@ -52,11 +52,12 @@ boundary (a "realizable" verdict is then best-effort).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 
+from ._record import record
 from .classifier import SymmetryGroup, _group_of_lattice, _lattice_scan
 from .exactmath import (Rows, SnfResult, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
                         snf_rows)
@@ -72,7 +73,7 @@ _ZERO = Fraction(0)
 # -- generalized permutation matrices -----------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GenPermMatrix:
     """Unitary matrix with one phase entry per row and column.
 
@@ -323,7 +324,7 @@ class PhaseConstraintSystem:
 # -- abelian bases -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AbelianBase:
     """The torus subgroup fixing every charge in ``lattice``, a Hermite basis.
 
@@ -407,20 +408,34 @@ def _involutions(n: int) -> tuple[Perm, ...]:
     return tuple(s for s in itertools.permutations(range(n)) if all(s[s[a]] == a for a in range(n)))
 
 
+@lru_cache(maxsize=None)
+def _pair_charges(n: int) -> tuple[MappingProxyType, MappingProxyType]:
+    """Two charges per doublet pair (i, j) of n doublets, read once per N.
+
+    The first is s(i, j), the charge of psi_i + psi_j - 2 psi_0: rows i and
+    j of ``bilinear_charges`` summed.  The second is N s(i, j) - 2 sum_c row
+    c, the charge of N (psi_i + psi_j) - 2 sum_c psi_c.
+    """
+    rows = torus_basis(n).bilinear_charges
+    total = [sum(column) for column in zip(*rows)]
+    sums = {(i, j): tuple(x + y for x, y in zip(rows[i], rows[j]))
+            for i in range(n) for j in range(n)}
+    centered = {ij: tuple(n * s - 2 * t for s, t in zip(pair, total)) for ij, pair in sums.items()}
+    return MappingProxyType(sums), MappingProxyType(centered)
+
+
 def commuting_involutions(base: AbelianBase) -> list[Perm]:
     """Involutive patterns sigma with psi_a + psi_{sigma(a)} constant on the group.
 
     That is, every s(a, sigma(a)) lies in one coset, with s(i, j) the charge
-    of psi_i + psi_j - 2 psi_0, rows i and j of ``bilinear_charges`` summed:
-    s(a, sigma(a)) - s(0, sigma(0)) is (psi_a - psi_0) + (psi_sigma(a) -
-    psi_sigma(0)).  A matrix b supported on such a pattern makes b J commute
-    with the whole group; no other generalized permutation can.  Only an
-    involution keeps (b J)^2 diagonal.
+    of psi_i + psi_j - 2 psi_0 (``_pair_charges``): s(a, sigma(a)) - s(0,
+    sigma(0)) is (psi_a - psi_0) + (psi_sigma(a) - psi_sigma(0)).  A matrix
+    b supported on such a pattern makes b J commute with the whole group; no
+    other generalized permutation can.  Only an involution keeps (b J)^2
+    diagonal.
     """
     n = base.n_doublets
-    rows = torus_basis(n).bilinear_charges
-    coset = base.cosets({(i, j): tuple(x + y for x, y in zip(rows[i], rows[j]))
-                         for i in range(n) for j in range(n)})
+    coset = base.cosets(_pair_charges(n)[0])
     return [sigma for sigma in _involutions(n)
             if len({coset[a, sigma[a]] for a in range(n)}) == 1]
 
@@ -429,16 +444,11 @@ def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
     """Entry pattern (i, j) where an antiunitary b J may have support.
 
     An entry is allowed when psi_i + psi_j is a center phase on the whole
-    group, that is when N (psi_i + psi_j) - 2 sum_c psi_c, read as
-    N (row i + row j) - 2 sum_c row c of ``bilinear_charges``, has a zero
-    coset.  The N^2 cosets are read in one pass.
+    group, that is when N (psi_i + psi_j) - 2 sum_c psi_c (``_pair_charges``)
+    has a zero coset.  The N^2 cosets are read in one pass.
     """
     n = base.n_doublets
-    rows = torus_basis(n).bilinear_charges
-    total = [sum(column) for column in zip(*rows)]
-    coset = base.cosets({(i, j): tuple(n * (x + y) - 2 * t
-                                       for x, y, t in zip(rows[i], rows[j], total))
-                         for i in range(n) for j in range(n)})
+    coset = base.cosets(_pair_charges(n)[1])
     return tuple(tuple(not any(coset[i, j]) for j in range(n)) for i in range(n))
 
 
@@ -460,7 +470,7 @@ def _cycles(items, image) -> tuple[tuple, ...]:
     return tuple(sorted(cycles))
 
 
-@dataclass(frozen=True)
+@record
 class TermOrbit:
     """One orbit of terms under a generalized permutation, with its invariance rows reduced once.
 
@@ -487,7 +497,7 @@ class TermOrbit:
                    tuple(r[len(terms):] for r in rows[kept:]))
 
 
-@dataclass(frozen=True)
+@record
 class TermAction:
     """The action of a generalized permutation with pattern ``perm`` on the terms of N doublets.
 
@@ -533,7 +543,7 @@ def _term_action(perm: Perm, conjugating: bool) -> TermAction:
                       {m: _invariance_relation(m, *images[m], n) for m in terms})
 
 
-@dataclass(frozen=True)
+@record
 class BackboneClasses:
     """Coefficient identifications forced on the torus-symmetric backbone.
 
@@ -567,7 +577,7 @@ def backbone_classes(sigma: Perm) -> BackboneClasses:
     return BackboneClasses(singles, pairs)
 
 
-@dataclass(frozen=True)
+@record
 class CpCandidate:
     """One possible abelian extension of a torus subgroup by one generalized permutation.
 
@@ -671,7 +681,7 @@ def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> t
 # -- realizability verdicts -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CpVerdict:
     kind: str  # "realizable" | "enlarged_unitary" | "continuous_degeneration"
     detail: str
@@ -794,7 +804,7 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
 # -- full antiunitary classification (three doublets) ---------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CpClassification:
     realizable: tuple[GroupSignature, ...]
     rejected: tuple[tuple[GroupSignature, CpVerdict], ...]
@@ -842,7 +852,7 @@ def classify_cp(n_doublets: int = 3) -> CpClassification:
 # -- the Z3 x Z3 exception -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Z3Z3Report:
     """Outcome of the explicit non-realizability check for Z3 x Z3.
 

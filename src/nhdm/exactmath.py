@@ -9,8 +9,9 @@ classical elimination algorithms entirely adequate.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._record import record
 
 
 def integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -25,7 +26,7 @@ def integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.
 
@@ -114,7 +115,7 @@ class IntMatrix:
         return cls(rows)
 
 
-@dataclass(frozen=True)
+@record
 class SnfResult:
     """Smith decomposition ``u @ m @ v == diag(d)`` with unimodular u, v.
 

@@ -9,13 +9,13 @@ antiunitary transformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .exactmath import IntMatrix, integers, smith_columns, snf
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class GroupSignature:
     """Abelian group in canonical form.
 

@@ -17,11 +17,11 @@ charge-lattice classification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from ._record import record
 from .exactmath import IntMatrix, integers
 from .torus import PhaseVector, TorusBasis, torus_basis
 
@@ -37,7 +37,7 @@ def _flat(factors: tuple[Factor, ...]) -> tuple[int, ...]:
     return tuple(x for pair in factors for x in pair)
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Monomial:
     """Canonical product of one or two off-diagonal bilinears.
 

@@ -9,11 +9,12 @@ overall rephasings are already taken care of by the hypercharge gauge freedom;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Sequence
+
+from ._record import record
 
 Rational = Fraction | int
 
@@ -35,7 +36,7 @@ def rational_phases(phases) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class PhaseVector:
     """Diagonal transformation as rational phases (units of 2*pi), reduced to [0, 1).
 
@@ -88,7 +89,7 @@ class PhaseVector:
         return self.render()
 
 
-@dataclass(frozen=True)
+@record
 class TorusBasis:
     """The N-1 circles parametrizing the maximal torus of PSU(N).
 

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter, deque
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -279,10 +278,8 @@ def reference_classification(n_doublets):
             continue
         counts[sig] = counts.get(sig, 0) + 1
         if sig not in primary:
-            primary[sig] = ClassificationEntry(
-                signature=sig, witness=witness,
-                generators=group.finite_generators, n_lattices=0)
-    entries = tuple(replace(primary[sig], n_lattices=counts[sig])
+            primary[sig] = witness, group.finite_generators
+    entries = tuple(ClassificationEntry(sig, *primary[sig], n_lattices=counts[sig])
                     for sig in sorted(primary, key=GroupSignature.sort_key))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)

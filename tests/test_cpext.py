@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, gcd, prod
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 from nhdm import classifier, cpext, exactmath
 from nhdm.cpext import (
     AbelianBase,
+    CpCandidate,
     GenPermMatrix,
     PhaseConstraintSystem,
     TermOrbit,
@@ -777,7 +777,9 @@ class TestVerdicts:
         surviving = tuple(sorted(m for m in terms if charges[m][0] % 2 == 0))
         killed = tuple(sorted(m for m in terms if charges[m][0] % 2))
         assert (len(surviving), len(killed)) == (6, 6)
-        verdict = cp_realizable(replace(cand, surviving=surviving, killed=killed))
+        verdict = cp_realizable(CpCandidate(cand.base, cand.sigma, cand.square, cand.signature,
+                                            cand.system, surviving, killed,
+                                            cand.magnitude_classes))
         assert verdict.kind == "enlarged_unitary"
         assert str(verdict.witness) == "[1->1:e(1/2), 2->2:e(1/2), 3->3:e(0)]"
         phases = PhaseVector(verdict.witness.phases)
@@ -793,7 +795,9 @@ class TestVerdicts:
                           for m in cand.surviving}
         assert str(_forced_symmetry(cand, (0, 2, 1))) == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]"
         singletons = tuple((m,) for m in cand.surviving)
-        assert _forced_symmetry(replace(cand, magnitude_classes=singletons), (0, 2, 1)) is None
+        regrouped = CpCandidate(cand.base, cand.sigma, cand.square, cand.signature, cand.system,
+                                cand.surviving, cand.killed, singletons)
+        assert _forced_symmetry(regrouped, (0, 2, 1)) is None
 
     @staticmethod
     def searched_verdict_kinds(n):

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nhdm"
@@ -165,3 +168,30 @@ def test_a_term_orbit_is_made_one_way_and_the_layout_read_once():
                 read.append(where[id(node)])
     assert all(w[-2:] == ("TermOrbit", "reduced") for w in made), made
     assert read == [("AbelianBase", "phase_system")]
+
+
+def test_no_module_imports_dataclasses():
+    # records are built by nhdm._record.record: importing dataclasses pulls
+    # in inspect, ast and dis, which every CLI call would pay at start
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S leaves out site, whose .pth files may load either on their own
+    code = ("import sys, nhdm.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
