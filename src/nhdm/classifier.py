@@ -6,16 +6,17 @@ monomials spans one of the visited lattices, so the walk covers the
 fixed-size subset scan.  Groups that would need more than N-1 terms do not
 occur at N=2..6: walks without the full-rank skip below record none (the
 tests pin them).  From each lattice the walk builds one child per coset that
-is nonzero and that no earlier generator has, taken over the generators
-after the last one of its witness, instead of one per generator; the
-visited lattices, their order and their witnesses are the same either way
-(see ``_lattice_scan``).  One ``hnf_residues`` pass per lattice gives the
-cosets of all generators at once; a lattice of full rank takes none, as its
-children are all recorded already.  A lattice's group is read off the Smith
-diagonal of the block its unit pivots leave (``hnf_unit_split``), one
-``smith_columns`` per distinct block; only the first lattice of each
-reported group takes a full reading, whose v gives the generators of its
-entry.
+is nonzero and that no earlier generator has, with or without its sign,
+taken over the generators after the last one of its witness, instead of one
+per generator; the visited lattices, their order and their witnesses are
+the same either way (see ``_lattice_scan``).  One ``hnf_residues`` pass per
+lattice gives the cosets of all generators at once, and ``hnf_negation``
+their negatives; a lattice of full rank takes neither, as its children are
+all recorded already.  A lattice's group is read off the Smith diagonal of
+the block its unit pivots leave (``hnf_unit_split``): the lattices are
+counted per distinct block, and each block takes one ``smith_columns`` and
+one signature.  Only the first lattice of each reported group takes a full
+reading, whose v gives the generators of its entry.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -38,7 +39,8 @@ from math import gcd
 from typing import Sequence, TypeVar
 
 from ._record import record
-from .exactmath import IntMatrix, Rows, hnf_add, hnf_residues, hnf_unit_split, smith_columns
+from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_residues, hnf_unit_split,
+                        smith_columns)
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, charge_rows, monomial_charges
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
@@ -141,11 +143,14 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       was already recorded from a lattice popped before L.
     - Of the remaining generators an edge is tried only for one whose
       residue modulo L, all taken by one ``hnf_residues(L, ...)``, is nonzero
-      and belongs to no earlier generator.  A zero residue means g is
-      already in L.  If g shares its residue with an earlier g' not in L,
-      then L + g = L + g'.  For g' in the same loop, that edge came first;
-      for g' before the start, the first bullet shows that L + g' was
-      recorded from a lattice popped before L.
+      and for which neither its residue nor the residue of its negation
+      belongs to an earlier generator.  A zero residue means g is already in
+      L.  If g or -g shares its residue with an earlier g' not in L, then
+      L + g = L + g'.  For g' in the same loop, that edge came first; for g'
+      before the start, the first bullet shows that L + g' was recorded from
+      a lattice popped before L.  A residue that is its own negation (an
+      element of order 2 modulo L) has no earlier partner by that alone, so
+      it is still tried.
     - A lattice of full rank N-1 is not extended at all.  This rests on a
       premise verified, not proved: every lattice of this walk has a witness
       as long as its rank, for every lattice at N=2..6 (the tests check it).
@@ -182,9 +187,12 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
             continue
         witness = states[lattice]
         residues = hnf_residues(lattice, columns)
+        negated = hnf_negation(lattice)
         tried = {(0,) * len(columns), *residues[:start]}
         for i, residue in enumerate(residues[start:], start):
-            if residue in tried:
+            # L + g = L - g; a residue that is its own negation is not in
+            # ``tried`` yet, so it is still tried
+            if residue in tried or negated(residue) in tried:
                 continue
             tried.add(residue)
             grown = hnf_add(lattice, residue)
@@ -208,24 +216,30 @@ def classify(n_doublets: int) -> ClassificationResult:
 
     # Each group keeps its first lattice in the breadth-first insertion order,
     # which has a minimal witness.  A lattice's group is its Smith diagonal:
-    # one 1 per unit pivot, then the diagonal of the block left without them,
-    # so each distinct nonempty block takes one Smith diagonal.  The first
-    # lattice of each group takes one full reading, whose d and v the
-    # printed entries below use.
-    primary: dict[GroupSignature, tuple] = {}
-    counts: dict[GroupSignature, int] = {}
-    signatures: dict[tuple[int, Rows, int], GroupSignature] = {}
+    # one 1 per unit pivot, then the diagonal of the block left without them.
+    # So the lattices are counted per block, each block keeping its first
+    # lattice, and each block takes one Smith diagonal and one signature, in
+    # the order of its first lattice.  The first lattice of each group takes
+    # one full reading, whose d and v the printed entries below use.
+    blocks: dict[tuple[int, Rows, int], list] = {}
     for lattice, witness in states.items():
         split = hnf_unit_split(lattice, n)
-        sig = signatures.get(split)
-        if sig is None:
-            units, block, width = split
-            d = (1,) * units + (smith_columns(block, width)[0] if block else ())
-            sig = signatures[split] = group_from_snf(d, n)
+        first = blocks.get(split)
+        if first is None:
+            blocks[split] = [lattice, witness, 1]
+        else:
+            first[2] += 1
+    primary: dict[GroupSignature, tuple] = {}
+    counts: dict[GroupSignature, int] = {}
+    for (units, block, width), (lattice, witness, count) in blocks.items():
+        d = (1,) * units + (smith_columns(block, width)[0] if block else ())
+        sig = group_from_snf(d, n)
         if sig.is_trivial:
             continue
-        counts[sig] = counts.get(sig, 0) + 1
-        if sig not in primary:
+        if sig in counts:
+            counts[sig] += count
+        else:
+            counts[sig] = count
             primary[sig] = (witness, *smith_columns(lattice, n))
 
     entries = []

@@ -9,7 +9,7 @@ classical elimination algorithms entirely adequate.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._record import record
 
@@ -429,6 +429,28 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
             if y:
                 cols[c] = [x - q * y for x, q in zip(cols[c], qs)]
     return list(zip(*cols))
+
+
+def hnf_negation(basis: Rows) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map from the residue of v to the residue of −v, both by ``hnf_residues(basis, ...)``.
+
+    A residue r has every pivot coordinate in ``[0, pivot)``, so a unit
+    pivot's coordinate is 0, and so is every entry above a unit pivot.  Of
+    −r, only the coordinates of the other pivots can leave their range, and
+    only their rows are subtracted, in pivot order.  Those rows are read here
+    once, for every residue modulo the same lattice.
+    """
+    steps = [(j, row[j], row) for row, j in zip(basis, _pivots(basis)) if row[j] != 1]
+
+    def negated(residue: Sequence[int]) -> tuple[int, ...]:
+        v = [-x for x in residue]
+        for j, p, row in steps:
+            q = v[j] // p
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return tuple(v)
+
+    return negated
 
 
 def hnf_unit_split(basis: Rows, ncols: int) -> tuple[int, Rows, int]:

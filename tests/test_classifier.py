@@ -190,7 +190,10 @@ class TestLatticeWalk:
     @given(generator_lists())
     @example([])
     @example([((0, 0), 0), ((0, 0), 1), ((0, 0), 2)])
-    # Z needs all three, so the walk goes deeper than the rank
+    # Z needs all three, so the walk goes deeper than the rank; and 15 has
+    # residue 3 modulo 6Z, its own negation, which must still be tried: a
+    # walk that skips such a residue too matches the N=3..5 walks, and this
+    # is the explicit example it fails
     @example([((6,), 0), ((10,), 1), ((15,), 2)])
     # a generator, its negative and its double share or split cosets
     @example([((2, 1), 0), ((1, 3), 1), ((-2, -1), 2), ((4, 2), 3)])
@@ -202,10 +205,20 @@ class TestLatticeWalk:
     @pytest.mark.parametrize("n", [3, 4])
     def test_edge_budget(self, monkeypatch, n):
         # one hnf_add per tried edge; an edge is tried only for a residue
-        # that neither the zero coset nor an earlier generator has
+        # that neither the zero coset nor an earlier generator has, and whose
+        # negation no earlier generator has either: then every edge records
+        # a lattice, one per lattice after the zero lattice
         edges = edges_of_walks(monkeypatch)
-        classifier._lattice_scan.__wrapped__(n)
-        assert len(edges) == {3: 26, 4: 541}[n]
+        states = classifier._lattice_scan.__wrapped__(n)
+        assert len(edges) == len(states) - 1 == {3: 18, 4: 294}[n]
+
+    @pytest.mark.slow
+    def test_five_doublet_edge_budget(self, monkeypatch):
+        # the one edge budget that is not one per lattice: 8 of its edges
+        # reach a lattice recorded already
+        edges = edges_of_walks(monkeypatch)
+        states = classifier._lattice_scan.__wrapped__(5)
+        assert (len(edges), len(states)) == (11500, 11493)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_residue_budget(self, monkeypatch, n):

@@ -3,12 +3,12 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
-    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_residues, hnf_rows,
+    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_negation, hnf_residues, hnf_rows,
     hnf_unit_split, smith_columns, snf, snf_rows,
 )
 from reference import reference_snf
@@ -381,6 +381,18 @@ class TestHnfProperties:
             # it leaves the canonical basis unchanged
             assert is_zero == (hnf_add(basis, vec) == basis)
             assert is_zero == (hnf_rows(rows + [vec]) == basis)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows_and_vector())
+    # unit pivots alone: the negation subtracts no row
+    @example(([[1, 2, 0], [0, 1, 3]], [2, -5, 7], [0, 0]))
+    # 1 + 2Z is its own negation
+    @example(([[2]], [1], [0]))
+    def test_negation_is_the_residue_of_the_negative(self, case):
+        rows, v, _ = case
+        basis = hnf_rows(rows)
+        residue, negative = hnf_residues(basis, [(x, -x) for x in v])
+        assert hnf_negation(basis)(residue) == negative
 
     # fewer examples than its neighbours, a count set when each one cost
     # hypothesis about 3 ms to draw, with tier-1 at its time budget

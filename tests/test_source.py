@@ -75,6 +75,27 @@ def test_every_definition_is_reached():
             if name not in attrs | traced | (set() if method else names)] == []
 
 
+def test_no_module_reads_a_private_name_of_exactmath():
+    # the Hermite pivot reading stays in exactmath.py, so the walk cannot
+    # carry a second, inline copy of the residue step
+    root = SRC.parent.parent
+    found = []
+    for path in sorted(SRC.rglob("*.py")) + sorted((root / "demos").rglob("*.py")):
+        if path == SRC / "exactmath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactmath":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "exactmath":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names
+                      if name.startswith("_")]
+    assert found == []
+
+
 def test_only_torus_reads_the_circle_weights():
     # the pairing of circles and doublets is read through torus.py: elsewhere
     # a charge comes from bilinear_charges and a phase from element_from_angles
