@@ -179,6 +179,20 @@ def edges_of_walks(monkeypatch):
     return edges
 
 
+def residue_passes(monkeypatch):
+    """The lattice and the vector count of each ``hnf_residues`` pass the walk makes from now on."""
+    passes, vectors = [], []
+    real = classifier.hnf_residues
+
+    def counted(basis, columns):
+        passes.append(basis)
+        vectors.append(len(columns[0]))
+        return real(basis, columns)
+
+    monkeypatch.setattr(classifier, "hnf_residues", counted)
+    return passes, vectors
+
+
 class TestLatticeWalk:
     @pytest.mark.parametrize("n", [3, 4])
     def test_same_order_and_witnesses_as_the_reference_walk(self, n):
@@ -197,6 +211,10 @@ class TestLatticeWalk:
     @example([((6,), 0), ((10,), 1), ((15,), 2)])
     # a generator, its negative and its double share or split cosets
     @example([((2, 1), 0), ((1, 3), 1), ((-2, -1), 2), ((4, 2), 3)])
+    # one generator: one residue per pass, spread to one generator
+    @example([((3,), 0)])
+    # repeated generators: every pass has one distinct residue
+    @example([((2, 1), 0), ((2, 1), 1), ((2, 1), 2)])
     def test_pruned_walk_equals_the_reference_walk(self, generators):
         # random generators may repeat, vanish or be multiples of each other
         walked = classifier._walk(generators)
@@ -223,14 +241,37 @@ class TestLatticeWalk:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_residue_budget(self, monkeypatch, n):
         # one hnf_residues pass per lattice below full rank, in walk order: a
-        # full-rank lattice takes none, since its children are all recorded
-        passes = []
-        real = classifier.hnf_residues
-        monkeypatch.setattr(classifier, "hnf_residues",
-                            lambda basis, columns: passes.append(basis) or real(basis, columns))
+        # full-rank lattice is not queued, since its children are all
+        # recorded; each pass reduces only the distinct residues modulo the
+        # lattice's parent (27 generators at N=4, 20.2 residues per pass)
+        passes, vectors = residue_passes(monkeypatch)
         states = classifier._lattice_scan.__wrapped__(n)
-        assert len(passes) == {2: 1, 3: 10, 4: 169}[n]
+        assert (len(passes), sum(vectors)) == {2: (1, 2), 3: (10, 90), 4: (169, 3414)}[n]
         assert passes == [lattice for lattice in states if len(lattice) < n - 1]
+
+    @pytest.mark.slow
+    def test_five_doublet_residue_budget(self, monkeypatch):
+        # 37.8 distinct residues per pass on average, of 65 generators
+        passes, vectors = residue_passes(monkeypatch)
+        classifier._lattice_scan.__wrapped__(5)
+        assert (len(passes), sum(vectors)) == (6261, 236762)
+
+    def test_residues_past_one_byte_are_kept_whole(self, monkeypatch):
+        # modulo the lattice of (1, 100), the residue of (2, 0) is (0, -200),
+        # past array('b'): that parent keeps its residues as a tuple, and the
+        # walk is still the reference walk
+        stores = []
+        real = classifier._packed
+
+        def packed(typecode, values):
+            stores.append(real(typecode, values))
+            return stores[-1]
+
+        monkeypatch.setattr(classifier, "_packed", packed)
+        generators = [((1, 100), 0), ((2, 0), 1), ((0, 1), 2)]
+        walked = classifier._walk(generators)
+        assert list(walked.items()) == list(reference_walk_of(generators).items())
+        assert (0, 0, 0, -200, 0, 1) in stores
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_depth_equals_rank(self, n):

@@ -394,6 +394,24 @@ class TestHnfProperties:
         residue, negative = hnf_residues(basis, [(x, -x) for x in v])
         assert hnf_negation(basis)(residue) == negative
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(rows_and_vector(), st.binary(min_size=12, max_size=12))
+    # v turns the pivot 2 into 1 and adds the unit pivot of column 1
+    @example(([[2, 1, 0]], [1, 0, 3], [0]), bytes(range(12)))
+    def test_residues_modulo_a_sublattice_reduce_to_the_residues(self, case, raw):
+        # the walk reduces each lattice L' = L + v from the residues modulo
+        # its parent L: they differ from their vectors by elements of L,
+        # which lie in L'
+        rows, v, _ = case
+        basis = hnf_rows(rows)
+        grown = hnf_add(basis, v)
+        entries = [(b + 6) % 13 - 6 for b in raw]
+        cols = len(v)
+        vectors = [v] + [entries[i:i + cols] for i in range(0, len(entries) - cols + 1, cols)]
+        columns = list(zip(*vectors))
+        residues = hnf_residues(basis, columns)
+        assert hnf_residues(grown, list(zip(*residues))) == hnf_residues(grown, columns)
+
     # fewer examples than its neighbours, a count set when each one cost
     # hypothesis about 3 ms to draw, with tier-1 at its time budget
     @settings(max_examples=120, deadline=None, database=None)
