@@ -5,18 +5,20 @@ deduplicating lattices by their canonical Hermite basis.  Every subset of
 monomials spans one of the visited lattices, so the walk covers the
 fixed-size subset scan.  Groups that would need more than N-1 terms do not
 occur at N=2..6: walks without the full-rank skip below record none (the
-tests pin them).  From each lattice the walk builds one child per coset that
-is nonzero and that no earlier generator has, with or without its sign,
-taken over the generators after the last one of its witness, instead of one
-per generator; the visited lattices, their order and their witnesses are
-the same either way (see ``_lattice_scan``).  One ``hnf_residues`` pass per
-lattice, over the distinct cosets of its parent, gives the cosets of all
-generators at once, and ``hnf_negation`` their negatives; a lattice of full
-rank is not queued and takes neither, as its children are all recorded
-already.  A lattice's group is read off the Smith diagonal of the block its
-unit pivots leave (``hnf_unit_split``): the lattices are counted per
-distinct block, and each block takes one ``smith_columns`` and one
-signature.  Only the first lattice of each reported group takes a full
+tests pin them).  Modulo a lattice the generators fall into residue
+classes, and each class has a first index, the least index of a generator
+in it.  From each lattice the walk builds one child per nonzero class whose
+first index is past the last generator of its witness and not after the
+first index of its negation's class, instead of one per generator; the
+visited lattices, their order and their witnesses are the same either way
+(see ``_lattice_scan``).  One ``hnf_residues`` pass per lattice, over the
+distinct residues of its parent, gives every class with its first index,
+and ``hnf_negation`` the negations of the classes past that start; a
+lattice of full rank is not queued and takes neither, as its children are
+all recorded already.  A lattice's group is read off the Smith diagonal of
+the block its unit pivots leave (``hnf_unit_split``): the lattices are
+counted per distinct block, and each block takes one ``smith_columns`` and
+one signature.  Only the first lattice of each reported group takes a full
 reading, whose v gives the generators of its entry.
 
 Realizability rests on the fact that the generic torus-symmetric potential
@@ -144,19 +146,22 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       the witness gives a sorted sequence spanning L + g whose prefix
       without the last term is lex-smaller than the witness of L, so L + g
       was already recorded from a lattice popped before L.
-    - Of the remaining generators an edge is tried only for one whose
-      residue modulo L, all taken by one ``hnf_residues(L, ...)`` over the
-      distinct residues modulo the parent of L (see ``_walk``), is nonzero
-      and for which neither its residue nor the residue of its negation
-      belongs to an earlier generator.  A zero residue means g is already in
-      L.  If g or -g shares its residue with an earlier g' not in L, then
-      L + g = L + g'.  For g' in the same loop, that edge came first; for g'
-      before the start, the first bullet shows that L + g' was recorded from
-      a lattice popped before L.  A residue that is its own negation (an
-      element of order 2 modulo L) has no earlier partner by that alone, so
-      it is still tried.  The residues of the generators before the start
-      are reduced for this alone: at N=5 they stop 83,980 edges, and the
-      walk would take 51,541 ``hnf_add`` calls without them, not 11,500.
+    - Modulo L the generators fall into residue classes, all read by one
+      ``hnf_residues(L, ...)`` over the distinct residues modulo the parent
+      of L (see ``_walk``), and the first index of a class is the least
+      index of a generator in it.  Of the remaining generators an edge is
+      tried only for the first index i of a class that is not zero, and
+      only if the class of its negation is absent or has a first index not
+      less than i.  A zero class means g is already in L.  Otherwise g or
+      -g shares its class with a generator g' of smaller index, and
+      L + g = L + g'.  By induction on the index, L + g' was reached first:
+      in the same loop if g' is past the start, and from a lattice popped
+      before L, by the first bullet, if not.  A class that is its own
+      negation (an element of order 2 modulo L) has i as the first index
+      of both, so it is still tried.  The classes whose first index lies
+      before the start are read for this alone: at N=5 they stop 83,980
+      edges, and the walk would take 51,541 ``hnf_add`` calls without them,
+      not 11,500.
     - A lattice of full rank N-1 is recorded but not queued, so it is not
       extended at all.  This rests on a premise verified, not proved: every
       lattice of this walk has a witness as long as its rank, for every
@@ -187,57 +192,60 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
     adds the third, which holds only under that scan's premise: a full-rank
     child is recorded but not queued.
 
-    Each queued lattice L' = L + g carries two objects shared by every child
-    of its parent L: the distinct residues modulo L of all generators, in
-    first-seen order, and the index of each generator's residue among them.
-    As L lies in L', a residue r = g - l modulo L, l in L, has the same
-    residue modulo L' as g itself.  So the one ``hnf_residues`` pass of L'
-    reduces only its parent's distinct residues (37.8 of the 65 generators
-    on average at N=5), and each generator takes the result of its own.
+    Each queued lattice L' = L + g carries its witness and two objects
+    shared by every child of its parent L: the distinct residues modulo L
+    of the generators, in first-seen order, and the first index of each,
+    which increases along them.  As L lies in L', a residue r = g - l
+    modulo L, l in L, has the same residue modulo L' as g itself.  So the
+    one ``hnf_residues`` pass of L' reduces only its parent's distinct
+    residues (37.8 of the 65 generators on average at N=5), and a class
+    modulo L' keeps the first index of the first of them that lands in it,
+    the least one.  The rule of ``_lattice_scan`` reads only classes and
+    first indices, so the walk keeps no state per generator.
 
     The residues are stored one after another, one byte per entry, in an
-    ``array('b')`` for [-128, 127], and the indices in an ``array('B')``
-    for [0, 255].  The whole walks at N=2..6 stay inside them, with residue
-    entries up to 32 at N=5 and 80 at N=6 and indices up to 134 (135
-    generators at N=6).  A parent with a value outside its type keeps a
-    tuple instead (``_packed``), never a truncated array; the property
-    tests reach such residues with generator entries in [-4, 4].  At N=6
-    all 82,575 lattices of depth 3 hold their residues while their children
-    wait, so the one-byte store keeps the walk's peak below a tuple
-    store's.
+    ``array('b')`` for [-128, 127], and the first indices in an
+    ``array('B')`` for [0, 255].  The whole walks at N=2..6 stay inside
+    them, with residue entries up to 32 at N=5 and 80 at N=6 and indices
+    up to 134 (135 generators at N=6).  A parent with a value outside its
+    type keeps a tuple instead (``_packed``), never a truncated array; the
+    property tests reach such residues with generator entries in [-4, 4].
+    At N=6 all 82,575 lattices of depth 3 hold their residues while their
+    children wait, so the store's size shows in the walk's peak: 534 MiB
+    with this store, 538 MiB with one ``array('b')`` per coordinate.
     """
     width = len(generators[0][0]) if generators else 0
+    zero = (0,) * width
     states: dict[Rows, tuple[T, ...]] = {(): ()}
-    # modulo the zero lattice, each generator is its own residue
-    root = ((), 0, _packed("b", chain.from_iterable(chg for chg, _ in generators)),
+    # modulo the zero lattice, generator i is its own residue, first seen at i
+    root = ((), (), 0, _packed("b", chain.from_iterable(chg for chg, _ in generators)),
             _packed("B", range(len(generators))))
-    frontier: deque[tuple[Rows, int, Sequence[int], Sequence[int]]] = deque([root])
+    frontier: deque[tuple[Rows, tuple[T, ...], int, Sequence[int], Sequence[int]]] = deque([root])
     while frontier:
-        lattice, start, classes, index = frontier.popleft()
-        witness = states[lattice]
-        distinct = hnf_residues(lattice, [classes[c::width] for c in range(width)])
-        residues = [distinct[k] for k in index]
+        lattice, witness, start, residues, firsts = frontier.popleft()
+        distinct = hnf_residues(lattice, [residues[c::width] for c in range(width)])
+        # read in reverse, each class keeps the least first index landing in it
+        classes = dict(zip(reversed(distinct), reversed(firsts)))
+        zero_first = classes.get(zero)
         negated = hnf_negation(lattice)
-        tried = {(0,) * width, *residues[:start]}
         shared = None
-        for i, residue in enumerate(residues[start:], start):
-            # L + g = L - g; a residue that is its own negation is not in
-            # ``tried`` yet, so it is still tried
-            if residue in tried or negated(residue) in tried:
+        for residue, i in zip(distinct, firsts):
+            # L + g = L - g; a class that is its own negation is its own
+            # negation's first index too, so it is still tried
+            if (i < start or classes[residue] != i or i == zero_first
+                    or classes.get(negated(residue), i) < i):
                 continue
-            tried.add(residue)
             grown = hnf_add(lattice, residue)
             if grown in states:
                 continue
-            states[grown] = witness + (generators[i][1],)
+            states[grown] = grown_witness = witness + (generators[i][1],)
             if skip_full_rank and len(grown) == width:
                 continue
             if shared is None:
                 keys = list(dict.fromkeys(distinct))
-                slot = dict(zip(keys, range(len(keys))))
                 shared = (_packed("b", chain.from_iterable(keys)),
-                          _packed("B", map(slot.__getitem__, residues)))
-            frontier.append((grown, i + 1, *shared))
+                          _packed("B", map(classes.__getitem__, keys)))
+            frontier.append((grown, grown_witness, i + 1, *shared))
     return states
 
 
@@ -271,12 +279,7 @@ def classify(n_doublets: int) -> ClassificationResult:
     # one full reading, whose d and v the printed entries below use.
     blocks: dict[tuple[int, Rows, int], list] = {}
     for lattice, witness in states.items():
-        split = hnf_unit_split(lattice, n)
-        first = blocks.get(split)
-        if first is None:
-            blocks[split] = [lattice, witness, 1]
-        else:
-            first[2] += 1
+        blocks.setdefault(hnf_unit_split(lattice, n), [lattice, witness, 0])[2] += 1
     primary: dict[GroupSignature, tuple] = {}
     counts: dict[GroupSignature, int] = {}
     for (units, block, width), (lattice, witness, count) in blocks.items():

@@ -9,6 +9,7 @@ classical elimination algorithms entirely adequate.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from ._record import record
@@ -464,11 +465,15 @@ def hnf_unit_split(basis: Rows, ncols: int) -> tuple[int, Rows, int]:
     ``ncols`` raise ValueError.
     """
     _check_width(basis, ncols)
-    rows = list(zip(basis, _pivots(basis)))
-    units = {j for row, j in rows if row[j] == 1}
-    keep = [c for c in range(ncols) if c not in units]
-    block = tuple(tuple(row[c] for c in keep) for row, j in rows if row[j] != 1)
-    return len(units), block, len(keep)
+    keep = [True] * ncols
+    block = []
+    for row, j in zip(basis, _pivots(basis)):
+        if row[j] == 1:
+            keep[j] = False
+        else:
+            block.append(row)
+    units = len(basis) - len(block)
+    return units, tuple(tuple(compress(row, keep)) for row in block), ncols - units
 
 
 def hnf_contains(basis: Rows, vec: Sequence[int]) -> bool:

@@ -158,9 +158,13 @@ def reference_walk(n):
 
 
 def walk_digest(states):
-    lines = (json.dumps((rows, [m.to_json() for m in witness]))
-             for rows, witness in states.items())
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    """SHA-256 of the walk's JSON lines joined by newlines, fed one line at a time."""
+    digest = hashlib.sha256()
+    for k, (rows, witness) in enumerate(states.items()):
+        if k:
+            digest.update(b"\n")
+        digest.update(json.dumps((rows, [m.to_json() for m in witness])).encode())
+    return digest.hexdigest()
 
 
 @st.composite
@@ -177,6 +181,19 @@ def edges_of_walks(monkeypatch):
     monkeypatch.setattr(classifier, "hnf_add",
                         lambda basis, vec: edges.append(vec) or real(basis, vec))
     return edges
+
+
+def negations_of_walks(monkeypatch):
+    """The residue of every negation the walk reads from now on."""
+    negations = []
+    real = classifier.hnf_negation
+
+    def counted(basis):
+        negated = real(basis)
+        return lambda residue: negations.append(residue) or negated(residue)
+
+    monkeypatch.setattr(classifier, "hnf_negation", counted)
+    return negations
 
 
 def residue_passes(monkeypatch):
@@ -215,6 +232,14 @@ class TestLatticeWalk:
     @example([((3,), 0)])
     # repeated generators: every pass has one distinct residue
     @example([((2, 1), 0), ((2, 1), 1), ((2, 1), 2)])
+    # modulo <(0, 2)>, the residues (1, 0) and (1, 2) of the zero lattice
+    # merge into one class, whose first index is 1: generator 2 is not
+    # tried, and <(0, 2), (1, 0)> keeps the witness (0, 1)
+    @example([((0, 2), 0), ((1, 0), 1), ((1, 2), 2)])
+    # modulo 5Z, the class 3 of generator 2 is the negation of the class 2
+    # of generator 1, whose first index is earlier: generator 1 is tried
+    # and reaches Z with the witness (0, 1), and generator 2 is not
+    @example([((5,), 0), ((2,), 1), ((3,), 2)])
     def test_pruned_walk_equals_the_reference_walk(self, generators):
         # random generators may repeat, vanish or be multiples of each other
         walked = classifier._walk(generators)
@@ -222,21 +247,25 @@ class TestLatticeWalk:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_edge_budget(self, monkeypatch, n):
-        # one hnf_add per tried edge; an edge is tried only for a residue
-        # that neither the zero coset nor an earlier generator has, and whose
-        # negation no earlier generator has either: then every edge records
-        # a lattice, one per lattice after the zero lattice
+        # one hnf_add per tried edge; an edge is tried only for the first
+        # index of a nonzero class whose negation's class has no earlier
+        # first index: then every edge records a lattice, one per lattice
+        # after the zero lattice.  The negation is read once per nonzero
+        # class whose first index is past the start
         edges = edges_of_walks(monkeypatch)
+        negations = negations_of_walks(monkeypatch)
         states = classifier._lattice_scan.__wrapped__(n)
         assert len(edges) == len(states) - 1 == {3: 18, 4: 294}[n]
+        assert len(negations) == {3: 26, 4: 541}[n]
 
     @pytest.mark.slow
     def test_five_doublet_edge_budget(self, monkeypatch):
         # the one edge budget that is not one per lattice: 8 of its edges
         # reach a lattice recorded already
         edges = edges_of_walks(monkeypatch)
+        negations = negations_of_walks(monkeypatch)
         states = classifier._lattice_scan.__wrapped__(5)
-        assert (len(edges), len(states)) == (11500, 11493)
+        assert (len(edges), len(states), len(negations)) == (11500, 11493, 24464)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_residue_budget(self, monkeypatch, n):
@@ -312,7 +341,7 @@ class TestLatticeWalk:
     def test_six_doublet_walk_is_pinned(self):
         # digest of the N=6 walk, recorded from the walk whose coset set
         # started from the zero residue alone; minutes of work and about
-        # 1 GiB at its peak
+        # 600 MiB at its peak, most of it the walk's own
         states = classifier._lattice_scan(6)
         assert len(states) == 1051229
         assert all(len(witness) == len(lattice) for lattice, witness in states.items())
