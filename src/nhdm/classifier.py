@@ -152,16 +152,16 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
       index of a generator in it.  Of the remaining generators an edge is
       tried only for the first index i of a class that is not zero, and
       only if the class of its negation is absent or has a first index not
-      less than i.  A zero class means g is already in L.  Otherwise g or
-      -g shares its class with a generator g' of smaller index, and
-      L + g = L + g'.  By induction on the index, L + g' was reached first:
-      in the same loop if g' is past the start, and from a lattice popped
-      before L, by the first bullet, if not.  A class that is its own
-      negation (an element of order 2 modulo L) has i as the first index
-      of both, so it is still tried.  The classes whose first index lies
-      before the start are read for this alone: at N=5 they stop 83,980
-      edges, and the walk would take 51,541 ``hnf_add`` calls without them,
-      not 11,500.
+      less than i.  A zero class means g is already in L, so ``_walk``
+      stores no zero residue.  Otherwise g or -g shares its class with a
+      generator g' of smaller index, and L + g = L + g'.  By induction on
+      the index, L + g' was reached first: in the same loop if g' is past
+      the start, and from a lattice popped before L, by the first bullet,
+      if not.  A class that is its own negation (an element of order 2
+      modulo L) has i as the first index of both, so it is still tried.
+      The classes whose first index lies before the start are read for
+      this alone: at N=5 they stop 83,980 edges, and the walk would take
+      51,541 ``hnf_add`` calls without them, not 11,500.
     - A lattice of full rank N-1 is recorded but not queued, so it is not
       extended at all.  This rests on a premise verified, not proved: every
       lattice of this walk has a witness as long as its rank, for every
@@ -193,15 +193,17 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
     child is recorded but not queued.
 
     Each queued lattice L' = L + g carries its witness and two objects
-    shared by every child of its parent L: the distinct residues modulo L
-    of the generators, in first-seen order, and the first index of each,
-    which increases along them.  As L lies in L', a residue r = g - l
-    modulo L, l in L, has the same residue modulo L' as g itself.  So the
-    one ``hnf_residues`` pass of L' reduces only its parent's distinct
-    residues (37.8 of the 65 generators on average at N=5), and a class
-    modulo L' keeps the first index of the first of them that lands in it,
-    the least one.  The rule of ``_lattice_scan`` reads only classes and
-    first indices, so the walk keeps no state per generator.
+    shared by every child of its parent L: the distinct nonzero residues
+    modulo L of the generators, in first-seen order, and the first index of
+    each, which increases along them.  As L lies in L', a residue r = h - l
+    modulo L, l in L, has the same residue modulo L' as h itself.  So the
+    one ``hnf_residues`` pass of L' reduces only the residues L stores
+    (36.8 of the 65 generators on average at N=5), and a class modulo L'
+    keeps the first index of the first of them that lands in it, the least
+    one.  The rule of ``_lattice_scan`` reads only classes and first
+    indices, so the walk keeps no state per generator.  A zero class is
+    never tried, so no store holds one: that of L' holds the residue of g,
+    whose index is before the start.
 
     The residues are stored one after another, one byte per entry, in an
     ``array('b')`` for [-128, 127], and the first indices in an
@@ -215,25 +217,23 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
     with this store, 538 MiB with one ``array('b')`` per coordinate.
     """
     width = len(generators[0][0]) if generators else 0
-    zero = (0,) * width
     states: dict[Rows, tuple[T, ...]] = {(): ()}
     # modulo the zero lattice, generator i is its own residue, first seen at i
-    root = ((), (), 0, _packed("b", chain.from_iterable(chg for chg, _ in generators)),
-            _packed("B", range(len(generators))))
+    nonzero = [i for i, (chg, _) in enumerate(generators) if any(chg)]
+    root = ((), (), 0, _packed("b", chain.from_iterable(generators[i][0] for i in nonzero)),
+            _packed("B", nonzero))
     frontier: deque[tuple[Rows, tuple[T, ...], int, Sequence[int], Sequence[int]]] = deque([root])
     while frontier:
         lattice, witness, start, residues, firsts = frontier.popleft()
         distinct = hnf_residues(lattice, [residues[c::width] for c in range(width)])
         # read in reverse, each class keeps the least first index landing in it
         classes = dict(zip(reversed(distinct), reversed(firsts)))
-        zero_first = classes.get(zero)
         negated = hnf_negation(lattice)
         shared = None
         for residue, i in zip(distinct, firsts):
             # L + g = L - g; a class that is its own negation is its own
             # negation's first index too, so it is still tried
-            if (i < start or classes[residue] != i or i == zero_first
-                    or classes.get(negated(residue), i) < i):
+            if i < start or classes[residue] != i or classes.get(negated(residue), i) < i:
                 continue
             grown = hnf_add(lattice, residue)
             if grown in states:
@@ -242,7 +242,8 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
             if skip_full_rank and len(grown) == width:
                 continue
             if shared is None:
-                keys = list(dict.fromkeys(distinct))
+                keys = dict.fromkeys(distinct)
+                keys.pop((0,) * width, None)
                 shared = (_packed("b", chain.from_iterable(keys)),
                           _packed("B", map(classes.__getitem__, keys)))
             frontier.append((grown, grown_witness, i + 1, *shared))

@@ -30,12 +30,13 @@ character, and two equal cosets are characters that agree on the group.
 The phase congruences of steps 3 to 5 are read through the lattice of a
 ``PhaseConstraintSystem``, kept as a Hermite basis over the head unknowns
 (the entry phases, c0 and the torus angles) and one small block per term
-orbit.  The structural-phase pins are head rows, free of coefficient phases
-psi, and an orbit's invariance relations carry only its own terms' psi, so
-each orbit's rows, reduced once, make their own block and only their
-psi-free combinations reach the head basis.  An orbit survives while the
-head basis stays solvable, and a unitary symmetry is forced when the system
-fixes each relation its invariance needs; a Smith form only writes phases.
+orbit.  The structural-phase pins are head rows (``pin``), free of
+coefficient phases psi, and an orbit's invariance relations carry only its
+own terms' psi, keyed by term, so each orbit's rows, reduced once, make
+their own block and only their psi-free combinations reach the head basis.
+An orbit survives while the head basis stays solvable, and a unitary
+symmetry is forced when the system fixes each relation its invariance
+needs; a Smith form only writes phases.
 
 Each fact is read at the level it depends on.  Per N and pattern, b or
 b J, ``_term_action`` reads each term's image and invariance relation and
@@ -170,8 +171,9 @@ class PhaseConstraintSystem:
     ``unknowns`` labels the positions for ``render``.  ``column`` maps the
     term of each coefficient phase psi to its position, which must be one of
     the trailing unknowns, in order, or ValueError is raised; the unknowns
-    before them are the ``head``.  Inside the system a psi is keyed by its
-    term, and rows over every unknown are translated through ``column``.
+    before them are the ``head``.  A row enters and is asked about as its
+    head part and its psi entries keyed by term; only ``equations``, which
+    ``solve`` reads, writes rows over every unknown, through ``column``.
     The system is read through one integer lattice L: with D the lcm of the
     denominators of b, L is spanned by the rows [A_i | D b_i] and (0, ..., 0, D).
 
@@ -188,7 +190,7 @@ class PhaseConstraintSystem:
       lies in L.
 
     L is never written out over all unknowns.  Head rows carry no psi
-    (``add``); whole term orbits (``_join``) carry the psi of their own
+    (``pin``); whole term orbits (``_join``) carry the psi of their own
     terms, which no other orbit carries, with right-hand side 0.  ``basis``
     is the Hermite basis of the elements of L with zero psi part, over the
     head and the scaled right-hand side, and ``blocks`` maps each psi term
@@ -210,13 +212,6 @@ class PhaseConstraintSystem:
         self.blocks: dict[Monomial, TermOrbit] = {}
         self._equations: list[tuple[tuple[int, ...], dict[Monomial, int], Fraction]] = []
 
-    def _split(self, row) -> tuple[tuple[int, ...], dict[Monomial, int]]:
-        """The head part of a row over every unknown, and its nonzero psi entries by term."""
-        if len(row) != len(self.unknowns):
-            raise ValueError(f"need {len(self.unknowns)} coefficients, got {len(row)}")
-        row = integers(row, "coefficients")
-        return row[:self.head], {m: c for m, c in zip(self.column, row[self.head:]) if c}
-
     @property
     def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Each congruence as (coefficients over every unknown, right-hand side)."""
@@ -228,18 +223,18 @@ class PhaseConstraintSystem:
             out.append((tuple(row), rhs))
         return out
 
-    def add(self, row, rhs) -> None:
-        """Append  sum row[j] * unknowns[j] == rhs (mod 1): int coefficients, int or Fraction rhs.
-        A psi entry raises ValueError: coefficient phases enter only with a term orbit."""
-        head, psi = self._split(row)
-        if psi:
-            raise ValueError(f"{self.unknowns[self.column[next(iter(psi))]]} is a coefficient "
-                             "phase, which enters only with a term orbit")
-        (rhs,) = rational_phases((rhs,))
-        self._add(head, rhs)
+    def _head_row(self, head) -> tuple[int, ...]:
+        """``head`` as a tuple of ints, one per head unknown, or ValueError."""
+        head = integers(head, "coefficients")
+        if len(head) != self.head:
+            raise ValueError(f"need {self.head} head coefficients, got {len(head)}")
+        return head
 
-    def _add(self, head: tuple[int, ...], rhs: Fraction) -> None:
-        """``add`` of a head row given as its head part."""
+    def pin(self, head, rhs) -> None:
+        """Append  sum head[j] * unknowns[j] == rhs (mod 1): one int per head unknown, int or
+        Fraction rhs, or ValueError.  Coefficient phases enter only with a term orbit."""
+        head = self._head_row(head)
+        (rhs,) = rational_phases((rhs,))
         self._equations.append((head, {}, rhs))
         if self.scale % rhs.denominator:
             # scaling the last column keeps ``basis`` in Hermite form: it is a
@@ -255,7 +250,7 @@ class PhaseConstraintSystem:
         Its terms are in no block, so only its ``free`` rows reach ``basis``,
         padded with zeros past the entry phases.  When the grown basis is
         unsolvable nothing changes and False comes back; otherwise the
-        orbit's equations join, and it becomes the block of its terms.
+        orbit's relations join, and it becomes the block of its terms.
         """
         basis = self.basis
         for row in orbit.free:
@@ -263,7 +258,7 @@ class PhaseConstraintSystem:
         if basis[-1][-1] != self.scale:
             return False
         self.basis = basis
-        self._equations.extend((xi, psi, _ZERO) for xi, psi in orbit.equations)
+        self._equations.extend((xi, psi, _ZERO) for xi, psi in orbit.relations)
         if orbit.block:
             self.blocks.update(dict.fromkeys(orbit.terms, orbit))
         return True
@@ -272,15 +267,17 @@ class PhaseConstraintSystem:
         """The congruences have a solution: the last pivot of ``basis`` is D."""
         return self.basis[-1][-1] == self.scale
 
-    def fixes(self, row) -> bool:
-        """sum row[j] * x_j is an integer on every solution x: (row, 0) lies in the lattice.
+    def fixes(self, head, psi: dict[Monomial, int]) -> bool:
+        """w x is an integer on every solution x: (w, 0) lies in the lattice.
 
-        The psi part of the row on an orbit's terms, with the entry-phase
-        prefix of the head vector, is reduced against the orbit's block; a
-        psi remainder, or a psi entry in no block, leaves (row, 0) outside L.
-        The head vector left over must lie in ``basis``.
+        w is a ``head`` part, as for ``pin``, and integer ``psi`` entries by
+        term, read but not changed.  Those on an orbit's terms, with the
+        entry-phase prefix of the head vector, are reduced against the
+        orbit's block; a psi remainder, or a psi entry in no block, leaves
+        (w, 0) outside L.  The head vector left over must lie in ``basis``.
         """
-        head, psi = self._split(row)
+        head = self._head_row(head)
+        psi = {m: c for m, c in zip(psi, integers(psi.values(), "coefficients")) if c}
         if not self.solvable():
             return True
         vec = head + (0,)
@@ -307,9 +304,10 @@ class PhaseConstraintSystem:
 
     def render(self) -> list[str]:
         out = []
-        for row, rhs in self.equations:
+        for head, psi, rhs in self._equations:
             parts = []
-            for name, c in sorted((self.unknowns[j], c) for j, c in enumerate(row) if c):
+            for name, c in sorted([(self.unknowns[j], c) for j, c in enumerate(head) if c] +
+                                  [(self.unknowns[self.column[m]], c) for m, c in psi.items()]):
                 if c == 1:
                     parts.append(f"+ {name}")
                 elif c == -1:
@@ -474,7 +472,7 @@ def _cycles(items, image) -> tuple[tuple, ...]:
 class TermOrbit:
     """One orbit of terms under a generalized permutation, with its invariance rows reduced once.
 
-    ``equations`` holds one row per term, (entry-phase part, nonzero psi
+    ``relations`` holds one row per term, (entry-phase part, nonzero psi
     entries by term), with right-hand side 0.  Of their Hermite basis over
     the psi of ``terms`` then the entry phases, ``block`` holds the rows with
     psi pivots, or is None without psi, and ``free`` the rest without their
@@ -483,17 +481,17 @@ class TermOrbit:
     """
 
     terms: tuple[Monomial, ...]
-    equations: tuple[tuple[tuple[int, ...], dict[Monomial, int]], ...]
+    relations: tuple[tuple[tuple[int, ...], dict[Monomial, int]], ...]
     block: Rows | None
     free: Rows
 
     @classmethod
-    def reduced(cls, terms, equations) -> "TermOrbit":
-        """The orbit of ``terms`` with the rows ``equations``, reduced by one ``hnf_rows``."""
-        terms, equations = tuple(terms), tuple(equations)
-        rows = hnf_rows([tuple(psi.get(m, 0) for m in terms) + xi for xi, psi in equations])
+    def reduced(cls, terms, relations) -> "TermOrbit":
+        """The orbit of ``terms`` with the rows ``relations``, reduced by one ``hnf_rows``."""
+        terms, relations = tuple(terms), tuple(relations)
+        rows = hnf_rows([tuple(psi.get(m, 0) for m in terms) + xi for xi, psi in relations])
         kept = sum(1 for r in rows if any(r[:len(terms)]))  # the psi pivots come first
-        return cls(terms, equations, rows[:kept] or None,
+        return cls(terms, relations, rows[:kept] or None,
                    tuple(r[len(terms):] for r in rows[kept:]))
 
 
@@ -649,7 +647,7 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
     system = base.phase_system()
     for a in range(n):
         head = [int(x == a) - int(x == sigma[a]) for x in range(n)]
-        system._add(tuple(head + [-1] + [-w[a] for w in base.doublet_weights]), f.phases[a])
+        system.pin(head + [-1] + [-w[a] for w in base.doublet_weights], f.phases[a])
     return system
 
 
@@ -659,7 +657,7 @@ def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> t
     ``orbits`` come from ``TermAction.orbits``, already reduced; orbits of
     terms that are not psi of ``system`` are skipped.  Per orbit only its
     psi-free rows are added to the head basis; a kept orbit's block and
-    equations join ``system`` as they are (``_join``).  Returns
+    relations join ``system`` as they are (``_join``).  Returns
     the grown system, the surviving and the killed terms and the magnitude
     classes: surviving terms linked by the action, which are exactly the
     surviving orbits.
@@ -789,11 +787,11 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
 
     res = snf_rows([theta for theta, _ in relations], candidate.base.n_doublets)
     for z in res.u.entries[res.rank:]:
-        w = [0] * len(candidate.system.unknowns)
+        w: dict[Monomial, int] = {}
         for zk, (_, psi) in zip(z, relations):
             for m, c in psi.items():
-                w[column[m]] += zk * c
-        if not candidate.system.fixes(w):
+                w[m] = w.get(m, 0) + zk * c
+        if not candidate.system.fixes((0,) * candidate.system.head, w):
             return None
     particular = candidate.system.solve()
     target = [-sum((c * particular[column[m]] for m, c in psi.items()), Fraction(0))
@@ -896,11 +894,11 @@ def check_z3z3() -> Z3Z3Report:
     swap = GenPermMatrix.permutation((1, 0, 2))
     base = AbelianBase.from_lattice(3, [chg for m, chg in monomial_charges(3).items()
                                         if phase_shift(m, a) == 0])
-    pin = base.phase_system()
+    system = base.phase_system()
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
-        pin._add(tuple(int(j == k) for j in range(pin.head)), phase)
+        system.pin([int(j == k) for j in range(system.head)], phase)
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
-                            *_restrict(pin, _term_action(b.perm, False).orbits))
+                            *_restrict(system, _term_action(b.perm, False).orbits))
     inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
     inv_swap = _forced_symmetry(extension, swap.perm) == swap
     commutes = commutes_with_diagonal(swap, a)

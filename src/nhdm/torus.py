@@ -28,7 +28,7 @@ def rational_phases(phases) -> tuple[Fraction, ...]:
     out = []
     for p in phases:
         if isinstance(p, Fraction):
-            out.append(p % 1)
+            out.append(p if 0 <= p.numerator < p.denominator else p % 1)
         elif isinstance(p, int):
             out.append(Fraction(p % 1))
         else:

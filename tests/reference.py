@@ -510,6 +510,14 @@ def hnf_lattice(equations, ncols) -> tuple:
     return hnf_rows(rows), scale
 
 
+def split_row(system, row) -> tuple:
+    """A row over every unknown of ``system`` as ``fixes`` takes it: the head
+    part and the psi entries keyed by term, zeros included, through ``column``."""
+    if len(row) != len(system.unknowns):
+        raise ValueError(f"need {len(system.unknowns)} coefficients, got {len(row)}")
+    return tuple(row[:system.head]), dict(zip(system.column, row[system.head:]))
+
+
 def solve(system):
     """(particular, torsion generators, free directions) or None, from one
     Smith form of the whole system.

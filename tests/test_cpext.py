@@ -488,7 +488,8 @@ class TestTermActions:
                 units = [tuple(int(i == j) for i in range(len(system.unknowns)))
                          for j in range(len(system.unknowns))]
                 for w in units + [row for row, _ in equations]:
-                    assert system.fixes(w) == hnf_contains(wide, w + (0,))
+                    assert system.fixes(*reference.split_row(system, w)) == hnf_contains(
+                        wide, w + (0,))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_block_per_surviving_orbit_with_a_psi_part(self, n):
@@ -612,19 +613,20 @@ class TestConstraintSystems:
 
     def test_coefficients_must_be_integers(self):
         system = PhaseConstraintSystem(["x", "y"])
-        system.add([True, -1], F(1, 2))
+        system.pin([True, -1], F(1, 2))
         assert system.equations == [((1, -1), F(1, 2))]
         with pytest.raises(ValueError):
-            system.add([F(5, 2), 1], 0)
+            system.pin([F(5, 2), 1], 0)
 
     def test_a_psi_row_is_not_added(self):
         # coefficient phases enter only with a whole term orbit, through _join;
-        # the column map names their positions, after the head
+        # the column map names their positions, after the head, and pin
+        # takes a row over the head alone
         system = PhaseConstraintSystem(["x", "psi0", "psi1"], column={"t0": 1, "t1": 2})
         assert system.head == 1
-        with pytest.raises(ValueError, match=r"psi1 is a coefficient phase"):
-            system.add([1, 0, 2], F(1, 2))
-        system.add([1, 0, 0], F(1, 2))
+        with pytest.raises(ValueError, match=r"need 1 head coefficients, got 3"):
+            system.pin([1, 0, 2], F(1, 2))
+        system.pin([1], F(1, 2))
         assert system.equations == [((1, 0, 0), F(1, 2))] and system.blocks == {}
 
     @pytest.mark.parametrize("positions", [(-1,), (3,), (0,), (1, 0), (0, 1, 2)],
@@ -640,19 +642,19 @@ class TestConstraintSystems:
         # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
         system = PhaseConstraintSystem(["x"])
         with pytest.raises(ValueError):
-            system.add([1], rhs)
+            system.pin([1], rhs)
         assert system.equations == []
 
     def test_a_fraction_coefficient_enters_by_no_path(self):
-        # equations enter only through ``add``; the constructor takes none
+        # head rows enter only through ``pin``; the constructor takes none
         with pytest.raises(TypeError):
             PhaseConstraintSystem(["x"], [((F(5, 2),), F(1, 2))])
         system = PhaseConstraintSystem(["x"])
         for row in ([F(5, 2)], [F(2)], [0.5], ["1"]):
             with pytest.raises(ValueError):
-                system.add(row, F(1, 2))
+                system.pin(row, F(1, 2))
             with pytest.raises(ValueError):
-                system.fixes(row)
+                system.fixes(*reference.split_row(system, row))
         assert system.equations == []
         assert system.basis == ((0, 1),) and system.solve() == [F(0)]
 
@@ -701,7 +703,7 @@ class TestSolver:
         rows, rhs = case
         system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
         for row, b in zip(rows, rhs):
-            system.add(row, b)
+            system.pin(row, b)
         particular = system.solve()
         oracle = reference.solve(system)
         assert system.solvable() == (particular is not None) == (oracle is not None)
@@ -1015,7 +1017,7 @@ class TestHermiteSolvability:
         for item in items:
             if item[0] == "head":
                 _, row, b = item
-                system.add(dense(row, {}, column, ncols), b)
+                system.pin(row, b)
                 kept.append((dense(row, {}, column, ncols), b % 1))
                 continue
             _, terms, relations = item
@@ -1037,7 +1039,11 @@ class TestHermiteSolvability:
                 y = data.draw(st.lists(st.integers(-2, 2), min_size=len(kept), max_size=len(kept)))
                 k = data.draw(st.integers(1, 12))
                 w = [k * sum(c * r[j] for c, (r, _) in zip(y, kept)) for j in range(ncols)]
-            assert system.fixes(w) == (not system.solvable() or hnf_contains(wide, w + [0]))
+            head_part, psi = reference.split_row(system, w)
+            unchanged = dict(psi)
+            assert system.fixes(head_part, psi) == (
+                not system.solvable() or hnf_contains(wide, w + [0]))
+            assert psi == unchanged
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(wide_congruences())
@@ -1045,7 +1051,7 @@ class TestHermiteSolvability:
         rows, rhs = case
         system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
         for row, b in zip(rows, rhs):
-            system.add(row, b)
+            system.pin(row, b)
         solvable = reference.smith_solvable(system.equations, len(system.unknowns))
         assert system.solvable() == solvable
         if solvable:
@@ -1060,7 +1066,7 @@ class TestHermiteSolvability:
         order = data.draw(st.permutations(range(len(rows))))
         system = PhaseConstraintSystem([f"x{j}" for j in range(len(rows[0]))])
         for i in order:
-            system.add(rows[i], rhs[i])
+            system.pin(rows[i], rhs[i])
         assert (system.basis, system.scale) == reference.hnf_lattice(system.equations,
                                                                       len(system.unknowns))
 
@@ -1073,7 +1079,7 @@ class TestHermiteSolvability:
         ncols = len(rows[0])
         system = PhaseConstraintSystem([f"x{j}" for j in range(ncols)])
         for row, b in zip(rows, rhs):
-            system.add(row, b)
+            system.pin(row, b)
         if data.draw(st.booleans()):
             w = data.draw(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols))
         else:
@@ -1082,16 +1088,16 @@ class TestHermiteSolvability:
             w = [k * sum(c * r[j] for c, r in zip(y, rows)) for j in range(ncols)]
         oracle = reference.solve(system)
         if oracle is None:
-            assert system.fixes(w)  # nothing to be integral on
+            assert system.fixes(*reference.split_row(system, w))  # nothing to be integral on
             return
         particular, torsion, free = oracle
 
         def dot(x):
             return sum((a * b for a, b in zip(w, x)), F(0))
 
-        assert system.fixes(w) == (dot(particular).denominator == 1
-                                   and all(dot(g).denominator == 1 for g in torsion)
-                                   and all(dot(d) == 0 for d in free))
+        assert system.fixes(*reference.split_row(system, w)) == (
+            dot(particular).denominator == 1 and all(dot(g).denominator == 1 for g in torsion)
+            and all(dot(d) == 0 for d in free))
 
     def test_three_doublet_sweep_matches_the_refactoring_loop(self):
         for base in cp_bases(3):
@@ -1187,7 +1193,7 @@ class TestHermiteSolvability:
         # a pattern other than the identity, which ``cp_realizable`` asks about
         cand = next(c for base in cp_bases(3) for c in cp_extensions(base)
                     if c.sigma != (0, 1, 2))
-        cand.system.add([0] * len(cand.system.unknowns), F(1, 2))
+        cand.system.pin([0] * cand.system.head, F(1, 2))
         with pytest.raises(RuntimeError, match="have no solution"):
             _forced_symmetry(cand, cand.sigma)
 
@@ -1315,7 +1321,7 @@ class TestZ3Z3:
         wide, scale = reference.hnf_lattice(system.equations, len(system.unknowns))
         assert system.solvable() == (wide[-1][-1] == scale)
         for w in itertools.product(range(-1, 2), repeat=len(system.unknowns)):
-            assert system.fixes(w) == hnf_contains(wide, w + (0,))
+            assert system.fixes(*reference.split_row(system, w)) == hnf_contains(wide, w + (0,))
 
     def test_search_yields_the_five_forced_permutations(self, monkeypatch):
         # the Z3 potential restricted by the 3-cycle is forced to admit every
