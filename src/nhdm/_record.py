@@ -3,25 +3,28 @@
 ``record`` gives a class the methods ``dataclass(frozen=True)`` writes for
 it, read from the same annotated fields and defaults: ``__init__`` (then
 ``__post_init__``, if the class has one), ``__eq__``, ``__hash__``,
-``__repr__``, and with ``order=True`` the four order methods.  Records of
-one class compare as the tuples of their fields, and hash as that tuple,
-so sets and dicts of records iterate as they did under ``dataclass``.
-Assigning or deleting an attribute raises AttributeError;
-``object.__setattr__`` (``__post_init__``, ``_trusted`` constructors) and
+``__repr__``, with ``order=True`` the four order methods, and with a
+``__post_init__`` the classmethod ``_trusted``: the parameters of
+``__init__``, stored without ``__post_init__``, for values already checked.
+Records of one class compare as the tuples of their fields, and hash as
+that tuple, so sets and dicts of records iterate as they did under
+``dataclass``.  Assigning or deleting an attribute raises AttributeError;
+``object.__setattr__`` (``__init__``, ``_trusted``, ``__post_init__``) and
 ``functools.cached_property``, which writes the instance dict, still work.
 
 Importing ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``, and it
 compiles each method of each class on its own.  Here the methods that run
-in hot loops (``__init__``, ``__eq__``, ``__hash__``, the order methods) are
-compiled from one source per class, as plain attribute reads; the rest are
-closures.
+in hot loops (``__init__``, ``_trusted``, ``__eq__``, ``__hash__``, the order
+methods) are compiled from one source per class, as plain attribute reads;
+the rest are closures.
 """
 
 _ORDER = (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">="))
 
 
 def record(cls=None, /, *, order=False):
-    """Class decorator: ``@record`` or ``@record(order=True)``."""
+    """Class decorator: ``@record`` or ``@record(order=True)``.  A class that
+    defines ``__post_init__`` also gets ``_trusted``, which skips it."""
     if cls is None:
         return lambda c: _build(c, order)
     return _build(cls, order)
@@ -44,29 +47,34 @@ def _build(cls, order):
 
     for method in (*methods, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
+        setattr(cls, method.__name__,
+                classmethod(method) if method.__name__ == "_trusted" else method)
     return cls
 
 
 def _compiled(cls, names, defaults, order):
-    """``__init__(self, *names)`` with ``defaults``, ``__eq__``, ``__hash__`` and,
-    with ``order``, the order methods of ``cls``, compiled from one source."""
+    """``__init__(self, *names)`` with ``defaults``, ``__eq__``, ``__hash__``, with
+    ``order`` the order methods and with ``__post_init__`` ``_trusted``, from one source."""
     params = ", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names)
+    stores = [f"  _set(self, {n!r}, {n})" for n in names]
     mine = "(" + "".join(f"self.{n}," for n in names) + ")"
     theirs = "(" + "".join(f"other.{n}," for n in names) + ")"
-    lines = [f"def _make(_set, {''.join(f'_d_{n}, ' for n in defaults)}):",
-             f" def __init__(self, {params}):"]
-    lines += [f"  _set(self, {n!r}, {n})" for n in names]
+    lines = [f"def _make(_set, _new, {''.join(f'_d_{n}, ' for n in defaults)}):",
+             f" def __init__(self, {params}):", *stores]
+    made = ["__init__", "__hash__"]
     if hasattr(cls, "__post_init__"):
-        lines.append("  self.__post_init__()")
+        lines += ["  self.__post_init__()",
+                  f" def _trusted(cls, {params}):", "  self = _new(cls)", *stores,
+                  "  return self"]
+        made.append("_trusted")
     lines += [" def __hash__(self):", f"  return hash({mine})"]
-    compared = [("__eq__", "==")] + list(_ORDER if order else ())
-    for name, op in compared:
+    for name, op in [("__eq__", "==")] + list(_ORDER if order else ()):
         lines += [f" def {name}(self, other):",
                   "  if other.__class__ is self.__class__:",
                   f"   return {mine} {op} {theirs}",
                   "  return NotImplemented"]
-    lines.append(f" return __init__, __hash__, {', '.join(name for name, _ in compared)}")
+        made.append(name)
+    lines.append(f" return {', '.join(made)}")
     namespace = {}
     exec("\n".join(lines), namespace)
-    return namespace["_make"](object.__setattr__, *defaults.values())
+    return namespace["_make"](object.__setattr__, object.__new__, *defaults.values())

@@ -184,6 +184,11 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     return _walk(generators, skip_full_rank=True)
 
 
+def _full_lattice(n_doublets: int) -> Rows:
+    """The lattice of every charge, which ``_lattice_scan`` keys by the identity."""
+    return IntMatrix.identity(n_doublets - 1).entries
+
+
 def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
           skip_full_rank: bool = False) -> dict[Rows, tuple[T, ...]]:
     """Breadth-first closure of the zero lattice under (vector, label)
@@ -302,10 +307,22 @@ def classify(n_doublets: int) -> ClassificationResult:
                                            counts[sig]))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
-    if max_order > 2 ** (n_doublets - 1):
+    if max_order > _order_bound(n_doublets):
         raise RuntimeError(f"order bound violated: a group of order {max_order} "
                            f"at N={n_doublets} exceeds 2^(N-1)")
     return ClassificationResult(tuple(entries), max_order)
+
+
+def _order_bound(n_doublets: int) -> int:
+    """2^(N-1), the exact bound on the order of a finite group at N doublets."""
+    return 2 ** (n_doublets - 1)
+
+
+def _bounded_classification(n_doublets: int) -> tuple[ClassificationResult, int]:
+    """``classify`` and the order bound, for N in 2..5 only."""
+    if not 2 <= n_doublets <= 5:
+        raise ValueError("doublet count out of supported range (2..5)")
+    return classify(n_doublets), _order_bound(n_doublets)
 
 
 @record
@@ -318,10 +335,7 @@ class OrderBoundReport:
 def verify_order_bound(n_doublets: int) -> OrderBoundReport:
     """Check the exact bound 2^(N-1) on finite group orders: never exceeded,
     always attained."""
-    if not 2 <= n_doublets <= 5:
-        raise ValueError("doublet count out of supported range (2..5)")
-    result = classify(n_doublets)
-    bound = 2 ** (n_doublets - 1)
+    result, bound = _bounded_classification(n_doublets)
     return OrderBoundReport(result.max_finite_order, bound, result.max_finite_order == bound)
 
 
@@ -339,10 +353,7 @@ class ConjectureProbe:
 
 
 def probe_conjecture(n_doublets: int) -> ConjectureProbe:
-    if not 2 <= n_doublets <= 5:
-        raise ValueError("doublet count out of supported range (2..5)")
-    result = classify(n_doublets)
-    bound = 2 ** (n_doublets - 1)
+    result, bound = _bounded_classification(n_doublets)
     found = set(result.finite_signatures())
     realized = []
     missing = []
@@ -396,16 +407,15 @@ class WitnessReport:
 def witness_potential(signature: GroupSignature, n_doublets: int) -> WitnessReport:
     """Witness term set for a signature, or a not-realizable report.
 
-    ``classify`` leaves out the trivial group, whose lattice is every charge:
-    the only lattice with an all-ones Smith diagonal, keyed by the identity
-    as its Hermite basis.  The walk records it with a minimal witness, so the
-    trivial group is read off the walk alone, which also checks the range,
-    and takes no Smith form; every other group is looked up in ``classify``.
+    ``classify`` leaves out the trivial group, whose lattice is every charge
+    (``_full_lattice``): the only lattice with an all-ones Smith diagonal.
+    The walk records it with a minimal witness, so the trivial group is read
+    off the walk alone, which also checks the range, and takes no Smith
+    form; every other group is looked up in ``classify``.
     """
     if signature.is_trivial:
-        n = n_doublets - 1
-        unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return WitnessReport(n_doublets, signature, True, _lattice_scan(n_doublets)[unit], ())
+        witness = _lattice_scan(n_doublets)[_full_lattice(n_doublets)]
+        return WitnessReport(n_doublets, signature, True, witness, ())
     entry = classify(n_doublets).find(signature)
     if entry is None:
         return WitnessReport(n_doublets, signature, False, (), ())

@@ -59,7 +59,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from ._record import record
-from .classifier import SymmetryGroup, _group_of_lattice, _lattice_scan
+from .classifier import SymmetryGroup, _full_lattice, _group_of_lattice, _lattice_scan
 from .exactmath import (Rows, SnfResult, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
                         snf_rows)
 from .groups import GroupSignature, extend_by_antiunitary
@@ -817,9 +817,9 @@ def cp_bases(n_doublets: int) -> list[AbelianBase]:
     so N outside 2..6 raises its range error before any charge is read.
     """
     lattices = _lattice_scan(n_doublets)
-    full = AbelianBase.from_lattice(n_doublets, monomial_charges(n_doublets).values())
-    return [full] + [AbelianBase(n_doublets, rows) for rows in sorted(lattices)
-                     if rows != full.lattice]
+    full = _full_lattice(n_doublets)
+    return [AbelianBase(n_doublets, full)] + [AbelianBase(n_doublets, rows)
+                                              for rows in sorted(lattices) if rows != full]
 
 
 def classify_cp(n_doublets: int = 3) -> CpClassification:

@@ -54,14 +54,6 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """A matrix of ints this module built itself, stored without re-checking."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "cols", cols)
-        return m
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int = -1) -> "IntMatrix":
         return cls(tuple(tuple(row) for row in rows), cols)
 

@@ -43,15 +43,6 @@ class GroupSignature:
         if self.star is not None:
             object.__setattr__(self, "star", star)
 
-    @classmethod
-    def _trusted(cls, finite: tuple[int, ...], torus_rank: int) -> "GroupSignature":
-        """An unstarred signature of ints this module checked itself, stored without re-checking."""
-        sig = object.__new__(cls)
-        object.__setattr__(sig, "finite", finite)
-        object.__setattr__(sig, "torus_rank", torus_rank)
-        object.__setattr__(sig, "star", None)
-        return sig
-
     @property
     def is_trivial(self) -> bool:
         return not self.finite and self.torus_rank == 0 and self.star is None

@@ -49,13 +49,6 @@ class PhaseVector:
         object.__setattr__(self, "phases", rational_phases(self.phases))
 
     @classmethod
-    def _trusted(cls, phases: tuple[Fraction, ...]) -> "PhaseVector":
-        """Fractions this module already reduced to [0, 1), stored without reducing them again."""
-        pv = object.__new__(cls)
-        object.__setattr__(pv, "phases", phases)
-        return pv
-
-    @classmethod
     def identity(cls, n_doublets: int) -> "PhaseVector":
         return cls((Fraction(0),) * n_doublets)
 

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nhdm import classifier, constructions, cpext, exactmath, groups, monomials, torus
 from nhdm._record import record
 from nhdm.classifier import ClassificationEntry, SymmetryGroup
 from nhdm.constructions import ConstructedMatrix
@@ -209,6 +210,40 @@ class TestInit:
         assert PhaseVector._trusted((F(1, 2),)) == PhaseVector((F(1, 2),))
         assert GroupSignature._trusted((2,), 1) == GroupSignature((2,), 1)
         assert isinstance(snf(IntMatrix(((2,),))), SnfResult)
+        # record writes _trusted for exactly the classes with a __post_init__
+        records = [cls for module in (classifier, constructions, cpext, exactmath, groups,
+                                      monomials, torus)
+                   for cls in vars(module).values()
+                   if isinstance(cls, type) and cls.__module__ == module.__name__
+                   and getattr(vars(cls).get("__setattr__"), "__module__", None) == "nhdm._record"]
+        assert sorted(cls.__name__ for cls in records if hasattr(cls, "_trusted")) == \
+            sorted(cls.__name__ for cls in records if hasattr(cls, "__post_init__")) == \
+            ["GenPermMatrix", "GroupSignature", "IntMatrix", "PhaseVector", "TorusBasis"]
+        # the same fields give an equal record with the same hash
+        for checked in (IntMatrix(((1, 2), (3, 4))), PhaseVector((F(1, 3), F(0))),
+                        GroupSignature((2, 4), 1, star=4), torus_basis(4),
+                        GenPermMatrix((1, 0, 2), (F(1, 8), F(3, 8), F(0)))):
+            trusted = type(checked)._trusted(*fields(checked))
+            assert trusted is not checked and trusted == checked
+            assert hash(trusted) == hash(checked) and fields(trusted) == fields(checked)
+        assert GroupSignature._trusted((2,), 1).star is None
+        assert IntMatrix._trusted.__qualname__ == "IntMatrix._trusted"
+
+        # it skips __post_init__ and keeps the field defaults
+        @record
+        class Checked:
+            value: int
+            rest: tuple = ()
+
+            def __post_init__(self):
+                raise ValueError("checked")
+
+        with pytest.raises(ValueError, match="checked"):
+            Checked(1)
+        made = Checked._trusted(1)
+        assert fields(made) == (1, ()) and made == Checked._trusted(value=1, rest=())
+        with pytest.raises(TypeError):
+            Checked._trusted()
 
 
 class TestCachedProperties:

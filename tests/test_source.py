@@ -96,6 +96,16 @@ def test_every_definition_is_reached():
                             attrs | traced | (set() if method else names))] == []
 
 
+def test_no_module_defines_a_trusted_constructor():
+    # record writes _trusted from the fields of each class with a __post_init__,
+    # so a method kept by hand would restate the field list
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "_trusted"]
+    assert found == []
+
+
 def test_no_module_reads_a_private_name_of_exactmath():
     # the Hermite pivot reading stays in exactmath.py, so the walk cannot
     # carry a second, inline copy of the residue step
