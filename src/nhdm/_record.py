@@ -8,7 +8,10 @@ it, read from the same annotated fields and defaults: ``__init__`` (then
 ``__init__``, stored without ``__post_init__``, for values already checked.
 Records of one class compare as the tuples of their fields, and hash as
 that tuple, so sets and dicts of records iterate as they did under
-``dataclass``.  Assigning or deleting an attribute raises AttributeError;
+``dataclass``.  The hash is computed once per record, on its first use and
+so after ``__post_init__``, and kept as the attribute ``_hash``: a term
+keys many dicts, and each lookup would hash its nested field tuple again.
+Assigning or deleting an attribute raises AttributeError;
 ``object.__setattr__`` (``__init__``, ``_trusted``, ``__post_init__``) and
 ``functools.cached_property``, which writes the instance dict, still work.
 
@@ -67,7 +70,10 @@ def _compiled(cls, names, defaults, order):
                   f" def _trusted(cls, {params}):", "  self = _new(cls)", *stores,
                   "  return self"]
         made.append("_trusted")
-    lines += [" def __hash__(self):", f"  return hash({mine})"]
+    # the hash is kept as the attribute _hash, stored like a field: reading
+    # ``__dict__`` would make each record build its attribute dict
+    lines += [" def __hash__(self):", "  h = getattr(self, '_hash', None)", "  if h is None:",
+              f"   h = hash({mine})", "   _set(self, '_hash', h)", "  return h"]
     for name, op in [("__eq__", "==")] + list(_ORDER if order else ()):
         lines += [f" def {name}(self, other):",
                   "  if other.__class__ is self.__class__:",

@@ -45,7 +45,7 @@ from typing import Iterable, Sequence, TypeVar
 
 from ._record import record
 from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_residues, hnf_unit_split,
-                        smith_columns)
+                        smith_columns, smith_rank)
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, charge_rows, monomial_charges
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
@@ -97,7 +97,7 @@ def _group_from_smith(d: tuple[int, ...], v: IntMatrix, basis: TorusBasis) -> Sy
             angles.append(a)
             gens.append(element_from_angles(basis, a))
     # the columns of v past the rank are the angle directions fixing every charge
-    rank = sum(1 for x in d if x)
+    rank = smith_rank(d)
     return SymmetryGroup(group_from_snf(d, basis.n), tuple(angles), tuple(gens),
                          tuple(v.column(i) for i in range(rank, v.cols)))
 

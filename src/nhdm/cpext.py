@@ -53,6 +53,7 @@ boundary (a "realizable" verdict is then best-effort).
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -60,12 +61,12 @@ from types import MappingProxyType
 
 from ._record import record
 from .classifier import SymmetryGroup, _full_lattice, _group_of_lattice, _lattice_scan
-from .exactmath import (Rows, SnfResult, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
-                        snf_rows)
+from .exactmath import (IntMatrix, Rows, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
+                        smith_bordered, smith_rank)
 from .groups import GroupSignature, extend_by_antiunitary
 from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
-from .torus import (PhaseVector, direction_weights, equal_mod_center, rational_phases,
-                    torus_basis)
+from .torus import (PhaseVector, direction_weights, element_from_angles, equal_mod_center,
+                    rational_phases, torus_basis)
 
 Perm = tuple[int, ...]  # 0-based images: a -> perm[a]
 _ZERO = Fraction(0)
@@ -146,23 +147,23 @@ def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doubl
 # -- exact linear congruence systems ------------------------------------------
 
 
-def _particular(res: SnfResult, rhs) -> list[Fraction]:
-    """One solution of A x == rhs (mod 1), for a right-hand side that has one.
+def _particular(d: tuple[int, ...], v: IntMatrix, t, scale: int) -> list[Fraction]:
+    """One solution of A x == b (mod 1), for a right-hand side b that has one.
 
-    ``res`` is the Smith form u @ A @ v == diag(d) and D the lcm of the
-    denominators of rhs.  Each row t_i of u @ (D rhs) up to the rank is
-    reduced mod D before it is divided by D d_i, which fixes the
-    representative the solution is read from.  The sums over the columns of
-    v are taken in integers over one denominator.
+    ``d`` and ``v`` come from the Smith form u @ A @ v == diag(d), and ``t``,
+    up to the rank, from u @ (D b) for a ``scale`` D that makes D b integral:
+    the border a Smith reading of A bordered by D b leaves.  Each t_i up to
+    the rank is reduced mod D before it is divided by D d_i; (t_i mod D) / D
+    is (u @ b)_i mod 1 for every such D, which fixes the representative the
+    solution is read from.  The sums over the columns of v are taken in
+    integers over one denominator.
     """
-    scale = lcm(*(b.denominator for b in rhs))
-    scaled = [(j, b.numerator * (scale // b.denominator)) for j, b in enumerate(rhs) if b]
-    t = [sum(row[j] * b for j, b in scaled) for row in res.u.entries[:res.rank]]
+    rank = smith_rank(d)
     # y_i = (t_i mod D) / (D d_i), each put over the one denominator D lcm(d)
-    common = lcm(*res.d[:res.rank])
+    common = lcm(*d[:rank])
     den = scale * common
-    y = [x % scale * (common // d) for x, d in zip(t, res.d)]
-    return [Fraction(sum(a * b for a, b in zip(row, y)) % den, den) for row in res.v.entries]
+    y = [x % scale * (common // di) for x, di in zip(t[:rank], d)]
+    return [Fraction(sum(a * b for a, b in zip(row, y)) % den, den) for row in v.entries]
 
 
 class PhaseConstraintSystem:
@@ -295,12 +296,17 @@ class PhaseConstraintSystem:
         return hnf_contains(self.basis, vec)
 
     def solve(self) -> list[Fraction] | None:
-        """One solution, indexed like ``unknowns``, read from a Smith form of A, or None."""
+        """One solution, indexed like ``unknowns``, or None.
+
+        It is read from a Smith form of A bordered by the one column D b,
+        with D the ``scale``, the lcm of the denominators of b.
+        """
         if not self.solvable():
             return None
-        equations = self.equations
-        res = snf_rows([row for row, _ in equations], len(self.unknowns))
-        return _particular(res, [rhs for _, rhs in equations])
+        rows = [row + (rhs.numerator * (self.scale // rhs.denominator),)
+                for row, rhs in self.equations]
+        d, v, border = smith_bordered(rows, len(self.unknowns))
+        return _particular(d, v, [t for (t,) in border], self.scale)
 
     def render(self) -> list[str]:
         out = []
@@ -617,9 +623,11 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
         return []
     # J -> J h (h in G) turns J^2 into J^2 h^2, so a pin's solvability and the
     # starred group depend only on the class of the square in G / G^2
-    gens = base.group.finite_generators
+    basis = torus_basis(base.n_doublets)
+    angles = base.group.finite_generator_angles
     classes = [(_starred(base.group.signature, expts),
-                sum((e * g for e, g in zip(expts, gens)), PhaseVector.identity(base.n_doublets)))
+                element_from_angles(basis, [sum(a[k] for e, a in zip(expts, angles) if e)
+                                            for k in range(basis.n)]))
                for expts in itertools.product(*(range(gcd(2, d))
                                                 for d in base.group.signature.finite))]
     candidates: list[CpCandidate] = []
@@ -767,36 +775,49 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
     the candidate's system.  A ``perm`` that moves a surviving term out of
     its magnitude class is not forced.
     The candidate's system must be solvable, or RuntimeError is raised.
-    The invariance relations read R theta == -P psi (mod 1); with
-    u @ R @ v == diag(d) they are solvable exactly when z @ P @ psi is an
-    integer for each row z of u past the rank, so each z @ P must be fixed
-    by the candidate's system.  Only then is the system solved: the witness
-    phases are read from one particular solution's coefficient phases.
+    The invariance relations read R theta == -P psi (mod 1), one row per
+    surviving term, P over the surviving terms' psi.  One Smith reading of
+    R bordered by P gives u @ R @ v == diag(d) and the border u @ P: the
+    relations are solvable exactly when z @ P @ psi is an integer for each
+    row z @ P of the border past the rank, so each must be fixed by the
+    candidate's system.  Only then is the system solved: the witness phases
+    are read from the rows up to the rank times one particular solution's
+    coefficient phases, over their common denominator.
     """
     if not candidate.system.solvable():
         raise RuntimeError(f"phase constraints of candidate {candidate.signature} "
                            "have no solution")
     action = _term_action(perm, False)
-    column = candidate.system.column
+    n = candidate.base.n_doublets
+    surviving = candidate.surviving
+    index = {m: n + k for k, m in enumerate(surviving)}
     klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
-    relations = []  # (entry coefficients, psi coefficients) per surviving term
-    for m in candidate.surviving:
+    rows = []  # entry coefficients, then psi coefficients over ``surviving``, per surviving term
+    for m in surviving:
         if klass.get(action.images[m][0]) != klass[m]:
             return None  # the image is not a surviving term of the same magnitude
-        relations.append(action.relations[m])
+        theta, psi = action.relations[m]
+        row = [*theta] + [0] * len(surviving)
+        for term, c in psi.items():
+            row[index[term]] = c
+        rows.append(row)
 
-    res = snf_rows([theta for theta, _ in relations], candidate.base.n_doublets)
-    for z in res.u.entries[res.rank:]:
-        w: dict[Monomial, int] = {}
-        for zk, (_, psi) in zip(z, relations):
-            for m, c in psi.items():
-                w[m] = w.get(m, 0) + zk * c
-        if not candidate.system.fixes((0,) * candidate.system.head, w):
+    d, v, border = smith_bordered(rows, n)
+    rank = smith_rank(d)
+    zero = (0,) * candidate.system.head
+    for z in border[rank:]:
+        if not candidate.system.fixes(zero, dict(zip(surviving, z))):
             return None
     particular = candidate.system.solve()
-    target = [-sum((c * particular[column[m]] for m, c in psi.items()), Fraction(0))
-              for _, psi in relations]
-    return GenPermMatrix(perm, tuple(_particular(res, target)))
+    column = candidate.system.column
+    psi = [particular[column[m]] for m in surviving]
+    scale = lcm(*(p.denominator for p in psi))
+    scaled = [p.numerator * (scale // p.denominator) for p in psi]
+    t = [-sum(map(operator.mul, z, scaled)) for z in border]
+    if any(x % scale for x in t[rank:]):
+        raise RuntimeError(f"the forced symmetry {perm} of candidate {candidate.signature} "
+                           "does not solve its invariance relations")
+    return GenPermMatrix(perm, tuple(_particular(d, v, t, scale)))
 
 
 # -- full antiunitary classification (three doublets) ---------------------------

@@ -120,10 +120,6 @@ class SnfResult:
     u: IntMatrix
     v: IntMatrix
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.d if x != 0)
-
     def diagonal_matrix(self) -> IntMatrix:
         return IntMatrix.diagonal(self.d, self.u.rows, self.v.rows)
 
@@ -228,20 +224,29 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(d, u, v)
 
 
+def smith_rank(d: tuple[int, ...]) -> int:
+    """The rank of a matrix with the Smith diagonal ``d``: the count of its nonzero entries."""
+    return len(d) - d.count(0)
+
+
 def smith_columns(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], IntMatrix]:
-    """``d`` and ``v`` of ``snf_rows(rows, ncols)``, reduced without a ``u`` border."""
+    """``d`` and ``v`` of ``smith_bordered(rows, ncols)``, without reading a border."""
     return _smith_reduce([list(row) for row in rows], ncols)
 
 
-def snf_rows(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
-    """``snf`` of the matrix with these rows and ``ncols`` columns.
+def smith_bordered(rows: Sequence[Sequence[int]], ncols: int
+                   ) -> tuple[tuple[int, ...], IntMatrix, Rows]:
+    """``d``, ``v`` and the border of rows whose leading ``ncols`` entries are reduced.
 
-    With no rows or no columns there is nothing to reduce: the diagonal is
-    empty and both transforms are identities, and ``snf`` is not called.
+    The entries of each row right of ``ncols`` are its border B.  The
+    leading columns A are reduced as by ``snf``, ``u @ A @ v == diag(d)``,
+    and B follows the row operations, so the border comes back as ``u @ B``,
+    one row per input row, without ``u`` being formed.  With no rows or no
+    columns, ``d`` is empty, ``v`` the identity and the border B.
     """
-    if rows and ncols:
-        return snf(IntMatrix.from_rows(rows))
-    return SnfResult((), IntMatrix.identity(len(rows)), IntMatrix.identity(ncols))
+    w = [list(row) for row in rows]
+    d, v = _smith_reduce(w, ncols)
+    return d, v, tuple(tuple(row[ncols:]) for row in w[:len(rows)])
 
 
 def det(m: IntMatrix) -> int:

@@ -122,13 +122,16 @@ def charge_vector(m: Monomial, basis: TorusBasis) -> ChargeVector:
     The charge is ``raw_exponents`` times ``basis.bilinear_charges``, the
     rule of the module note.  It is computed on a monomial's first read in a
     basis and kept in ``basis.charges``; later reads take it from there.
+    The memo is keyed by the factor tuple, which equal monomials share: a
+    term query builds its monomials afresh, and looking one up by its factors
+    neither hashes nor compares a record.
     """
     table = basis.charges
-    chg = table.get(m)
+    chg = table.get(m.factors)
     if chg is None:
         exponents = raw_exponents(m, basis.n_doublets)
-        chg = table[m] = tuple(sum(e * c for e, c in zip(exponents, column))
-                               for column in zip(*basis.bilinear_charges))
+        chg = table[m.factors] = tuple(sum(e * c for e, c in zip(exponents, column))
+                                       for column in zip(*basis.bilinear_charges))
     return chg
 
 

@@ -137,7 +137,8 @@ class TorusBasis:
 
     @cached_property
     def charges(self) -> dict:
-        """Memo of monomial charges in this basis, filled by ``monomials.charge_vector``."""
+        """Memo of monomial charges in this basis by factor tuple, filled by
+        ``monomials.charge_vector``."""
         return {}
 
 

@@ -4,7 +4,8 @@ The oracles are the generator-based group questions, the diagonal
 membership scanned over invariant monomials, union-find orbits and
 Fraction charges that ``nhdm`` answered with before it asked everything
 through the charge lattice, the Smith form that kept its transforms beside
-the matrix, the sign loop that mapped c-rows to monomials, the starred
+the matrix, ``snf_rows`` with its ``u`` written out, the forced witness read
+through that ``u``, the sign loop that mapped c-rows to monomials, the starred
 factor read from the inverse of the Smith column transform, the
 invariant factors merged from the prime powers of each cyclic order, the
 abelian groups of each order assembled from per-prime partitions, the phase
@@ -36,7 +37,7 @@ from math import gcd, lcm
 
 from nhdm.classifier import SymmetryGroup
 from nhdm.cpext import GenPermMatrix, _cycles, _forced_symmetry, backbone_classes
-from nhdm.exactmath import IntMatrix, hnf_rows, smith_columns, snf, snf_rows
+from nhdm.exactmath import IntMatrix, SnfResult, hnf_rows, smith_columns, snf
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
 from nhdm.monomials import Monomial, monomial_charges, phase_shift
 from nhdm.torus import PhaseVector, torus_basis
@@ -481,6 +482,24 @@ def abelian_groups_of_order(m):
 # -- oracles: phase congruences by a Smith form per question ---------------------
 
 
+def _rank(res) -> int:
+    """The count of nonzero entries of the Smith diagonal of ``res``."""
+    return sum(1 for x in res.d if x)
+
+
+def snf_rows(rows, ncols) -> SnfResult:
+    """``snf`` of the matrix with these rows and ``ncols`` columns, its ``u``
+    written out beside it; ``nhdm`` reads ``u`` only through the border of
+    ``smith_bordered``.
+
+    With no rows or no columns there is nothing to reduce: the diagonal is
+    empty and both transforms are identities, and ``snf`` is not called.
+    """
+    if rows and ncols:
+        return snf(IntMatrix.from_rows(rows))
+    return SnfResult((), IntMatrix.identity(len(rows)), IntMatrix.identity(ncols))
+
+
 def _transform(res, rhs, rows):
     """The given rows of u @ (D * rhs), and D, the lcm of the denominators of rhs."""
     scale = lcm(*(b.denominator for b in rhs))
@@ -491,13 +510,13 @@ def _transform(res, rhs, rows):
 
 def _solvable(res, rhs) -> bool:
     """A x == rhs (mod 1) has a solution: each row of u @ rhs past the rank is an integer."""
-    t, scale = _transform(res, rhs, range(res.rank, res.u.rows))
+    t, scale = _transform(res, rhs, range(_rank(res), res.u.rows))
     return all(x % scale == 0 for x in t)
 
 
 def _in_span(res, rhs) -> bool:
     """rhs lies in the rational column span of A: each row of u @ rhs past the rank is zero."""
-    t, _ = _transform(res, rhs, range(res.rank, res.u.rows))
+    t, _ = _transform(res, rhs, range(_rank(res), res.u.rows))
     return not any(t)
 
 
@@ -530,8 +549,8 @@ def solve(system):
         return None
     nu = len(system.unknowns)
     torsion = [[Fraction(res.v[(j, i)], res.d[i]) % 1 for j in range(nu)]
-               for i in range(res.rank) if res.d[i] > 1]
-    free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(res.rank, nu)]
+               for i in range(_rank(res)) if res.d[i] > 1]
+    free = [[Fraction(res.v[(j, i)]) for j in range(nu)] for i in range(_rank(res), nu)]
     return fraction_particular(res, rhs), torsion, free
 
 
@@ -559,6 +578,36 @@ def forced_symmetry(candidate, perm, particular, torsion, free):
             and all(_solvable(res, rhs(gen)) for gen in torsion)
             and all(_in_span(res, rhs(direction)) for direction in free)):
         return None
+    return GenPermMatrix(perm, tuple(fraction_particular(res, target)))
+
+
+def forced_symmetry_through_u(candidate, perm):
+    """Unitary witness with permutation ``perm`` if one is forced, else None,
+    read through the Smith transform u written out: each row z of u past
+    the rank of the entry coefficients R, with z @ P summed by term over the
+    psi entries of the relations, must be fixed by the candidate's system,
+    and the witness is read from u @ (D target) at the oracle's particular
+    solution, in Fractions."""
+    n = candidate.base.n_doublets
+    system = candidate.system
+    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
+    relations = []
+    for m in candidate.surviving:
+        img, conjugated = m.permuted(perm)
+        if klass.get(img) != klass[m]:
+            return None
+        relations.append(invariance_relation(m, img, conjugated, n, {t: t for t in klass}))
+    res = snf_rows([theta for theta, _ in relations], n)
+    for z in res.u.entries[_rank(res):]:
+        w = Counter()
+        for zk, (_, psi) in zip(z, relations):
+            for m, c in psi.items():
+                w[m] += zk * c
+        if not system.fixes((0,) * system.head, dict(w)):
+            return None
+    particular = solve(system)[0]
+    target = [-sum((c * particular[system.column[m]] for m, c in psi.items()), Fraction(0))
+              for _, psi in relations]
     return GenPermMatrix(perm, tuple(fraction_particular(res, target)))
 
 
@@ -615,9 +664,9 @@ def smith_solvable(equations, ncols) -> bool:
 
 def fraction_particular(res, rhs) -> list:
     """One solution of A x == rhs (mod 1), summed in Fractions term by term."""
-    t, scale = _transform(res, rhs, range(res.rank))
+    t, scale = _transform(res, rhs, range(_rank(res)))
     y = [Fraction(x % scale, scale * d) for x, d in zip(t, res.d)]
-    return [sum((res.v[(j, i)] * y[i] for i in range(res.rank)), Fraction(0)) % 1
+    return [sum((res.v[(j, i)] * y[i] for i in range(_rank(res))), Fraction(0)) % 1
             for j in range(res.v.rows)]
 
 

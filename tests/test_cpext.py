@@ -22,7 +22,6 @@ from nhdm.cpext import (
     _cycles,
     _forced_symmetry,
     _noncommuting_generator,
-    _particular,
     _pin_system,
     backbone_classes,
     check_z3z3,
@@ -34,13 +33,13 @@ from nhdm.cpext import (
     cp_extensions,
     cp_realizable,
 )
-from nhdm.exactmath import hnf_contains, hnf_rows, snf_rows
+from nhdm.exactmath import hnf_contains, hnf_rows
 from nhdm.groups import GroupSignature
 from nhdm.monomials import (Monomial, enumerate_monomials, monomial_charges, phase_shift,
                             raw_exponents)
 from nhdm.torus import PhaseVector, element_from_angles, equal_mod_center, torus_basis
 import reference
-from reference import antiunitary_square
+from reference import antiunitary_square, snf_rows
 
 
 def base_u11():
@@ -1055,8 +1054,10 @@ class TestHermiteSolvability:
         solvable = reference.smith_solvable(system.equations, len(system.unknowns))
         assert system.solvable() == solvable
         if solvable:
+            # solve reads u @ (D b) from its bordered Smith reading; the oracle
+            # writes u out and sums in Fractions
             res = snf_rows(rows, len(rows[0]))
-            assert _particular(res, rhs) == reference.fraction_particular(res, rhs)
+            assert system.solve() == reference.fraction_particular(res, rhs)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(wide_congruences(), st.data())
@@ -1112,12 +1113,32 @@ class TestHermiteSolvability:
                     cand.surviving, cand.killed, cand.magnitude_classes, cand.system.equations)
 
     def test_no_smith_form_per_orbit(self, monkeypatch):
-        # 27 snf calls in the N=3 sweep, none of them for the groups of the
-        # bases: 9 solve the systems of the candidates with a forced witness
-        # and 18 read invariance relations; factoring the system again for
-        # every orbit tried made 140 more, and solving every candidate's
-        # system up front 14 more
+        # 27 bordered Smith readings in the N=3 sweep, none of them for the
+        # groups of the bases: 9 solve the systems of the candidates with a
+        # forced witness and 18 read invariance relations; factoring the
+        # system again for every orbit tried made 140 more, and solving every
+        # candidate's system up front 14 more
         cp_bases(3)  # fill the lattice-walk cache first
+        calls = []
+        real = cpext.smith_bordered
+
+        def counted(rows, ncols):
+            calls.append(rows)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(cpext, "smith_bordered", counted)
+        for base in cp_bases(3):
+            for cand in cp_extensions(base):
+                cp_realizable(cand)
+        assert len(calls) == 27
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_no_sweep_forms_a_smith_transform_u(self, n, monkeypatch):
+        # the verdicts read u only as the border of ``smith_bordered``; the
+        # sweeps made 27 and 285 snf calls at N=3 and 4 when they wrote u
+        # out.  The starred signatures, one snf each and cached, are read
+        # through the name ``groups`` binds, which is not counted here
+        cp_bases(n)
         calls = []
         real = exactmath.snf
 
@@ -1126,10 +1147,9 @@ class TestHermiteSolvability:
             return real(m)
 
         monkeypatch.setattr(exactmath, "snf", counted)
-        for base in cp_bases(3):
-            for cand in cp_extensions(base):
-                cp_realizable(cand)
-        assert len(calls) == 27
+        verdicts = [cp_realizable(cand) for base in cp_bases(n) for cand in cp_extensions(base)]
+        assert len(verdicts) == {3: 26, 4: 274}[n]
+        assert calls == []
 
     def test_one_solve_per_forced_witness(self, monkeypatch):
         # a candidate's system is solved only to write the phases of a forced
@@ -1218,6 +1238,25 @@ class TestLatticeReadings:
                     pairs += 1
                     forced += got is not None
         assert (pairs, forced) == (21, 12)
+
+    def test_four_doublet_witnesses_match_the_u_transform_reading(self):
+        # each forced witness reads its phases from the border of one Smith
+        # reading; the oracle writes u out, sums each kernel row's psi by
+        # term and reads the witness from u @ (D b) in Fractions
+        identity = (0, 1, 2, 3)
+        asked = witnesses = 0
+        for base in cp_bases(4):
+            for cand in cp_extensions(base):
+                if cand.sigma == identity:
+                    continue
+                got = _forced_symmetry(cand, cand.sigma)
+                assert got == reference.forced_symmetry_through_u(cand, cand.sigma)
+                asked += 1
+                verdict = cp_realizable(cand)
+                if verdict.witness is not None and verdict.witness.perm != identity:
+                    assert verdict.witness == got
+                    witnesses += 1
+        assert witnesses == 72 and asked > witnesses
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_square_classes_match_the_center_key_cosets(self, n, monkeypatch):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
     IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_negation, hnf_residues, hnf_rows,
-    hnf_unit_split, smith_columns, snf, snf_rows,
+    hnf_unit_split, smith_bordered, smith_columns, smith_rank, snf,
 )
-from reference import reference_snf
+from reference import reference_snf, snf_rows
 
 
 def random_matrix(rng, max_dim=6, lo=-5, hi=5):
@@ -102,7 +102,7 @@ class TestSnf:
 class TestSnfRows:
     def test_no_rows(self):
         res = snf_rows([], 3)
-        assert res.d == () and res.rank == 0
+        assert res.d == () and smith_rank(res.d) == 0
         assert res.u == IntMatrix.identity(0)
         assert res.v == IntMatrix.identity(3)
         m = IntMatrix.from_rows([], 3)
@@ -213,6 +213,50 @@ class TestSmithDiagonal:
         rows = [[4, 6], [6, 4]]
         assert smith_columns(rows, 2)[0] == (2, 10)
         assert rows == [[4, 6], [6, 4]]
+
+
+def check_smith_bordered(rows, ncols, border):
+    """``smith_bordered`` of ``rows`` each followed by its row of ``border``
+    against ``snf_rows``: the same d and v, and ``u @ border``."""
+    width = len(border[0]) if border else 0
+    bordered = [list(row) + list(extra) for row, extra in zip(rows, border)]
+    before = [list(row) for row in bordered]
+    d, v, got = smith_bordered(bordered, ncols)
+    assert bordered == before
+    full = snf_rows(rows, ncols)
+    assert (d, v) == (full.d, full.v)
+    # one border row per input row: the rows of v that the reduction appends
+    # below its input are not part of it
+    assert got == (full.u @ IntMatrix.from_rows(border, width)).entries
+    assert len(got) == len(rows) and all(len(row) == width for row in got)
+
+
+class TestSmithBordered:
+    def test_matches_the_u_transform_on_seeded_inputs(self):
+        rng = random.Random(40)
+        shapes = [(0, 3, 2), (0, 0, 1), (2, 0, 3), (3, 2, 0), (1, 1, 0), (0, 4, 0)]
+        shapes += [(rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4)) for _ in range(300)]
+        for nrows, ncols, width in shapes:
+            rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:  # a dependent row, so the kernel is nonzero
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+            border = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(nrows)]
+            check_smith_bordered(rows, ncols, border)
+
+    def test_big_entries(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            nrows, ncols, width = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)
+            rows = [[rng.randint(-BIG, BIG) for _ in range(ncols)] for _ in range(nrows)]
+            border = [[rng.randint(-BIG, BIG) for _ in range(width)] for _ in range(nrows)]
+            check_smith_bordered(rows, ncols, border)
+
+    def test_empty_shapes(self):
+        identity = IntMatrix.identity
+        assert smith_bordered([], 3) == ((), identity(3), ())
+        assert smith_bordered([(5, 7), (1, 2)], 0) == ((), identity(0), ((5, 7), (1, 2)))
+        assert smith_bordered([(4, 6), (6, 4)], 2)[:2] == smith_columns([(4, 6), (6, 4)], 2)
+        assert smith_bordered([(4, 6), (6, 4)], 2)[2] == ((), ())
 
 
 class TestDet:

@@ -14,9 +14,11 @@ import pytest
 
 from nhdm import classifier, constructions, cpext, exactmath, groups, monomials, torus
 from nhdm._record import record
-from nhdm.classifier import ClassificationEntry, SymmetryGroup
-from nhdm.constructions import ConstructedMatrix
-from nhdm.cpext import AbelianBase, CpVerdict, GenPermMatrix, _term_action, cp_bases
+from nhdm.classifier import (ClassificationEntry, SymmetryGroup, classify, probe_conjecture,
+                             verify_order_bound, witness_potential)
+from nhdm.constructions import ConstructedMatrix, cyclic_c_matrix
+from nhdm.cpext import (AbelianBase, CpVerdict, GenPermMatrix, _term_action, backbone_classes,
+                        check_z3z3, classify_cp, cp_bases, cp_extensions, cp_realizable)
 from nhdm.exactmath import IntMatrix, SnfResult, snf
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial
@@ -47,6 +49,15 @@ class DataSingle:
 
 def fields(r):
     return tuple(getattr(r, name) for name in type(r).__annotations__)
+
+
+def record_classes():
+    """Every class of src/nhdm built by ``record``."""
+    return [cls for module in (classifier, constructions, cpext, exactmath, groups, monomials,
+                               torus)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and getattr(vars(cls).get("__setattr__"), "__module__", None) == "nhdm._record"]
 
 
 def samples():
@@ -102,6 +113,55 @@ class TestEqualityAndHash:
         action = _term_action((1, 0, 2), False)
         with pytest.raises(TypeError, match="unhashable"):
             hash(action)
+
+
+def fresh_records():
+    """Records of every class of src/nhdm, each built anew and not yet hashed.
+
+    Each is built again from the fields of a record the library returns,
+    except those given fields that ``__post_init__`` rewrites, and two
+    unequal records of three classes follow one another.
+    """
+    base = AbelianBase.from_lattice(3, [(2, 0), (0, 3)])
+    candidate = next(c for b in cp_bases(3) for c in cp_extensions(b) if c.sigma != (0, 1, 2))
+    action = _term_action((1, 0, 2), True)
+    made = [classify(3), classify(3).entries[0], verify_order_bound(3), probe_conjecture(3),
+            witness_potential(GroupSignature((2,)), 3), base.group, cyclic_c_matrix(3, 3),
+            base, action, action.orbits[0], backbone_classes((1, 0, 2)), candidate,
+            cp_realizable(candidate), classify_cp(3), check_z3z3(),
+            snf(IntMatrix(((2, 4), (6, 8)))), torus_basis(4)]
+    out = [type(r)(*fields(r)) for r in made]
+    # __post_init__ rewrites these fields: a list becomes a tuple, a phase is
+    # reduced mod 1
+    out += [IntMatrix([[1, 2], [3, 4]]), IntMatrix(((5,),)), GroupSignature([2, 4], 1),
+            GroupSignature([3]), PhaseVector((F(3, 2), -1, F(-1, 3))),
+            PhaseVector((F(7, 5), 2, F(1, 3))),
+            GenPermMatrix([1, 0, 2], (F(9, 8), F(-5, 8), 3)), Monomial(((1, 2), (1, 3))),
+            Monomial(((2, 3),))]
+    return out
+
+
+class TestHashKept:
+    def test_every_record_hashes_as_its_field_tuple_on_each_use(self):
+        # the hash is kept after its first use; it must be that of the fields
+        # __post_init__ leaves, and belong to its own record
+        records = fresh_records()
+        assert {type(r) for r in records} == set(record_classes())
+        for r in records:
+            try:
+                expected = hash(fields(r))
+            except TypeError:  # a dict field: unhashable on every use
+                for _ in range(2):
+                    with pytest.raises(TypeError, match="unhashable"):
+                        hash(r)
+                continue
+            assert [hash(r) for _ in range(3)] == [expected] * 3
+            assert {r: 1}[type(r)(*fields(r))] == 1
+
+    def test_trusted_records_hash_as_their_field_tuple(self):
+        for r in (IntMatrix._trusted(((1, 2),), 2), PhaseVector._trusted((F(1, 2), F(0))),
+                  GroupSignature._trusted((2,), 1), PhaseVector._trusted((F(1, 3), F(0)))):
+            assert hash(r) == hash(r) == hash(fields(r))
 
 
 class TestOrder:
@@ -211,11 +271,7 @@ class TestInit:
         assert GroupSignature._trusted((2,), 1) == GroupSignature((2,), 1)
         assert isinstance(snf(IntMatrix(((2,),))), SnfResult)
         # record writes _trusted for exactly the classes with a __post_init__
-        records = [cls for module in (classifier, constructions, cpext, exactmath, groups,
-                                      monomials, torus)
-                   for cls in vars(module).values()
-                   if isinstance(cls, type) and cls.__module__ == module.__name__
-                   and getattr(vars(cls).get("__setattr__"), "__module__", None) == "nhdm._record"]
+        records = record_classes()
         assert sorted(cls.__name__ for cls in records if hasattr(cls, "_trusted")) == \
             sorted(cls.__name__ for cls in records if hasattr(cls, "__post_init__")) == \
             ["GenPermMatrix", "GroupSignature", "IntMatrix", "PhaseVector", "TorusBasis"]
