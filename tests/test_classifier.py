@@ -258,7 +258,6 @@ class TestLatticeWalk:
         assert len(edges) == len(states) - 1 == {3: 18, 4: 294}[n]
         assert len(negations) == {3: 26, 4: 541}[n]
 
-    @pytest.mark.slow
     def test_five_doublet_edge_budget(self, monkeypatch):
         # the one edge budget that is not one per lattice: 8 of its edges
         # reach a lattice recorded already
@@ -279,7 +278,6 @@ class TestLatticeWalk:
         assert (len(passes), sum(vectors)) == {2: (1, 2), 3: (10, 90), 4: (169, 3273)}[n]
         assert passes == [lattice for lattice in states if len(lattice) < n - 1]
 
-    @pytest.mark.slow
     def test_five_doublet_residue_budget(self, monkeypatch):
         # 36.8 nonzero distinct residues per pass on average, of 65 generators
         passes, vectors = residue_passes(monkeypatch)

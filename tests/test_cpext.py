@@ -916,10 +916,8 @@ class TestFullDetail:
         assert sweep_digest(4) == (
             274, "4d94136717f361cf8faf8df7eecdd4f0221276897031e59861177ed33e0e9898")
 
-    @pytest.mark.slow
     def test_five_doublet_sweep_digest(self):
-        # opt-in with `pytest -m slow`: the 2,462 candidates take about 13 s
-        # on a 2-core VM
+        # the 2,462 candidates take about 3 s on a 2-core VM
         assert sweep_digest(5) == (
             2462, "333569afc5940f2c79eb566ef91e6f21bb481382e3f6a4ffe52a4257c01c129d")
 
