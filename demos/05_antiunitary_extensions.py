@@ -9,6 +9,7 @@ outcome is exact.
 
 from nhdm import AbelianBase, classify_cp, commutant_support, cp_extensions, cp_realizable
 from nhdm.cpext import backbone_classes
+from nhdm.monomials import term_table
 
 res = classify_cp(3)
 print("realizable groups with an antiunitary generator (three doublets):")
@@ -26,11 +27,12 @@ print(f"\nbase group {base.group.signature.name()}, generator {base.group.finite
 print("antiunitary support pattern:")
 for row in commutant_support(base):
     print("   ", ["x" if v else "." for v in row])
+terms = term_table(3).monomials  # a candidate lists its terms as indices into this table
 for cand in cp_extensions(base):
     verdict = cp_realizable(cand)
     print(f"\ncandidate {cand.signature.name()}  (square = {cand.square})")
-    print("  surviving terms:", " ".join(m.render(True) for m in cand.surviving) or "none")
-    print("  killed terms:   ", " ".join(m.render(True) for m in cand.killed) or "none")
+    print("  surviving terms:", " ".join(terms[t].render(True) for t in cand.surviving) or "none")
+    print("  killed terms:   ", " ".join(terms[t].render(True) for t in cand.killed) or "none")
     print("  coefficient restrictions on the backbone:", backbone_classes(cand.sigma).equalities())
     print("  verdict:", verdict.kind)
     if verdict.witness:

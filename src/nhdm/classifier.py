@@ -47,7 +47,7 @@ from ._record import record
 from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_residues, hnf_unit_split,
                         smith_columns, smith_rank)
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
-from .monomials import Monomial, charge_rows, monomial_charges
+from .monomials import Monomial, charge_rows, term_table
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
 
 T = TypeVar("T")
@@ -174,14 +174,11 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     """
     if not 2 <= n_doublets <= 6:
         raise ValueError("doublet count out of supported range (2..6)")
-    generators: list[tuple[tuple[int, ...], Monomial]] = []
-    seen_charges = set()
-    for m, chg in monomial_charges(n_doublets).items():
-        key = min(chg, tuple(-c for c in chg))
-        if key not in seen_charges:
-            seen_charges.add(key)
-            generators.append((chg, m))
-    return _walk(generators, skip_full_rank=True)
+    table = term_table(n_doublets)
+    first: dict[tuple[int, ...], tuple[tuple[int, ...], Monomial]] = {}  # by charge up to sign
+    for m, chg in zip(table.monomials, table.charges):
+        first.setdefault(min(chg, tuple(-c for c in chg)), (chg, m))
+    return _walk(list(first.values()), skip_full_rank=True)
 
 
 def _full_lattice(n_doublets: int) -> Rows:

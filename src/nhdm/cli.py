@@ -24,7 +24,7 @@ from .constructions import cyclic_c_matrix, product_c_matrix
 from .cpext import backbone_classes, check_z3z3, classify_cp, cp_bases, cp_extensions, cp_realizable
 from .exactmath import IntMatrix, snf
 from .groups import GroupSignature, canonicalize, group_from_snf
-from .monomials import c_row, monomial_charges, row_type
+from .monomials import c_row, row_type, term_table
 
 FORMAT_VERSION = "1"
 MAX_SNF_DIGITS = 10_000  # all entries of a `snf` matrix; 16x16 of 451 digits takes seconds
@@ -126,10 +126,10 @@ def _cmd_snf(args) -> None:
 
 
 def _cmd_charges(args) -> None:
-    charges = monomial_charges(args.doublets)
+    table = term_table(args.doublets)
     rows = []
-    lines = [f"{len(charges)} monomials for N={args.doublets}"]
-    for m, chg in charges.items():
+    lines = [f"{len(table.monomials)} monomials for N={args.doublets}"]
+    for m, chg in zip(table.monomials, table.charges):
         crow = c_row(m, args.doublets)
         t = row_type(crow)
         rows.append({"monomial": m.to_json(), "text": str(m), "charge": list(chg),
@@ -184,6 +184,7 @@ def _cmd_cp_extend(args) -> None:
     if not bases:
         raise ValueError(f"group {args.group} is not a realizable torus subgroup here")
     candidates = [cand for base in bases for cand in cp_extensions(base)]
+    terms = term_table(args.doublets).monomials
     cases = []
     lines = [f"antiunitary extensions of {target.name()} for N={args.doublets}"]
     for cand in candidates:
@@ -193,8 +194,8 @@ def _cmd_cp_extend(args) -> None:
             "sigma": [p + 1 for p in cand.sigma],
             "square": [str(p) for p in cand.square.phases],
             "constraints": cand.system.render(),
-            "surviving": [str(m) for m in cand.surviving],
-            "killed": [str(m) for m in cand.killed],
+            "surviving": [str(terms[t]) for t in cand.surviving],
+            "killed": [str(terms[t]) for t in cand.killed],
             "backbone_equalities": backbone_classes(cand.sigma).equalities(),
             **verdict.to_json(),
         })

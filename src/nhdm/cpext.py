@@ -32,11 +32,18 @@ The phase congruences of steps 3 to 5 are read through the lattice of a
 (the entry phases, c0 and the torus angles) and one small block per term
 orbit.  The structural-phase pins are head rows (``pin``), free of
 coefficient phases psi, and an orbit's invariance relations carry only its
-own terms' psi, keyed by term, so each orbit's rows, reduced once, make
-their own block and only their psi-free combinations reach the head basis.
+own terms' psi, so each orbit's rows, reduced once, make their own block
+and only their psi-free combinations reach the head basis.
 An orbit survives while the head basis stays solvable, and a unitary
 symmetry is forced when the system fixes each relation its invariance
 needs; a Smith form only writes phases.
+
+Each term is read as its index in the one ``term_table`` of N doublets,
+and every per-term fact here, psi included, is keyed by that index.  A
+``Monomial`` is read back only to print a term, in the psi names of a
+``layout`` and in a verdict's detail, and for the phase a term takes under
+the Z3 clock of ``check_z3z3``.  Orbits and the surviving and killed
+terms are listed in ``Monomial`` order, as reports print them.
 
 Each fact is read at the level it depends on.  Per N and pattern, b or
 b J, ``_term_action`` reads each term's image and invariance relation and
@@ -64,11 +71,12 @@ from .classifier import SymmetryGroup, _full_lattice, _group_of_lattice, _lattic
 from .exactmath import (IntMatrix, Rows, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
                         smith_bordered, smith_rank)
 from .groups import GroupSignature, extend_by_antiunitary
-from .monomials import Monomial, monomial_charges, phase_shift, raw_exponents
+from .monomials import phase_shift, term_table
 from .torus import (PhaseVector, direction_weights, element_from_angles, equal_mod_center,
                     rational_phases, torus_basis)
 
 Perm = tuple[int, ...]  # 0-based images: a -> perm[a]
+Psi = tuple[tuple[int, int], ...]  # nonzero (term index, coefficient) pairs
 _ZERO = Fraction(0)
 
 
@@ -127,21 +135,19 @@ def commutes_with_diagonal(u: GenPermMatrix, pv: PhaseVector) -> bool:
 # -- the action of transformations on monomials -------------------------------
 
 
-def _invariance_relation(m: Monomial, image: Monomial, conjugated: bool, n_doublets: int
-                         ) -> tuple[tuple[int, ...], dict[Monomial, int]]:
+def _invariance_relation(m: int, image: int, conjugated: bool, exponents: tuple[int, ...]
+                         ) -> tuple[tuple[int, ...], Psi]:
     """Invariance of the term m under a generalized permutation mapping it to image.
 
     The relation reads  entry-phase part + coefficient-phase part == 0
     (mod 1).  The entry phases of the transformation enter with the net
-    exponents of m; coefficient matching adds psi_m, plus psi_image for a
-    conjugated image or minus psi_image for a direct one.  Returns the entry
-    coefficients and the nonzero psi coefficients keyed by term.
+    ``exponents`` of m; coefficient matching adds psi_m, plus psi_image for
+    a conjugated image or minus psi_image for a direct one.  Returns the
+    entry coefficients and the nonzero psi coefficients by term index.
     """
-    if image != m:
-        psi = {m: 1, image: 1 if conjugated else -1}
-    else:
-        psi = {m: 2} if conjugated else {}
-    return raw_exponents(m, n_doublets), psi
+    if image == m:
+        return exponents, ((m, 2),) if conjugated else ()
+    return exponents, ((m, 1), (image, 1 if conjugated else -1))
 
 
 # -- exact linear congruence systems ------------------------------------------
@@ -170,11 +176,11 @@ class PhaseConstraintSystem:
     """Linear congruences A x == b (mod 1) over rational unknowns indexed by position.
 
     ``unknowns`` labels the positions for ``render``.  ``column`` maps the
-    term of each coefficient phase psi to its position, which must be one of
-    the trailing unknowns, in order, or ValueError is raised; the unknowns
-    before them are the ``head``.  A row enters and is asked about as its
-    head part and its psi entries keyed by term; only ``equations``, which
-    ``solve`` reads, writes rows over every unknown, through ``column``.
+    term index of each coefficient phase psi to its position, which must be
+    one of the trailing unknowns, in order, or ValueError is raised; the
+    unknowns before them are the ``head``.  A row enters and is asked about
+    as its head part and its psi entries by term index; only ``equations``,
+    which ``solve`` reads, writes rows over every unknown, through ``column``.
     The system is read through one integer lattice L: with D the lcm of the
     denominators of b, L is spanned by the rows [A_i | D b_i] and (0, ..., 0, D).
 
@@ -194,24 +200,24 @@ class PhaseConstraintSystem:
     (``pin``); whole term orbits (``_join``) carry the psi of their own
     terms, which no other orbit carries, with right-hand side 0.  ``basis``
     is the Hermite basis of the elements of L with zero psi part, over the
-    head and the scaled right-hand side, and ``blocks`` maps each psi term
-    to its orbit (``TermOrbit``), whose block rows span the rest.  Distinct
-    blocks have disjoint psi, so the Hermite basis of L with the psi columns
-    first is block-diagonal in psi and its zero-psi rows span exactly the
-    lattice of ``basis``, whose last row is that of L.
+    head and the scaled right-hand side, and ``blocks`` maps the index of
+    each psi term to its orbit (``TermOrbit``), whose block rows span the
+    rest.  Distinct blocks have disjoint psi, so the Hermite basis of L with
+    the psi columns first is block-diagonal in psi and its zero-psi rows
+    span exactly the lattice of ``basis``, whose last row is that of L.
     """
 
-    def __init__(self, unknowns, *, column: dict[Monomial, int] | None = None):
+    def __init__(self, unknowns, *, column: dict[int, int] | None = None):
         self.unknowns: tuple[str, ...] = tuple(unknowns)
-        self.column: dict[Monomial, int] = {} if column is None else column
+        self.column: dict[int, int] = {} if column is None else column
         self.head = len(self.unknowns) - len(self.column)
         if list(self.column.values()) != list(range(self.head, len(self.unknowns))):
             raise ValueError(f"coefficient phases at {list(self.column.values())} are not "
                              f"the last {len(self.column)} of {len(self.unknowns)} unknowns")
         self.scale = 1
         self.basis: Rows = ((0,) * self.head + (1,),)
-        self.blocks: dict[Monomial, TermOrbit] = {}
-        self._equations: list[tuple[tuple[int, ...], dict[Monomial, int], Fraction]] = []
+        self.blocks: dict[int, TermOrbit] = {}
+        self._equations: list[tuple[tuple[int, ...], Psi, Fraction]] = []
 
     @property
     def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -219,8 +225,8 @@ class PhaseConstraintSystem:
         out = []
         for head, psi, rhs in self._equations:  # an orbit's rows end after the entry phases
             row = list(head) + [0] * (len(self.unknowns) - len(head))
-            for m, c in psi.items():
-                row[self.column[m]] = c
+            for t, c in psi:
+                row[self.column[t]] = c
             out.append((tuple(row), rhs))
         return out
 
@@ -236,7 +242,7 @@ class PhaseConstraintSystem:
         Fraction rhs, or ValueError.  Coefficient phases enter only with a term orbit."""
         head = self._head_row(head)
         (rhs,) = rational_phases((rhs,))
-        self._equations.append((head, {}, rhs))
+        self._equations.append((head, (), rhs))
         if self.scale % rhs.denominator:
             # scaling the last column keeps ``basis`` in Hermite form: it is a
             # pivot column only in the last row
@@ -268,17 +274,17 @@ class PhaseConstraintSystem:
         """The congruences have a solution: the last pivot of ``basis`` is D."""
         return self.basis[-1][-1] == self.scale
 
-    def fixes(self, head, psi: dict[Monomial, int]) -> bool:
+    def fixes(self, head, psi: dict[int, int]) -> bool:
         """w x is an integer on every solution x: (w, 0) lies in the lattice.
 
         w is a ``head`` part, as for ``pin``, and integer ``psi`` entries by
-        term, read but not changed.  Those on an orbit's terms, with the
+        term index, read but not changed.  Those on an orbit's terms, with the
         entry-phase prefix of the head vector, are reduced against the
         orbit's block; a psi remainder, or a psi entry in no block, leaves
         (w, 0) outside L.  The head vector left over must lie in ``basis``.
         """
         head = self._head_row(head)
-        psi = {m: c for m, c in zip(psi, integers(psi.values(), "coefficients")) if c}
+        psi = {t: c for t, c in zip(psi, integers(psi.values(), "coefficients")) if c}
         if not self.solvable():
             return True
         vec = head + (0,)
@@ -288,7 +294,7 @@ class PhaseConstraintSystem:
                 return False
             k = len(orbit.terms)
             n = len(orbit.block[0]) - k
-            residue = hnf_residues(orbit.block, [(psi.pop(m, 0),) for m in orbit.terms] +
+            residue = hnf_residues(orbit.block, [(psi.pop(t, 0),) for t in orbit.terms] +
                                    [(x,) for x in vec[:n]])[0]
             if any(residue[:k]):
                 return False
@@ -313,7 +319,7 @@ class PhaseConstraintSystem:
         for head, psi, rhs in self._equations:
             parts = []
             for name, c in sorted([(self.unknowns[j], c) for j, c in enumerate(head) if c] +
-                                  [(self.unknowns[self.column[m]], c) for m, c in psi.items()]):
+                                  [(self.unknowns[self.column[t]], c) for t, c in psi]):
                 if c == 1:
                     parts.append(f"+ {name}")
                 elif c == -1:
@@ -361,19 +367,21 @@ class AbelianBase:
         return tuple(direction_weights(basis, d) for d in self.group.torus_directions)
 
     @cached_property
-    def layout(self) -> tuple[tuple[str, ...], dict[Monomial, int]]:
+    def layout(self) -> tuple[tuple[str, ...], dict[int, int]]:
         """Unknowns of a candidate's phase system and the column of each invariant term's psi.
 
         The columns are the entry phases xi_1..xi_N of the generator, the
         overall phase c0, one angle t_i per continuous direction, then one
-        psi per invariant monomial, in order: the keys of the positions map.
-        The columns before the first psi are the head of ``phase_system``.
+        psi per invariant term, in index order: the keys of the positions
+        map.  Each psi is named by its monomial.  The columns before the
+        first psi are the head of ``phase_system``.
         """
         invariant = self.invariant_monomials()
+        monomials = term_table(self.n_doublets).monomials
         names = [f"xi{a}" for a in range(1, self.n_doublets + 1)]
         names += ["c0"] + [f"t{i}" for i in range(1, len(self.doublet_weights) + 1)]
-        positions = {m: len(names) + i for i, m in enumerate(invariant)}
-        names += [f"psi[{m.render()}]" for m in invariant]
+        positions = {t: len(names) + k for k, t in enumerate(invariant)}
+        names += [f"psi[{monomials[t].render()}]" for t in invariant]
         return tuple(names), positions
 
     def phase_system(self) -> PhaseConstraintSystem:
@@ -390,10 +398,10 @@ class AbelianBase:
         columns = [[chg[c] for chg in charges.values()] for c in range(self.n_doublets - 1)]
         return dict(zip(charges, hnf_residues(self.lattice, columns)))
 
-    def invariant_monomials(self) -> tuple[Monomial, ...]:
-        """All monomials left invariant by every element of the group."""
-        cosets = self.cosets(monomial_charges(self.n_doublets))
-        return tuple(m for m, coset in cosets.items() if not any(coset))
+    def invariant_monomials(self) -> tuple[int, ...]:
+        """The index of each term left invariant by every element of the group, in order."""
+        cosets = self.cosets(dict(enumerate(term_table(self.n_doublets).charges)))
+        return tuple(t for t, coset in cosets.items() if not any(coset))
 
     def contains_angles(self, angles) -> bool:
         """Membership of ``element_from_angles(basis, angles)``: a charge r shifts
@@ -478,24 +486,25 @@ def _cycles(items, image) -> tuple[tuple, ...]:
 class TermOrbit:
     """One orbit of terms under a generalized permutation, with its invariance rows reduced once.
 
-    ``relations`` holds one row per term, (entry-phase part, nonzero psi
-    entries by term), with right-hand side 0.  Of their Hermite basis over
-    the psi of ``terms`` then the entry phases, ``block`` holds the rows with
-    psi pivots, or is None without psi, and ``free`` the rest without their
-    psi part.  ``_cycles`` sorts the terms, all of one factor count, so they
-    keep the order of their columns in any phase system.
+    ``terms`` are term indices, in increasing order, which is the order of
+    their columns in any phase system.  ``relations`` holds one row per
+    term, (entry-phase part, nonzero (term index, psi coefficient) pairs),
+    with right-hand side 0.  Of their Hermite basis over the psi of
+    ``terms`` then the entry phases, ``block`` holds the rows with psi
+    pivots, or is None without psi, and ``free`` the rest without their psi
+    part.
     """
 
-    terms: tuple[Monomial, ...]
-    relations: tuple[tuple[tuple[int, ...], dict[Monomial, int]], ...]
+    terms: tuple[int, ...]
+    relations: tuple[tuple[tuple[int, ...], Psi], ...]
     block: Rows | None
     free: Rows
 
     @classmethod
-    def reduced(cls, terms, relations) -> "TermOrbit":
+    def reduced(cls, terms: tuple[int, ...], relations: tuple) -> "TermOrbit":
         """The orbit of ``terms`` with the rows ``relations``, reduced by one ``hnf_rows``."""
-        terms, relations = tuple(terms), tuple(relations)
-        rows = hnf_rows([tuple(psi.get(m, 0) for m in terms) + xi for xi, psi in relations])
+        rows = hnf_rows([tuple(map(dict(psi).get, terms, [0] * len(terms))) + xi
+                         for xi, psi in relations])
         kept = sum(1 for r in rows if any(r[:len(terms)]))  # the psi pivots come first
         return cls(terms, relations, rows[:kept] or None,
                    tuple(r[len(terms):] for r in rows[kept:]))
@@ -505,23 +514,24 @@ class TermOrbit:
 class TermAction:
     """The action of a generalized permutation with pattern ``perm`` on the terms of N doublets.
 
-    ``images`` maps each term of ``terms`` (``enumerate_monomials``) to its
-    (image, conjugated) and ``relations`` to its ``_invariance_relation``,
-    over the entry phases xi_1..xi_N and the psi of the terms.  ``orbits``,
-    taken on first use, lists the orbits in ``_cycles`` order, each reduced
-    once (``TermOrbit.reduced``); a verdict reads only the images and
-    relations.
+    Both tuples are indexed by term (``term_table``): ``images`` holds each
+    term's (image index, conjugated) and ``relations`` its
+    ``_invariance_relation``, over the entry phases xi_1..xi_N and the psi
+    of the terms.  ``orbits``, taken on first use, lists the orbits in
+    ``Monomial`` order of their first terms, each reduced once
+    (``TermOrbit.reduced``); a verdict reads only the images and relations.
     """
 
     perm: Perm
-    terms: tuple[Monomial, ...]
-    images: dict[Monomial, tuple[Monomial, bool]]
-    relations: dict[Monomial, tuple[tuple[int, ...], dict[Monomial, int]]]
+    images: tuple[tuple[int, bool], ...]
+    relations: tuple[tuple[tuple[int, ...], Psi], ...]
 
     @cached_property
     def orbits(self) -> tuple[TermOrbit, ...]:
-        return tuple(TermOrbit.reduced(terms, (self.relations[m] for m in terms))
-                     for terms in _cycles(self.terms, lambda m: self.images[m][0]))
+        monomials = term_table(len(self.perm)).monomials
+        cycles = _cycles(range(len(self.images)), lambda t: self.images[t][0])
+        return tuple(TermOrbit.reduced(terms, tuple(self.relations[t] for t in terms))
+                     for terms in sorted(cycles, key=lambda cycle: monomials[cycle[0]]))
 
 
 @lru_cache(maxsize=None)
@@ -535,16 +545,14 @@ def _term_action(perm: Perm, conjugating: bool) -> TermAction:
     flag flipped, since no term is its own conjugate: b J conjugates, then
     permutes.
     """
-    n = len(perm)
+    table = term_table(len(perm))
     if conjugating:
-        unitary = _term_action(perm, False)
-        terms = unitary.terms
-        images = {m: (img, not conjugated) for m, (img, conjugated) in unitary.images.items()}
+        images = tuple((img, not flag) for img, flag in _term_action(perm, False).images)
     else:
-        terms = tuple(monomial_charges(n))
-        images = {m: m.permuted(perm) for m in terms}
-    return TermAction(perm, terms, images,
-                      {m: _invariance_relation(m, *images[m], n) for m in terms})
+        images = tuple((table.index[img.factors], conjugated)
+                       for img, conjugated in (m.permuted(perm) for m in table.monomials))
+    return TermAction(perm, images, tuple(_invariance_relation(t, *images[t], table.exponents[t])
+                                          for t in range(len(images))))
 
 
 @record
@@ -591,7 +599,9 @@ class CpCandidate:
     cycle.  The constraint system collects the structural-phase pinning and
     the coefficient conditions required for invariance of the surviving terms.
     Its unknowns and psi columns are ``base.layout``, and it keys each psi
-    by its term; the backbone classes are ``backbone_classes(sigma)``.
+    by its term index.  The surviving and killed terms are term indices in
+    ``Monomial`` order, and the magnitude classes the surviving orbits; the
+    backbone classes are ``backbone_classes(sigma)``.
     """
 
     base: AbelianBase
@@ -599,9 +609,9 @@ class CpCandidate:
     square: PhaseVector
     signature: GroupSignature
     system: PhaseConstraintSystem
-    surviving: tuple[Monomial, ...]
-    killed: tuple[Monomial, ...]
-    magnitude_classes: tuple[tuple[Monomial, ...], ...]
+    surviving: tuple[int, ...]
+    killed: tuple[int, ...]
+    magnitude_classes: tuple[tuple[int, ...], ...]
 
 
 def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
@@ -632,11 +642,11 @@ def cp_extensions(base: AbelianBase) -> list[CpCandidate]:
                                                 for d in base.group.signature.finite))]
     candidates: list[CpCandidate] = []
     for sigma in involutions:
-        orbits = _term_action(sigma, True).orbits
+        action = _term_action(sigma, True)
         for signature, f in classes:
             pin = _pin_system(base, sigma, f)
             if pin.solvable():
-                candidates.append(CpCandidate(base, sigma, f, signature, *_restrict(pin, orbits)))
+                candidates.append(CpCandidate(base, sigma, f, signature, *_restrict(pin, action)))
     return candidates
 
 
@@ -659,21 +669,20 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
     return system
 
 
-def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> tuple:
+def _restrict(system: PhaseConstraintSystem, action: TermAction) -> tuple:
     """Restrict the terms orbit by orbit, keeping each orbit that leaves ``system`` solvable.
 
-    ``orbits`` come from ``TermAction.orbits``, already reduced; orbits of
-    terms that are not psi of ``system`` are skipped.  Per orbit only its
+    The orbits are ``action.orbits``, reduced once per action; orbits of terms that
+    are not psi of ``system`` are skipped.  Per orbit only its
     psi-free rows are added to the head basis; a kept orbit's block and
     relations join ``system`` as they are (``_join``).  Returns
     the grown system, the surviving and the killed terms and the magnitude
     classes: surviving terms linked by the action, which are exactly the
-    surviving orbits.
+    surviving orbits.  The surviving and killed terms are sorted by monomial.
     """
-    surviving: list[Monomial] = []
-    killed: list[Monomial] = []
-    classes: list[tuple[Monomial, ...]] = []
-    for orbit in orbits:
+    monomial = term_table(len(action.perm)).monomials.__getitem__
+    surviving, killed, classes = [], [], []
+    for orbit in action.orbits:
         if orbit.terms[0] not in system.column:
             continue
         if system._join(orbit):
@@ -681,7 +690,8 @@ def _restrict(system: PhaseConstraintSystem, orbits: tuple[TermOrbit, ...]) -> t
             classes.append(orbit.terms)
         else:
             killed.extend(orbit.terms)
-    return system, tuple(sorted(surviving)), tuple(sorted(killed)), tuple(classes)
+    return (system, tuple(sorted(surviving, key=monomial)), tuple(sorted(killed, key=monomial)),
+            tuple(classes))
 
 
 # -- realizability verdicts -----------------------------------------------------
@@ -715,16 +725,16 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     is realizable.
     """
     base = candidate.base
-    charges = monomial_charges(base.n_doublets)
-    surv = AbelianBase(base.n_doublets, hnf_rows([charges[m] for m in candidate.surviving]))
+    table = term_table(base.n_doublets)
+    surv = AbelianBase(base.n_doublets, hnf_rows([table.charges[t] for t in candidate.surviving]))
     # surviving and killed terms make up the invariant set, so the surviving
     # lattice is the full invariant lattice unless it misses a killed charge
-    if any(map(any, surv.cosets({m: charges[m] for m in candidate.killed}).values())):
+    if any(map(any, surv.cosets({t: table.charges[t] for t in candidate.killed}).values())):
         if surv.group.signature.torus_rank > base.group.signature.torus_rank:
             return CpVerdict(
                 "continuous_degeneration",
-                f"dropping {', '.join(str(m) for m in candidate.killed)} leaves the "
-                f"diagonal symmetry {surv.group.signature}, strictly larger than "
+                f"dropping {', '.join(str(table.monomials[t]) for t in candidate.killed)} "
+                f"leaves the diagonal symmetry {surv.group.signature}, strictly larger than "
                 f"{base.group.signature}")
         witness_gen = next((g for angles, g in zip(surv.group.finite_generator_angles,
                                                    surv.group.finite_generators)
@@ -771,8 +781,8 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
     entry phases making the generalized permutation a symmetry of backbone
     plus surviving terms.  Each surviving term's (image, conjugated) under
     ``perm`` and its invariance relation are read from
-    ``_term_action(perm, False)``, once per N, with psi keyed by term as in
-    the candidate's system.  A ``perm`` that moves a surviving term out of
+    ``_term_action(perm, False)``, once per N, with psi keyed by term index
+    as in the candidate's system.  A ``perm`` that moves a surviving term out of
     its magnitude class is not forced.
     The candidate's system must be solvable, or RuntimeError is raised.
     The invariance relations read R theta == -P psi (mod 1), one row per
@@ -790,15 +800,15 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
     action = _term_action(perm, False)
     n = candidate.base.n_doublets
     surviving = candidate.surviving
-    index = {m: n + k for k, m in enumerate(surviving)}
-    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
+    index = {t: n + k for k, t in enumerate(surviving)}
+    klass = {t: i for i, cls in enumerate(candidate.magnitude_classes) for t in cls}
     rows = []  # entry coefficients, then psi coefficients over ``surviving``, per surviving term
-    for m in surviving:
-        if klass.get(action.images[m][0]) != klass[m]:
+    for t in surviving:
+        if klass.get(action.images[t][0]) != klass[t]:
             return None  # the image is not a surviving term of the same magnitude
-        theta, psi = action.relations[m]
+        theta, psi = action.relations[t]
         row = [*theta] + [0] * len(surviving)
-        for term, c in psi.items():
+        for term, c in psi:
             row[index[term]] = c
         rows.append(row)
 
@@ -810,7 +820,7 @@ def _forced_symmetry(candidate: CpCandidate, perm: Perm) -> GenPermMatrix | None
             return None
     particular = candidate.system.solve()
     column = candidate.system.column
-    psi = [particular[column[m]] for m in surviving]
+    psi = [particular[column[t]] for t in surviving]
     scale = lcm(*(p.denominator for p in psi))
     scaled = [p.numerator * (scale // p.denominator) for p in psi]
     t = [-sum(map(operator.mul, z, scaled)) for z in border]
@@ -913,14 +923,15 @@ def check_z3z3() -> Z3Z3Report:
     a = PhaseVector((Fraction(0), Fraction(1, 3), Fraction(2, 3)))
     b = GenPermMatrix.permutation((1, 2, 0))
     swap = GenPermMatrix.permutation((1, 0, 2))
-    base = AbelianBase.from_lattice(3, [chg for m, chg in monomial_charges(3).items()
-                                        if phase_shift(m, a) == 0])
+    table = term_table(3)
+    shifts = [phase_shift(m, a) for m in table.monomials]  # each term's phase under a
+    base = AbelianBase.from_lattice(3, [chg for chg, x in zip(table.charges, shifts) if x == 0])
     system = base.phase_system()
     for k, phase in enumerate(b.phases):  # xi_k is the entry phase of b
         system.pin([int(j == k) for j in range(system.head)], phase)
     extension = CpCandidate(base, b.perm, PhaseVector.identity(3), GroupSignature((3, 3)),
-                            *_restrict(system, _term_action(b.perm, False).orbits))
-    inv_ab = not extension.killed and all(phase_shift(m, a) == 0 for m in extension.surviving)
+                            *_restrict(system, _term_action(b.perm, False)))
+    inv_ab = not extension.killed and all(shifts[t] == 0 for t in extension.surviving)
     inv_swap = _forced_symmetry(extension, swap.perm) == swap
     commutes = commutes_with_diagonal(swap, a)
     verdict = "not_realizable" if (inv_ab and inv_swap and not commutes) else "inconclusive"

@@ -12,6 +12,10 @@ the charges of the bilinears (phi_1^dagger phi_a), a = 2..N, as rows.
 Products of a diagonal bilinear with an off-diagonal one are excluded: their
 charge vector coincides with the bare bilinear's, so they add nothing to the
 charge-lattice classification.
+
+``term_table`` holds the enumerated terms of N doublets with their
+exponents and charges; the antiunitary layer reads each term as its index
+there, and builds or reads a ``Monomial`` only to print one.
 """
 
 from __future__ import annotations
@@ -88,25 +92,24 @@ class Monomial:
 def enumerate_monomials(n_doublets: int) -> tuple[Monomial, ...]:
     """All canonical monomials with a nonzero charge vector, in sorted order.
 
-    Counts: 12 for three doublets, 42 for four.
+    Counts: 12 for three doublets, 42 for four.  Duplicates are dropped by
+    factor tuple, which equal monomials share, so no record is hashed or
+    compared.
     """
     if n_doublets < 2:
         raise ValueError("need at least 2 doublets")
     bilinears = [(a, b) for a in range(1, n_doublets + 1)
                  for b in range(1, n_doublets + 1) if a != b]
-    seen = set()
-    for f in bilinears:
-        seen.add(Monomial.canonical((f,)))
-    for f1, f2 in itertools.combinations_with_replacement(bilinears, 2):
-        if f2 == (f1[1], f1[0]):
-            continue  # |phi_a^dagger phi_b|^2 is neutral under the whole torus
-        seen.add(Monomial.canonical((f1, f2)))
-    return tuple(sorted(seen, key=lambda m: (len(m.factors), m.factors)))
+    pairs = itertools.combinations_with_replacement(bilinears, 2)
+    # |phi_a^dagger phi_b|^2 is neutral under the whole torus
+    products = [(f,) for f in bilinears] + [p for p in pairs if p[1] != p[0][::-1]]
+    seen = {Monomial.canonical(p).factors for p in products}
+    return tuple(Monomial(f) for f in sorted(seen, key=lambda f: (len(f), f)))
 
 
-@lru_cache(maxsize=None)
 def raw_exponents(m: Monomial, n_doublets: int) -> tuple[int, ...]:
-    """Net per-doublet exponent vector (count of phi_a minus phi_a^dagger), kept per term and N."""
+    """Net per-doublet exponent vector (count of phi_a minus phi_a^dagger); ``term_table``
+    keeps it per enumerated term."""
     if not all(1 <= x <= n_doublets for x in _flat(m.factors)):
         raise ValueError(f"{m} names a doublet outside 1..{n_doublets}")
     out = [0] * n_doublets
@@ -135,11 +138,26 @@ def charge_vector(m: Monomial, basis: TorusBasis) -> ChargeVector:
     return chg
 
 
-@lru_cache(maxsize=None)
-def monomial_charges(n_doublets: int) -> MappingProxyType[Monomial, ChargeVector]:
-    """Read-only map from each monomial of ``enumerate_monomials`` to its charge, in order."""
-    basis = torus_basis(n_doublets)
-    return MappingProxyType({m: charge_vector(m, basis) for m in enumerate_monomials(n_doublets)})
+class TermTable:
+    """The terms of N doublets, in ``enumerate_monomials`` order, each read as its index.
+
+    ``monomials`` lists the terms, and ``exponents`` and ``charges`` hold
+    each one's ``raw_exponents`` and ``charge_vector``, indexed alike.
+    ``index`` maps a term's factor tuple back to its index, so a term built
+    afresh is found without hashing or comparing a record.  Reports list
+    terms in ``Monomial`` order, which differs from the index order: that
+    sorts by factor count first.  ``term_table(n)`` is the one table of N
+    doublets, built on first use.
+    """
+
+    def __init__(self, n_doublets: int):
+        self.monomials = enumerate_monomials(n_doublets)
+        self.index = MappingProxyType({m.factors: i for i, m in enumerate(self.monomials)})
+        self.exponents = tuple(raw_exponents(m, n_doublets) for m in self.monomials)
+        self.charges = tuple(charge_vector(m, torus_basis(n_doublets)) for m in self.monomials)
+
+
+term_table = lru_cache(maxsize=None)(TermTable)
 
 
 def phase_shift(m: Monomial, element: PhaseVector) -> Fraction:

@@ -39,7 +39,7 @@ from nhdm.classifier import SymmetryGroup
 from nhdm.cpext import GenPermMatrix, _cycles, _forced_symmetry, backbone_classes
 from nhdm.exactmath import IntMatrix, SnfResult, hnf_rows, smith_columns, snf
 from nhdm.groups import GroupSignature, canonicalize, group_from_snf
-from nhdm.monomials import Monomial, monomial_charges, phase_shift
+from nhdm.monomials import Monomial, phase_shift, term_table
 from nhdm.torus import PhaseVector, torus_basis
 
 
@@ -52,10 +52,9 @@ def finite_groups_by_subset_scan(n_doublets: int) -> set[GroupSignature]:
     This is the direct strategy the lattice walk supersedes; it is kept as an
     independent cross-check of completeness.
     """
-    charges = monomial_charges(n_doublets)
     found: set[GroupSignature] = set()
-    for subset in itertools.combinations(charges, n_doublets - 1):
-        x = IntMatrix.from_rows([charges[m] for m in subset])
+    for subset in itertools.combinations(term_table(n_doublets).charges, n_doublets - 1):
+        x = IntMatrix.from_rows(subset)
         res = snf(x)
         if all(res.d):
             sig = group_from_snf(res.d, n_doublets - 1)
@@ -82,7 +81,8 @@ def all_realized(probe) -> bool:
 def duplicate_charge_report(n_doublets: int) -> dict:
     """Charge vectors carried by more than one monomial (sign-insensitive)."""
     by_charge: dict = {}
-    for m, chg in monomial_charges(n_doublets).items():
+    table = term_table(n_doublets)
+    for m, chg in zip(table.monomials, table.charges):
         key = min(chg, tuple(-x for x in chg))
         by_charge.setdefault(key, []).append(m)
     return {k: tuple(v) for k, v in sorted(by_charge.items()) if len(v) > 1}
@@ -96,6 +96,17 @@ def antiunitary_square(b):
     """
     return GenPermMatrix(tuple(b.perm[b.perm[a]] for a in range(b.n)),
                          tuple(b.phases[a] - b.phases[b.perm[a]] for a in range(b.n)))
+
+
+def monomials_of(n_doublets, terms) -> tuple:
+    """The monomial of each term index of ``terms``, in order."""
+    monomials = term_table(n_doublets).monomials
+    return tuple(monomials[t] for t in terms)
+
+
+def index_of(n_doublets, m) -> int:
+    """The term index of the monomial ``m``."""
+    return term_table(n_doublets).index[m.factors]
 
 
 def is_canonical(m) -> bool:
@@ -162,7 +173,8 @@ def commutant_support(base) -> tuple:
 def contains_diagonal(base, pv) -> bool:
     """pv leaves every invariant monomial of the base invariant.  Exact only
     when the lattice is spanned by monomial charges, as on every walked base."""
-    return all(phase_shift(m, pv) == 0 for m in base.invariant_monomials())
+    return all(phase_shift(m, pv) == 0
+               for m in monomials_of(base.n_doublets, base.invariant_monomials()))
 
 
 def components(terms, links) -> tuple:
@@ -560,13 +572,15 @@ def forced_symmetry(candidate, perm, particular, torsion, free):
     against the particular coefficient phases and each torsion generator,
     and for span against each free direction."""
     n = candidate.base.n_doublets
-    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
+    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes)
+             for m in monomials_of(n, cls)}
+    positions = {m: candidate.base.layout[1][index_of(n, m)] for m in klass}
     relations = []
-    for m in candidate.surviving:
+    for m in monomials_of(n, candidate.surviving):
         img, conjugated = m.permuted(perm)
         if klass.get(img) != klass[m]:
             return None
-        relations.append(invariance_relation(m, img, conjugated, n, candidate.base.layout[1]))
+        relations.append(invariance_relation(m, img, conjugated, n, positions))
 
     def rhs(assign):
         return [-sum((c * assign[j] for j, c in psi.items()), Fraction(0))
@@ -590,23 +604,25 @@ def forced_symmetry_through_u(candidate, perm):
     solution, in Fractions."""
     n = candidate.base.n_doublets
     system = candidate.system
-    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes) for m in cls}
+    klass = {m: i for i, cls in enumerate(candidate.magnitude_classes)
+             for m in monomials_of(n, cls)}
     relations = []
-    for m in candidate.surviving:
+    for m in monomials_of(n, candidate.surviving):
         img, conjugated = m.permuted(perm)
         if klass.get(img) != klass[m]:
             return None
-        relations.append(invariance_relation(m, img, conjugated, n, {t: t for t in klass}))
+        relations.append(invariance_relation(m, img, conjugated, n,
+                                             {t: index_of(n, t) for t in klass}))
     res = snf_rows([theta for theta, _ in relations], n)
     for z in res.u.entries[_rank(res):]:
         w = Counter()
         for zk, (_, psi) in zip(z, relations):
-            for m, c in psi.items():
-                w[m] += zk * c
+            for t, c in psi.items():
+                w[t] += zk * c
         if not system.fixes((0,) * system.head, dict(w)):
             return None
     particular = solve(system)[0]
-    target = [-sum((c * particular[system.column[m]] for m, c in psi.items()), Fraction(0))
+    target = [-sum((c * particular[system.column[t]] for t, c in psi.items()), Fraction(0))
               for _, psi in relations]
     return GenPermMatrix(perm, tuple(fraction_particular(res, target)))
 
@@ -620,8 +636,9 @@ def preserves_backbone(classes, perm) -> bool:
 
 
 def term_images(candidate, perm) -> dict:
-    """Each surviving term's (image, conjugated) under ``perm``, read afresh."""
-    return {m: m.permuted(perm) for m in candidate.surviving}
+    """Each surviving monomial's (image, conjugated) under ``perm``, read afresh."""
+    return {m: m.permuted(perm)
+            for m in monomials_of(candidate.base.n_doublets, candidate.surviving)}
 
 
 def forced_symmetries(candidate):
@@ -687,11 +704,12 @@ def invariance_relation(m, img, conjugated, n_doublets, positions) -> tuple:
 
 
 def orbit_rows(base, sigma, orbit) -> list:
-    """The invariance relations of the terms of ``orbit`` under b J, for b on
-    the pattern ``sigma``, as (row over ``base.layout``, 0): each image read
-    afresh by conjugating the term, then permuting it."""
+    """The invariance relations of the monomials of ``orbit`` under b J, for b
+    on the pattern ``sigma``, as (row over ``base.layout``, 0): each image
+    read afresh by conjugating the term, then permuting it."""
     n = base.n_doublets
-    unknowns, positions = base.layout
+    unknowns, columns = base.layout
+    positions = {m: columns[t] for m, t in zip(monomials_of(n, columns), columns)}
     rows = []
     for m in orbit:
         img, conjugated = Monomial(m.conjugate_factors()).permuted(sigma)
@@ -704,7 +722,8 @@ def orbit_rows(base, sigma, orbit) -> list:
 
 
 def refactoring_restriction(base, sigma, pin, invariant) -> tuple:
-    """(surviving, killed, magnitude classes, equations) of a candidate, with
+    """(surviving, killed, magnitude classes, equations) of a candidate, as
+    monomials, from the ``invariant`` monomials of ``base``, with
     each orbit's ``orbit_rows`` kept when ``smith_solvable`` holds for the
     equations kept so far, the pins first, plus those rows."""
     images = {m: Monomial(m.conjugate_factors()).permuted(sigma) for m in invariant}

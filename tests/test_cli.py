@@ -176,54 +176,101 @@ class TestHostileInput:
         assert (proc.returncode, proc.stderr) == (1, "")
 
 
-class TestGolden:
-    # reports recorded from the walk without coset deduplication; changes to
-    # the walk or to group extraction must keep them byte for byte
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_classify_report_is_byte_identical(self, n):
-        code, out, _ = invoke(["classify", "--doublets", str(n), "--format", "json"])
-        assert code == 0
-        assert out == (GOLDEN / f"classify-{n}.json").read_text()
+# reports recorded from the walk without coset deduplication; changes to
+# the walk or to group extraction must keep them byte for byte
+CLASSIFY_GOLDEN_DOUBLETS = [2, 3, 4, 5]
 
-    # reports of the other subcommands, recorded before the phase solver was
-    # indexed by position; the cp-extend drill-downs pin every constraint,
-    # detail and witness field
-    @pytest.mark.parametrize("name, argv", [
-        ("cp-extend-3.json", ["cp-extend", "--doublets", "3", "--format", "json"]),
-        ("cp-extend-3.txt", ["cp-extend", "--doublets", "3"]),
-        ("cp-extend-3-Z4.txt", ["cp-extend", "--doublets", "3", "--group", "Z4"]),
-        *[(f"cp-extend-3-{group.replace('U(1)', 'U1')}.json",
-           ["cp-extend", "--doublets", "3", "--group", group, "--format", "json"])
-          for group in ("trivial", "Z2", "Z3", "Z4", "Z2xZ2", "U(1)", "U(1)xZ2", "U(1)xU(1)")],
-        ("charges-4.json", ["charges", "--doublets", "4", "--format", "json"]),
-        ("check-z3z3.json", ["check-z3z3", "--format", "json"]),
-        ("witness-3-Z4.json", ["witness", "--doublets", "3", "--group", "Z4", "--format", "json"]),
-        ("verify-bound-4.json", ["verify-bound", "--doublets", "4", "--format", "json"]),
-        ("probe-conjecture-4.json", ["probe-conjecture", "--doublets", "4", "--format", "json"]),
-        ("construct-cyclic-9-5.json",
-         ["construct", "cyclic", "--p", "9", "--n", "5", "--format", "json"]),
-        ("snf-worked.json", ["snf", "--matrix", "3,2;-3,-1", "--format", "json"]),
-        # recorded before the congruence solver shared one Smith form and the
-        # invariant terms were read off lattice membership
-        ("charges-2.json", ["charges", "--doublets", "2", "--format", "json"]),
-        ("verify-bound-2.json", ["verify-bound", "--doublets", "2", "--format", "json"]),
-        ("probe-conjecture-2.json", ["probe-conjecture", "--doublets", "2", "--format", "json"]),
-        ("classify-4-finite-only.json",
-         ["classify", "--doublets", "4", "--finite-only", "--format", "json"]),
-        ("witness-4-Z8.json", ["witness", "--doublets", "4", "--group", "Z8", "--format", "json"]),
-        ("witness-4-Z2xZ4.json",
-         ["witness", "--doublets", "4", "--group", "Z2xZ4", "--format", "json"]),
-        # appended last so the positional ids of the cases above stay put
-        ("check-z3z3.txt", ["check-z3z3"]),
-        # text reports recorded before the c-row was read off the exponent
-        # vector and before `classify` lost its continuous-group switch
-        ("charges-3-pretty.txt", ["charges", "--doublets", "3", "--pretty"]),
-        ("classify-4-finite-only.txt", ["classify", "--doublets", "4", "--finite-only"]),
-    ])
+
+def classify_golden(n):
+    """The golden file and argv of the JSON ``classify`` report for N doublets."""
+    return f"classify-{n}.json", ["classify", "--doublets", str(n), "--format", "json"]
+
+
+# reports of the other subcommands, recorded before the phase solver was
+# indexed by position; the cp-extend drill-downs pin every constraint,
+# detail and witness field
+GOLDEN_REPORTS = [
+    ("cp-extend-3.json", ["cp-extend", "--doublets", "3", "--format", "json"]),
+    ("cp-extend-3.txt", ["cp-extend", "--doublets", "3"]),
+    ("cp-extend-3-Z4.txt", ["cp-extend", "--doublets", "3", "--group", "Z4"]),
+    *[(f"cp-extend-3-{group.replace('U(1)', 'U1')}.json",
+       ["cp-extend", "--doublets", "3", "--group", group, "--format", "json"])
+      for group in ("trivial", "Z2", "Z3", "Z4", "Z2xZ2", "U(1)", "U(1)xZ2", "U(1)xU(1)")],
+    ("charges-4.json", ["charges", "--doublets", "4", "--format", "json"]),
+    ("check-z3z3.json", ["check-z3z3", "--format", "json"]),
+    ("witness-3-Z4.json", ["witness", "--doublets", "3", "--group", "Z4", "--format", "json"]),
+    ("verify-bound-4.json", ["verify-bound", "--doublets", "4", "--format", "json"]),
+    ("probe-conjecture-4.json", ["probe-conjecture", "--doublets", "4", "--format", "json"]),
+    ("construct-cyclic-9-5.json",
+     ["construct", "cyclic", "--p", "9", "--n", "5", "--format", "json"]),
+    ("snf-worked.json", ["snf", "--matrix", "3,2;-3,-1", "--format", "json"]),
+    # recorded before the congruence solver shared one Smith form and the
+    # invariant terms were read off lattice membership
+    ("charges-2.json", ["charges", "--doublets", "2", "--format", "json"]),
+    ("verify-bound-2.json", ["verify-bound", "--doublets", "2", "--format", "json"]),
+    ("probe-conjecture-2.json", ["probe-conjecture", "--doublets", "2", "--format", "json"]),
+    ("classify-4-finite-only.json",
+     ["classify", "--doublets", "4", "--finite-only", "--format", "json"]),
+    ("witness-4-Z8.json", ["witness", "--doublets", "4", "--group", "Z8", "--format", "json"]),
+    ("witness-4-Z2xZ4.json",
+     ["witness", "--doublets", "4", "--group", "Z2xZ4", "--format", "json"]),
+    # appended last so the positional ids of the cases above stay put
+    ("check-z3z3.txt", ["check-z3z3"]),
+    # text reports recorded before the c-row was read off the exponent
+    # vector and before `classify` lost its continuous-group switch
+    ("charges-3-pretty.txt", ["charges", "--doublets", "3", "--pretty"]),
+    ("classify-4-finite-only.txt", ["classify", "--doublets", "4", "--finite-only"]),
+]
+
+# one child interpreter per line: its command-line flags and PYTHONHASHSEED
+INTERPRETERS = [(("-O",), "0"), ((), "1")]
+
+# runs the argv lists it reads from stdin through nhdm.cli.run, in one
+# process, and writes each (exit code, stdout) as JSON
+RUN_ALL = """
+import contextlib, io, json, sys
+from nhdm.cli import run
+outputs = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    outputs.append((code, out.getvalue()))
+json.dump(outputs, sys.stdout)
+"""
+
+
+class TestGolden:
+    @pytest.mark.parametrize("n", CLASSIFY_GOLDEN_DOUBLETS)
+    def test_classify_report_is_byte_identical(self, n):
+        name, argv = classify_golden(n)
+        code, out, _ = invoke(argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)
     def test_report_is_byte_identical(self, name, argv):
         code, out, _ = invoke(argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    def test_reports_match_under_other_hash_seeds_and_dash_o(self):
+        # every golden command in two child interpreters, each running them
+        # all in one process: a report that iterates a set of strings differs
+        # between the hash seeds, and one that computes a result inside an
+        # assert statement differs under ``python -O``, which strips asserts
+        cases = [classify_golden(n) for n in CLASSIFY_GOLDEN_DOUBLETS] + GOLDEN_REPORTS
+        children = [subprocess.Popen([sys.executable, *flags, "-c", RUN_ALL], text=True,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE,
+                                     env=dict(child_env(), PYTHONHASHSEED=seed))
+                    for flags, seed in INTERPRETERS]
+        for (flags, seed), child in zip(INTERPRETERS, children):
+            out, err = child.communicate(json.dumps([argv for _, argv in cases]), timeout=120)
+            assert child.returncode == 0, err
+            differ = [name for (name, _), (code, text) in zip(cases, json.loads(out))
+                      if (code, text) != (0, (GOLDEN / name).read_text())]
+            assert differ == [], (flags, seed)
 
 
 class TestOptimizedInterpreter:

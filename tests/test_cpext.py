@@ -1,11 +1,15 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, gcd, prod
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -35,11 +39,10 @@ from nhdm.cpext import (
 )
 from nhdm.exactmath import hnf_contains, hnf_rows
 from nhdm.groups import GroupSignature
-from nhdm.monomials import (Monomial, enumerate_monomials, monomial_charges, phase_shift,
-                            raw_exponents)
+from nhdm.monomials import Monomial, enumerate_monomials, phase_shift, raw_exponents, term_table
 from nhdm.torus import PhaseVector, element_from_angles, equal_mod_center, torus_basis
 import reference
-from reference import antiunitary_square, snf_rows
+from reference import antiunitary_square, monomials_of, snf_rows
 
 
 def base_u11():
@@ -97,6 +100,19 @@ def row_of(system, coeffs):
     for name, c in coeffs.items():
         row[system.unknowns.index(name)] = c
     return row
+
+
+def names(n, terms):
+    """The text of the monomial of each term index of ``terms``, in order."""
+    return [str(m) for m in monomials_of(n, terms)]
+
+
+def library_images(candidate, perm):
+    """Each surviving monomial's (image, conjugated) under ``perm``, as
+    ``_term_action`` stores it, by term index."""
+    monomials = term_table(candidate.base.n_doublets).monomials
+    images = cpext._term_action(perm, False).images
+    return {monomials[t]: (monomials[images[t][0]], images[t][1]) for t in candidate.surviving}
 
 
 def find_candidates(base, name):
@@ -196,7 +212,7 @@ class TestLatticeForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_trivial_base_is_the_full_lattice(self, n):
         unit = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
-        base = AbelianBase.from_lattice(n, monomial_charges(n).values())
+        base = AbelianBase.from_lattice(n, term_table(n).charges)
         assert base == AbelianBase(n, unit)
         assert base.group.signature == GroupSignature()
         assert base.group.finite_generators == () and base.doublet_weights == ()
@@ -222,15 +238,20 @@ class TestLatticeForms:
     @pytest.mark.parametrize("n", [3, 4])
     def test_term_orbits_match_the_union_find(self, n):
         # every (base, sigma) a candidate can be built from: an involutive
-        # commuting pattern acting on the base's invariant terms
+        # commuting pattern acting on the base's invariant terms, whose
+        # orbits come in Monomial order, not in the order of term indices
         checked = 0
         for base in all_bases(n):
             invariant = base.invariant_monomials()
+            terms = monomials_of(n, invariant)
             for sigma in commuting_involutions(base):
-                image = {m: Monomial(m.conjugate_factors()).permuted(sigma)[0]
-                         for m in invariant}
-                assert (_cycles(invariant, image.__getitem__)
-                        == reference.components(invariant, image.items()))
+                image = {m: Monomial(m.conjugate_factors()).permuted(sigma)[0] for m in terms}
+                assert (_cycles(terms, image.__getitem__)
+                        == reference.components(terms, image.items()))
+                orbits = [monomials_of(n, orbit.terms)
+                          for orbit in cpext._term_action(sigma, True).orbits
+                          if orbit.terms[0] in invariant]
+                assert orbits == list(reference.components(terms, image.items()))
                 checked += 1
         assert checked > 0
 
@@ -243,16 +264,22 @@ class TestLatticeForms:
             assert classes.pair_classes == reference.pair_classes(sigma)
 
 
+def invariant_terms(base):
+    """The monomial of each invariant term index of ``base``, in order."""
+    return monomials_of(base.n_doublets, base.invariant_monomials())
+
+
 class TestInvariantTerms:
+    # the library reads each invariant term as its index in ``term_table``
     def test_u11_has_exactly_one_invariant_term(self):
-        assert base_u11().invariant_monomials() == (Monomial.canonical(((1, 3), (2, 3))),)
+        assert invariant_terms(base_u11()) == (Monomial.canonical(((1, 3), (2, 3))),)
 
     def test_z4_invariant_terms_match_the_two_term_potential(self):
-        assert set(base_z4().invariant_monomials()) == {
+        assert set(invariant_terms(base_z4())) == {
             Monomial.canonical(((1, 3), (2, 3))), Monomial.canonical(((1, 2), (1, 2)))}
 
     def test_z3_invariant_terms_are_the_three_cyclic_products(self):
-        assert set(base_z3().invariant_monomials()) == {
+        assert set(invariant_terms(base_z3())) == {
             Monomial.canonical(((1, 2), (1, 3))),
             Monomial.canonical(((2, 3), (2, 1))),
             Monomial.canonical(((3, 1), (3, 2)))}
@@ -270,7 +297,7 @@ class TestInvariantTerms:
                         for weights in base.doublet_weights))
 
         for base in cp_bases(n):
-            assert base.invariant_monomials() == reference(base)
+            assert invariant_terms(base) == reference(base)
 
 
 def element_angles(base):
@@ -429,8 +456,9 @@ class TestTermActions:
         # involutions, where reading the images per (base, involution) made
         # 2,196 calls; one invariance relation per term, involution and
         # conjugation flag, where relating every orbit tried per candidate
-        # made 5,427; no Hermite form of whole rows in ``_restrict``; and a
-        # second sweep reads none of these again
+        # made 5,427; no Hermite form of whole rows in ``_restrict``, only the
+        # reduction of each orbit of an involution's action, on its first
+        # restriction; and a second sweep reads none of these again
         cp_bases(4)
         cpext._term_action.cache_clear()
         permuted, relations, rows, restricting = [], [], [], []
@@ -454,20 +482,53 @@ class TestTermActions:
         self.sweep(4)
         assert len(permuted) == len(set(permuted)) == 10 * 42
         assert len(relations) == 2 * len(permuted)
-        assert rows and not any(rows)  # the verdicts' surviving lattices take some
+        orbits = sum(len(cpext._term_action(s, True).orbits) for s in cpext._involutions(4))
+        assert rows.count(True) == orbits
+        assert not all(rows)  # the verdicts' surviving lattices take the others
         permuted.clear(), relations.clear(), rows.clear()
         self.sweep(4)
         assert (permuted, relations) == ([], []) and not any(rows)
 
+    def test_a_cold_sweep_neither_hashes_nor_compares_term_records(self):
+        # in a fresh interpreter, so that no term table or action is cached:
+        # inside cpext a term is its index, so one N=4 sweep hashes a Monomial
+        # fewer than 1,000 times and compares none; keyed by Monomial, the
+        # same sweep hashed one 48,324 times and compared 8,279 pairs
+        code = """
+import json
+from nhdm import cpext
+from nhdm.monomials import Monomial
+counts = [0, 0]
+real_hash, real_eq = Monomial.__hash__, Monomial.__eq__
+def counted_hash(m):
+    counts[0] += 1
+    return real_hash(m)
+def counted_eq(m, other):
+    counts[1] += 1
+    return real_eq(m, other)
+Monomial.__hash__, Monomial.__eq__ = counted_hash, counted_eq
+for base in cpext.cp_bases(4):
+    for cand in cpext.cp_extensions(base):
+        cpext.cp_realizable(cand)
+print(json.dumps(counts))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        hashes, comparisons = json.loads(proc.stdout)
+        assert hashes < 1000 and comparisons == 0, (hashes, comparisons)
+
     def test_one_exponent_tuple_per_term(self):
         # every relation of a term, under any pattern and either flag, holds
-        # the same tuple of entry exponents, read once per N
+        # the same tuple of entry exponents, the one ``term_table`` keeps
         unitary, conjugating = cpext._term_action((1, 0, 2, 3), False), cpext._term_action(
             (0, 1, 3, 2), True)
-        assert unitary.terms == conjugating.terms
-        for m in unitary.terms:
-            assert unitary.relations[m][0] is conjugating.relations[m][0]
-            assert unitary.relations[m][0] == raw_exponents(m, 4)
+        table = term_table(4)
+        assert len(unitary.relations) == len(conjugating.relations) == len(table.monomials)
+        for t, m in enumerate(table.monomials):
+            assert unitary.relations[t][0] is conjugating.relations[t][0] is table.exponents[t]
+            assert unitary.relations[t][0] == raw_exponents(m, 4)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_systems_match_the_orbit_by_orbit_build(self, n):
@@ -479,7 +540,7 @@ class TestTermActions:
             for cand in cp_extensions(base):
                 equations = _pin_system(base, cand.sigma, cand.square).equations + [
                     row for orbit in cand.magnitude_classes
-                    for row in reference.orbit_rows(base, cand.sigma, orbit)]
+                    for row in reference.orbit_rows(base, cand.sigma, monomials_of(n, orbit))]
                 system = cand.system
                 assert system.equations == equations
                 wide, scale = reference.hnf_lattice(equations, len(system.unknowns))
@@ -496,11 +557,12 @@ class TestTermActions:
         # itself unconjugated, whose relation under b J is then psi-free; each
         # term of every other surviving orbit maps to that orbit, one object
         # per orbit, whose block rows span its terms' psi columns
+        monomials = term_table(n).monomials
         for base in cp_bases(n):
             for cand in cp_extensions(base):
                 blocks = cand.system.blocks
-                expected = [orbit for orbit in cand.magnitude_classes
-                            if len(orbit) > 1 or orbit[0].permuted(cand.sigma) == (orbit[0], False)]
+                expected = [orbit for orbit in cand.magnitude_classes if len(orbit) > 1 or
+                            monomials[orbit[0]].permuted(cand.sigma) == (monomials[orbit[0]], False)]
                 assert {m: orbit.terms for m, orbit in blocks.items()} == {
                     m: orbit for orbit in expected for m in orbit}
                 distinct = {id(orbit): orbit for orbit in blocks.values()}.values()
@@ -542,11 +604,11 @@ class TestCandidates:
         assert cp_extensions(base_torus()) == []
 
     def test_squares_lie_in_the_claimed_element(self):
-        charges = monomial_charges(3)
+        charges = term_table(3).charges
         for base in (all_bases(3)[0], base_r12(), base_z3(), base_z4(),
                      base_klein(), base_u11()):
             # the invariant charges span the lattice, so the monomial scan is exact
-            assert hnf_rows(charges[m] for m in base.invariant_monomials()) == base.lattice
+            assert hnf_rows(charges[t] for t in base.invariant_monomials()) == base.lattice
             for cand in cp_extensions(base):
                 particular = cand.system.solve()
                 assert particular is not None
@@ -579,19 +641,19 @@ class TestConstraintSystems:
         assert self.fix_and_check(cand, {m1: 0, m2: 0, m3: 0})
         assert not self.fix_and_check(cand, {m1: F(1, 8), m2: 0, m3: 0})
         # the two cyclically-exchanged couplings must share one magnitude
-        mags = {frozenset(str(m) for m in cls) for cls in cand.magnitude_classes}
+        mags = {frozenset(names(3, cls)) for cls in cand.magnitude_classes}
         assert frozenset({m1, m2}) in mags
         assert frozenset({m3}) in mags
 
     def test_z4_star_conditions(self):
         cand = next(c for c in cp_extensions(base_r12()) if c.signature.name() == "Z4*")
-        killed = {str(m) for m in cand.killed}
+        killed = set(names(3, cand.killed))
         assert killed == {"(f1+ f2)", "(f1+ f3)(f3+ f2)"}
         l7, l8, l9 = ("(f1+ f3)(f2+ f3)", "(f1+ f3)(f1+ f3)", "(f2+ f3)(f2+ f3)")
         assert self.fix_and_check(cand, {l7: 0, l8: F(1, 4), l9: F(1, 4)})
         assert self.fix_and_check(cand, {l7: F(1, 4), l8: F(1, 2), l9: F(1, 2)})
         assert not self.fix_and_check(cand, {l7: 0, l8: 0, l9: 0})
-        mags = {frozenset(str(m) for m in cls) for cls in cand.magnitude_classes}
+        mags = {frozenset(names(3, cls)) for cls in cand.magnitude_classes}
         assert frozenset({l8, l9}) in mags
         # the structural phase is pinned by the coefficient phases
         trial = self.pinned(cand, {l7: 0, l8: F(1, 4), l9: F(1, 4)})
@@ -621,7 +683,7 @@ class TestConstraintSystems:
         # coefficient phases enter only with a whole term orbit, through _join;
         # the column map names their positions, after the head, and pin
         # takes a row over the head alone
-        system = PhaseConstraintSystem(["x", "psi0", "psi1"], column={"t0": 1, "t1": 2})
+        system = PhaseConstraintSystem(["x", "psi0", "psi1"], column={0: 1, 1: 2})
         assert system.head == 1
         with pytest.raises(ValueError, match=r"need 1 head coefficients, got 3"):
             system.pin([1, 0, 2], F(1, 2))
@@ -632,7 +694,7 @@ class TestConstraintSystems:
                              ids=lambda p: ",".join(map(str, p)))
     def test_psi_positions_are_the_trailing_unknowns(self, positions):
         # outside the unknowns, before the last, out of order, or too many
-        column = {f"t{i}": j for i, j in enumerate(positions)}
+        column = dict(enumerate(positions))
         with pytest.raises(ValueError, match="are not the last"):
             PhaseConstraintSystem(["x", "y"], column=column)
 
@@ -739,7 +801,7 @@ class TestVerdicts:
         cand = next(c for c in cp_extensions(base_z4()) if c.signature.name() == "Z8*")
         verdict = cp_realizable(cand)
         assert verdict.kind == "continuous_degeneration"
-        assert [str(m) for m in cand.killed] == ["(f1+ f2)(f1+ f2)"]
+        assert names(3, cand.killed) == ["(f1+ f2)(f1+ f2)"]
 
     def test_z6_rejected(self):
         for cand in cp_extensions(base_z3()):
@@ -773,10 +835,12 @@ class TestVerdicts:
         # keeping the terms of even first charge coordinate halves the
         # trivial group's lattice: the surviving terms gain a diagonal Z2
         cand = cp_extensions(cp_bases(3)[0])[0]
-        charges = monomial_charges(3)
+        table = term_table(3)
         terms = cand.surviving + cand.killed
-        surviving = tuple(sorted(m for m in terms if charges[m][0] % 2 == 0))
-        killed = tuple(sorted(m for m in terms if charges[m][0] % 2))
+        surviving = tuple(sorted((t for t in terms if table.charges[t][0] % 2 == 0),
+                                 key=table.monomials.__getitem__))
+        killed = tuple(sorted((t for t in terms if table.charges[t][0] % 2),
+                              key=table.monomials.__getitem__))
         assert (len(surviving), len(killed)) == (6, 6)
         verdict = cp_realizable(CpCandidate(cand.base, cand.sigma, cand.square, cand.signature,
                                             cand.system, surviving, killed,
@@ -784,16 +848,14 @@ class TestVerdicts:
         assert verdict.kind == "enlarged_unitary"
         assert str(verdict.witness) == "[1->1:e(1/2), 2->2:e(1/2), 3->3:e(0)]"
         phases = PhaseVector(verdict.witness.phases)
-        assert all(phase_shift(m, phases) == 0 for m in surviving)
-        assert any(phase_shift(m, phases) != 0 for m in killed)
+        assert all(phase_shift(m, phases) == 0 for m in monomials_of(3, surviving))
+        assert any(phase_shift(m, phases) != 0 for m in monomials_of(3, killed))
 
     def test_a_forced_permutation_must_keep_each_magnitude_class(self):
         # the exchange 2 <-> 3 maps each surviving Z6* term to the other term
         # of its magnitude class; with singleton classes no term may move
         cand = next(c for c in cp_extensions(base_z3()) if c.sigma == (0, 2, 1))
-        images = reference.term_images(cand, (0, 2, 1))
-        assert images == {m: cpext._term_action((0, 2, 1), False).images[m]
-                          for m in cand.surviving}
+        assert library_images(cand, (0, 2, 1)) == reference.term_images(cand, (0, 2, 1))
         assert str(_forced_symmetry(cand, (0, 2, 1))) == "[1->1:e(0), 2->3:e(0), 3->2:e(0)]"
         singletons = tuple((m,) for m in cand.surviving)
         regrouped = CpCandidate(cand.base, cand.sigma, cand.square, cand.signature, cand.system,
@@ -899,9 +961,8 @@ def sweep_digest(n):
         for cand in cp_extensions(base):
             rec = [[list(row) for row in base.lattice], base.group.signature.name(),
                    list(cand.sigma), str(cand.square), cand.signature.name(),
-                   cand.system.render(), [str(m) for m in cand.surviving],
-                   [str(m) for m in cand.killed],
-                   [[str(m) for m in cls] for cls in cand.magnitude_classes],
+                   cand.system.render(), names(n, cand.surviving), names(n, cand.killed),
+                   [names(n, cls) for cls in cand.magnitude_classes],
                    backbone_classes(cand.sigma).equalities(), cp_realizable(cand).to_json()]
             lines.append(json.dumps(rec, sort_keys=True) + "\n")
     return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
@@ -959,8 +1020,8 @@ def orbit_congruences(draw):
     do.  The terms are labelled 0, 1, ... and the psi columns after the head
     are dealt to them in a random order.  Returns the head, the column of
     each term, in column order, and the items, each ("head", row, b) or
-    ("orbit", terms in column order, rows as (entry part, nonzero psi
-    entries by term)).
+    ("orbit", terms in column order, rows as (entry part, nonzero (term,
+    psi coefficient) pairs)).
     """
     head = draw(st.integers(1, 3))
     entry = draw(st.integers(1, head))
@@ -978,7 +1039,7 @@ def orbit_congruences(draw):
         for t, nxt in zip(terms, [*terms[1:], terms[0]]):
             psi = Counter({t: 1})
             psi[nxt] += draw(st.sampled_from([1, -1]))
-            rows.append((draw(entries), {u: c for u, c in psi.items() if c}))
+            rows.append((draw(entries), tuple((u, c) for u, c in psi.items() if c)))
         items.append(("orbit", terms, rows))
     column = {t: head + j for j, t in enumerate(draw(st.permutations(range(npsi))))}
     items = [item if item[0] == "head" else
@@ -987,9 +1048,9 @@ def orbit_congruences(draw):
 
 
 def dense(head_part, psi, column, ncols):
-    """A row over ``ncols`` unknowns from its head part and its psi entries by term."""
+    """A row over ``ncols`` unknowns from its head part and its (term, psi coefficient) pairs."""
     row = list(head_part) + [0] * (ncols - len(head_part))
-    for t, c in psi.items():
+    for t, c in psi:
         row[column[t]] = c
     return tuple(row)
 
@@ -1015,12 +1076,12 @@ class TestHermiteSolvability:
             if item[0] == "head":
                 _, row, b = item
                 system.pin(row, b)
-                kept.append((dense(row, {}, column, ncols), b % 1))
+                kept.append((dense(row, (), column, ncols), b % 1))
                 continue
             _, terms, relations = item
             rows = [(dense(xi, psi, column, ncols), F(0)) for xi, psi in relations]
             wide, scale = reference.hnf_lattice(kept + rows, ncols)
-            orbit = TermOrbit.reduced(terms, relations)
+            orbit = TermOrbit.reduced(terms, tuple(relations))
             assert system._join(orbit) == (wide[-1][-1] == scale)
             if wide[-1][-1] == scale:
                 kept += rows
@@ -1100,7 +1161,7 @@ class TestHermiteSolvability:
 
     def test_three_doublet_sweep_matches_the_refactoring_loop(self):
         for base in cp_bases(3):
-            invariant = base.invariant_monomials()
+            invariant = invariant_terms(base)
             involutions = commuting_involutions(base)
             for sigma, (_, f) in itertools.product(involutions, reference.finite_elements(base)):
                 pin = _pin_system(base, sigma, f)
@@ -1108,7 +1169,9 @@ class TestHermiteSolvability:
             for cand in cp_extensions(base):
                 pin = _pin_system(base, cand.sigma, cand.square)
                 assert reference.refactoring_restriction(base, cand.sigma, pin, invariant) == (
-                    cand.surviving, cand.killed, cand.magnitude_classes, cand.system.equations)
+                    monomials_of(3, cand.surviving), monomials_of(3, cand.killed),
+                    tuple(monomials_of(3, cls) for cls in cand.magnitude_classes),
+                    cand.system.equations)
 
     def test_no_smith_form_per_orbit(self, monkeypatch):
         # 27 bordered Smith readings in the N=3 sweep, none of them for the
@@ -1264,7 +1327,7 @@ class TestLatticeReadings:
         real = cpext._pin_system
         monkeypatch.setattr(cpext, "_pin_system",
                             lambda base, sigma, f: pins.append((sigma, f)) or real(base, sigma, f))
-        monkeypatch.setattr(cpext, "_restrict", lambda pin, orbits: (pin, (), (), ()))
+        monkeypatch.setattr(cpext, "_restrict", lambda pin, action: (pin, (), (), ()))
         for base, (squares, keyed) in zip(all_bases(n), square_classes(n)):
             pins.clear()
             cp_extensions(base)
@@ -1318,7 +1381,8 @@ class TestClassification:
         def no_charges(n_doublets):
             raise AssertionError("a charge was read")
 
-        monkeypatch.setattr(cpext, "monomial_charges", no_charges)
+        for module in (classifier, cpext):
+            monkeypatch.setattr(module, "term_table", no_charges)
         for n in (1, 7):
             with pytest.raises(ValueError, match=r"out of supported range \(2\.\.6\)"):
                 cp_bases(n)
@@ -1371,8 +1435,7 @@ class TestZ3Z3:
         rep = check_z3z3()
         ((extension, perm),) = asked
         assert perm == rep.swap.perm
-        images = cpext._term_action(perm, False).images
-        assert {m: images[m] for m in extension.surviving} == reference.term_images(extension, perm)
+        assert library_images(extension, perm) == reference.term_images(extension, perm)
         assert extension.sigma == (1, 2, 0)
         assert extension.square == PhaseVector.identity(3)
         assert extension.signature == GroupSignature((3, 3))

@@ -110,9 +110,10 @@ class TestEqualityAndHash:
         assert Pair(1) != (1, ())
 
     def test_unhashable_field_fails_as_under_dataclass(self):
-        action = _term_action((1, 0, 2), False)
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(action)
+        # every field of every record of src/nhdm is hashable, so two test classes stand in
+        for made in (Single([1, 2]), DataSingle([1, 2])):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(made)
 
 
 def fresh_records():
@@ -316,7 +317,8 @@ class TestCachedProperties:
     def test_term_action_reduces_its_orbits_once(self):
         action = _term_action((1, 0, 2), True)
         assert action.orbits is action.orbits
-        assert sorted(m for orbit in action.orbits for m in orbit.terms) == sorted(action.terms)
+        assert sorted(t for orbit in action.orbits for t in orbit.terms) == list(
+            range(len(action.images)))
 
     def test_torus_basis_derives_its_readings_once(self):
         basis = torus_basis(3)

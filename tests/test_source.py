@@ -156,6 +156,52 @@ def test_only_the_term_action_permutes_terms():
     assert found == []
 
 
+# what yields a Monomial inside cpext.py: the class, a term's image under a
+# pattern, and the term table's list of monomials
+MONOMIAL_SOURCES = {"Monomial", "permuted", "monomials", "enumerate_monomials"}
+
+
+def test_cpext_keys_no_dict_by_monomial():
+    # inside cpext a term is its index in the term table, so no dict there is
+    # keyed by a Monomial: no annotation says so, and no dict display,
+    # comprehension or dict(...) / dict.fromkeys(...) call takes its keys from
+    # an expression that names a source of monomials
+    path = SRC / "cpext.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    keyed = re.compile(r"\b(dict|Dict|Mapping|MappingProxyType)\[\s*Monomial\b")
+
+    def names_a_monomial(node):
+        return any(isinstance(n, ast.Name) and n.id in MONOMIAL_SOURCES
+                   or isinstance(n, ast.Attribute) and n.attr in MONOMIAL_SOURCES
+                   for n in ast.walk(node))
+
+    found = []
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [a.annotation for a in (*args.posonlyargs, *args.args,
+                                                  *args.kwonlyargs) if a.annotation]
+            annotations += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        found += [f"cpext.py:{node.lineno} {ast.unparse(a)}" for a in annotations
+                  if keyed.search(ast.unparse(a))]
+        if isinstance(node, ast.Dict):
+            keys = [k for k in node.keys if k is not None]
+        elif isinstance(node, ast.DictComp):
+            keys = [node.key, *(g.iter for g in node.generators)]
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "dict"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "fromkeys"):
+            keys = node.args[:1]
+        else:
+            continue
+        found += [f"cpext.py:{node.lineno} {ast.unparse(node)}"
+                  for k in keys if names_a_monomial(k)][:1]
+    assert found == []
+
+
 def _enclosing_functions(tree):
     """Each node of ``tree`` mapped to the names of the class and function defs around it."""
     out = {}
