@@ -672,13 +672,13 @@ def _pin_system(base: AbelianBase, sigma: Perm, f: PhaseVector) -> PhaseConstrai
 def _restrict(system: PhaseConstraintSystem, action: TermAction) -> tuple:
     """Restrict the terms orbit by orbit, keeping each orbit that leaves ``system`` solvable.
 
-    The orbits are ``action.orbits``, reduced once per action; orbits of terms that
-    are not psi of ``system`` are skipped.  Per orbit only its
+    The orbits are ``action.orbits``, reduced once per action; orbits of
+    terms that are not psi of ``system`` are skipped.  Per orbit only its
     psi-free rows are added to the head basis; a kept orbit's block and
-    relations join ``system`` as they are (``_join``).  Returns
-    the grown system, the surviving and the killed terms and the magnitude
-    classes: surviving terms linked by the action, which are exactly the
-    surviving orbits.  The surviving and killed terms are sorted by monomial.
+    relations join ``system`` as they are (``_join``).  Returns the grown
+    system, the surviving and the killed terms, each sorted by monomial,
+    and the magnitude classes: surviving terms linked by the action, which
+    are exactly the surviving orbits.
     """
     monomial = term_table(len(action.perm)).monomials.__getitem__
     surviving, killed, classes = [], [], []
