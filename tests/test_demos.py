@@ -23,18 +23,14 @@ def test_all_demos_are_found():
     assert len(DEMOS) == 6
 
 
+# each demo runs once, and one test checks its exit code and its stdout; the
+# stdout of 01-04 was recorded before the walk labelled its witnesses by term
+# index, that of 05 and 06 before the antiunitary layer shared one Smith form
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path):
     proc = run_demo(path)
     assert proc.returncode == 0, proc.stderr
-
-
-# the two demos that exercise the antiunitary layer, recorded before its
-# congruence solver shared one Smith form
-@pytest.mark.parametrize("prefix", ["05", "06"])
-def test_demo_output_is_byte_identical(prefix):
-    (path,) = [p for p in DEMOS if p.name.startswith(prefix + "_")]
-    assert run_demo(path).stdout == (GOLDEN / f"demo-{prefix}.txt").read_text()
+    assert proc.stdout == (GOLDEN / f"demo-{path.name[:2]}.txt").read_text()
 
 
 def test_readme_minimal_session_prints_its_comments():
