@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from ._record import record
 from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_residues, hnf_unit_split,
@@ -49,8 +49,6 @@ from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_residues, hn
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, charge_rows, term_table
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
-
-T = TypeVar("T")
 
 
 @record
@@ -129,17 +127,20 @@ class ClassificationResult:
 
 
 @lru_cache(maxsize=None)
-def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
+def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[int, ...]]:
     """All charge lattices spanned by monomial subsets, keyed by HNF basis.
 
     N outside the supported range 2..6 raises ValueError before any charge
     is read; ``classify``, ``witness_potential`` and ``cp_bases`` rely on it.
     ``_walk`` over the monomial charges, one generator per charge up to sign,
-    in ``enumerate_monomials`` order.  Children enter in (parent, generator
-    index) order, so each lattice is recorded with the lex-least shortest
-    sequence of generators that spans it as its witness; reordering such a
-    sequence spans the same lattice, so the witness is sorted.  Three
-    prunings leave the insertion order and every witness as they are:
+    in ``term_table`` order, each labelled by the index of its first term
+    there: a witness is a tuple of term indices, which ``classify`` and
+    ``witness_potential`` read back as monomials to report them.  Children
+    enter in (parent, generator index) order, so each lattice is recorded
+    with the lex-least shortest sequence of generators that spans it as its
+    witness; reordering such a sequence spans the same lattice, so the
+    witness is sorted.  Three prunings leave the insertion order and every
+    witness as they are:
 
     - A lattice L is extended only by the generators after the last one of
       its witness.  For an earlier generator g not in L, inserting g into
@@ -175,9 +176,9 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[Monomial, ...]]:
     if not 2 <= n_doublets <= 6:
         raise ValueError("doublet count out of supported range (2..6)")
     table = term_table(n_doublets)
-    first: dict[tuple[int, ...], tuple[tuple[int, ...], Monomial]] = {}  # by charge up to sign
-    for m, chg in zip(table.monomials, table.charges):
-        first.setdefault(min(chg, tuple(-c for c in chg)), (chg, m))
+    first: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}  # by charge up to sign
+    for t, chg in enumerate(table.charges):
+        first.setdefault(min(chg, tuple(-c for c in chg)), (chg, t))
     return _walk(list(first.values()), skip_full_rank=True)
 
 
@@ -186,13 +187,13 @@ def _full_lattice(n_doublets: int) -> Rows:
     return IntMatrix.identity(n_doublets - 1).entries
 
 
-def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
-          skip_full_rank: bool = False) -> dict[Rows, tuple[T, ...]]:
-    """Breadth-first closure of the zero lattice under (vector, label)
-    generators, mapping each lattice to the labels of its witness, with the
-    first two prunings described in ``_lattice_scan``; ``skip_full_rank``
-    adds the third, which holds only under that scan's premise: a full-rank
-    child is recorded but not queued.
+def _walk(generators: Sequence[tuple[tuple[int, ...], int]], *,
+          skip_full_rank: bool = False) -> dict[Rows, tuple[int, ...]]:
+    """Breadth-first closure of the zero lattice under (vector, int label)
+    generators, mapping each lattice to the labels of its witness (term
+    indices, in ``_lattice_scan``), with the first two prunings described in
+    ``_lattice_scan``; ``skip_full_rank`` adds the third, which holds only
+    under that scan's premise: a full-rank child is recorded but not queued.
 
     Each queued lattice L' = L + g carries its witness and two objects
     shared by every child of its parent L: the distinct nonzero residues
@@ -219,12 +220,12 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], T]], *,
     with this store, 538 MiB with one ``array('b')`` per coordinate.
     """
     width = len(generators[0][0]) if generators else 0
-    states: dict[Rows, tuple[T, ...]] = {(): ()}
+    states: dict[Rows, tuple[int, ...]] = {(): ()}
     # modulo the zero lattice, generator i is its own residue, first seen at i
     nonzero = [i for i, (chg, _) in enumerate(generators) if any(chg)]
     root = ((), (), 0, _packed("b", chain.from_iterable(generators[i][0] for i in nonzero)),
             _packed("B", nonzero))
-    frontier: deque[tuple[Rows, tuple[T, ...], int, Sequence[int], Sequence[int]]] = deque([root])
+    frontier: deque[tuple[Rows, tuple[int, ...], int, Sequence[int], Sequence[int]]] = deque([root])
     while frontier:
         lattice, witness, start, residues, firsts = frontier.popleft()
         distinct = hnf_residues(lattice, [residues[c::width] for c in range(width)])
@@ -265,11 +266,13 @@ def _packed(typecode: str, values: Iterable[int]) -> Sequence[int]:
 def classify(n_doublets: int) -> ClassificationResult:
     """Complete list of realizable subgroups of the maximal torus.
 
-    One entry per abstract group, carrying the first minimal witness found.
-    The trivial group is excluded.  The range 2..6 is checked by the walk,
-    ``_lattice_scan``, which runs first.
+    One entry per abstract group, carrying the first minimal witness found,
+    its term indices read back as the table's monomials.  The trivial group
+    is excluded.  The range 2..6 is checked by the walk, ``_lattice_scan``,
+    which runs first.
     """
     states = _lattice_scan(n_doublets)
+    monomials = term_table(n_doublets).monomials
     basis = torus_basis(n_doublets)
     n = basis.n
 
@@ -300,8 +303,8 @@ def classify(n_doublets: int) -> ClassificationResult:
     for sig in sorted(primary, key=GroupSignature.sort_key):
         witness, d, v = primary[sig]
         group = _group_from_smith(d, v, basis)
-        entries.append(ClassificationEntry(group.signature, witness, group.finite_generators,
-                                           counts[sig]))
+        entries.append(ClassificationEntry(group.signature, tuple(monomials[t] for t in witness),
+                                           group.finite_generators, counts[sig]))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
                     default=1)
     if max_order > _order_bound(n_doublets):
@@ -408,11 +411,13 @@ def witness_potential(signature: GroupSignature, n_doublets: int) -> WitnessRepo
     (``_full_lattice``): the only lattice with an all-ones Smith diagonal.
     The walk records it with a minimal witness, so the trivial group is read
     off the walk alone, which also checks the range, and takes no Smith
-    form; every other group is looked up in ``classify``.
+    form; its term indices are read back as the table's monomials.  Every
+    other group is looked up in ``classify``.
     """
     if signature.is_trivial:
         witness = _lattice_scan(n_doublets)[_full_lattice(n_doublets)]
-        return WitnessReport(n_doublets, signature, True, witness, ())
+        monomials = term_table(n_doublets).monomials
+        return WitnessReport(n_doublets, signature, True, tuple(monomials[t] for t in witness), ())
     entry = classify(n_doublets).find(signature)
     if entry is None:
         return WitnessReport(n_doublets, signature, False, (), ())

@@ -43,7 +43,8 @@ and every per-term fact here, psi included, is keyed by that index.  A
 ``Monomial`` is read back only to print a term, in the psi names of a
 ``layout`` and in a verdict's detail, and for the phase a term takes under
 the Z3 clock of ``check_z3z3``.  Orbits and the surviving and killed
-terms are listed in ``Monomial`` order, as reports print them.
+terms are listed by the table's ``rank``, which is ``Monomial`` order, as
+reports print them.
 
 Each fact is read at the level it depends on.  Per N and pattern, b or
 b J, ``_term_action`` reads each term's image and invariance relation and
@@ -64,7 +65,6 @@ import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from types import MappingProxyType
 
 from ._record import record
 from .classifier import SymmetryGroup, _full_lattice, _group_of_lattice, _lattice_scan
@@ -389,19 +389,19 @@ class AbelianBase:
         unknowns, column = self.layout
         return PhaseConstraintSystem(unknowns, column=column)
 
-    def cosets(self, charges: dict) -> dict:
-        """Each key's charge modulo ``lattice``, from one ``hnf_residues`` pass.
+    def cosets(self, charges) -> list[tuple[int, ...]]:
+        """Each charge modulo ``lattice``, in order, from one ``hnf_residues`` pass.
 
         A zero coset is a character trivial on the whole group, and two equal
         cosets are two characters that agree on it.
         """
-        columns = [[chg[c] for chg in charges.values()] for c in range(self.n_doublets - 1)]
-        return dict(zip(charges, hnf_residues(self.lattice, columns)))
+        columns = [[chg[c] for chg in charges] for c in range(self.n_doublets - 1)]
+        return hnf_residues(self.lattice, columns)
 
     def invariant_monomials(self) -> tuple[int, ...]:
         """The index of each term left invariant by every element of the group, in order."""
-        cosets = self.cosets(dict(enumerate(term_table(self.n_doublets).charges)))
-        return tuple(t for t, coset in cosets.items() if not any(coset))
+        cosets = self.cosets(term_table(self.n_doublets).charges)
+        return tuple(t for t, coset in enumerate(cosets) if not any(coset))
 
     def contains_angles(self, angles) -> bool:
         """Membership of ``element_from_angles(basis, angles)``: a charge r shifts
@@ -421,8 +421,8 @@ def _involutions(n: int) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair_charges(n: int) -> tuple[MappingProxyType, MappingProxyType]:
-    """Two charges per doublet pair (i, j) of n doublets, read once per N.
+def _pair_charges(n: int) -> tuple[Rows, Rows]:
+    """Two charges per doublet pair (i, j) of n doublets, at position i * n + j, read once per N.
 
     The first is s(i, j), the charge of psi_i + psi_j - 2 psi_0: rows i and
     j of ``bilinear_charges`` summed.  The second is N s(i, j) - 2 sum_c row
@@ -430,10 +430,8 @@ def _pair_charges(n: int) -> tuple[MappingProxyType, MappingProxyType]:
     """
     rows = torus_basis(n).bilinear_charges
     total = [sum(column) for column in zip(*rows)]
-    sums = {(i, j): tuple(x + y for x, y in zip(rows[i], rows[j]))
-            for i in range(n) for j in range(n)}
-    centered = {ij: tuple(n * s - 2 * t for s, t in zip(pair, total)) for ij, pair in sums.items()}
-    return MappingProxyType(sums), MappingProxyType(centered)
+    sums = tuple(tuple(x + y for x, y in zip(rows[i], rows[j])) for i in range(n) for j in range(n))
+    return sums, tuple(tuple(n * s - 2 * t for s, t in zip(pair, total)) for pair in sums)
 
 
 def commuting_involutions(base: AbelianBase) -> list[Perm]:
@@ -449,7 +447,7 @@ def commuting_involutions(base: AbelianBase) -> list[Perm]:
     n = base.n_doublets
     coset = base.cosets(_pair_charges(n)[0])
     return [sigma for sigma in _involutions(n)
-            if len({coset[a, sigma[a]] for a in range(n)}) == 1]
+            if len({coset[a * n + sigma[a]] for a in range(n)}) == 1]
 
 
 def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
@@ -461,7 +459,7 @@ def commutant_support(base: AbelianBase) -> tuple[tuple[bool, ...], ...]:
     """
     n = base.n_doublets
     coset = base.cosets(_pair_charges(n)[1])
-    return tuple(tuple(not any(coset[i, j]) for j in range(n)) for i in range(n))
+    return tuple(tuple(not any(coset[i * n + j]) for j in range(n)) for i in range(n))
 
 
 # -- candidate construction -----------------------------------------------------
@@ -518,8 +516,9 @@ class TermAction:
     term's (image index, conjugated) and ``relations`` its
     ``_invariance_relation``, over the entry phases xi_1..xi_N and the psi
     of the terms.  ``orbits``, taken on first use, lists the orbits in
-    ``Monomial`` order of their first terms, each reduced once
-    (``TermOrbit.reduced``); a verdict reads only the images and relations.
+    ``Monomial`` order of their first terms, by the table's ``rank``, each
+    reduced once (``TermOrbit.reduced``); a verdict reads only the images and
+    relations.
     """
 
     perm: Perm
@@ -528,10 +527,10 @@ class TermAction:
 
     @cached_property
     def orbits(self) -> tuple[TermOrbit, ...]:
-        monomials = term_table(len(self.perm)).monomials
+        rank = term_table(len(self.perm)).rank
         cycles = _cycles(range(len(self.images)), lambda t: self.images[t][0])
         return tuple(TermOrbit.reduced(terms, tuple(self.relations[t] for t in terms))
-                     for terms in sorted(cycles, key=lambda cycle: monomials[cycle[0]]))
+                     for terms in sorted(cycles, key=lambda cycle: rank[cycle[0]]))
 
 
 @lru_cache(maxsize=None)
@@ -676,11 +675,11 @@ def _restrict(system: PhaseConstraintSystem, action: TermAction) -> tuple:
     terms that are not psi of ``system`` are skipped.  Per orbit only its
     psi-free rows are added to the head basis; a kept orbit's block and
     relations join ``system`` as they are (``_join``).  Returns the grown
-    system, the surviving and the killed terms, each sorted by monomial,
-    and the magnitude classes: surviving terms linked by the action, which
-    are exactly the surviving orbits.
+    system, the surviving and the killed terms, each sorted by the table's
+    ``rank``, and the magnitude classes: surviving terms linked by the
+    action, which are exactly the surviving orbits.
     """
-    monomial = term_table(len(action.perm)).monomials.__getitem__
+    rank = term_table(len(action.perm)).rank.__getitem__
     surviving, killed, classes = [], [], []
     for orbit in action.orbits:
         if orbit.terms[0] not in system.column:
@@ -690,7 +689,7 @@ def _restrict(system: PhaseConstraintSystem, action: TermAction) -> tuple:
             classes.append(orbit.terms)
         else:
             killed.extend(orbit.terms)
-    return (system, tuple(sorted(surviving, key=monomial)), tuple(sorted(killed, key=monomial)),
+    return (system, tuple(sorted(surviving, key=rank)), tuple(sorted(killed, key=rank)),
             tuple(classes))
 
 
@@ -729,7 +728,7 @@ def cp_realizable(candidate: CpCandidate) -> CpVerdict:
     surv = AbelianBase(base.n_doublets, hnf_rows([table.charges[t] for t in candidate.surviving]))
     # surviving and killed terms make up the invariant set, so the surviving
     # lattice is the full invariant lattice unless it misses a killed charge
-    if any(map(any, surv.cosets({t: table.charges[t] for t in candidate.killed}).values())):
+    if any(map(any, surv.cosets([table.charges[t] for t in candidate.killed]))):
         if surv.group.signature.torus_rank > base.group.signature.torus_rank:
             return CpVerdict(
                 "continuous_degeneration",

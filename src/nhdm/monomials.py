@@ -14,8 +14,9 @@ charge vector coincides with the bare bilinear's, so they add nothing to the
 charge-lattice classification.
 
 ``term_table`` holds the enumerated terms of N doublets with their
-exponents and charges; the antiunitary layer reads each term as its index
-there, and builds or reads a ``Monomial`` only to print one.
+exponents, charges and ranks in ``Monomial`` order; the lattice walk and the
+antiunitary layer read each term as its index there, and build or read a
+``Monomial`` only to print one.
 """
 
 from __future__ import annotations
@@ -146,13 +147,18 @@ class TermTable:
     ``index`` maps a term's factor tuple back to its index, so a term built
     afresh is found without hashing or comparing a record.  Reports list
     terms in ``Monomial`` order, which differs from the index order: that
-    sorts by factor count first.  ``term_table(n)`` is the one table of N
-    doublets, built on first use.
+    sorts by factor count first.  ``rank`` holds each term's place in
+    ``Monomial`` order, read off the sorted factor tuples, as a ``Monomial``
+    compares its factors and no two terms share them; sorting terms by rank
+    lists them as reports do, and compares no record.  ``term_table(n)`` is
+    the one table of N doublets, built on first use.
     """
 
     def __init__(self, n_doublets: int):
         self.monomials = enumerate_monomials(n_doublets)
         self.index = MappingProxyType({m.factors: i for i, m in enumerate(self.monomials)})
+        ranks = {factors: r for r, factors in enumerate(sorted(self.index))}
+        self.rank = tuple(ranks[m.factors] for m in self.monomials)
         self.exponents = tuple(raw_exponents(m, n_doublets) for m in self.monomials)
         self.charges = tuple(charge_vector(m, torus_basis(n_doublets)) for m in self.monomials)
 

@@ -145,25 +145,29 @@ def reference_walk_of(generators):
 
 
 def reference_walk(n):
+    """The reference walk over the monomial charges, one per charge up to sign,
+    each labelled by the index of its first monomial in enumeration order."""
     basis = torus_basis(n)
     generators = []
     seen = set()
-    for m in enumerate_monomials(n):
+    for t, m in enumerate(enumerate_monomials(n)):
         chg = charge_vector(m, basis)
         key = min(chg, tuple(-c for c in chg))
         if key not in seen:
             seen.add(key)
-            generators.append((chg, m))
+            generators.append((chg, t))
     return reference_walk_of(generators)
 
 
-def walk_digest(states):
-    """SHA-256 of the walk's JSON lines joined by newlines, fed one line at a time."""
+def walk_digest(n, states):
+    """SHA-256 of the walk's JSON lines joined by newlines, fed one line at a time;
+    each witness term index is written as its monomial in the term table of N doublets."""
+    monomials = term_table(n).monomials
     digest = hashlib.sha256()
     for k, (rows, witness) in enumerate(states.items()):
         if k:
             digest.update(b"\n")
-        digest.update(json.dumps((rows, [m.to_json() for m in witness])).encode())
+        digest.update(json.dumps((rows, [monomials[t].to_json() for t in witness])).encode())
     return digest.hexdigest()
 
 
@@ -309,6 +313,15 @@ class TestLatticeWalk:
                    for lattice, witness in classifier._lattice_scan(n).items())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_witnesses_are_term_indices(self, n):
+        # the walk labels each generator by the index of its term in the
+        # table; only classify and witness_potential read the monomials back
+        count = len(term_table(n).monomials)
+        assert all(type(witness) is tuple and all(type(t) is int and 0 <= t < count
+                                                  for t in witness)
+                   for witness in classifier._lattice_scan(n).values())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_minimal_witness_has_one_term_per_lattice_rank(self, n):
         # so every finite group has a minimal witness of exactly N-1 terms,
         # and one with k U(1) factors has one of N-1-k terms
@@ -333,7 +346,7 @@ class TestLatticeWalk:
         # recorded from the walk without the last-generator pruning
         states = classifier._lattice_scan(5)
         assert len(states) == 11493
-        assert walk_digest(states) == (
+        assert walk_digest(5, states) == (
             "5cca90c73f9f159f54b5cb67eb2a01cd9daaccca1313f168e2c36654faa3d075")
 
     @pytest.mark.slow
@@ -345,13 +358,14 @@ class TestLatticeWalk:
         states = classifier._lattice_scan(6)
         assert len(states) == 1051229
         assert all(len(witness) == len(lattice) for lattice, witness in states.items())
-        assert walk_digest(states) == (
+        assert walk_digest(6, states) == (
             "a8292697b08da67aea60388e94b69e01b595d8104a7eb6f9dc61556840d199e8")
 
 
 def reference_classification(n_doublets):
     """Group extraction from the bordered ``snf_rows`` reading of every walked lattice."""
     basis = torus_basis(n_doublets)
+    monomials = term_table(n_doublets).monomials
     primary, counts = {}, {}
     for lattice, witness in classifier._lattice_scan(n_doublets).items():
         res = snf_rows(lattice, basis.n)
@@ -361,7 +375,7 @@ def reference_classification(n_doublets):
             continue
         counts[sig] = counts.get(sig, 0) + 1
         if sig not in primary:
-            primary[sig] = witness, group.finite_generators
+            primary[sig] = tuple(monomials[t] for t in witness), group.finite_generators
     entries = tuple(ClassificationEntry(sig, *primary[sig], n_lattices=counts[sig])
                     for sig in sorted(primary, key=GroupSignature.sort_key))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),
@@ -403,7 +417,9 @@ class TestGroupExtraction:
         assert len(calls) == {3: 17, 4: 126}[n]
         scan = classifier._lattice_scan(n)
         lattice_of = {witness: lattice for lattice, witness in scan.items()}
-        firsts = [(lattice_of[e.witness], n - 1) for e in result.entries]
+        index = term_table(n).index
+        firsts = [(lattice_of[tuple(index[m.factors] for m in e.witness)], n - 1)
+                  for e in result.entries]
         splits = {hnf_unit_split(lattice, n - 1) for lattice in scan}
         blocks = [(block, width) for _, block, width in splits if block]
         assert Counter(calls) == Counter(blocks) + Counter(firsts)
@@ -505,10 +521,10 @@ class TestSubsetScanAgreement:
 
 class TestOrderBound:
     def test_violation_raises(self, monkeypatch):
-        # a fake walk that reports Z5 at N=2, where the bound is 2
-        basis = torus_basis(2)
-        mono = next(m for m in enumerate_monomials(2) if charge_vector(m, basis) == (2,))
-        monkeypatch.setattr(classifier, "_lattice_scan", lambda n: {(): (), ((5,),): (mono,)})
+        # a fake walk that reports Z5 at N=2, where the bound is 2, with the
+        # index of a term of charge 2 as its witness
+        term = term_table(2).charges.index((2,))
+        monkeypatch.setattr(classifier, "_lattice_scan", lambda n: {(): (), ((5,),): (term,)})
         with pytest.raises(RuntimeError, match="order bound violated"):
             classifier.classify.__wrapped__(2)
 

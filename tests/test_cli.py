@@ -41,9 +41,9 @@ def child_env():
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(argv, timeout=10, python_flags=()):
+def run_cli(argv, timeout=10):
     """Run ``python -m nhdm`` in a child process; a hang fails the test."""
-    return subprocess.run([sys.executable, *python_flags, "-m", "nhdm", *argv],
+    return subprocess.run([sys.executable, "-m", "nhdm", *argv],
                           capture_output=True, text=True, timeout=timeout, env=child_env())
 
 
@@ -271,19 +271,6 @@ class TestGolden:
             differ = [name for (name, _), (code, text) in zip(cases, json.loads(out))
                       if (code, text) != (0, (GOLDEN / name).read_text())]
             assert differ == [], (flags, seed)
-
-
-class TestOptimizedInterpreter:
-    # ``python -O`` strips assert statements; the reports must not depend on
-    # them
-    @pytest.mark.parametrize("name, argv", [
-        ("classify-4.json", ["classify", "--doublets", "4", "--format", "json"]),
-        ("verify-bound-4.json", ["verify-bound", "--doublets", "4", "--format", "json"]),
-    ])
-    def test_report_is_byte_identical_under_dash_o(self, name, argv):
-        proc = run_cli(argv, timeout=60, python_flags=("-O",))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == (GOLDEN / name).read_text()
 
 
 class TestDeterminism:

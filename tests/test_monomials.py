@@ -12,6 +12,7 @@ from nhdm.monomials import (
     phase_shift,
     raw_exponents,
     row_type,
+    term_table,
 )
 from nhdm.torus import PhaseVector, torus_basis
 from reference import charge_basis, duplicate_charge_report, fraction_charge_vector, is_canonical
@@ -40,6 +41,16 @@ class TestEnumeration:
             for m in monos:
                 assert is_canonical(m)
                 assert any(charge_vector(m, basis))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rank_is_the_monomial_order(self, n):
+        # terms sorted by the table's rank are the terms sorted as Monomials,
+        # which reports print; the rank is a permutation of the indices
+        table = term_table(n)
+        terms = range(len(table.monomials))
+        assert sorted(table.rank) == list(terms)
+        assert [table.monomials[t] for t in sorted(terms, key=table.rank.__getitem__)] == \
+            sorted(table.monomials)
 
     def test_rejects_diagonal_factor(self):
         with pytest.raises(ValueError):

@@ -283,6 +283,30 @@ def test_a_term_orbit_is_made_one_way_and_the_layout_read_once():
     assert read == [("AbelianBase", "phase_system")]
 
 
+# the functions of classifier.py and cpext.py that read a term table's
+# monomials: the report edge, where a witness, a psi name or a verdict's
+# detail is printed, and the two readers of a term's factors
+MONOMIAL_READERS = {
+    ("classify",), ("witness_potential",), ("AbelianBase", "layout"), ("_term_action",),
+    ("cp_realizable",), ("check_z3z3",),
+}
+
+
+def test_only_the_report_edge_reads_the_table_monomials():
+    # below the report edge a term is its index in the term table: the walk
+    # labels its witnesses by index and terms are ordered by the table's
+    # rank, so no other function reads ``.monomials``
+    found = []
+    for name in ("classifier.py", "cpext.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = _enclosing_functions(tree)
+        found += [f"{name}:{node.lineno} {where[id(node)]}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "monomials"
+                  and where[id(node)] not in MONOMIAL_READERS]
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # records are built by nhdm._record.record: importing dataclasses pulls
     # in inspect, ast and dis, which every CLI call would pay at start
