@@ -144,8 +144,8 @@ def fresh_records():
 
 class TestHashKept:
     def test_every_record_hashes_as_its_field_tuple_on_each_use(self):
-        # the hash is kept after its first use; it must be that of the fields
-        # __post_init__ leaves, and belong to its own record
+        # on every use the hash must be that of the fields __post_init__
+        # leaves, and belong to its own record
         records = fresh_records()
         assert {type(r) for r in records} == set(record_classes())
         for r in records:
