@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import os
 import subprocess
@@ -12,6 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 GOLDEN = ROOT / "tests" / "golden"
 
 
+@functools.cache
 def run_demo(path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -23,14 +25,22 @@ def test_all_demos_are_found():
     assert len(DEMOS) == 6
 
 
-# each demo runs once, and one test checks its exit code and its stdout; the
-# stdout of 01-04 was recorded before the walk labelled its witnesses by term
-# index, that of 05 and 06 before the antiunitary layer shared one Smith form
+# each demo runs once: run_demo is cached, and the two tests below read the
+# same run; the stdout of 01-04 was recorded before the walk labelled its
+# witnesses by term index, that of 05 and 06 before the antiunitary layer
+# shared one Smith form
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path):
     proc = run_demo(path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / f"demo-{path.name[:2]}.txt").read_text()
+
+
+@pytest.mark.parametrize("prefix", [p.name[:2] for p in DEMOS])
+def test_demo_output_is_byte_identical(prefix):
+    (path,) = [p for p in DEMOS if p.name.startswith(prefix + "_")]
+    proc = run_demo(path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"demo-{prefix}.txt").read_text()
 
 
 def test_readme_minimal_session_prints_its_comments():
