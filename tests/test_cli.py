@@ -77,6 +77,18 @@ class TestBasics:
         assert code == 2
         assert "out of supported range" in err
 
+    @pytest.mark.parametrize("argv, supported", [
+        (["classify", "--doublets", "9"], "2..6"),
+        (["charges", "--doublets", "9"], "2..6"),
+        (["witness", "--doublets", "9", "--group", "Z2"], "2..6"),
+        (["verify-bound", "--doublets", "6"], "2..5"),
+        (["probe-conjecture", "--doublets", "6"], "2..5"),
+        (["cp-extend", "--doublets", "4"], "3..3"),
+        (["cp-extend", "--doublets", "4", "--group", "Z2"], "3..3"),
+    ])
+    def test_each_range_guard_exits_2(self, argv, supported):
+        assert invoke(argv) == (2, "", f"nhdm: doublet count out of supported range ({supported})\n")
+
     def test_unknown_subcommand(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 2
@@ -220,6 +232,19 @@ GOLDEN_REPORTS = [
     # vector and before `classify` lost its continuous-group switch
     ("charges-3-pretty.txt", ["charges", "--doublets", "3", "--pretty"]),
     ("classify-4-finite-only.txt", ["classify", "--doublets", "4", "--finite-only"]),
+    # the text reports no golden covered, and the JSON of a block product,
+    # recorded before each subcommand was declared once
+    ("classify-3.txt", ["classify", "--doublets", "3"]),
+    ("snf-worked.txt", ["snf", "--matrix", "3,2;-3,-1"]),
+    ("construct-cyclic-9-5.txt", ["construct", "cyclic", "--p", "9", "--n", "5"]),
+    ("construct-product-12-23.txt",
+     ["construct", "product", "--partition", "1,2", "--orders", "2,3"]),
+    ("construct-product-12-23.json",
+     ["construct", "product", "--partition", "1,2", "--orders", "2,3", "--format", "json"]),
+    ("verify-bound-4.txt", ["verify-bound", "--doublets", "4"]),
+    ("probe-conjecture-3.txt", ["probe-conjecture", "--doublets", "3"]),
+    ("witness-3-Z4.txt", ["witness", "--doublets", "3", "--group", "Z4"]),
+    ("witness-3-Z4-pretty.txt", ["witness", "--doublets", "3", "--group", "Z4", "--pretty"]),
 ]
 
 # one child interpreter per line: its command-line flags and PYTHONHASHSEED
