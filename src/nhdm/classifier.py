@@ -126,11 +126,25 @@ class ClassificationResult:
         return next((e for e in self.entries if e.signature == signature), None)
 
 
+# The doublet counts N each entry point takes, as (least, greatest): the walk
+# rests on a premise verified at these N (see ``_lattice_scan``), and the
+# order-bound reports stop at N=5, as the walk at N=6 takes about two minutes.
+WALK_DOUBLETS = (2, 6)
+BOUND_DOUBLETS = (2, 5)
+
+
+def check_doublets(n_doublets: int, supported: tuple[int, int]) -> None:
+    """Raise ValueError unless ``n_doublets`` lies in the pair ``supported``."""
+    least, greatest = supported
+    if not least <= n_doublets <= greatest:
+        raise ValueError(f"doublet count out of supported range ({least}..{greatest})")
+
+
 @lru_cache(maxsize=None)
 def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[int, ...]]:
     """All charge lattices spanned by monomial subsets, keyed by HNF basis.
 
-    N outside the supported range 2..6 raises ValueError before any charge
+    N outside ``WALK_DOUBLETS`` raises ValueError before any charge
     is read; ``classify``, ``witness_potential`` and ``cp_bases`` rely on it.
     ``_walk`` over the monomial charges, one generator per charge up to sign,
     in ``term_table`` order, each labelled by the index of its first term
@@ -173,8 +187,7 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[int, ...]]:
       The premise is about the monomial charges: over other generators the
       walk can go deeper than the rank, so only this scan asks for the skip.
     """
-    if not 2 <= n_doublets <= 6:
-        raise ValueError("doublet count out of supported range (2..6)")
+    check_doublets(n_doublets, WALK_DOUBLETS)
     table = term_table(n_doublets)
     first: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}  # by charge up to sign
     for t, chg in enumerate(table.charges):
@@ -268,7 +281,7 @@ def classify(n_doublets: int) -> ClassificationResult:
 
     One entry per abstract group, carrying the first minimal witness found,
     its term indices read back as the table's monomials.  The trivial group
-    is excluded.  The range 2..6 is checked by the walk, ``_lattice_scan``,
+    is excluded.  ``WALK_DOUBLETS`` is checked by the walk, ``_lattice_scan``,
     which runs first.
     """
     states = _lattice_scan(n_doublets)
@@ -319,9 +332,8 @@ def _order_bound(n_doublets: int) -> int:
 
 
 def _bounded_classification(n_doublets: int) -> tuple[ClassificationResult, int]:
-    """``classify`` and the order bound, for N in 2..5 only."""
-    if not 2 <= n_doublets <= 5:
-        raise ValueError("doublet count out of supported range (2..5)")
+    """``classify`` and the order bound, for N in ``BOUND_DOUBLETS`` only."""
+    check_doublets(n_doublets, BOUND_DOUBLETS)
     return classify(n_doublets), _order_bound(n_doublets)
 
 

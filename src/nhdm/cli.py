@@ -13,36 +13,34 @@ import os
 import sys
 
 from . import __version__
-from .classifier import (
-    backbone_terms,
-    classify,
-    probe_conjecture,
-    verify_order_bound,
-    witness_potential,
-)
+from .classifier import (BOUND_DOUBLETS, WALK_DOUBLETS, backbone_terms, check_doublets, classify,
+                         probe_conjecture, verify_order_bound, witness_potential)
 from .constructions import cyclic_c_matrix, product_c_matrix
-from .cpext import backbone_classes, check_z3z3, classify_cp, cp_bases, cp_extensions, cp_realizable
+from .cpext import (CP_DOUBLETS, backbone_classes, check_z3z3, classify_cp, cp_bases, cp_extensions,
+                    cp_realizable)
 from .exactmath import IntMatrix, snf
-from .groups import GroupSignature, canonicalize, group_from_snf
+from .groups import MAX_CYCLIC_ORDER, GroupSignature, canonicalize, group_from_snf
 from .monomials import c_row, row_type, term_table
 
 FORMAT_VERSION = "1"
 MAX_SNF_DIGITS = 10_000  # all entries of a `snf` matrix; 16x16 of 451 digits takes seconds
 
 
-def _report(command: str, payload: dict, n_doublets: int | None = None) -> dict:
-    report = {"command": command, "format_version": FORMAT_VERSION}
-    if n_doublets is not None:
-        report["n_doublets"] = n_doublets
-    report["payload"] = payload
-    return report
-
-
-def _emit(report: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
+def _emit(args, payload: dict, text: str) -> None:
+    """Print ``text``, or with ``--format json`` the report of the command in ``args``."""
+    if args.format == "json":
+        report = {"command": args.subcommand, "format_version": FORMAT_VERSION, "payload": payload}
+        if hasattr(args, "doublets"):
+            report["n_doublets"] = args.doublets
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(text)
+
+
+def _witness(monomials) -> dict:
+    """The ``witness`` and ``witness_text`` keys of a report."""
+    return {"witness": [m.to_json() for m in monomials],
+            "witness_text": [str(m) for m in monomials]}
 
 
 def _parse_group_name(name: str) -> GroupSignature:
@@ -56,14 +54,26 @@ def _parse_group_name(name: str) -> GroupSignature:
         if part == "U(1)":
             rank += 1
         elif part.startswith("Z") and part[1:].isascii() and part[1:].isdigit():
-            finite.append(int(part[1:]))
+            digits = part[1:].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_CYCLIC_ORDER)):
+                raise ValueError(f"cyclic factor of {len(digits)} digits exceeds the supported "
+                                 f"order {MAX_CYCLIC_ORDER}")
+            finite.append(int(digits))
         else:
             raise ValueError(f"cannot parse group name {name!r}")
     return canonicalize(finite, torus_rank=rank)
 
 
+def _check_digits(what: str, texts: list[str]) -> None:
+    """Refuse integer texts with more digits than Python converts, naming ``what`` and the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    if limit and any(sum(map(str.isdigit, t)) > limit for t in texts):
+        raise ValueError(f"{what} too long (limit {limit} decimal digits each)")
+
+
 def _int_list(option: str, text: str) -> list[int]:
     """Parse the comma-separated integers of ``option``, naming it on failure."""
+    _check_digits(f"{option} entries", text.split(","))
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
@@ -78,8 +88,7 @@ def _cmd_classify(args) -> None:
         rows.append({
             "group": e.signature.name(),
             "order": None if not e.signature.is_finite else int(e.signature.order()),
-            "witness": [m.to_json() for m in e.witness],
-            "witness_text": [str(m) for m in e.witness],
+            **_witness(e.witness),
             "generators": [[str(p) for p in g.phases] for g in e.generators],
             "n_lattices": e.n_lattices,
         })
@@ -92,10 +101,11 @@ def _cmd_classify(args) -> None:
         witness = " ".join(str(m) for m in e.witness) or "(torus-symmetric backbone only)"
         lines.append(f"  {e.signature.name():<14} order {order_text:<4} witness: {witness}")
     lines.append(f"max finite order: {result.max_finite_order}")
-    _emit(_report("classify", payload, args.doublets), "\n".join(lines), args.format)
+    _emit(args, payload, "\n".join(lines))
 
 
 def _cmd_snf(args) -> None:
+    _check_digits("matrix entries", args.matrix.replace(";", ",").split(","))
     m = IntMatrix.from_text(args.matrix)
     if m.rows > 16 or m.cols > 16:
         raise ValueError("matrix too large (limit 16x16)")
@@ -119,7 +129,7 @@ def _cmd_snf(args) -> None:
             f"v: {res.v.to_text()}",
             f"group (as a charge matrix): {sig.name()}",
         ])
-        _emit(_report("snf", payload), text, args.format)
+        _emit(args, payload, text)
     except ValueError as exc:  # an int past Python's limit on digits in str()
         raise ValueError("Smith form too long to print: its transform entries or invariant "
                          "factors have more digits than Python converts to text") from exc
@@ -136,22 +146,17 @@ def _cmd_charges(args) -> None:
                      "c_row": list(crow), "row_type": t})
         lines.append(f"  {m.render(args.pretty):<24} charge {str(chg):<18} "
                      f"c-row {str(crow):<18} type {t}")
-    _emit(_report("charges", {"monomials": rows}, args.doublets), "\n".join(lines), args.format)
+    _emit(args, {"monomials": rows}, "\n".join(lines))
 
 
 def _cmd_construct(args) -> None:
-    if args.kind == "cyclic":
-        built = cyclic_c_matrix(args.p, args.n)
-    else:
-        built = product_c_matrix(_int_list("--partition", args.partition),
-                                 _int_list("--orders", args.orders))
+    built = args.build(args)
     payload = {
         "matrix": [list(r) for r in built.matrix.entries],
         "row_types": list(built.row_types),
         "snf_diagonal": list(built.snf_diagonal),
         "group": built.group.name(),
-        "witness": [m.to_json() for m in built.witness],
-        "witness_text": [str(m) for m in built.witness],
+        **_witness(built.witness),
         "boundary_orders": list(built.boundary_orders),
     }
     lines = [f"matrix: {built.matrix.to_text()}",
@@ -162,7 +167,7 @@ def _cmd_construct(args) -> None:
     if built.boundary_orders:
         lines.append(f"note: block orders {built.boundary_orders} sit at the 2^n "
                      "boundary (supported; the strict product statement excludes them)")
-    _emit(_report("construct", payload), "\n".join(lines), args.format)
+    _emit(args, payload, "\n".join(lines))
 
 
 def _cmd_cp_extend(args) -> None:
@@ -177,7 +182,7 @@ def _cmd_cp_extend(args) -> None:
         lines.append("rejected candidates:")
         for s, v in res.rejected:
             lines.append(f"  {s.name():<10} {v.kind}: {v.detail}")
-        _emit(_report("cp-extend", payload, args.doublets), "\n".join(lines), args.format)
+        _emit(args, payload, "\n".join(lines))
         return
     target = _parse_group_name(args.group)
     bases = [b for b in cp_bases(args.doublets) if b.group.signature == target]
@@ -205,8 +210,7 @@ def _cmd_cp_extend(args) -> None:
     if not candidates:
         lines.append("  (no antiunitary candidates)")
     cases.sort(key=lambda c: (c["extension"], c["sigma"]))
-    _emit(_report("cp-extend", {"group": target.name(), "cases": cases}, args.doublets),
-          "\n".join(lines), args.format)
+    _emit(args, {"group": target.name(), "cases": cases}, "\n".join(lines))
 
 
 def _cmd_check_z3z3(args) -> None:
@@ -219,7 +223,7 @@ def _cmd_check_z3z3(args) -> None:
         f"swap commutes with a: {rep.swap_commutes}",
         f"verdict: {rep.verdict}",
     ])
-    _emit(_report("check-z3z3", rep.to_json(), 3), text, args.format)
+    _emit(args, rep.to_json(), text)
 
 
 def _cmd_verify_bound(args) -> None:
@@ -227,7 +231,7 @@ def _cmd_verify_bound(args) -> None:
     payload = {"max_order": rep.max_order, "bound": rep.bound, "bound_met": rep.bound_met}
     text = (f"N={args.doublets}: max finite order {rep.max_order}, "
             f"bound {rep.bound}, attained and not exceeded: {rep.bound_met}")
-    _emit(_report("verify-bound", payload, args.doublets), text, args.format)
+    _emit(args, payload, text)
 
 
 def _cmd_probe_conjecture(args) -> None:
@@ -243,7 +247,7 @@ def _cmd_probe_conjecture(args) -> None:
         lines.append(f"  {s.name():<14} found")
     for s in rep.missing:
         lines.append(f"  {s.name():<14} not found")
-    _emit(_report("probe-conjecture", payload, args.doublets), "\n".join(lines), args.format)
+    _emit(args, payload, "\n".join(lines))
 
 
 def _cmd_witness(args) -> None:
@@ -252,12 +256,11 @@ def _cmd_witness(args) -> None:
     payload = {
         "group": target.name(),
         "realizable": rep.realizable,
-        "witness": [m.to_json() for m in rep.witness],
-        "witness_text": [str(m) for m in rep.witness],
+        **_witness(rep.witness),
         "generators": [[str(p) for p in g.phases] for g in rep.generators],
         "backbone": backbone_terms(args.doublets),
     }
-    _emit(_report("witness", payload, args.doublets), rep.render(args.pretty), args.format)
+    _emit(args, payload, rep.render(args.pretty))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,67 +271,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nhdm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p):
+    def command(name, func, help, doublets=None, parent=sub, **options):
+        """Add ``name``: ``--doublets`` over the pair ``doublets`` where given,
+        then ``options`` by keyword (``finite_only`` is ``--finite-only``), then
+        ``--format``.  A pair of one count makes that count the default."""
+        p = parent.add_parser(name, help=help)
+        if doublets:
+            p.add_argument("--doublets", type=int, required=doublets[0] < doublets[1],
+                           default=doublets[0])
+            p.set_defaults(supported=doublets)
+        for key, keywords in options.items():
+            p.add_argument("--" + key.replace("_", "-"), **keywords)
         p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", help="list realizable torus subgroups")
-    p.add_argument("--doublets", type=int, required=True)
-    p.add_argument("--finite-only", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_classify, min_doublets=2, max_doublets=6)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','; "
-                   "a leading minus sign needs the form --matrix='-1,2;3,4'")
-    add_format(p)
-    p.set_defaults(func=_cmd_snf)
-
-    p = sub.add_parser("charges", help="monomials, charges, c-rows and row types")
-    p.add_argument("--doublets", type=int, required=True)
-    p.add_argument("--pretty", action="store_true", help="unicode field symbols")
-    add_format(p)
-    p.set_defaults(func=_cmd_charges, min_doublets=2, max_doublets=6)
-
-    p = sub.add_parser("construct", help="build c-matrices realizing prescribed groups")
-    kind = p.add_subparsers(dest="kind", required=True)
-    pc = kind.add_parser("cyclic", help="cyclic group of any order up to 2^n")
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--n", type=int, required=True)
-    add_format(pc)
-    pc.set_defaults(func=_cmd_construct, kind="cyclic")
-    pp = kind.add_parser("product", help="block product over a partition")
-    pp.add_argument("--partition", required=True, help="comma-separated block sizes")
-    pp.add_argument("--orders", required=True, help="comma-separated cyclic orders")
-    add_format(pp)
-    pp.set_defaults(func=_cmd_construct, kind="product")
-
-    p = sub.add_parser("cp-extend", help="antiunitary extensions and their verdicts")
-    p.add_argument("--doublets", type=int, default=3)
-    p.add_argument("--group", help="base group name, e.g. Z4; omit for the full list")
-    add_format(p)
-    p.set_defaults(func=_cmd_cp_extend, min_doublets=3, max_doublets=3)
-
-    p = sub.add_parser("check-z3z3", help="explicit Z3 x Z3 non-realizability check")
-    add_format(p)
-    p.set_defaults(func=_cmd_check_z3z3)
-
-    p = sub.add_parser("verify-bound", help="check the 2^(N-1) order bound")
-    p.add_argument("--doublets", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify_bound, min_doublets=2, max_doublets=5)
-
-    p = sub.add_parser("probe-conjecture", help="realization status of all small abelian groups")
-    p.add_argument("--doublets", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_probe_conjecture, min_doublets=2, max_doublets=5)
-
-    p = sub.add_parser("witness", help="witness potential for a realizable group")
-    p.add_argument("--doublets", type=int, required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--pretty", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_witness, min_doublets=2, max_doublets=6)
-
+    flag = {"action": "store_true"}
+    command("classify", _cmd_classify, "list realizable torus subgroups", WALK_DOUBLETS,
+            finite_only=flag)
+    command("snf", _cmd_snf, "Smith normal form of an integer matrix", matrix={
+        "required": True, "help": "rows separated by ';', entries by ','; "
+        "a leading minus sign needs the form --matrix='-1,2;3,4'"})
+    command("charges", _cmd_charges, "monomials, charges, c-rows and row types", WALK_DOUBLETS,
+            pretty={**flag, "help": "unicode field symbols"})
+    kind = sub.add_parser("construct", help="build c-matrices realizing prescribed groups"
+                          ).add_subparsers(dest="kind", required=True)
+    number = {"type": int, "required": True}
+    command("cyclic", _cmd_construct, "cyclic group of any order up to 2^n", parent=kind,
+            p=number, n=number).set_defaults(build=lambda a: cyclic_c_matrix(a.p, a.n))
+    command("product", _cmd_construct, "block product over a partition", parent=kind,
+            partition={"required": True, "help": "comma-separated block sizes"},
+            orders={"required": True, "help": "comma-separated cyclic orders"}
+            ).set_defaults(build=lambda a: product_c_matrix(_int_list("--partition", a.partition),
+                                                            _int_list("--orders", a.orders)))
+    command("cp-extend", _cmd_cp_extend, "antiunitary extensions and their verdicts", CP_DOUBLETS,
+            group={"help": "base group name, e.g. Z4; omit for the full list"})
+    command("check-z3z3", _cmd_check_z3z3, "explicit Z3 x Z3 non-realizability check"
+            ).set_defaults(doublets=3)
+    command("verify-bound", _cmd_verify_bound, "check the 2^(N-1) order bound", BOUND_DOUBLETS)
+    command("probe-conjecture", _cmd_probe_conjecture,
+            "realization status of all small abelian groups", BOUND_DOUBLETS)
+    command("witness", _cmd_witness, "witness potential for a realizable group", WALK_DOUBLETS,
+            group={"required": True}, pretty=flag)
     return parser
 
 
@@ -339,13 +323,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    doublets = getattr(args, "doublets", None)
-    if doublets is not None and hasattr(args, "min_doublets"):
-        if not args.min_doublets <= doublets <= args.max_doublets:
-            print(f"nhdm: doublet count out of supported range "
-                  f"({args.min_doublets}..{args.max_doublets})", file=sys.stderr)
-            return 2
     try:
+        if hasattr(args, "supported"):
+            check_doublets(args.doublets, args.supported)
         args.func(args)
     except ValueError as exc:
         print(f"nhdm: {exc}", file=sys.stderr)

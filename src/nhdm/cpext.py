@@ -852,15 +852,20 @@ def cp_bases(n_doublets: int) -> list[AbelianBase]:
                                               for rows in sorted(lattices) if rows != full]
 
 
-def classify_cp(n_doublets: int = 3) -> CpClassification:
+# The doublet counts of ``classify_cp``, as (least, greatest): exhaustive for three only.
+CP_DOUBLETS = (3, 3)
+
+
+def classify_cp(n_doublets: int = CP_DOUBLETS[0]) -> CpClassification:
     """Realizable abelian groups containing an antiunitary generator.
 
     Exhaustive for three doublets.  Per starred signature the verdicts of all
     embeddings are aggregated: realizable wins over enlarged-unitary, which
     wins over continuous degeneration.
     """
-    if n_doublets != 3:
-        raise ValueError("the antiunitary classification is only supported for 3 doublets")
+    if not CP_DOUBLETS[0] <= n_doublets <= CP_DOUBLETS[1]:
+        raise ValueError("the antiunitary classification is only supported for "
+                         f"{CP_DOUBLETS[0]} doublets")
     by_sig: dict[GroupSignature, list[CpVerdict]] = {}
     for base in cp_bases(n_doublets):
         for candidate in cp_extensions(base):

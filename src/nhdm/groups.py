@@ -12,7 +12,7 @@ import math
 from typing import Iterable, Sequence
 
 from ._record import record
-from .exactmath import IntMatrix, integers, smith_columns, snf
+from .exactmath import IntMatrix, integers, smith_bordered, smith_columns
 
 
 @record(order=True)
@@ -158,16 +158,17 @@ def extend_by_antiunitary(unitary: GroupSignature,
     if len(square_exponents) != r:
         raise ValueError("square_exponents must match the invariant factors")
     # Relation matrix over generators (g_1..g_r, j): the cyclic orders and
-    # j^2 = sum c_i g_i.
-    rows = [[gens[i] if k == i else 0 for k in range(r + 1)] for i in range(r)]
-    rows.append([-c for c in square_exponents] + [2])
-    res = snf(IntMatrix.from_rows(rows))
+    # j^2 = sum c_i g_i, bordered by the column e_r.
+    rows = [[gens[i] if k == i else 0 for k in range(r + 1)] + [0] for i in range(r)]
+    rows.append([-c for c in square_exponents] + [2, 1])
+    d, _, border = smith_bordered(rows, r + 1)
     # Row i of v^-1 expresses the i-th canonical generator over (g_1..g_r, j);
     # an odd j-coefficient marks it antiunitary.  The relations have full
     # rank, so v^-1 == diag(d)^-1 @ u @ rows, and column r of the rows is
     # 2 e_r: the j-coefficient is 2 u[i][r] / d_i, which is even if d_i == 1.
+    # The border u @ e_r is that column of u, read without forming u.
     # Concentrate antiunitarity on the earliest flagged factor: for i < k a
     # transvection h_k -> h_k - h_i is an automorphism because d_i | d_k.
-    first = next(i for i, d in enumerate(res.d) if 2 * res.u[(i, r)] // d % 2)
-    finite = tuple(d for i, d in enumerate(res.d) if d > 1 and i != first)
-    return GroupSignature(finite, unitary.torus_rank, star=res.d[first])
+    first = next(i for i, di in enumerate(d) if 2 * border[i][0] // di % 2)
+    finite = tuple(di for i, di in enumerate(d) if di > 1 and i != first)
+    return GroupSignature(finite, unitary.torus_rank, star=d[first])

@@ -126,22 +126,30 @@ class TestHostileInput:
 
     def test_snf_of_long_entries_exits_2_fast(self):
         # 451-digit entries at 16x16 reduce for seconds; the digit bound
-        # refuses them before the Smith form is taken
-        start = time.perf_counter()
-        proc = run_cli(["snf", f"--matrix={random_matrix_text(1, 16, 10**450)}"])
-        assert time.perf_counter() - start < 1
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "matrix entries too long" in proc.stderr
+        # refuses them before the Smith form is taken.  A 5,000-digit entry
+        # is within that bound, but past the digits Python converts to an int
+        for matrix, limit in [(random_matrix_text(1, 16, 10**450), "10000 decimal digits in all"),
+                              ("1," + "9" * 5000, "4300 decimal digits each")]:
+            start = time.perf_counter()
+            proc = run_cli(["snf", f"--matrix={matrix}"])
+            assert time.perf_counter() - start < 1
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert f"matrix entries too long (limit {limit})" in proc.stderr
+            assert "set_int_max_str_digits" not in proc.stderr and len(proc.stderr) < 100
 
     @pytest.mark.parametrize("argv", [
         ["witness", "--doublets", "3", "--group", "Z" + "9" * 30],
         ["cp-extend", "--doublets", "3", "--group", "Z2xZ" + "7" * 25],
+        # more digits than Python converts to an int
+        ["witness", "--doublets", "3", "--group", "Z" + "9" * 5000],
+        ["cp-extend", "--doublets", "3", "--group", "Z2xZ" + "7" * 5000],
     ])
     def test_huge_cyclic_group_name_exits_2(self, argv):
         proc = run_cli(argv)
         assert proc.returncode == 2
-        assert "exceeds the supported order" in proc.stderr
+        assert "exceeds the supported order 4294967296" in proc.stderr
+        assert "set_int_max_str_digits" not in proc.stderr and len(proc.stderr) < 100
 
     def test_group_name_with_many_factors_exits_2_fast(self):
         # the Smith form of diag(factors) took 22 s at 800 factors; the factor
@@ -159,14 +167,18 @@ class TestHostileInput:
         assert out.strip().endswith("is not realizable as a torus subgroup for N=3")
 
     @pytest.mark.parametrize("option", ["--partition", "--orders"])
-    @pytest.mark.parametrize("text", ["", "1,a", "1,,2"])
+    @pytest.mark.parametrize("text", ["", "1,a", "1,,2",
+                                      pytest.param("1," + "9" * 5000, id="5000-digits")])
     def test_product_lists_that_are_not_integers_exit_2(self, option, text):
         partition, orders = (text, "2,2") if option == "--partition" else ("1,2", text)
         code, out, err = invoke(["construct", "product", "--partition", partition,
                                  "--orders", orders])
         assert code == 2 and out == ""
-        assert f"{option} must be comma-separated integers, got {text!r}" in err
-        assert "invalid literal" not in err
+        if len(text) > 4300:  # more digits than Python converts to an int
+            assert err == f"nhdm: {option} entries too long (limit 4300 decimal digits each)\n"
+        else:
+            assert f"{option} must be comma-separated integers, got {text!r}" in err
+        assert "invalid literal" not in err and "set_int_max_str_digits" not in err
 
     def test_group_name_with_a_superscript_digit_exits_2(self):
         # "²".isdigit() is true, but int() rejects it
@@ -315,6 +327,9 @@ class TestDeterminism:
 
 class TestJson:
     def test_reports_validate_against_schema(self):
+        # every subcommand, and each report carries the doublet count exactly
+        # when its subcommand takes one, or is the Z3 x Z3 check at N=3
+        commands = set()
         for argv in (["classify", "--doublets", "3"],
                      ["snf", "--matrix", "0,1;4,2"],
                      ["charges", "--doublets", "3"],
@@ -327,6 +342,10 @@ class TestJson:
             report = payload_of(argv)
             validate_schema(report)
             assert json.loads(json.dumps(report)) == report
+            commands.add(report["command"])
+            takes_doublets = "--doublets" in invoke([argv[0], "--help"])[1]
+            assert ("n_doublets" in report) == (takes_doublets or argv[0] == "check-z3z3"), argv
+        assert commands == set(SCHEMA["properties"]["command"]["enum"])
 
     def test_classify_payload_contents(self):
         report = payload_of(["classify", "--doublets", "3", "--finite-only"])
