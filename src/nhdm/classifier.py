@@ -13,13 +13,16 @@ first index of its negation's class, instead of one per generator; the
 visited lattices, their order and their witnesses are the same either way
 (see ``_lattice_scan``).  One ``hnf_residues`` pass per lattice, over the
 distinct residues of its parent, gives every class with its first index,
-and ``hnf_negation`` the negations of the classes past that start; a
-lattice of full rank is not queued and takes neither, as its children are
-all recorded already.  A lattice's group is read off the Smith diagonal of
-the block its unit pivots leave (``hnf_unit_split``): the lattices are
-counted per distinct block, and each block takes one ``smith_columns`` and
-one signature.  Only the first lattice of each reported group takes a full
-reading, whose v gives the generators of its entry.
+and ``hnf_negation`` the negations of the classes past that start, both
+from one reading of the lattice's pivots, which each edge's ``hnf_add``
+takes too.  A lattice of full rank is not queued and takes neither, as its
+children are all recorded already; nor does a lattice whose parent left no
+class with a first index at or past its start, as it has no edge to try.
+A lattice's group is read off the Smith diagonal of the block its unit
+pivots leave (``hnf_unit_split``): the lattices are counted per distinct
+block, and each block takes one ``smith_columns`` and one signature.  Only
+the first lattice of each reported group takes a full reading, whose v
+gives the generators of its entry.
 
 Realizability rests on the fact that the generic torus-symmetric potential
 has no unitary symmetry beyond the torus itself, so the group computed from
@@ -36,16 +39,16 @@ the lattice walk is exact.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
 from ._record import record
-from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_residues, hnf_unit_split,
-                        smith_columns, smith_rank)
+from .exactmath import (IntMatrix, Rows, hnf_add, hnf_negation, hnf_pivots, hnf_residues,
+                        hnf_unit_split, smith_columns, smith_rank)
 from .groups import GroupSignature, all_abelian_groups_up_to, group_from_snf
 from .monomials import Monomial, charge_rows, term_table
 from .torus import PhaseVector, TorusBasis, element_from_angles, torus_basis
@@ -176,7 +179,11 @@ def _lattice_scan(n_doublets: int) -> dict[Rows, tuple[int, ...]]:
       modulo L) has i as the first index of both, so it is still tried.
       The classes whose first index lies before the start are read for
       this alone: at N=5 they stop 83,980 edges, and the walk would take
-      51,541 ``hnf_add`` calls without them, not 11,500.
+      51,541 ``hnf_add`` calls without them, not 11,500.  A class modulo L
+      keeps the least first index of the classes modulo the parent of L
+      that land in it, so if none of those is at or past the start, no
+      edge is tried from L and ``_walk`` reads no residue for it: 543 of
+      the 6,261 lattices below full rank at N=5.
     - A lattice of full rank N-1 is recorded but not queued, so it is not
       extended at all.  This rests on a premise verified, not proved: every
       lattice of this walk has a witness as long as its rank, for every
@@ -214,53 +221,65 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], int]], *,
     each, which increases along them.  As L lies in L', a residue r = h - l
     modulo L, l in L, has the same residue modulo L' as h itself.  So the
     one ``hnf_residues`` pass of L' reduces only the residues L stores
-    (36.8 of the 65 generators on average at N=5), and a class modulo L'
+    (37.0 of the 65 generators on average at N=5), and a class modulo L'
     keeps the first index of the first of them that lands in it, the least
     one.  The rule of ``_lattice_scan`` reads only classes and first
     indices, so the walk keeps no state per generator.  A zero class is
     never tried, so no store holds one: that of L' holds the residue of g,
-    whose index is before the start.
+    whose index is before the start.  The first indices of a store
+    increase, so the classes past the start begin at their bisection, and
+    a lattice with none there takes no pass, class map or negation map.
+    Its pivot columns are read once, for the pass, the negation map and
+    each edge.
 
-    The residues are stored one after another, one byte per entry, in an
-    ``array('b')`` for [-128, 127], and the first indices in an
-    ``array('B')`` for [0, 255].  The whole walks at N=2..6 stay inside
-    them, with residue entries up to 32 at N=5 and 80 at N=6 and indices
-    up to 134 (135 generators at N=6).  A parent with a value outside its
-    type keeps a tuple instead (``_packed``), never a truncated array; the
-    property tests reach such residues with generator entries in [-4, 4].
-    At N=6 all 82,575 lattices of depth 3 hold their residues while their
-    children wait, so the store's size shows in the walk's peak: 534 MiB
-    with this store, 538 MiB with one ``array('b')`` per coordinate.
+    A store keeps one ``array('b')`` per coordinate, for [-128, 127], whose
+    entry k is that coordinate of residue k, so a pass reads the arrays as
+    its columns; the first indices are an ``array('B')`` for [0, 255].  The
+    whole walks at N=2..6 stay inside them, with residue entries up to 32
+    at N=5 and 80 at N=6 and indices up to 134 (135 generators at N=6).  A
+    column or index list with a value outside its type is kept as a tuple
+    instead (``_packed``), never a truncated array; the property tests
+    reach such residues with generator entries in [-4, 4].  At N=6 all
+    82,575 lattices of depth 3 hold their residues while their children
+    wait, so the store's size shows in the walk's peak: 534 MiB with the
+    residues in one interleaved ``array('b')``, 538 MiB with one per
+    coordinate.  With this store the opt-in N=6 pin (``pytest -m slow``)
+    ran in 64.5 s with a 572 MiB child peak.
     """
     width = len(generators[0][0]) if generators else 0
     states: dict[Rows, tuple[int, ...]] = {(): ()}
     # modulo the zero lattice, generator i is its own residue, first seen at i
     nonzero = [i for i, (chg, _) in enumerate(generators) if any(chg)]
-    root = ((), (), 0, _packed("b", chain.from_iterable(generators[i][0] for i in nonzero)),
-            _packed("B", nonzero))
-    frontier: deque[tuple[Rows, tuple[int, ...], int, Sequence[int], Sequence[int]]] = deque([root])
+    columns = [_packed("b", column) for column in zip(*(generators[i][0] for i in nonzero))]
+    frontier: deque[tuple[Rows, tuple[int, ...], int, list[Sequence[int]], Sequence[int]]] = deque(
+        [((), (), 0, columns, _packed("B", nonzero))])
     while frontier:
-        lattice, witness, start, residues, firsts = frontier.popleft()
-        distinct = hnf_residues(lattice, [residues[c::width] for c in range(width)])
+        lattice, witness, start, columns, firsts = frontier.popleft()
+        begin = bisect_left(firsts, start)
+        if begin == len(firsts):
+            continue  # nothing past the start is left to try
+        pivots = hnf_pivots(lattice)
+        distinct = hnf_residues(lattice, columns, pivots)
         # read in reverse, each class keeps the least first index landing in it
         classes = dict(zip(reversed(distinct), reversed(firsts)))
-        negated = hnf_negation(lattice)
+        negated = hnf_negation(lattice, pivots)
         shared = None
-        for residue, i in zip(distinct, firsts):
+        for residue, i in zip(distinct[begin:], firsts[begin:]):
             # L + g = L - g; a class that is its own negation is its own
             # negation's first index too, so it is still tried
-            if i < start or classes[residue] != i or classes.get(negated(residue), i) < i:
+            if classes[residue] != i or classes.get(negated(residue), i) < i:
                 continue
-            grown = hnf_add(lattice, residue)
-            if grown in states:
+            grown_witness = witness + (generators[i][1],)
+            grown = hnf_add(lattice, residue, pivots)
+            # a lattice recorded already keeps its own witness, another tuple
+            if states.setdefault(grown, grown_witness) is not grown_witness:
                 continue
-            states[grown] = grown_witness = witness + (generators[i][1],)
             if skip_full_rank and len(grown) == width:
                 continue
             if shared is None:
                 keys = dict.fromkeys(distinct)
                 keys.pop((0,) * width, None)
-                shared = (_packed("b", chain.from_iterable(keys)),
+                shared = ([_packed("b", column) for column in zip(*keys)],
                           _packed("B", map(classes.__getitem__, keys)))
             frontier.append((grown, grown_witness, i + 1, *shared))
     return states

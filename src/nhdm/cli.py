@@ -18,7 +18,7 @@ from .classifier import (BOUND_DOUBLETS, WALK_DOUBLETS, backbone_terms, check_do
 from .constructions import cyclic_c_matrix, product_c_matrix
 from .cpext import (CP_DOUBLETS, backbone_classes, check_z3z3, classify_cp, cp_bases, cp_extensions,
                     cp_realizable)
-from .exactmath import IntMatrix, snf
+from .exactmath import IntMatrix, quoted, snf
 from .groups import MAX_CYCLIC_ORDER, GroupSignature, canonicalize, group_from_snf
 from .monomials import c_row, row_type, term_table
 
@@ -60,7 +60,7 @@ def _parse_group_name(name: str) -> GroupSignature:
                                  f"order {MAX_CYCLIC_ORDER}")
             finite.append(int(digits))
         else:
-            raise ValueError(f"cannot parse group name {name!r}")
+            raise ValueError(f"cannot parse group name {quoted(name)}")
     return canonicalize(finite, torus_rank=rank)
 
 
@@ -77,7 +77,7 @@ def _int_list(option: str, text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"{option} must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{option} must be comma-separated integers, got {quoted(text)}") from None
 
 
 def _cmd_classify(args) -> None:

@@ -27,6 +27,14 @@ def integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers: {exc}") from exc
 
 
+def quoted(text: str) -> str:
+    """``repr(text)`` for an error message, or for a text of more than 40
+    characters, the repr of its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 @record
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.
@@ -102,7 +110,7 @@ class IntMatrix:
         try:
             rows = tuple(tuple(int(x.strip()) for x in part.split(",")) for part in text.split(";") if part.strip())
         except ValueError as exc:
-            raise ValueError(f"malformed matrix string {text!r}") from exc
+            raise ValueError(f"malformed matrix string {quoted(text)}") from exc
         if not rows:
             raise ValueError("empty matrix string")
         return cls(rows)
@@ -284,7 +292,7 @@ def det(m: IntMatrix) -> int:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _pivots(basis: Sequence[Sequence[int]]) -> list[int]:
+def hnf_pivots(basis: Sequence[Sequence[int]]) -> list[int]:
     """Pivot column of each row of an echelon basis without zero rows."""
     pivots = []
     j = 0
@@ -385,23 +393,26 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> Rows:
     return tuple(tuple(row) for row in basis)
 
 
-def hnf_add(basis: Rows, vec: Sequence[int]) -> Rows:
+def hnf_add(basis: Rows, vec: Sequence[int], pivots: Sequence[int] | None = None) -> Rows:
     """HNF basis of the lattice spanned by ``basis`` plus one new vector.
 
-    A vector whose length differs from the rows' raises ValueError.
+    ``pivots``, if given, is ``hnf_pivots(basis)``, read once by a caller
+    that adds many vectors to one basis; it is copied, not changed.  A
+    vector whose length differs from the rows' raises ValueError.
     """
     _check_width(basis, len(vec))
     # the helpers replace rows and never write into one, so the row tuples
     # of ``basis`` can be shared
     work: list[Sequence[int]] = list(basis)
-    pivots = _pivots(basis)
+    pivots = hnf_pivots(basis) if pivots is None else list(pivots)
     if not _insert_vector(work, pivots, vec):
         return basis
     _reduce_above(work, pivots)
     return tuple(tuple(row) for row in work)
 
 
-def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]],
+                 pivots: Sequence[int] | None = None) -> list[tuple[int, ...]]:
     """Canonical representatives of the cosets ``v + L`` of many v, L spanned by ``basis``.
 
     ``columns[c][i]`` is coordinate c of vector i, one list per coordinate
@@ -411,12 +422,13 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
     same residue exactly when they differ by an element of L, so a residue is
     all zeros exactly when its vector lies in L.  With no coordinates there
     are no vectors to return.  A row with pivot 1 takes no division: its
-    quotients are coordinate j itself, which it sets to zero.  A coordinate
-    count that differs from the rows' length raises ValueError.
+    quotients are coordinate j itself, which it sets to zero.  ``pivots``,
+    if given, is ``hnf_pivots(basis)``.  A coordinate count that differs
+    from the rows' length raises ValueError.
     """
     _check_width(basis, len(columns))
     cols = list(columns)
-    for row, j in zip(basis, _pivots(basis)):
+    for row, j in zip(basis, hnf_pivots(basis) if pivots is None else pivots):
         p = row[j]
         qs = cols[j] if p == 1 else [x // p for x in cols[j]]
         if not any(qs):
@@ -429,16 +441,20 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]]) -> list[tuple[in
     return list(zip(*cols))
 
 
-def hnf_negation(basis: Rows) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def hnf_negation(basis: Rows, pivots: Sequence[int] | None = None
+                 ) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map from the residue of v to the residue of −v, both by ``hnf_residues(basis, ...)``.
 
     A residue r has every pivot coordinate in ``[0, pivot)``, so a unit
     pivot's coordinate is 0, and so is every entry above a unit pivot.  Of
     −r, only the coordinates of the other pivots can leave their range, and
     only their rows are subtracted, in pivot order.  Those rows are read here
-    once, for every residue modulo the same lattice.
+    once, for every residue modulo the same lattice.  ``pivots``, if given,
+    is ``hnf_pivots(basis)``.
     """
-    steps = [(j, row[j], row) for row, j in zip(basis, _pivots(basis)) if row[j] != 1]
+    if pivots is None:
+        pivots = hnf_pivots(basis)
+    steps = [(j, row[j], row) for row, j in zip(basis, pivots) if row[j] != 1]
 
     def negated(residue: Sequence[int]) -> tuple[int, ...]:
         v = [-x for x in residue]
@@ -464,7 +480,7 @@ def hnf_unit_split(basis: Rows, ncols: int) -> tuple[int, Rows, int]:
     _check_width(basis, ncols)
     keep = [True] * ncols
     block = []
-    for row, j in zip(basis, _pivots(basis)):
+    for row, j in zip(basis, hnf_pivots(basis)):
         if row[j] == 1:
             keep[j] = False
         else:

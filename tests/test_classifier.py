@@ -18,7 +18,7 @@ from nhdm.classifier import (
     verify_order_bound,
     witness_potential,
 )
-from nhdm.exactmath import IntMatrix, hnf_add, hnf_unit_split, smith_rank, snf
+from nhdm.exactmath import IntMatrix, hnf_add, hnf_residues, hnf_unit_split, smith_rank, snf
 from nhdm.groups import GroupSignature
 from nhdm.monomials import Monomial, charge_vector, enumerate_monomials, term_table
 from nhdm.torus import PhaseVector, TorusBasis, equal_mod_center, torus_basis
@@ -179,21 +179,24 @@ def generator_lists(draw):
 
 
 def edges_of_walks(monkeypatch):
-    """The vector of every ``hnf_add`` call the walk makes from now on."""
+    """The vector of every ``hnf_add`` call the walk makes from now on.
+
+    Each call must carry the pivots the walk read for its lattice."""
     edges = []
     real = classifier.hnf_add
     monkeypatch.setattr(classifier, "hnf_add",
-                        lambda basis, vec: edges.append(vec) or real(basis, vec))
+                        lambda basis, vec, pivots: edges.append(vec) or real(basis, vec, pivots))
     return edges
 
 
 def negations_of_walks(monkeypatch):
-    """The residue of every negation the walk reads from now on."""
+    """The residue of every negation the walk reads from now on, through maps
+    built with the pivots the walk read for their lattice."""
     negations = []
     real = classifier.hnf_negation
 
-    def counted(basis):
-        negated = real(basis)
+    def counted(basis, pivots):
+        negated = real(basis, pivots)
         return lambda residue: negations.append(residue) or negated(residue)
 
     monkeypatch.setattr(classifier, "hnf_negation", counted)
@@ -201,17 +204,46 @@ def negations_of_walks(monkeypatch):
 
 
 def residue_passes(monkeypatch):
-    """The lattice and the vector count of each ``hnf_residues`` pass the walk makes from now on."""
+    """The lattice and the vector count of each ``hnf_residues`` pass the walk makes
+    from now on, each pass given the pivots the walk read for its lattice."""
     passes, vectors = [], []
     real = classifier.hnf_residues
 
-    def counted(basis, columns):
+    def counted(basis, columns, pivots):
         passes.append(basis)
         vectors.append(len(columns[0]))
-        return real(basis, columns)
+        return real(basis, columns, pivots)
 
     monkeypatch.setattr(classifier, "hnf_residues", counted)
     return passes, vectors
+
+
+def lattices_with_a_class_past_the_start(n, states):
+    """The lattices below full rank of the walk ``states`` at N doublets, in
+    walk order, that have a nonzero class modulo their parent whose least
+    generator index is at or past their start.
+
+    The parent is the lattice of the witness without its last label, and the
+    start the index after that label's generator (0 for the zero lattice)."""
+    generators = {}
+    for t, chg in enumerate(term_table(n).charges):
+        generators.setdefault(min(chg, tuple(-c for c in chg)), (chg, t))
+    charges = [chg for chg, _ in generators.values()]
+    position = {t: k for k, (_, t) in enumerate(generators.values())}
+    lattice_of = {witness: lattice for lattice, witness in states.items()}
+    lattices = []
+    for lattice, witness in states.items():
+        if len(lattice) == n - 1:
+            continue
+        parent = lattice_of[witness[:-1]] if witness else ()
+        start = position[witness[-1]] + 1 if witness else 0
+        firsts = {}
+        for k, residue in enumerate(hnf_residues(parent, list(zip(*charges)))):
+            firsts.setdefault(residue, k)
+        firsts.pop((0,) * (n - 1), None)
+        if any(k >= start for k in firsts.values()):
+            lattices.append(lattice)
+    return lattices
 
 
 class TestLatticeWalk:
@@ -272,26 +304,28 @@ class TestLatticeWalk:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_residue_budget(self, monkeypatch, n):
-        # one hnf_residues pass per lattice below full rank, in walk order: a
-        # full-rank lattice is not queued, since its children are all
-        # recorded; each pass reduces only the nonzero distinct residues
-        # modulo the lattice's parent (27 generators at N=4, 19.4 residues
-        # per pass)
+        # one hnf_residues pass per lattice below full rank that has a first
+        # index at or past its start, in walk order: a full-rank lattice is
+        # not queued, since its children are all recorded, and a lattice
+        # with nothing past its start has no edge to try; each pass reduces
+        # only the nonzero distinct residues modulo the lattice's parent (27
+        # generators at N=4, 19.5 residues per pass)
         passes, vectors = residue_passes(monkeypatch)
         states = classifier._lattice_scan.__wrapped__(n)
-        assert (len(passes), sum(vectors)) == {2: (1, 2), 3: (10, 90), 4: (169, 3273)}[n]
-        assert passes == [lattice for lattice in states if len(lattice) < n - 1]
+        assert (len(passes), sum(vectors)) == {2: (1, 2), 3: (9, 81), 4: (151, 2938)}[n]
+        assert passes == lattices_with_a_class_past_the_start(n, states)
 
     def test_five_doublet_residue_budget(self, monkeypatch):
-        # 36.8 nonzero distinct residues per pass on average, of 65 generators
+        # 37.0 nonzero distinct residues per pass on average, of 65 generators;
+        # 543 lattices below full rank have nothing past their start
         passes, vectors = residue_passes(monkeypatch)
         classifier._lattice_scan.__wrapped__(5)
-        assert (len(passes), sum(vectors)) == (6261, 230567)
+        assert (len(passes), sum(vectors)) == (5718, 211287)
 
     def test_residues_past_one_byte_are_kept_whole(self, monkeypatch):
         # modulo the lattice of (1, 100), the residue of (2, 0) is (0, -200),
-        # past array('b'): that parent keeps its nonzero residues as a tuple,
-        # and the walk is still the reference walk
+        # past array('b'): that parent keeps the column (-200, 1) of its
+        # nonzero residues as a tuple, and the walk is still the reference walk
         stores = []
         real = classifier._packed
 
@@ -303,7 +337,7 @@ class TestLatticeWalk:
         generators = [((1, 100), 0), ((2, 0), 1), ((0, 1), 2)]
         walked = classifier._walk(generators)
         assert list(walked.items()) == list(reference_walk_of(generators).items())
-        assert (0, -200, 0, 1) in stores
+        assert (-200, 1) in stores
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_depth_equals_rank(self, n):

@@ -180,6 +180,18 @@ class TestHostileInput:
             assert f"{option} must be comma-separated integers, got {text!r}" in err
         assert "invalid literal" not in err and "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["witness", "--doublets", "3", "--group", "Q" * 50_000], "cannot parse group name 'QQ"),
+        (["snf", "--matrix", "1,a" + "b" * 49_997], "malformed matrix string '1,ab"),
+        (["construct", "product", "--partition", "1,2", "--orders", "a" * 50_000],
+         "--orders must be comma-separated integers, got 'aa"),
+    ], ids=["group", "matrix", "orders"])
+    def test_a_long_malformed_input_is_echoed_as_a_prefix(self, argv, message):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert message in err and "(50000 characters)" in err
+        assert len(err.encode()) < 300
+
     def test_group_name_with_a_superscript_digit_exits_2(self):
         # "²".isdigit() is true, but int() rejects it
         code, out, err = invoke(["witness", "--doublets", "3", "--group", "Z²"])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from nhdm.classifier import _lattice_scan
 from nhdm.exactmath import (
-    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_negation, hnf_residues, hnf_rows,
-    hnf_unit_split, smith_bordered, smith_columns, smith_rank, snf,
+    IntMatrix, det, hnf, hnf_add, hnf_contains, hnf_negation, hnf_pivots, hnf_residues,
+    hnf_rows, hnf_unit_split, smith_bordered, smith_columns, smith_rank, snf,
 )
 from reference import reference_snf, snf_rows
 
@@ -390,9 +390,14 @@ class TestHnfProperties:
     @given(rows_and_vector())
     def test_add_matches_full_recompute(self, case):
         rows, v, _ = case
-        grown = hnf_add(hnf_rows(rows), v)
+        basis = hnf_rows(rows)
+        grown = hnf_add(basis, v)
         assert grown == hnf_rows(rows + [v])
         assert is_canonical_hnf(grown)
+        # given the pivots read once, the same basis, and the pivots unchanged
+        pivots = hnf_pivots(basis)
+        assert hnf_add(basis, v, pivots) == grown
+        assert pivots == hnf_pivots(basis)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(rows_and_vector())
@@ -401,8 +406,10 @@ class TestHnfProperties:
         basis = hnf_rows(rows)
         w = combination(rows, coeffs, len(v))
         shifted = [x + y for x, y in zip(v, w)]
-        residue, *others = hnf_residues(basis, list(zip(v, shifted, v)))
+        columns = list(zip(v, shifted, v))
+        residue, *others = hnf_residues(basis, columns)
         assert others == [residue] * 2
+        assert hnf_residues(basis, columns, hnf_pivots(basis)) == [residue] * 3
         # the residue lies in the coset of v, and is its canonical
         # representative: every pivot coordinate in [0, pivot)
         assert hnf_add(basis, [x - y for x, y in zip(v, residue)]) == basis
@@ -437,6 +444,7 @@ class TestHnfProperties:
         basis = hnf_rows(rows)
         residue, negative = hnf_residues(basis, [(x, -x) for x in v])
         assert hnf_negation(basis)(residue) == negative
+        assert hnf_negation(basis, hnf_pivots(basis))(residue) == negative
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(rows_and_vector(), st.binary(min_size=12, max_size=12))
