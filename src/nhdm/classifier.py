@@ -241,10 +241,8 @@ def _walk(generators: Sequence[tuple[tuple[int, ...], int]], *,
     instead (``_packed``), never a truncated array; the property tests
     reach such residues with generator entries in [-4, 4].  At N=6 all
     82,575 lattices of depth 3 hold their residues while their children
-    wait, so the store's size shows in the walk's peak: 534 MiB with the
-    residues in one interleaved ``array('b')``, 538 MiB with one per
-    coordinate.  With this store the opt-in N=6 pin (``pytest -m slow``)
-    ran in 64.5 s with a 572 MiB child peak.
+    wait, so the store's size shows in the walk's peak; the README gives
+    its measurements.
     """
     width = len(generators[0][0]) if generators else 0
     states: dict[Rows, tuple[int, ...]] = {(): ()}
@@ -314,7 +312,7 @@ def classify(n_doublets: int) -> ClassificationResult:
     # So the lattices are counted per block, each block keeping its first
     # lattice, and each block takes one Smith diagonal and one signature, in
     # the order of its first lattice.  The first lattice of each group takes
-    # one full reading, whose d and v the printed entries below use.
+    # one full reading, ``_group_of_lattice``, for its printed entry below.
     blocks: dict[tuple[int, Rows, int], list] = {}
     for lattice, witness in states.items():
         blocks.setdefault(hnf_unit_split(lattice, n), [lattice, witness, 0])[2] += 1
@@ -329,12 +327,12 @@ def classify(n_doublets: int) -> ClassificationResult:
             counts[sig] += count
         else:
             counts[sig] = count
-            primary[sig] = (witness, *smith_columns(lattice, n))
+            primary[sig] = (lattice, witness)
 
     entries = []
     for sig in sorted(primary, key=GroupSignature.sort_key):
-        witness, d, v = primary[sig]
-        group = _group_from_smith(d, v, basis)
+        lattice, witness = primary[sig]
+        group = _group_of_lattice(lattice, basis)
         entries.append(ClassificationEntry(group.signature, tuple(monomials[t] for t in witness),
                                            group.finite_generators, counts[sig]))
     max_order = max((int(e.signature.order()) for e in entries if e.signature.is_finite),

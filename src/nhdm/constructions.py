@@ -4,7 +4,9 @@ The seed is the bidiagonal matrix with 2 on the diagonal and -1 above it,
 which realizes the cyclic group of order 2^n.  Subtracting the binary digits
 of a deficit q from its first column lowers the order to exactly 2^n - q, so
 every cyclic group up to the order bound is reachable; block-diagonal
-assembly over a partition produces direct products.
+assembly over a partition produces direct products.  Each block's rows are
+built once, and only the assembled matrix is checked: its row patterns, its
+Smith form and its witness.
 
 Every row of every constructed matrix is one of the nine admissible row
 patterns, so each row maps back to a concrete monomial and the construction
@@ -53,6 +55,14 @@ def _binary_digits(q: int, n: int) -> list[int]:
     return digits
 
 
+def _cyclic_rows(p: int, n: int) -> list[list[int]]:
+    """``power_block(n)`` as lists, the binary digits of 2^n - p taken off its first column."""
+    rows = [list(r) for r in power_block(n).entries]
+    for i, digit in enumerate(_binary_digits(2 ** n - p, n)):
+        rows[i][0] -= digit
+    return rows
+
+
 def cyclic_c_matrix(p: int, n: int) -> ConstructedMatrix:
     """c-matrix whose charge system realizes exactly the cyclic group of order p.
 
@@ -64,10 +74,7 @@ def cyclic_c_matrix(p: int, n: int) -> ConstructedMatrix:
         raise ValueError("block size out of range (1..16)")
     if not 1 <= p <= 2 ** n:
         raise ValueError(f"order {p} out of range for n={n} (max {2 ** n})")
-    rows = [list(r) for r in power_block(n).entries]
-    for i, digit in enumerate(_binary_digits(2 ** n - p, n)):
-        rows[i][0] -= digit
-    return _finish(IntMatrix.from_rows(rows))
+    return _finish(IntMatrix.from_rows(_cyclic_rows(p, n)))
 
 
 def product_c_matrix(partition, orders) -> ConstructedMatrix:
@@ -89,20 +96,17 @@ def product_c_matrix(partition, orders) -> ConstructedMatrix:
     n = sum(partition)
     if n > 16:
         raise ValueError("total size out of range (<= 16)")
-    blocks = []
     boundary = []
+    rows = []
+    offset = 0
     for size, p in zip(partition, orders):
         if not 1 <= p <= 2 ** size:
             raise ValueError(f"order {p} out of range for block of size {size}")
         if p == 2 ** size:
             boundary.append(p)
-        blocks.append(cyclic_c_matrix(p, size).matrix)
-    rows = []
-    offset = 0
-    for block in blocks:
-        for row in block.entries:
-            rows.append([0] * offset + list(row) + [0] * (n - offset - block.cols))
-        offset += block.cols
+        for row in _cyclic_rows(p, size):
+            rows.append([0] * offset + row + [0] * (n - offset - size))
+        offset += size
     return _finish(IntMatrix.from_rows(rows), boundary_list=boundary)
 
 

@@ -67,7 +67,8 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from ._record import record
-from .classifier import SymmetryGroup, _full_lattice, _group_of_lattice, _lattice_scan
+from .classifier import (SymmetryGroup, _full_lattice, _group_of_lattice, _lattice_scan,
+                         check_doublets)
 from .exactmath import (IntMatrix, Rows, hnf_add, hnf_contains, hnf_residues, hnf_rows, integers,
                         smith_bordered, smith_rank)
 from .groups import GroupSignature, extend_by_antiunitary
@@ -863,9 +864,7 @@ def classify_cp(n_doublets: int = CP_DOUBLETS[0]) -> CpClassification:
     embeddings are aggregated: realizable wins over enlarged-unitary, which
     wins over continuous degeneration.
     """
-    if not CP_DOUBLETS[0] <= n_doublets <= CP_DOUBLETS[1]:
-        raise ValueError("the antiunitary classification is only supported for "
-                         f"{CP_DOUBLETS[0]} doublets")
+    check_doublets(n_doublets, CP_DOUBLETS)
     by_sig: dict[GroupSignature, list[CpVerdict]] = {}
     for base in cp_bases(n_doublets):
         for candidate in cp_extensions(base):

@@ -220,16 +220,14 @@ def snf(m: IntMatrix) -> SnfResult:
     Returns ``SnfResult(d, u, v)`` with ``u @ m @ v == diag(d)``, ``u`` and
     ``v`` unimodular, and ``d`` in the canonical divisibility chain.
 
-    ``_smith_reduce`` runs on the rows of ``m``, each followed by the same
-    row of the identity, which becomes ``u``.
+    ``smith_bordered`` reduces the rows of ``m``, each followed by the same
+    row of the identity, whose border ``u @ I`` is ``u``.
     """
     if m.rows == 0 or m.cols == 0:
         raise ValueError("snf needs a nonempty matrix")
-    w = [list(row) + [1 if i == j else 0 for j in range(m.rows)]
-         for i, row in enumerate(m.entries)]
-    d, v = _smith_reduce(w, m.cols)
-    u = IntMatrix._trusted(tuple(tuple(row[m.cols:]) for row in w[:m.rows]), m.rows)
-    return SnfResult(d, u, v)
+    identity = IntMatrix.identity(m.rows).entries
+    d, v, u = smith_bordered([row + unit for row, unit in zip(m.entries, identity)], m.cols)
+    return SnfResult(d, IntMatrix._trusted(u, m.rows), v)
 
 
 def smith_rank(d: tuple[int, ...]) -> int:
@@ -441,19 +439,16 @@ def hnf_residues(basis: Rows, columns: Sequence[Sequence[int]],
     return list(zip(*cols))
 
 
-def hnf_negation(basis: Rows, pivots: Sequence[int] | None = None
-                 ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def hnf_negation(basis: Rows, pivots: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map from the residue of v to the residue of −v, both by ``hnf_residues(basis, ...)``.
 
     A residue r has every pivot coordinate in ``[0, pivot)``, so a unit
     pivot's coordinate is 0, and so is every entry above a unit pivot.  Of
     −r, only the coordinates of the other pivots can leave their range, and
     only their rows are subtracted, in pivot order.  Those rows are read here
-    once, for every residue modulo the same lattice.  ``pivots``, if given,
-    is ``hnf_pivots(basis)``.
+    once, for every residue modulo the same lattice.  ``pivots`` is
+    ``hnf_pivots(basis)``.
     """
-    if pivots is None:
-        pivots = hnf_pivots(basis)
     steps = [(j, row[j], row) for row, j in zip(basis, pivots) if row[j] != 1]
 
     def negated(residue: Sequence[int]) -> tuple[int, ...]:

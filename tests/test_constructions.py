@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from nhdm import constructions
 from nhdm.classifier import symmetry_group_of_terms
 from nhdm.constructions import cyclic_c_matrix, monomial_for_c_row, power_block, product_c_matrix
 from nhdm.exactmath import det
@@ -95,6 +96,27 @@ class TestProduct:
         ]
         for partition, orders, expected in cases:
             assert product_c_matrix(partition, orders).group == expected
+
+    def test_each_block_is_built_once(self, monkeypatch):
+        # the blocks are assembled as rows, and only the assembled matrix
+        # takes a Smith form and one witness term per row
+        smith, terms = [], []
+        real_smith, real_term = constructions.smith_columns, constructions.monomial_for_c_row
+
+        def counted_smith(rows, ncols):
+            smith.append(ncols)
+            return real_smith(rows, ncols)
+
+        def counted_term(row):
+            terms.append(row)
+            return real_term(row)
+
+        monkeypatch.setattr(constructions, "smith_columns", counted_smith)
+        monkeypatch.setattr(constructions, "monomial_for_c_row", counted_term)
+        built = product_c_matrix([1, 2, 3], [2, 3, 8])
+        assert (len(smith), len(terms)) == (1, 6)
+        assert built.group.name() == "Z2xZ24"
+        assert built.snf_diagonal == (1, 1, 1, 1, 2, 24)
 
 
 class TestRowRealization:

@@ -1368,8 +1368,9 @@ class TestClassification:
                 assert verdict.witness is not None
 
     def test_unsupported_doublet_count(self):
-        with pytest.raises(ValueError):
-            classify_cp(4)
+        for n in (2, 4):
+            with pytest.raises(ValueError, match=r"out of supported range \(3\.\.3\)"):
+                classify_cp(n)
 
     def test_bases_out_of_range_raise_before_any_walk(self, monkeypatch):
         def no_walk(generators):

@@ -142,7 +142,7 @@ def fresh_records():
     return out
 
 
-class TestHashKept:
+class TestHash:
     def test_every_record_hashes_as_its_field_tuple_on_each_use(self):
         # on every use the hash must be that of the fields __post_init__
         # leaves, and belong to its own record
