@@ -857,7 +857,7 @@ def cp_bases(n_doublets: int) -> list[AbelianBase]:
 CP_DOUBLETS = (3, 3)
 
 
-def classify_cp(n_doublets: int = CP_DOUBLETS[0]) -> CpClassification:
+def classify_cp(n_doublets: int) -> CpClassification:
     """Realizable abelian groups containing an antiunitary generator.
 
     Exhaustive for three doublets.  Per starred signature the verdicts of all

@@ -5,6 +5,9 @@ Diagonal transformations are stored as vectors of rational phases in units of
 physical transformation when they differ by an overall scalar phase, because
 overall rephasings are already taken care of by the hypercharge gauge freedom;
 ``equal_mod_center`` implements exactly that quotient.
+
+A basis of circles is its doublet count N: ``torus_basis(n)`` is the one
+shared ``TorusBasis`` of n doublets, and its circles are derived from N.
 """
 
 from __future__ import annotations
@@ -84,56 +87,50 @@ class PhaseVector:
 
 @record
 class TorusBasis:
-    """The N-1 circles parametrizing the maximal torus of PSU(N).
+    """The N-1 circles parametrizing the maximal torus of PSU(N), derived from N.
 
-    ``weights[i]`` holds the per-doublet phase coefficients of the running
-    angle of circle i.  Circle i < N-2 rotates the first doublet by -(i+1)
-    units and the next i+1 doublets by one unit each; the last circle carries
-    the 1/N denominators that reduce it by the center of SU(N).  A basis
-    needs N >= 2 and N-1 rows of N int or Fraction weights, or raises
-    ValueError.  They are read as integers once per direction of the pairing:
+    A basis is its doublet count N, an int of at least 2, or ValueError is
+    raised.  ``weights[i]`` holds the per-doublet phase coefficients of the
+    running angle of circle i.  Circle i < N-2 rotates the first doublet by
+    -(i+1) units and the next i+1 doublets by one unit each; the last circle
+    carries the 1/N denominators that reduce it by the center of SU(N).  The
+    weights are read as integers once per direction of the pairing:
     ``common_weights`` takes angles to phases, ``bilinear_charges`` takes
     doublet exponents to charges.
     """
 
     n_doublets: int
-    weights: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        big_n = self.n_doublets
-        if not isinstance(big_n, int) or big_n < 2:
+        if not isinstance(self.n_doublets, int) or self.n_doublets < 2:
             raise ValueError("need at least 2 doublets")
-        if len(self.weights) != big_n - 1 or any(len(weight) != big_n for weight in self.weights):
-            raise ValueError(f"weights must be {big_n - 1} x {big_n} for {big_n} doublets")
-        for weight in self.weights:
-            for w in weight:
-                if not isinstance(w, (int, Fraction)):
-                    raise ValueError(f"weights must be int or Fraction, got {w!r}")
 
     @property
     def n(self) -> int:
         return self.n_doublets - 1
 
     @cached_property
-    def common_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The least common denominator D of ``weights``, and D times ``weights``.
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        big_n, n = self.n_doublets, self.n
+        rows = [tuple(Fraction(-i) if a == 0 else Fraction(1) if a <= i else Fraction(0)
+                      for a in range(big_n)) for i in range(1, n)]
+        rows.append(tuple(Fraction(-n, big_n) if a == 0 else Fraction(1, big_n)
+                          for a in range(big_n)))
+        return tuple(rows)
 
-        D is N for ``torus_basis``; any weights have one.
-        """
-        d = lcm(*(w.denominator for weight in self.weights for w in weight))
+    @cached_property
+    def common_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The common denominator D of ``weights``, which is N, and D times ``weights``."""
+        d = self.n_doublets
         return d, tuple(tuple(int(d * w) for w in weight) for weight in self.weights)
 
     @cached_property
     def bilinear_charges(self) -> tuple[tuple[int, ...], ...]:
         """Row a: the integer charge of psi_{a+1} - psi_1, that of (phi_1^dagger
-        phi_{a+1}), so row 0 is zero; a non-integer charge raises ValueError."""
-        def charge(a: int) -> tuple[int, ...]:
-            diff = [w[a] - w[0] for w in self.weights]
-            if any(d.denominator != 1 for d in diff):
-                raise ValueError(f"non-integer charge of psi_{a + 1} - psi_1")
-            return tuple(d.numerator for d in diff)
-
-        return tuple(charge(a) for a in range(self.n_doublets))
+        phi_{a+1}), so row 0 is zero.  Each difference of weights is an integer,
+        on the last circle 1/N + (N-1)/N = 1."""
+        return tuple(tuple(int(w[a] - w[0]) for w in self.weights)
+                     for a in range(self.n_doublets))
 
     @cached_property
     def charges(self) -> dict:
@@ -142,18 +139,18 @@ class TorusBasis:
         return {}
 
 
-@lru_cache(maxsize=None)
-def torus_basis(n_doublets: int) -> TorusBasis:
-    """Standard torus basis for ``n_doublets`` doublets (at least 2), one shared instance per N."""
-    big_n = n_doublets
-    n = big_n - 1
-    weights = []
-    for i in range(1, n):
-        weights.append(tuple(Fraction(-i) if a == 0 else Fraction(1) if a <= i else Fraction(0)
-                             for a in range(big_n)))
-    weights.append(tuple(Fraction(-n, big_n) if a == 0 else Fraction(1, big_n)
-                         for a in range(big_n)))
-    return TorusBasis(big_n, tuple(weights))
+# the standard torus basis of N doublets, one shared instance per N
+torus_basis = lru_cache(maxsize=None)(TorusBasis)
+
+
+def _circle_sum(basis: TorusBasis, coefficients: Sequence[int]) -> list[int]:
+    """Per doublet, the sum over circles of coefficient times row of ``common_weights``."""
+    totals = [0] * basis.n_doublets
+    for k, weight in zip(coefficients, basis.common_weights[1]):
+        if k:
+            for a, w in enumerate(weight):
+                totals[a] += k * w
+    return totals
 
 
 def element_from_angles(basis: TorusBasis, angles: Sequence[Rational]) -> PhaseVector:
@@ -171,15 +168,10 @@ def element_from_angles(basis: TorusBasis, angles: Sequence[Rational]) -> PhaseV
     for angle in angles:
         if not isinstance(angle, (int, Fraction)):
             raise ValueError(f"angles must be int or Fraction, got {angle!r}")
-    denominator, weights = basis.common_weights
     common = lcm(*(angle.denominator for angle in angles))
-    totals = [0] * basis.n_doublets
-    for angle, weight in zip(angles, weights):
-        if angle:
-            k = angle.numerator * (common // angle.denominator)
-            for a, w in enumerate(weight):
-                totals[a] += k * w
-    common *= denominator
+    totals = _circle_sum(basis, [angle.numerator * (common // angle.denominator) if angle else 0
+                                 for angle in angles])
+    common *= basis.common_weights[0]
     return PhaseVector._trusted(tuple(Fraction(t % common, common) for t in totals))
 
 
@@ -205,10 +197,6 @@ def direction_weights(basis: TorusBasis, angle_direction: Sequence[int]) -> tupl
     """
     if len(angle_direction) != basis.n:
         raise ValueError(f"expected {basis.n} components, got {len(angle_direction)}")
-    raw = [0] * basis.n_doublets
-    for coeff, weight in zip(angle_direction, basis.common_weights[1]):
-        if coeff:
-            for a, w in enumerate(weight):
-                raw[a] += coeff * w
+    raw = _circle_sum(basis, angle_direction)
     content = gcd(*raw) or 1
     return tuple(x // content for x in raw)

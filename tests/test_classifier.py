@@ -506,7 +506,7 @@ class TestTermQueryPath:
                 CountingBasis.reads += 1
                 return torus_basis(self.n_doublets).bilinear_charges
 
-        basis = CountingBasis(4, torus_basis(4).weights)
+        basis = CountingBasis(4)
         rng = random.Random(7)
         seen = set()
         for _ in range(3):

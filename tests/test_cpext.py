@@ -1371,6 +1371,9 @@ class TestClassification:
         for n in (2, 4):
             with pytest.raises(ValueError, match=r"out of supported range \(3\.\.3\)"):
                 classify_cp(n)
+        # the count is required, so a wider CP_DOUBLETS cannot pick one silently
+        with pytest.raises(TypeError):
+            classify_cp()
 
     def test_bases_out_of_range_raise_before_any_walk(self, monkeypatch):
         def no_walk(generators):

@@ -141,6 +141,21 @@ def test_only_torus_reads_the_circle_weights():
     assert found == []
 
 
+def test_only_torus_makes_a_basis():
+    # each N has one basis, torus_basis(n), and one charge memo: a second
+    # TorusBasis(n) equals the first but fills a memo of its own
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "torus.py":
+            continue
+        found += [f"{path.relative_to(SRC)}:{node.lineno} {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "TorusBasis"
+                       or getattr(node.func, "attr", None) == "TorusBasis")]
+    assert found == []
+
+
 def test_only_the_term_action_permutes_terms():
     # a term's image under a pattern is read once per N in cpext._term_action;
     # every other reader takes it from there

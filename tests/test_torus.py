@@ -36,29 +36,12 @@ class TestBasis:
 
 
 class TestMalformedBasis:
-    # a hand-built basis is checked when it is made, not when a reading fails
-    def test_too_few_circles(self):
-        with pytest.raises(ValueError, match="weights must be 2 x 3 for 3 doublets"):
-            TorusBasis(3, ((F(1), F(0)),))
-
-    def test_rows_of_the_wrong_width(self):
-        with pytest.raises(ValueError, match="weights must be 1 x 2 for 2 doublets"):
-            TorusBasis(2, ((F(1), F(0), F(0)),))
-
-    @pytest.mark.parametrize("weight", [0.5, "1/2", None])
-    def test_weights_must_be_exact(self, weight):
-        with pytest.raises(ValueError, match="weights must be int or Fraction"):
-            TorusBasis(2, ((weight, F(-1, 2)),))
-
     @pytest.mark.parametrize("n", [1, 0, 2.0])
     def test_needs_two_doublets(self, n):
-        with pytest.raises(ValueError, match="need at least 2 doublets"):
-            TorusBasis(n, ())
-
-    def test_int_weights_are_accepted(self):
-        basis = TorusBasis(2, ((-1, 1),))
-        assert basis.bilinear_charges == ((0,), (2,))
-        assert element_from_angles(basis, (F(1, 4),)).render() == "2π·(3/4, 1/4)"
+        # the shared basis is the constructor, so each refuses the same counts
+        for make in (TorusBasis, torus_basis):
+            with pytest.raises(ValueError, match="need at least 2 doublets"):
+                make(n)
 
 
 class TestDifferences:
@@ -76,14 +59,10 @@ class TestDifferences:
                 expected = tuple(w[a] - w[b] for w in basis.weights)
                 assert tuple(x - y for x, y in zip(rows[a], rows[b])) == expected
 
-    def test_non_integer_entry_raises(self):
-        basis = TorusBasis(2, ((F(1, 2), F(0)),))
-        with pytest.raises(ValueError, match="non-integer charge of psi_2 - psi_1"):
-            basis.bilinear_charges
-
     def test_basis_is_shared_per_doublet_count(self):
         assert torus_basis(4) is torus_basis(4)
         assert torus_basis(4) is not torus_basis(5)
+        assert TorusBasis(4) == torus_basis(4)
 
 
 class TestElements:
@@ -151,40 +130,22 @@ class TestElements:
 
 
 class TestOtherDenominators:
-    # a hand-built basis whose weight denominators need not divide N
-    def test_scaled_weights_name_the_weight(self):
-        # direction_weights reads the weights over their common denominator,
-        # so a denominator that does not divide N is not truncated away
-        basis = TorusBasis(2, ((F(1, 3), F(0)),))
-        for d in [(1,), (-2,), (0,)]:
-            assert direction_weights(basis, d) == fraction_direction_weights(basis, d)
-        assert direction_weights(basis, (1,)) == (1, 0)
-
-    def test_elements_take_the_common_denominator(self):
-        basis = TorusBasis(2, ((F(1, 3), F(0)),))
-        assert basis.common_weights == (3, ((1, 0),))
-        assert element_from_angles(basis, (F(1, 2),)).render() == "2π·(1/6, 0)"
-
     def test_elements_match_fraction_arithmetic(self):
         rng = random.Random(11)
         for n in (2, 3, 4):
-            weights = tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
-                            for _ in range(n - 1))
-            for basis in (TorusBasis(n, weights), torus_basis(n)):
-                for _ in range(20):
-                    angles = [rng.choice((rng.randint(-3, 3),
-                                          F(rng.randint(-9, 9), rng.randint(1, 10))))
-                              for _ in range(n - 1)]
-                    expected = fraction_element_from_angles(basis, angles)
-                    assert element_from_angles(basis, angles) == expected
-
+            basis = torus_basis(n)
+            for _ in range(20):
+                angles = [rng.choice((rng.randint(-3, 3),
+                                      F(rng.randint(-9, 9), rng.randint(1, 10))))
+                          for _ in range(n - 1)]
+                expected = fraction_element_from_angles(basis, angles)
+                assert element_from_angles(basis, angles) == expected
 
     def test_elements_are_stored_as_the_checked_constructor_stores_them(self):
         # element_from_angles reduces each phase itself and skips the second
         # reduction of PhaseVector's constructor
         rng = random.Random(6)
-        sixth = TorusBasis(3, ((F(1, 6), F(-1, 6), F(0)), (F(1, 2), F(1, 3), F(-5, 6))))
-        for basis in [torus_basis(n) for n in range(3, 7)] + [sixth]:
+        for basis in [torus_basis(n) for n in range(2, 7)]:
             for _ in range(20):
                 angles = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(basis.n)]
                 pv = element_from_angles(basis, angles)
